@@ -26,6 +26,7 @@ from .continuation import (
     LimitScan,
     ScanRow,
     b_hat,
+    correlation_finite,
     e_plus_symbol,
     k_plus_matrix,
     limit_scan,
@@ -37,7 +38,6 @@ from .dimer import (
     KernelSymbols,
     coefficient_Q,
     coefficient_R,
-    correlation_finite,
     dimer_coefficients,
     dimer_matrix,
     flip_conjugate,

@@ -23,13 +23,12 @@ import numpy as np
 
 from . import __version__
 from .closed_form import correlation_limit, e_phi, lambda_value, prefactor, spectral_roots
-from .continuation import b_hat, limit_scan, theta_decomposition
+from .continuation import correlation_finite, limit_scan, theta_decomposition
 from .dimer import (
     DimerParams,
     dimer_matrix,
     kernel_symbols,
     phi_table,
-    symbol_phi,
     symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
@@ -49,10 +48,10 @@ from .szego import (
     bocg_residual,
     combine_tables,
     correction_factor,
+    e_phi_operator,
     e_phi_reduction,
     exp_representation,
     scalar_E_series,
-    szego_E_operator,
     widom_banded_E,
 )
 
@@ -204,34 +203,19 @@ def _row(t, n, value, target, note=None, with_note=False):
     return row
 
 
-def _finite_correlation(cfg: RunConfig, t: complex, n: int) -> complex:
-    """P(n) via the Toeplitz section for real t in (0,1), else continuation."""
-    params = cfg.dimer_params(t)
-    order = max(cfg.fourier_k, n)
-    grid = max(cfg.fourier_m, 1 << (4 * order + 4 - 1).bit_length())
-    if params.is_real_unit_interval:
-        tab = fourier_coefficients(symbol_phi(params), grid, order)
-        det = log_determinant(toeplitz_matrix(tab, n)).value
-    else:
-        det = log_determinant(b_hat(t, n, grid, order)).value
-    return 0.5 * np.sqrt(complex(det))
-
-
 def run_correlation(cfg: RunConfig) -> dict:
     t = cfg.t
     limit = correlation_limit(t)
     rows = [_row(t, None, limit, limit)]
     ns = cfg.n_list or ([cfg.n] if cfg.n is not None else [])
     for n in ns:
-        value = _finite_correlation(cfg, t, n)
+        value = correlation_finite(cfg.dimer_params(t), n)
         rows.append(_row(t, n, value, limit))
     return {"command": "correlation", "rows": rows, "columns": VALUE_COLUMNS}
 
 
 def run_convergence(cfg: RunConfig) -> dict:
-    order = max(cfg.fourier_k, max(cfg.n_list))
-    grid = max(cfg.fourier_m, 1 << (4 * order + 4 - 1).bit_length())
-    scan = limit_scan(cfg.t, cfg.n_list, grid, order)
+    scan = limit_scan(cfg.t, cfg.n_list, cfg.fourier_m, cfg.fourier_k)
     rows = [_row(cfg.t, r.n, r.value, scan.target) for r in scan.rows]
     if not scan.errors_decreasing:
         print("warning: convergence errors are not monotonically decreasing",
@@ -257,7 +241,7 @@ def _sweep_row(cfg: RunConfig, t: complex) -> dict:
     if cfg.n is None:
         return _row(t, None, limit, limit, note, with_note=True)
     try:
-        value = _finite_correlation(cfg, t, cfg.n)
+        value = correlation_finite(cfg.dimer_params(t), cfg.n)
     except DimerdetError as exc:
         return _row(t, cfg.n, None, limit, f"error: {exc}", with_note=True)
     return _row(t, cfg.n, value, limit, note, with_note=True)
@@ -358,7 +342,7 @@ def _verify_kernel_closed_forms(cfg: RunConfig):
 def _verify_three_way_e(cfg: RunConfig):
     params = cfg.dimer_params()
     trunc = cfg.truncation()
-    e_op = szego_E_operator(symbol_phi(params), trunc, cfg.fourier_m)
+    e_op = e_phi_operator(params, trunc)
     e_red = e_phi_reduction(params, trunc)
     e_cf = e_phi(params.t)
     residual = max(abs(e_op - e_cf), abs(e_red - e_cf), abs(e_op - e_red)) / abs(e_cf)

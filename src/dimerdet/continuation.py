@@ -1,12 +1,12 @@
-"""Analytic continuation of the Toeplitz sections to all Re(t) > 0.
+"""The one route for P(n): the regular section, for every Re(t) > 0.
 
-For real 0 < t < 1 the diagonal symbol entry splits as c = e+ + u where u is
-the geometric-series symbol with Toeplitz section K+ (bands t^{j-k-1}); e+
-stays smooth on the whole half-plane, including |t| = 1 where c itself has a
-circle pole.  Replacing T_n(c) by T_n(e+) + K+ therefore continues the whole
-2n x 2n section analytically, and a triangular pre-multiplication turns it
-into a regular block Toeplitz section plus two finite-rank corrections whose
-determinant converges to the closed-form limit.
+For real 0 < t < 1 the diagonal symbol entry splits as c = e+ + u, u the
+geometric-series symbol with section K+ (bands t^{j-k-1}); e+ stays smooth
+on the whole half-plane.  T_n(e+) + K+ continues the section (``b_hat``,
+entries growing like t^n), and pre-multiplying by T_n(Theta+), of
+determinant 1, gives the regular T_n(phi_hat) + P_n K P_n + W_n L W_n.
+:func:`correlation_finite` and :func:`limit_scan` use :func:`theta_section`;
+``b_hat`` and ``_phi_hat_symbol`` are only references checked against it.
 """
 
 from __future__ import annotations
@@ -14,19 +14,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import e_phi
-from .errors import BranchFailure, DecompositionMismatch, ParameterOutOfRange
+from .errors import (
+    BranchFailure,
+    DecompositionMismatch,
+    InvariantViolation,
+    ParameterOutOfRange,
+    TruncationTooShort,
+)
 from .spectral import (
     FourierTable,
+    _lagrange_fill,
     MatrixSymbol,
     ScalarSymbol,
     fourier_coefficients,
-    hankel_section,
+    grid_for_order,
     log_determinant,
+    pivoted_lu,
     toeplitz_matrix,
 )
-from .dimer import _d, _weight
+from .dimer import DimerParams, _d, _weight, symbol_d
 
 #: circle-distance below which the removable point of e+ is extrapolated
 POLE_WINDOW = 1e-4
@@ -34,12 +43,11 @@ POLE_WINDOW = 1e-4
 
 @dataclass(frozen=True)
 class ContinuedSequence:
-    """The continued 2n x 2n section and its Toeplitz-plus-perturbation form."""
+    """The continued section b_hat and the dense corrections K and L."""
 
     t: complex
     n: int
     b_hat: np.ndarray
-    phi_hat: MatrixSymbol
     k_op: np.ndarray
     l_op: np.ndarray
     identity_residual: float
@@ -65,21 +73,7 @@ def e_plus_symbol(t: complex) -> ScalarSymbol:
 
     def eval_(x):
         x = np.asarray(x, dtype=float)
-        bad = np.abs(np.exp(-1j * x) - t) < POLE_WINDOW
-        out = np.empty(x.shape, dtype=complex)
-        good = ~bad
-        if np.any(good):
-            out[good] = direct(x[good])
-        if np.any(bad):
-            offs = np.array([-6e-4, -3e-4, 3e-4, 6e-4])
-            weights = np.array([
-                np.prod([0.0 - offs[b] for b in range(4) if b != a])
-                / np.prod([offs[a] - offs[b] for b in range(4) if b != a])
-                for a in range(4)
-            ])
-            vals = np.stack([direct(x[bad] + o) for o in offs], axis=0)
-            out[bad] = weights @ vals
-        return out
+        return _lagrange_fill(direct, x, np.abs(np.exp(-1j * x) - t) < POLE_WINDOW, 3e-4)
 
     return ScalarSymbol(eval_)
 
@@ -98,13 +92,9 @@ def k_plus_matrix(t: complex, n: int) -> np.ndarray:
 
 
 def _scalar_tables(t: complex, grid_size: int, order: int):
-    e_tab = fourier_coefficients(e_plus_symbol(t), grid_size, order)
-    d_tab = fourier_coefficients(ScalarSymbol(lambda x: _d(t, x)), grid_size, order)
-    return e_tab, d_tab
-
-
-def _toeplitz_scalar(tab: FourierTable, n: int) -> np.ndarray:
-    return toeplitz_matrix(tab, n)
+    """Fourier tables of e+ and d to ``order``, on a grid of at least ``grid_size``."""
+    grid = max(grid_size, grid_for_order(order))
+    return [fourier_coefficients(sym, grid, order) for sym in (e_plus_symbol(t), symbol_d(t))]
 
 
 def b_hat(t: complex, n: int, grid_size: int = 4096, order: int = 512) -> np.ndarray:
@@ -115,10 +105,9 @@ def b_hat(t: complex, n: int, grid_size: int = 4096, order: int = 512) -> np.nda
     determinant in t.
     """
     t = complex(t)
-    order = max(order, n)
-    e_tab, d_tab = _scalar_tables(t, grid_size, order)
-    b = _toeplitz_scalar(e_tab, n) + k_plus_matrix(t, n)
-    d = _toeplitz_scalar(d_tab, n)
+    e_tab, d_tab = _scalar_tables(t, grid_size, max(order, n))
+    b = toeplitz_matrix(e_tab, n) + k_plus_matrix(t, n)
+    d = toeplitz_matrix(d_tab, n)
     return np.block([[b, d], [d.T, b.T]])
 
 
@@ -128,6 +117,7 @@ def _phi_hat_symbol(t: complex) -> MatrixSymbol:
     Theta+ = diag(1 - t e^{ix}, 1 - t e^{-ix}) and
     (1 - t e^{ix}) / (e^{-ix} - t) = e^{ix} exactly, so the diagonal entries
     are (1 - t e^{+-ix}) e+(+-x) + e^{+-ix} with no near-pole cancellation.
+    This sampled form is the reference for :func:`_phi_hat_table`.
     """
     ep = e_plus_symbol(t)
 
@@ -149,58 +139,98 @@ def _phi_hat_symbol(t: complex) -> MatrixSymbol:
     ])
 
 
-def _block_reversal(n: int) -> np.ndarray:
-    w = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        w[2 * j, 2 * (n - 1 - j)] = 1.0
-        w[2 * j + 1, 2 * (n - 1 - j) + 1] = 1.0
-    return w
+def _phi_hat_table(t: complex, e_tab: FourierTable, d_tab: FourierTable) -> FourierTable:
+    """Coefficients of Theta+ phi+ from the e+ and d tables, one order lower.
+
+    Entry (1,1) is e_k - t e_{k-1} + delta_{k,1} and (1,2) is d_k - t d_{k-1};
+    entries (2,2) and (2,1) are the same two at index -k.
+    """
+    order = e_tab.order - 1
+    out = np.empty((2 * order + 1, 2, 2), dtype=complex)
+    for col, tab in enumerate((e_tab, d_tab)):
+        c = tab.coeffs[:, 0, 0]  # c[k + order + 1] is coefficient k
+        out[:, 0, col] = c[1:-1] - t * c[:-2]
+    out[order + 1, 0, 0] += 1.0
+    out[:, 1, ::-1] = out[::-1, 0, :]
+    return FourierTable(2, order, out, e_tab.tail_tol)
+
+
+def _k_row(t: complex, n: int, e_tab: FourierTable, d_tab: FourierTable) -> np.ndarray:
+    """Row 0 of K = -H(Theta+) H(phitilde+): t [e_{-(j+1)}, d_{-(j+1)}] in block j.
+
+    Row 1 of L = -H(Thetatilde+) H(phi+) holds the same pairs swapped, so
+    row 2n-1 of W_n L W_n is this row reversed.
+    """
+    order = e_tab.order
+    em = e_tab.coeffs[order - n:order, 0, 0][::-1]  # e_{-1}, ..., e_{-n}
+    dm = d_tab.coeffs[order - n:order, 0, 0][::-1]
+    return t * np.column_stack([em, dm]).ravel()
+
+
+def theta_section(t: complex, n: int, e_tab: FourierTable,
+                  d_tab: FourierTable) -> np.ndarray:
+    """T_n(phi_hat) + P_n K P_n + W_n L W_n, the section P(n) is taken from.
+
+    Block (j, k) is phi_hat_{j-k}, copied once from a zero-copy sliding
+    window into a Fortran-ordered buffer that ``pivoted_lu`` factors in
+    place; K adds to row 0 and W_n L W_n to row 2n-1 (see :func:`_k_row`).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > e_tab.order:
+        raise TruncationTooShort(
+            f"section n={n} needs coefficients to {n}, table has {e_tab.order}")
+    tab = _phi_hat_table(t, e_tab, d_tab)
+    coeffs = tab.coeffs[tab.order - n + 1:tab.order + n]  # indices 1-n .. n-1
+    out = np.empty((2 * n, 2 * n), dtype=complex, order="F")
+    # row 2j + a is blocks[a, j]; window [j, a, b, k] holds coefficient j - k
+    blocks = out.reshape((2, n, 2, n), order="F")
+    blocks[...] = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(1, 0, 2, 3)
+    k_row = _k_row(t, n, e_tab, d_tab)
+    out[0] += k_row
+    out[-1] += k_row[::-1]
+    return out
 
 
 def theta_decomposition(t: complex, n: int, grid_size: int = 4096,
                         order: int = 512) -> ContinuedSequence:
-    """Rewrite det b_hat as det(T_n(phi_hat) + P_n K P_n + W_n L W_n).
+    """Check det b_hat = det(T_n(phi_hat) + P_n K P_n + W_n L W_n) to 1e-9.
 
     K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+) are the
-    finite-section corrections from the triangular pre-multiplication by
-    T_n(Theta+), whose own determinant is 1.  Both have rank <= 2 because
-    Theta+ has a single nonzero off-center coefficient.  The identity
-    between the two independently built determinants is verified to 1e-9
-    before returning.
+    rank-one corrections from the pre-multiplication by T_n(Theta+).
     """
     t = complex(t)
-    order = max(order, n, 4)
     lhs_mat = b_hat(t, n, grid_size, order)
-
-    phi_hat = _phi_hat_symbol(t)
-    phi_hat_tab = fourier_coefficients(phi_hat, grid_size, order)
-
-    # phi+ = [[e+, d], [dtilde, etilde+]]
-    ep = e_plus_symbol(t)
-    phi_plus = MatrixSymbol.from_entries([
-        [ScalarSymbol(lambda x: ep(x)), ScalarSymbol(lambda x: _d(t, x))],
-        [ScalarSymbol(lambda x: _d(t, -x)), ScalarSymbol(lambda x: ep(-x))],
-    ])
-    phi_plus_tab = fourier_coefficients(phi_plus, grid_size, order)
-    theta_coeffs = np.zeros((3, 2, 2), dtype=complex)
-    theta_coeffs[1] = np.eye(2)
-    theta_coeffs[2] = np.diag([-t, 0.0])
-    theta_coeffs[0] = np.diag([0.0, -t])
-    theta_tab = FourierTable(2, 1, theta_coeffs)
-
-    k_op = -hankel_section(theta_tab, n) @ hankel_section(phi_plus_tab, n, reflected=True)
-    l_op = -hankel_section(theta_tab, n, reflected=True) @ hankel_section(phi_plus_tab, n)
-
-    w = _block_reversal(n)
-    rhs_mat = toeplitz_matrix(phi_hat_tab, n) + k_op + w @ l_op @ w
+    e_tab, d_tab = _scalar_tables(t, grid_size, max(order, n))
+    k_row = _k_row(t, n, e_tab, d_tab)
+    k_op = np.zeros((2 * n, 2 * n), dtype=complex)
+    l_op = np.zeros((2 * n, 2 * n), dtype=complex)
+    k_op[0], l_op[1] = k_row, k_row.reshape(n, 2)[:, ::-1].ravel()
 
     lhs = log_determinant(lhs_mat).value
-    rhs = log_determinant(rhs_mat).value
+    rhs = pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual > 1e-9:
         raise DecompositionMismatch(
             f"det b_hat = {lhs} vs decomposed {rhs} at t={t}, n={n}")
-    return ContinuedSequence(t, n, lhs_mat, phi_hat, k_op, l_op, residual)
+    return ContinuedSequence(t, n, lhs_mat, k_op, l_op, residual)
+
+
+def correlation_finite(params: DimerParams, n: int) -> complex:
+    """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root.
+
+    The e+ and d tables go to order ``max(fourier_k, n)`` on at least
+    ``fourier_m`` points.  For real t an imaginary residue up to 1e-10 is dropped.
+    """
+    t = params.t
+    tables = _scalar_tables(t, params.fourier_m, max(params.fourier_k, n))
+    val = 0.5 * np.sqrt(pivoted_lu(theta_section(t, n, *tables))[2].value)
+    if t.imag == 0.0:
+        if abs(val.imag) > 1e-10:
+            raise InvariantViolation(
+                f"correlation at real t has imaginary residue {val.imag:.3e}")
+        val = val.real
+    return complex(val)
 
 
 @dataclass(frozen=True)
@@ -223,22 +253,17 @@ class LimitScan:
 
 
 def limit_scan(t: complex, n_list: list[int], grid_size: int = 4096,
-               order: int | None = None) -> LimitScan:
-    """det b_hat along increasing n, with distances to the closed-form limit.
-
-    The Fourier tables are built once at the largest requested order and
-    shared across all sections.
+               order: int = 512) -> LimitScan:
+    """det of :func:`theta_section` along increasing n, with distances to
+    the closed-form limit; the e+ and d tables are built once for all n.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     t = complex(t)
     target = e_phi(t)
-    order = order if order is not None else max(512, max(n_list))
-    e_tab, d_tab = _scalar_tables(t, grid_size, order)
+    e_tab, d_tab = _scalar_tables(t, grid_size, max(order, max(n_list)))
     rows = []
     for n in n_list:
-        b = _toeplitz_scalar(e_tab, n) + k_plus_matrix(t, n)
-        d = _toeplitz_scalar(d_tab, n)
-        det = log_determinant(np.block([[b, d], [d.T, b.T]])).value
+        det = pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value
         rows.append(ScanRow(n, det, abs(det - target)))
     return LimitScan(t, target, tuple(rows))

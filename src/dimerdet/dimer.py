@@ -1,10 +1,11 @@
-"""The dimer matrix, its generating symbols, and the finite correlation.
+"""The dimer matrix and its generating symbols, as independent checks.
 
 The monomer-monomer correlation at separation ``n`` is half the square root
 of ``det M_n`` where ``M_n`` is a 2n x 2n block matrix built from double
 integrals over the torus.  For real ``0 < t < 1`` that determinant equals the
-determinant of a block Toeplitz matrix ``T_n(phi)``; this module constructs
-both sides independently so the equivalence can be verified end to end.
+determinant of a block Toeplitz matrix ``T_n(phi)``.  This module builds both
+sides only as independent checks: P(n) itself comes from the regular section
+in :func:`dimerdet.continuation.correlation_finite`.
 
 Conventions fixed here (they matter for cross-checks):
 
@@ -35,15 +36,12 @@ from .errors import (
     InvariantViolation,
     ParameterOutOfRange,
     QuadratureUnconverged,
-    SingularDeterminant,
 )
 from .spectral import (
     FourierTable,
-    LogDet,
     MatrixSymbol,
     ScalarSymbol,
     fourier_coefficients,
-    log_determinant,
 )
 
 
@@ -401,26 +399,3 @@ def flip_conjugate(mat: np.ndarray, n: int) -> np.ndarray:
     out[n:, :] = out[n:, :][::-1, :]
     out[:, n:] = out[:, n:][:, ::-1]
     return out
-
-
-def correlation_logdet(params: DimerParams, n: int) -> LogDet:
-    """log det M_n; singularity is flagged, not raised."""
-    return log_determinant(dimer_matrix(params, n))
-
-
-def correlation_finite(params: DimerParams, n: int) -> complex:
-    """P(n) = (1/2) sqrt(det M_n), principal half of the accumulated phase.
-
-    For real t the result must be real up to a 1e-10 residue, which is then
-    dropped.
-    """
-    ld = correlation_logdet(params, n)
-    if ld.is_singular:
-        raise SingularDeterminant(f"det M_{n} flagged singular at t={params.t}")
-    val = 0.5 * np.exp(0.5 * complex(ld.log_modulus, ld.phase))
-    if params.t.imag == 0.0:
-        if abs(val.imag) > 1e-10:
-            raise InvariantViolation(
-                f"correlation at real t has imaginary residue {val.imag:.3e}")
-        return complex(val.real, 0.0)
-    return complex(val)

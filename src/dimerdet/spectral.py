@@ -21,6 +21,7 @@ import scipy.linalg
 from .errors import (
     NonzeroWinding,
     SampleFailure,
+    SingularDeterminant,
     SingularSymbol,
     TailNotResolved,
     TruncationTooShort,
@@ -91,6 +92,11 @@ _GRID_DEFAULTS = {
 }
 
 
+def grid_for_order(order: int) -> int:
+    """The smallest power-of-two grid with ``grid >= 4*order + 4``."""
+    return 1 << (4 * order + 3).bit_length()
+
+
 def default_grid(sym: ScalarSymbol | MatrixSymbol) -> tuple[int, int]:
     """(grid_size, order) from the symbol's smoothness hints (worst entry wins)."""
     msym = as_matrix_symbol(sym)
@@ -154,7 +160,7 @@ class LogDet:
     @property
     def value(self) -> complex:
         if self.is_singular:
-            return 0.0j
+            raise SingularDeterminant("determinant flagged singular by the LU pivot test")
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
@@ -206,10 +212,24 @@ def series_symbol(tab: FourierTable) -> MatrixSymbol:
     return MatrixSymbol.from_entries([[make(i, j) for j in range(n)] for i in range(n)])
 
 
-def _ensure_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise SampleFailure(f"{what} contains non-finite entries")
-    return a
+def _lagrange_fill(fn, x: np.ndarray, bad: np.ndarray, step: float) -> np.ndarray:
+    """Evaluate fn(x), replacing entries flagged ``bad`` by a 4-point
+    polynomial extrapolation from offsets +-step, +-2*step."""
+    out = np.empty(x.shape, dtype=complex)
+    good = ~bad
+    if np.any(good):
+        out[good] = fn(x[good])
+    if np.any(bad):
+        offs = np.array([-2.0 * step, -step, step, 2.0 * step])
+        # Lagrange weights for interpolating to offset 0
+        weights = np.array([
+            np.prod([0.0 - offs[b] for b in range(4) if b != a])
+            / np.prod([offs[a] - offs[b] for b in range(4) if b != a])
+            for a in range(4)
+        ])
+        vals = np.stack([fn(x[bad] + o) for o in offs], axis=0)
+        out[bad] = weights @ vals
+    return out
 
 
 def toeplitz_matrix(tab: FourierTable, n: int) -> np.ndarray:
@@ -268,37 +288,45 @@ def _assemble(tab: FourierTable, idx: np.ndarray, pad: bool = False) -> np.ndarr
     else:
         blocks = tab.coeffs[idx + tab.order]
     out = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-    return _ensure_finite(out, "matrix section")
+    if not np.all(np.isfinite(out)):
+        raise SampleFailure("matrix section contains non-finite entries")
+    return out
 
 
-def log_determinant(a: np.ndarray) -> LogDet:
-    """Log-determinant via pivoted LU, with a backward-stable singularity flag.
+def pivoted_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, LogDet]:
+    """Partial-pivot LU of a square array, consumed (in place if Fortran-ordered).
 
-    The determinant is the product of the U diagonal times the permutation
-    sign; we accumulate log-modulus and phase instead of the raw product so
-    sections with hundreds of pivots cannot overflow.  A pivot below
-    ``n * eps * max_row_norm`` marks the matrix singular.
+    The determinant is U's diagonal times the permutation sign, kept in log
+    form so hundreds of pivots cannot overflow; a pivot at or below
+    ``n * eps * ||a||_inf`` flags it singular.  LAPACK ``?lange`` gives the
+    norm without a temporary and catches non-finite entries.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("log_determinant requires a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return LogDet(0.0, 0.0, False)
-    _ensure_finite(a, "matrix")
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    lange = scipy.linalg.get_lapack_funcs("lange", (a,))
+    # the transpose of a C-ordered array is Fortran-ordered, with 1-norm ||a||_inf
+    norm = float(lange("I", a) if a.flags.f_contiguous else lange("1", a.T))
+    if not math.isfinite(norm):
+        raise SampleFailure("matrix contains non-finite entries")
+    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     diag = np.diagonal(lu)
-    row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    threshold = n * _EPS * row_norm
-    if row_norm == 0.0 or np.any(np.abs(diag) <= threshold):
-        return LogDet(-math.inf, 0.0, True)
-    parity = int(np.sum(piv != np.arange(n))) % 2
+    if norm == 0.0 or np.any(np.abs(diag) <= a.shape[0] * _EPS * norm):
+        return lu, piv, LogDet(-math.inf, 0.0, True)
+    parity = int(np.sum(piv != np.arange(diag.size))) % 2
     log_mod = float(np.sum(np.log(np.abs(diag))))
     phase = float(np.sum(np.angle(diag))) + parity * math.pi
     phase = math.remainder(phase, 2.0 * math.pi)
     if phase <= -math.pi:
         phase += 2.0 * math.pi
-    return LogDet(log_mod, phase, False)
+    return lu, piv, LogDet(log_mod, phase, False)
+
+
+def log_determinant(a: np.ndarray) -> LogDet:
+    """Log-determinant via pivoted LU of a copy of ``a``; singularity is flagged."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("log_determinant requires a square matrix")
+    if a.shape[0] == 0:
+        return LogDet(0.0, 0.0, False)
+    return pivoted_lu(np.array(a, dtype=complex, order="F"))[2]
 
 
 def pointwise_inverse(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dimer import DimerParams, symbol_psi, _p, _q, _sigma
+from .dimer import DimerParams, symbol_phi, symbol_psi, _p, _q, _sigma
 from .errors import (
     BranchFailure,
     NotBanded,
@@ -28,13 +28,16 @@ from .errors import (
 )
 from .spectral import (
     FourierTable,
+    _lagrange_fill,
     MatrixSymbol,
     ScalarSymbol,
     as_matrix_symbol,
     fourier_coefficients,
     geometric_mean,
+    grid_for_order,
     hankel_section,
     log_determinant,
+    pivoted_lu,
     pointwise_inverse,
     series_symbol,
     toeplitz_matrix,
@@ -43,8 +46,6 @@ from .spectral import (
 )
 
 log = logging.getLogger(__name__)
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -189,15 +190,6 @@ def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> c
     return complex(gmean ** band * det)
 
 
-def _lu_or_raise(mat: np.ndarray, what: str):
-    lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    diag = np.abs(np.diagonal(lu))
-    threshold = mat.shape[0] * _EPS * float(np.max(np.sum(np.abs(mat), axis=1)))
-    if np.any(diag <= threshold):
-        raise TruncatedOperatorSingular(f"{what}: pivot below threshold {threshold:.3e}")
-    return lu, piv
-
-
 def bocg_residual(psi_tab: FourierTable, n: int, cfg: TruncationConfig) -> complex:
     """The operator-determinant factor of the one-step reduction identity
 
@@ -209,13 +201,15 @@ def bocg_residual(psi_tab: FourierTable, n: int, cfg: TruncationConfig) -> compl
     grows past the coefficient support.
     """
     m = cfg.op_order
-    t_psi = _lu_or_raise(toeplitz_section(psi_tab, m), "T(psi)")
-    t_psit = _lu_or_raise(toeplitz_section(psi_tab, m, reflected=True), "T(psitilde)")
+    t_psi = pivoted_lu(toeplitz_section(psi_tab, m))
+    t_psit = pivoted_lu(toeplitz_section(psi_tab, m, reflected=True))
+    if t_psi[2].is_singular or t_psit[2].is_singular:
+        raise TruncatedOperatorSingular("T(psi) or T(psitilde): pivot below threshold")
     h1 = hankel_section(psi_tab, m, shift=n)
     h2 = hankel_section(psi_tab, m, shift=n, reflected=True)
-    inner = h1 @ scipy.linalg.lu_solve(t_psit, h2, check_finite=False)
+    inner = h1 @ scipy.linalg.lu_solve(t_psit[:2], h2, check_finite=False)
     # right-multiply by T(psi)^{-1} via a transposed solve
-    prod = scipy.linalg.lu_solve(t_psi, inner.T, trans=1, check_finite=False).T
+    prod = scipy.linalg.lu_solve(t_psi[:2], inner.T, trans=1, check_finite=False).T
     size = m * psi_tab.block_size
     return log_determinant(np.eye(size) - prod).value
 
@@ -232,27 +226,6 @@ class ExpRepresentation:
     b: ScalarSymbol
     q_part: MatrixSymbol
     reconstructed: MatrixSymbol
-
-
-def _lagrange_fill(fn, x: np.ndarray, bad: np.ndarray, step: float) -> np.ndarray:
-    """Evaluate fn(x), replacing entries flagged ``bad`` by a 4-point
-    polynomial extrapolation from offsets +-step, +-2*step."""
-    out = np.empty(x.shape, dtype=complex)
-    good = ~bad
-    if np.any(good):
-        out[good] = fn(x[good])
-    if np.any(bad):
-        offs = np.array([-2.0 * step, -step, step, 2.0 * step])
-        # Lagrange weights for interpolating to offset 0
-        weights = np.array([
-            np.prod([0.0 - offs[b] for b in range(4) if b != a])
-            / np.prod([offs[a] - offs[b] for b in range(4) if b != a])
-            for a in range(4)
-        ])
-        xb = x[bad]
-        vals = np.stack([fn(xb + o) for o in offs], axis=0)
-        out[bad] = weights @ vals
-    return out
 
 
 def exp_representation(params: DimerParams) -> ExpRepresentation:
@@ -356,11 +329,16 @@ def alpha_log_tables(params: DimerParams, order: int) -> tuple[FourierTable, Fou
     if not params.is_real_unit_interval:
         raise BranchFailure(f"log symbols need real t in (0, 1), got {params.t}")
     t = params.t.real
-    grid = 1 << (4 * order + 4 - 1).bit_length()
+    grid = grid_for_order(order)
     a1 = ScalarSymbol(lambda x: np.log(1.0 - 2.0 * t * np.cos(x) + t * t) + 0j)
     a2 = ScalarSymbol(lambda x: np.log(t * t + np.sin(x) ** 2 + np.sin(x) ** 4) + 0j)
     return (fourier_coefficients(a1, grid, order),
             fourier_coefficients(a2, grid, order))
+
+
+def e_phi_operator(params: DimerParams, cfg: TruncationConfig) -> complex:
+    """E(phi) by operator truncation of the dimer symbol; real t in (0, 1)."""
+    return szego_E_operator(symbol_phi(params), cfg, params.fourier_m)
 
 
 def e_phi_reduction(params: DimerParams, cfg: TruncationConfig | None = None) -> complex:

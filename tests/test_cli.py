@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dimerdet import correlation_limit
 from dimerdet.cli import main, parse_complex, parse_n_list, ConfigError
 
 
@@ -101,17 +102,17 @@ def test_exit_code_2_on_bad_parameter(capsys):
 
 
 def test_exit_code_3_on_numerical_failure(capsys):
-    # fourier order far too small for t close to 1: unresolved tail
-    code = main(["correlation", "--t", "0.97", "--n", "4",
-                 "--fourier-k", "64", "--fourier-m", "4096"])
+    # t this close to 0 puts the symbol's branch points near the circle, so
+    # the default Fourier order cannot resolve the tail
+    code = main(["correlation", "--t", "0.02", "--n", "4"])
     assert code == 3
     capsys.readouterr()
 
 
 def test_json_error_object(tmp_path):
     out = tmp_path / "err.json"
-    code = main(["correlation", "--t", "0.97", "--n", "4", "--fourier-k", "64",
-                 "--fourier-m", "4096", "--format", "json", "--output", str(out)])
+    code = main(["correlation", "--t", "0.02", "--n", "4",
+                 "--format", "json", "--output", str(out)])
     assert code == 3
     payload = json.loads(out.read_text())
     assert payload["error"]["type"] == "TailNotResolved"
@@ -198,3 +199,32 @@ def test_verify_exp_rep(capsys):
     row = parse_csv(out)[0]
     assert row["status"] == "pass"
     assert float(row["residual"]) <= 1e-9
+
+
+@pytest.mark.parametrize("t", ["2", "5", "0.3+2i", "1.5+1.5i"])
+def test_correlation_off_unit_interval_reaches_limit(t, capsys):
+    # these parameters used to print 0: their continued section was flagged
+    # singular and the flag turned into a zero determinant
+    code, out = run_cli(["correlation", "--t", t, "--n", "64", "--precision", "17"], capsys)
+    assert code == 0
+    row = parse_csv(out)[1]
+    value = complex(float(row["value_re"]), float(row["value_im"]))
+    assert value != 0
+    assert abs(value - correlation_limit(parse_complex(t))) <= 1e-8
+
+
+def test_correlation_near_one_with_short_table(capsys):
+    # the regular section needs no long table near t = 1
+    code, out = run_cli(["correlation", "--t", "0.97", "--n", "4",
+                         "--fourier-k", "64"], capsys)
+    assert code == 0
+    assert parse_csv(out)[1]["value_re"] != ""
+
+
+def test_sweep_up_to_one_has_no_error_rows(capsys):
+    code, out = run_cli(["sweep", "--t-start", "0.1", "--t-stop", "0.99",
+                         "--t-count", "200", "--n", "32"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 200
+    assert [row["t_re"] for row in rows if row["note"].startswith("error:")] == []

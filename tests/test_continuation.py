@@ -6,7 +6,11 @@ import pytest
 from dimerdet import (
     DimerParams,
     ParameterOutOfRange,
+    TruncationTooShort,
     b_hat,
+    correlation_finite,
+    correlation_limit,
+    dimer_matrix,
     e_phi,
     e_plus_symbol,
     fourier_coefficients,
@@ -17,7 +21,12 @@ from dimerdet import (
     theta_decomposition,
     toeplitz_matrix,
 )
-from dimerdet.continuation import _phi_hat_symbol
+from dimerdet.continuation import (
+    _phi_hat_symbol,
+    _phi_hat_table,
+    _scalar_tables,
+    theta_section,
+)
 from dimerdet.dimer import _c
 
 
@@ -159,3 +168,51 @@ def test_convergence_locally_uniform_shadow():
         reached = [r.n for r in scan.rows if r.abs_error < target_eps]
         needed.append(reached[0] if reached else 64)
     assert max(needed) <= 2 * min(needed)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.97, 1.0, 2.0, 0.3 + 2j])
+def test_phi_hat_table_matches_sampled_symbol(t):
+    e_tab, d_tab = _scalar_tables(complex(t), 4096, 512)
+    algebraic = _phi_hat_table(complex(t), e_tab, d_tab)
+    sampled = fourier_coefficients(_phi_hat_symbol(complex(t)), 4096, 512)
+    assert algebraic.order == 511
+    assert np.max(np.abs(algebraic.coeffs - sampled.coeffs[1:-1])) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.6, 1.0, 2.0, 0.8 + 0.3j])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_theta_section_matches_dense_assembly(t, n):
+    # the sliding-window section against T_n(phi_hat) + K + W L W assembled
+    # densely from the sampled symbol
+    t = complex(t)
+    section = theta_section(t, n, *_scalar_tables(t, 4096, 512))
+    assert section.flags.f_contiguous
+    seq = theta_decomposition(t, n)
+    # W_n L W_n reverses the order of L's 2 x 2 blocks in both directions
+    wlw = seq.l_op.reshape(n, 2, n, 2)[::-1, :, ::-1, :].reshape(2 * n, 2 * n)
+    dense = (toeplitz_matrix(fourier_coefficients(_phi_hat_symbol(t), 4096, 512), n)
+             + seq.k_op + wlw)
+    assert np.max(np.abs(section - dense)) <= 1e-13
+
+
+def test_theta_section_needs_table_order():
+    e_tab, d_tab = _scalar_tables(0.6 + 0j, 512, 64)
+    assert theta_section(0.6, 64, e_tab, d_tab).shape == (128, 128)
+    with pytest.raises(TruncationTooShort):
+        theta_section(0.6, 65, e_tab, d_tab)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+@pytest.mark.parametrize("n", [2, 6])
+def test_correlation_finite_equals_dimer_matrix_route(t, n):
+    # the torus quadrature stays an independent check of the section
+    params = DimerParams(t)
+    det_m = log_determinant(dimer_matrix(params, n)).value
+    expected = 0.5 * np.sqrt(det_m.real)
+    assert abs(correlation_finite(params, n) - expected) <= 1e-10 * expected
+
+
+def test_correlation_finite_beyond_quadrature_reach():
+    # n >= 240 used to raise QuadratureUnconverged on the torus route
+    value = correlation_finite(DimerParams(0.6), 256)
+    assert abs(value - correlation_limit(0.6)) <= 1e-12

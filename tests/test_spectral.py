@@ -10,6 +10,7 @@ from dimerdet import (
     NonzeroWinding,
     SampleFailure,
     ScalarSymbol,
+    SingularDeterminant,
     SingularSymbol,
     TailNotResolved,
     TruncationTooShort,
@@ -25,6 +26,7 @@ from dimerdet import (
     symbol_phi,
     toeplitz_matrix,
 )
+from dimerdet.spectral import grid_for_order, pivoted_lu
 
 
 def harmonic(k):
@@ -182,6 +184,38 @@ def test_logdet_singular_flag():
     assert log_determinant(a).is_singular
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_logdet_singular_value_raises():
+    # a flagged-singular determinant must not read as a plausible 0
+    with pytest.raises(SingularDeterminant):
+        log_determinant(np.ones((4, 4))).value
+
+
+def test_logdet_rejects_non_finite_entries():
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = np.nan
+    with pytest.raises(SampleFailure):
+        log_determinant(a)
+
+
+def test_logdet_leaves_argument_intact():
+    rng = np.random.default_rng(13)
+    for a in (rng.standard_normal((6, 6)) + 0j,
+              np.asfortranarray(rng.standard_normal((6, 6)) + 1j)):
+        before = a.copy()
+        log_determinant(a)
+        assert np.array_equal(a, before)
+
+
+def test_pivoted_lu_factors_fortran_buffer_in_place():
+    rng = np.random.default_rng(17)
+    a = np.asfortranarray(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    expected = np.linalg.det(a)
+    lu, _, det = pivoted_lu(a)
+    assert np.shares_memory(lu, a)
+    assert abs(det.value - expected) <= 1e-12 * abs(expected)
+
+
 def test_pointwise_inverse_identity():
     ident = MatrixSymbol.from_entries([
         [ScalarSymbol.constant(1), ScalarSymbol.constant(0)],
@@ -275,3 +309,13 @@ def test_fourier_default_sizes_from_hint():
     assert default_grid(slow) == (16384, 2048)
     with pytest.raises(ValueError):
         default_grid(ScalarSymbol(lambda x: x + 0j, smoothness_hint="zebra"))
+
+
+def test_grid_for_order_is_smallest_admissible_power_of_two():
+    assert grid_for_order(512) == 4096
+    assert grid_for_order(1023) == 4096
+    assert grid_for_order(1024) == 8192
+    for order in range(1, 300):
+        grid = grid_for_order(order)
+        assert grid & (grid - 1) == 0
+        assert grid // 2 < 4 * order + 4 <= grid
