@@ -308,8 +308,8 @@ def _verify_prefactor(cfg: RunConfig):
     tab1, tab2 = alpha_log_tables(params, cfg.series_order)
     a1 = combine_tables([tab1], [-0.5])
     a2 = combine_tables([tab1, tab2], [0.5, 0.5])
-    ratio = (correction_factor(a1, 2, cfg.series_order)
-             / correction_factor(a2, 2, cfg.series_order))
+    ratio = (correction_factor(a1, 2, cfg.series_order, cfg.tolerance)
+             / correction_factor(a2, 2, cfg.series_order, cfg.tolerance))
     expected = prefactor(params.t)
     return abs(ratio - expected) / abs(expected), 1e-8, None
 
@@ -351,6 +351,7 @@ def _verify_three_way_e(cfg: RunConfig):
 
 def _verify_scalar_widom(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
+    ks = np.arange(1, 257)
     worst = 0.0
     for _ in range(20):
         n_up = int(rng.integers(1, 4))
@@ -370,11 +371,11 @@ def _verify_scalar_widom(cfg: RunConfig):
             return out
 
         tab = fourier_coefficients(ScalarSymbol(sym_eval), 128, 16)
-        coeffs = {}
-        for k in range(1, 257):
-            coeffs[k] = -sum(g ** k for g in gammas) / k
-            coeffs[-k] = -sum(d ** k for d in deltas) / k
-        log_tab = FourierTable.from_coeff_map(coeffs, 256)
+        # log of each factor (1 - g z): coefficients -g^k / k at k >= 1
+        logs = np.zeros((513, 1, 1), dtype=complex)
+        logs[257:, 0, 0] = -sum(g ** ks for g in gammas) / ks
+        logs[:256, 0, 0] = (-sum(d ** ks for d in deltas) / ks)[::-1]
+        log_tab = FourierTable(1, 256, logs)
         e_w = widom_banded_E(tab, n_up, grid_size=1024)
         e_s = scalar_E_series(log_tab, 256)
         worst = max(worst, abs(e_w - e_s))

@@ -27,6 +27,7 @@ from .errors import (
 from .spectral import (
     FourierTable,
     _lagrange_fill,
+    _stack_entries,
     MatrixSymbol,
     ScalarSymbol,
     fourier_coefficients,
@@ -121,22 +122,14 @@ def _phi_hat_symbol(t: complex) -> MatrixSymbol:
     """
     ep = e_plus_symbol(t)
 
-    def h11(x):
-        return (1.0 - t * np.exp(1j * x)) * ep(x) + np.exp(1j * x)
+    def eval_(x):
+        z = np.exp(1j * x)
+        zc = z.conj()
+        d = _d(t, x)  # d(-x) = -d(x): the weight is even in x
+        return _stack_entries([[(1.0 - t * z) * ep(x) + z, (1.0 - t * z) * d],
+                              [-(1.0 - t * zc) * d, (1.0 - t * zc) * ep(-x) + zc]], x.size)
 
-    def h12(x):
-        return (1.0 - t * np.exp(1j * x)) * _d(t, x)
-
-    def h21(x):
-        return (1.0 - t * np.exp(-1j * x)) * _d(t, -x)
-
-    def h22(x):
-        return (1.0 - t * np.exp(-1j * x)) * ep(-x) + np.exp(-1j * x)
-
-    return MatrixSymbol.from_entries([
-        [ScalarSymbol(h11), ScalarSymbol(h12)],
-        [ScalarSymbol(h21), ScalarSymbol(h22)],
-    ])
+    return MatrixSymbol(eval_, 2)
 
 
 def _phi_hat_table(t: complex, e_tab: FourierTable, d_tab: FourierTable) -> FourierTable:

@@ -26,7 +26,7 @@ Conventions fixed here (they matter for cross-checks):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +39,11 @@ from .errors import (
 )
 from .spectral import (
     FourierTable,
+    _stack_entries,
     MatrixSymbol,
     ScalarSymbol,
     fourier_coefficients,
+    grid_for_order,
 )
 
 
@@ -170,11 +172,13 @@ def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
     With 1-based block indices j, k:
       R_jk = 2 (-1)^[(k-j)/2] R_{k-j+1} + theta(j-k) t^{j-k-1}
       Q_jk = 2i (-1)^[(j+k)/2] Q_{n+1-j-k}
-    where theta(m) = 1 for m > 0 and 0 otherwise.
+    where theta(m) = 1 for m > 0 and 0 otherwise.  The torus grid is at
+    least ``grid_for_order(n + 1)``, so it resolves the highest index used.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeff = dimer_coefficients(params, -n, n + 1)
+    grid = max(params.quad_grid, grid_for_order(n + 1))
+    coeff = dimer_coefficients(replace(params, quad_grid=grid), -n, n + 1)
     j = np.arange(1, n + 1)[:, None]
     k = np.arange(1, n + 1)[None, :]
 
@@ -225,6 +229,11 @@ def _eta(t: complex, x: np.ndarray) -> np.ndarray:
                   * (t * t + np.sin(x) ** 2 + np.sin(x) ** 4))
 
 
+def _psi_samples(t: complex, x: np.ndarray) -> np.ndarray:
+    """[[p, q], [qtilde, ptilde]] at angles x, shape (len(x), 2, 2)."""
+    return _stack_entries([[_p(t, x), _q(t, x)], [_q(t, -x), _p(t, -x)]], x.size)
+
+
 def symbol_d(t: complex) -> ScalarSymbol:
     """The off-diagonal entry sin(x)/sqrt(t^2+sin^2 x+sin^4 x); Re(t) > 0."""
     t = complex(t)
@@ -243,10 +252,16 @@ def symbol_phi(params: DimerParams) -> MatrixSymbol:
             f"symbol_phi requires real t in (0, 1), got {params.t}; "
             "use the continuation module for general parameters")
     t = params.t
-    return MatrixSymbol.from_entries([
-        [ScalarSymbol(lambda x: _c(t, x)), ScalarSymbol(lambda x: _d(t, x))],
-        [ScalarSymbol(lambda x: _d(t, -x)), ScalarSymbol(lambda x: _c(t, -x))],
-    ])
+
+    def eval_(x):
+        # the weight is even in x, so c(-x) and d(-x) = -d(x) reuse it
+        w = _weight(t, x)
+        num = t * np.cos(x) + np.sin(x) ** 2
+        d = np.sin(x) / w
+        return _stack_entries([[num / ((np.exp(-1j * x) - t) * w), d],
+                              [-d, num / ((np.exp(1j * x) - t) * w)]], x.size)
+
+    return MatrixSymbol(eval_, 2)
 
 
 def symbol_phi_product(params: DimerParams) -> MatrixSymbol:
@@ -261,14 +276,7 @@ def symbol_phi_product(params: DimerParams) -> MatrixSymbol:
         raise ParameterOutOfRange(
             f"symbol_phi_product requires real t in (0, 1), got {params.t}")
     t = params.t
-
-    def entry(fn):
-        return ScalarSymbol(lambda x: _sigma(t, x) * fn(t, x))
-
-    return MatrixSymbol.from_entries([
-        [entry(_p), entry(_q)],
-        [entry(lambda tt, x: _q(tt, -x)), entry(lambda tt, x: _p(tt, -x))],
-    ])
+    return MatrixSymbol(lambda x: _sigma(t, x)[:, None, None] * _psi_samples(t, x), 2)
 
 
 def symbol_psi(params: DimerParams) -> MatrixSymbol:
@@ -283,10 +291,7 @@ def symbol_psi(params: DimerParams) -> MatrixSymbol:
     if not params.is_real_unit_interval:
         raise ParameterOutOfRange(f"symbol_psi requires real t in (0, 1), got {params.t}")
     t = params.t
-    return MatrixSymbol.from_entries([
-        [ScalarSymbol(lambda x: _p(t, x)), ScalarSymbol(lambda x: _q(t, x))],
-        [ScalarSymbol(lambda x: _q(t, -x)), ScalarSymbol(lambda x: _p(t, -x))],
-    ])
+    return MatrixSymbol(lambda x: _psi_samples(t, x), 2)
 
 
 def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
@@ -294,12 +299,7 @@ def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
     if not params.is_real_unit_interval:
         raise ParameterOutOfRange(f"symbol_psi_inverse requires real t in (0, 1), got {params.t}")
     t = params.t
-    return MatrixSymbol.from_entries([
-        [ScalarSymbol(lambda x: _eta(t, x) * _p(t, -x)),
-         ScalarSymbol(lambda x: _eta(t, x) * _q(t, -x))],
-        [ScalarSymbol(lambda x: _eta(t, x) * _q(t, x)),
-         ScalarSymbol(lambda x: _eta(t, x) * _p(t, x))],
-    ])
+    return MatrixSymbol(lambda x: _eta(t, x)[:, None, None] * _psi_samples(t, -x), 2)
 
 
 def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:

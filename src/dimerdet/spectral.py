@@ -1,7 +1,7 @@
 """Foundational numerics for symbols on the unit circle.
 
-Symbols are complex functions of the angle ``x`` (radians); matrix symbols
-are small square arrays of them.  This module samples symbols, extracts
+Symbols are complex functions of the angle ``x`` (radians); a matrix symbol
+is one evaluator returning (len(x), N, N) arrays.  This module samples symbols, extracts
 Fourier coefficients by FFT, assembles finite block Toeplitz/Hankel
 sections, and provides log-determinants and geometric means with explicit
 branch tracking.  Determinants are carried in log form throughout and only
@@ -51,31 +51,42 @@ class ScalarSymbol:
 
 @dataclass(frozen=True)
 class MatrixSymbol:
-    """An N x N array of scalar symbols sharing one period and grid."""
+    """An N x N symbol: one evaluator from angles to an array (len(x), N, N)."""
 
-    entries: tuple  # tuple of tuples of ScalarSymbol
+    fn: Evaluator
     block_size: int
+    smoothness_hint: str = "analytic_in_annulus"
 
     @staticmethod
     def from_entries(rows: Sequence[Sequence[ScalarSymbol]]) -> "MatrixSymbol":
+        """Stack scalar entry symbols; the least smooth entry sets the hint."""
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("entries must be square")
-        return MatrixSymbol(tuple(tuple(r) for r in rows), n)
+        rank = list(_GRID_DEFAULTS)  # smoothest first; unknown hints rank last
+        hint = max((e.smoothness_hint for r in rows for e in r),
+                   key=lambda h: rank.index(h) if h in rank else len(rank))
+        return MatrixSymbol(
+            lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size), n, hint)
 
     @staticmethod
     def from_scalar(sym: ScalarSymbol) -> "MatrixSymbol":
-        return MatrixSymbol(((sym,),), 1)
+        return MatrixSymbol.from_entries([[sym]])
 
     def sample(self, x) -> np.ndarray:
         """Evaluate on angles x, returning an array of shape (len(x), N, N)."""
         x = np.asarray(x, dtype=float)
-        n = self.block_size
-        out = np.empty((x.size, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = self.entries[i][j](x)
-        return out
+        return np.asarray(self.fn(x), dtype=complex)
+
+
+def _stack_entries(rows: Sequence[Sequence], size: int) -> np.ndarray:
+    """The (size, N, N) array whose entry (i, j) is ``rows[i][j]`` (broadcast)."""
+    n = len(rows)
+    out = np.empty((size, n, n), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            out[:, i, j] = value
+    return out
 
 
 def as_matrix_symbol(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
@@ -98,15 +109,11 @@ def grid_for_order(order: int) -> int:
 
 
 def default_grid(sym: ScalarSymbol | MatrixSymbol) -> tuple[int, int]:
-    """(grid_size, order) from the symbol's smoothness hints (worst entry wins)."""
-    msym = as_matrix_symbol(sym)
-    hints = {entry.smoothness_hint for row in msym.entries for entry in row}
-    unknown = hints - set(_GRID_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown smoothness hint(s) {unknown}")
-    if "wiener_class" in hints:
-        return _GRID_DEFAULTS["wiener_class"]
-    return _GRID_DEFAULTS["analytic_in_annulus"]
+    """(grid_size, order) from the symbol's smoothness hint."""
+    hint = as_matrix_symbol(sym).smoothness_hint
+    if hint not in _GRID_DEFAULTS:
+        raise ValueError(f"unknown smoothness hint {hint!r}")
+    return _GRID_DEFAULTS[hint]
 
 
 @dataclass(frozen=True)
@@ -201,15 +208,17 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
 
 
 def series_symbol(tab: FourierTable) -> MatrixSymbol:
-    """The truncated Fourier series of a table, as an evaluatable symbol."""
-    ks = np.arange(-tab.order, tab.order + 1)
-    n = tab.block_size
+    """The truncated Fourier series of a table: one Horner pass in z = e^{ix}."""
+    def eval_(x):
+        z = np.exp(1j * x)[:, None, None]
+        acc = np.zeros((x.size, tab.block_size, tab.block_size), dtype=complex)
+        for c in tab.coeffs[::-1]:
+            acc *= z
+            acc += c
+        acc *= np.exp(-1j * tab.order * x)[:, None, None]
+        return acc
 
-    def make(i, j):
-        c = tab.coeffs[:, i, j].copy()
-        return ScalarSymbol(lambda x: np.exp(1j * np.outer(x, ks)) @ c)
-
-    return MatrixSymbol.from_entries([[make(i, j) for j in range(n)] for i in range(n)])
+    return MatrixSymbol(eval_, tab.block_size)
 
 
 def _lagrange_fill(fn, x: np.ndarray, bad: np.ndarray, step: float) -> np.ndarray:
@@ -336,41 +345,32 @@ def pointwise_inverse(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
     if n > 2:
         raise ValueError("pointwise_inverse supports block sizes 1 and 2 only")
 
-    def det_of(x):
+    def eval_(x):
         v = msym.sample(x)
-        d = v[:, 0, 0] if n == 1 else v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+        d = _pointwise_det(v)
         if np.any(np.abs(d) < 1e-14):
             raise SingularSymbol("det of symbol below 1e-14 on evaluation points")
-        return v, d
-
-    if n == 1:
-        def inv00(x):
-            _, d = det_of(x)
-            return 1.0 / d
-        return MatrixSymbol.from_entries([[ScalarSymbol(inv00)]])
-
-    def make(i, j):
+        if n == 1:
+            return 1.0 / v
         # adjugate/det: inv[i][j] = (-1)^{i+j} m[1-j][1-i] / det
-        def entry(x):
-            v, d = det_of(x)
-            src = v[:, 1 - j, 1 - i]
-            sign = 1.0 if i == j else -1.0
-            return sign * src / d
-        return ScalarSymbol(entry)
+        return v[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]] / d[:, None, None]
 
-    return MatrixSymbol.from_entries([[make(i, j) for j in range(2)] for i in range(2)])
+    return MatrixSymbol(eval_, n, msym.smoothness_hint)
+
+
+def _pointwise_det(v: np.ndarray) -> np.ndarray:
+    """det of each N x N sample in a (len(x), N, N) array; closed form for N <= 2."""
+    if v.shape[1] == 1:
+        return v[:, 0, 0]
+    if v.shape[1] == 2:
+        return v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    return np.linalg.det(v)
 
 
 def _unwrapped_logdet_samples(sym: MatrixSymbol, grid_size: int):
     x = 2.0 * np.pi * np.arange(grid_size) / grid_size
     x = (x + np.pi) % (2.0 * np.pi) - np.pi
-    v = sym.sample(x)
-    if sym.block_size == 1:
-        d = v[:, 0, 0]
-    elif sym.block_size == 2:
-        d = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
-    else:
-        d = np.linalg.det(v)
+    d = _pointwise_det(sym.sample(x))
     if not np.all(np.isfinite(d)):
         raise SampleFailure("symbol evaluator returned non-finite values")
     if np.any(np.abs(d) < 1e-14):

@@ -29,6 +29,7 @@ from .errors import (
 from .spectral import (
     FourierTable,
     _lagrange_fill,
+    _stack_entries,
     MatrixSymbol,
     ScalarSymbol,
     as_matrix_symbol,
@@ -57,10 +58,15 @@ class TruncationConfig:
     tolerance: float = 1e-10
 
 
+def _one_side(tab: FourierTable, side: int) -> np.ndarray:
+    """Coefficient blocks k = 1..K (side=+1) or k = -1..-K (side=-1)."""
+    mid = tab.order
+    return tab.coeffs[mid + 1:] if side > 0 else tab.coeffs[:mid][::-1]
+
+
 def _coeff_magnitudes(tab: FourierTable, side: int) -> np.ndarray:
     """max-entry magnitudes of coefficients k = 1..K (side=+1) or -1..-K."""
-    ks = np.arange(1, tab.order + 1) * side
-    return np.array([np.max(np.abs(tab.coeff(int(k)))) for k in ks])
+    return np.abs(_one_side(tab, side)).max(axis=(1, 2), initial=0.0)
 
 
 def _geometric_tail(mags: np.ndarray) -> float:
@@ -135,9 +141,8 @@ def scalar_E_series(logsym_coeffs: FourierTable, order: int,
     if logsym_coeffs.block_size != 1:
         raise ValueError("scalar_E_series requires a scalar table")
     order = min(order, logsym_coeffs.order)
-    ks = np.arange(1, order + 1)
-    terms = np.array([k * logsym_coeffs.scalar(k) * logsym_coeffs.scalar(-k)
-                      for k in ks])
+    terms = (np.arange(1, order + 1) * _one_side(logsym_coeffs, 1)[:order, 0, 0]
+             * _one_side(logsym_coeffs, -1)[:order, 0, 0])
     return complex(np.exp(_partial_sum_with_tail(terms, tol, "scalar_E_series")))
 
 
@@ -147,8 +152,8 @@ def hankel_trace(a: FourierTable, b: FourierTable, order: int,
     if a.block_size != 1 or b.block_size != 1:
         raise ValueError("hankel_trace requires scalar tables")
     order = min(order, a.order, b.order)
-    ks = np.arange(1, order + 1)
-    terms = np.array([k * a.scalar(k) * b.scalar(-k) for k in ks])
+    terms = (np.arange(1, order + 1) * _one_side(a, 1)[:order, 0, 0]
+             * _one_side(b, -1)[:order, 0, 0])
     return _partial_sum_with_tail(terms, tol, "hankel_trace")
 
 
@@ -173,10 +178,8 @@ def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> c
     ``band`` on at least one side.  The convention det T_0 = 1 makes the
     formula valid at band 0 as well.
     """
-    upper = max((np.max(np.abs(psi_tab.coeff(k)))
-                 for k in range(band + 1, psi_tab.order + 1)), default=0.0)
-    lower = max((np.max(np.abs(psi_tab.coeff(-k)))
-                 for k in range(band + 1, psi_tab.order + 1)), default=0.0)
+    upper = np.max(_coeff_magnitudes(psi_tab, 1)[band:], initial=0.0)
+    lower = np.max(_coeff_magnitudes(psi_tab, -1)[band:], initial=0.0)
     if min(upper, lower) > 1e-13:
         raise NotBanded(
             f"coefficients beyond band {band} reach {min(upper, lower):.3e} on both sides")
@@ -198,20 +201,27 @@ def bocg_residual(psi_tab: FourierTable, n: int, cfg: TruncationConfig) -> compl
 
     computed on truncations of size ``op_order``.  Multiplying by z^{-n} is
     an index shift of the coefficient table.  The factor tends to 1 as n
-    grows past the coefficient support.
+    grows past the coefficient support.  Both Hankel sections vanish outside
+    their leading r = N (order - n) rows and columns, so the product is block
+    triangular and its determinant is exactly the leading r x r one.
     """
     m = cfg.op_order
     t_psi = pivoted_lu(toeplitz_section(psi_tab, m))
     t_psit = pivoted_lu(toeplitz_section(psi_tab, m, reflected=True))
     if t_psi[2].is_singular or t_psit[2].is_singular:
         raise TruncatedOperatorSingular("T(psi) or T(psitilde): pivot below threshold")
-    h1 = hankel_section(psi_tab, m, shift=n)
-    h2 = hankel_section(psi_tab, m, shift=n, reflected=True)
-    inner = h1 @ scipy.linalg.lu_solve(t_psit[:2], h2, check_finite=False)
+    support = min(m, max(0, psi_tab.order - n))
+    r = support * psi_tab.block_size
+    if r == 0:
+        return complex(1.0)
+    h1 = hankel_section(psi_tab, support, shift=n)
+    rhs = np.zeros((m * psi_tab.block_size, r), dtype=complex)
+    rhs[:r] = hankel_section(psi_tab, support, shift=n, reflected=True)
+    inner = h1 @ scipy.linalg.lu_solve(t_psit[:2], rhs, check_finite=False)[:r]
     # right-multiply by T(psi)^{-1} via a transposed solve
-    prod = scipy.linalg.lu_solve(t_psi[:2], inner.T, trans=1, check_finite=False).T
-    size = m * psi_tab.block_size
-    return log_determinant(np.eye(size) - prod).value
+    rhs[:r] = inner.T
+    prod = scipy.linalg.lu_solve(t_psi[:2], rhs, trans=1, check_finite=False)[:r].T
+    return log_determinant(np.eye(r) - prod).value
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +303,19 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
         x = np.asarray(x, dtype=float)
         return _lagrange_fill(b_direct, x, removable(x), 5e-4)
 
-    def q11(x):
-        return (_p(t, x) - _p(t, -x)) / 2.0
+    def q_fn(x):
+        q11 = (_p(t, x) - _p(t, -x)) / 2.0
+        return _stack_entries([[q11, _q(t, x)], [_q(t, -x), -q11]], x.size)
 
-    q_part = MatrixSymbol.from_entries([
-        [ScalarSymbol(q11), ScalarSymbol(lambda x: _q(t, x))],
-        [ScalarSymbol(lambda x: _q(t, -x)), ScalarSymbol(lambda x: -q11(x))],
-    ])
+    def reconstructed_fn(x):
+        # exp(a I + w/Delta Q) = e^a (cosh(w) I + sinh(w)/Delta Q), as Q^2 = Delta^2 I
+        ea = np.exp(a_fn(x))[:, None, None]
+        val = ratio_fn(x)[:, None, None] * q_fn(x)
+        val += np.cosh(w_fn(x))[:, None, None] * np.eye(2)
+        return ea * val
 
-    def entry(i, j):
-        def eval_(x):
-            x = np.asarray(x, dtype=float)
-            ea = np.exp(a_fn(x))
-            ratio = ratio_fn(x)
-            qv = q_part.entries[i][j](x)
-            val = ratio * qv
-            if i == j:
-                val = val + np.cosh(w_fn(x))
-            return ea * val
-        return ScalarSymbol(eval_)
-
-    reconstructed = MatrixSymbol.from_entries(
-        [[entry(0, 0), entry(0, 1)], [entry(1, 0), entry(1, 1)]])
+    q_part = MatrixSymbol(q_fn, 2)
+    reconstructed = MatrixSymbol(reconstructed_fn, 2)
     return ExpRepresentation(ScalarSymbol(a_fn), ScalarSymbol(b_fn),
                              q_part, reconstructed)
 

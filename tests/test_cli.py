@@ -193,6 +193,23 @@ def test_verify_dimer_toeplitz(capsys):
     assert parse_csv(out)[0]["status"] == "pass"
 
 
+def test_verify_dimer_toeplitz_large_n(capsys):
+    # the torus grid follows n: at the fixed 256/512 grids R_-240 moved by 8e-5
+    code, out = run_cli(["verify", "--identity", "dimer-toeplitz",
+                         "--t", "0.3", "--n", "240"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["status"] == "pass"
+
+
+def test_verify_prefactor_honours_tol(capsys):
+    # no truncated series tail can meet 1e-40, so the run must fail
+    code, _ = run_cli(["verify", "--identity", "prefactor", "--t", "0.3"], capsys)
+    assert code == 0
+    code, _ = run_cli(["verify", "--identity", "prefactor", "--t", "0.3",
+                       "--tol", "1e-40"], capsys)
+    assert code == 3
+
+
 def test_verify_exp_rep(capsys):
     code, out = run_cli(["verify", "--identity", "exp-rep", "--t", "0.7"], capsys)
     assert code == 0

@@ -18,6 +18,9 @@ from dimerdet import (
     log_determinant,
     phi_table,
     symbol_phi,
+    symbol_phi_product,
+    symbol_psi,
+    symbol_psi_inverse,
     toeplitz_matrix,
 )
 
@@ -198,6 +201,25 @@ def test_symbol_phi_spot_values():
     # det phi(0) = 1/(t^2 - 2t + 1) = 4 at t = 0.5, and d(1) = 0
     assert abs(np.linalg.det(v) - 4.0) < 1e-12
     assert abs(v[0, 1]) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.2, 0.6, 0.93])
+def test_array_symbols_match_entry_formulas(t):
+    from dimerdet.dimer import _c, _d, _eta, _p, _q, _sigma
+    params = DimerParams(t)
+    x = np.linspace(-np.pi, np.pi, 41)[:-1] + 0.01
+    c, d, p, q = _c(t, x), _d(t, x), _p(t, x), _q(t, x)
+    ct, dt, pt, qt = _c(t, -x), _d(t, -x), _p(t, -x), _q(t, -x)
+    sigma, eta = _sigma(t, x), _eta(t, x)
+    cases = [
+        (symbol_phi(params), [[c, d], [dt, ct]]),
+        (symbol_phi_product(params), [[sigma * p, sigma * q], [sigma * qt, sigma * pt]]),
+        (symbol_psi(params), [[p, q], [qt, pt]]),
+        (symbol_psi_inverse(params), [[eta * pt, eta * qt], [eta * q, eta * p]]),
+    ]
+    for sym, rows in cases:
+        expected = np.moveaxis(np.array(rows), -1, 0)
+        assert np.max(np.abs(sym.sample(x) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_fourier_d_t07_matches_example():

@@ -244,6 +244,36 @@ def test_pointwise_inverse_of_phi():
     assert np.max(np.abs(prod - np.eye(2))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_pointwise_inverse_samples_its_argument_once(n):
+    calls = []
+    base = np.eye(n) * 2.0 + 0.5
+
+    def eval_(x):
+        calls.append(x.size)
+        return np.broadcast_to(base, (x.size, n, n)) * np.exp(1j * x)[:, None, None]
+
+    inv = pointwise_inverse(MatrixSymbol(eval_, n))
+    x = np.linspace(-3, 3, 17)
+    vals = inv.sample(x)
+    assert calls == [17]
+    assert np.max(np.abs(vals - np.linalg.inv(eval_(x)))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_series_symbol_matches_direct_sum_off_grid(n):
+    rng = np.random.default_rng(11)
+    order = 24
+    ks = np.arange(-order, order + 1)
+    coeffs = (rng.normal(size=(ks.size, n, n)) + 1j * rng.normal(size=(ks.size, n, n))) \
+        * 0.7 ** np.abs(ks)[:, None, None]
+    x = rng.uniform(-np.pi, np.pi, 37)
+    direct = np.einsum("xk,kij->xij", np.exp(1j * np.outer(x, ks)), coeffs)
+    got = series_symbol(FourierTable(n, order, coeffs)).sample(x)
+    assert got.shape == (37, n, n)
+    assert np.max(np.abs(got - direct)) < 1e-13
+
+
 def test_pointwise_inverse_singular():
     sym = ScalarSymbol(lambda x: np.sin(x) + 0j)
     inv = pointwise_inverse(sym)

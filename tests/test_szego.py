@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dimerdet import (
     DimerParams,
@@ -20,6 +21,7 @@ from dimerdet import (
     exp_representation,
     fourier_coefficients,
     geometric_mean,
+    hankel_section,
     hankel_trace,
     lambda_value,
     log_determinant,
@@ -33,6 +35,7 @@ from dimerdet import (
     symbol_psi_inverse,
     szego_E_operator,
     toeplitz_matrix,
+    toeplitz_section,
     widom_banded_E,
 )
 CFG = TruncationConfig()
@@ -137,6 +140,27 @@ def test_hankel_traces_match_closed_forms():
     tr22 = hankel_trace(tab2, tab2, 2048)
     expected22 = -2 * np.log((1 - r.xi1 ** 2) * (1 - r.xi2 ** 2) * (1 - r.xi1 * r.xi2) ** 2)
     assert abs(tr22 - expected22) < 1e-9
+
+
+def random_table(rng, order, decay=0.5):
+    """A scalar table with random complex coefficients decaying like decay^|k|."""
+    ks = np.abs(np.arange(-order, order + 1))
+    vals = (rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)) * decay ** ks
+    return FourierTable(1, order, vals.reshape(-1, 1, 1))
+
+
+def test_sliced_sums_equal_per_k_loop():
+    rng = np.random.default_rng(7)
+    a, b = random_table(rng, 30), random_table(rng, 20)
+    for order in (5, 25, 40):
+        top = min(order, a.order, b.order)
+        terms = np.array([k * a.scalar(k) * b.scalar(-k) for k in range(1, top + 1)])
+        assert abs(hankel_trace(a, b, order, tol=1.0) - np.sum(terms)) \
+            <= 1e-14 * np.sum(np.abs(terms))
+        top = min(order, a.order)
+        terms = np.array([k * a.scalar(k) * a.scalar(-k) for k in range(1, top + 1)])
+        expected = np.exp(np.sum(terms))
+        assert abs(scalar_E_series(a, order, tol=1.0) - expected) <= 1e-14 * abs(expected)
 
 
 def test_correction_factor_trivial_cases():
@@ -248,6 +272,42 @@ def test_bocg_consistent_with_banded_formula_at_band():
     inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
     det3 = log_determinant(toeplitz_matrix(inv_tab, 3)).value
     assert abs(e_psi / g ** 3 * res - det3) <= 1e-8 * abs(det3)
+
+
+def bocg_dense(psi_tab, n, cfg):
+    """det(I - H(z^{-n} psi) T(psitilde)^{-1} H(psitilde z^{-n}) T(psi)^{-1}) at full op_order."""
+    m = cfg.op_order
+    t_psi = scipy.linalg.lu_factor(toeplitz_section(psi_tab, m))
+    t_psit = scipy.linalg.lu_factor(toeplitz_section(psi_tab, m, reflected=True))
+    h1 = hankel_section(psi_tab, m, shift=n)
+    h2 = hankel_section(psi_tab, m, shift=n, reflected=True)
+    inner = h1 @ scipy.linalg.lu_solve(t_psit, h2)
+    prod = scipy.linalg.lu_solve(t_psi, inner.T, trans=1).T
+    return log_determinant(np.eye(m * psi_tab.block_size) - prod).value
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_bocg_residual_matches_dense_truncation(t):
+    psi_tab = fourier_coefficients(symbol_psi(DimerParams(t)), 64, 8)
+    for n in (0, 1, 2, 3, 5, 8, 12):
+        dense = bocg_dense(psi_tab, n, CFG)
+        assert abs(bocg_residual(psi_tab, n, CFG) - dense) <= 1e-12 * abs(dense)
+
+
+def test_bocg_residual_matches_dense_on_a_full_table():
+    # every coefficient up to the order is nonzero; at n = 0 and 2 the support
+    # order - n exceeds op_order = 8 and is clipped to it
+    rng = np.random.default_rng(3)
+    ks = np.abs(np.arange(-12, 13))
+    coeffs = (rng.normal(size=(25, 2, 2)) + 1j * rng.normal(size=(25, 2, 2))) \
+        * 0.8 ** ks[:, None, None]
+    coeffs[12] += 8.0 * np.eye(2)
+    tab = FourierTable(2, 12, coeffs)
+    cfg = TruncationConfig(op_order=8)
+    for n in (0, 2, 6, 11, 12):
+        dense = bocg_dense(tab, n, cfg)
+        assert abs(bocg_residual(tab, n, cfg) - dense) <= 1e-12 * abs(dense)
+    assert abs(bocg_dense(tab, 6, cfg) - 1.0) > 1e-3  # not trivially 1
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
