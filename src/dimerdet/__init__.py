@@ -74,7 +74,6 @@ from .spectral import (
     LogDet,
     MatrixSymbol,
     ScalarSymbol,
-    default_grid,
     fourier_coefficients,
     geometric_mean,
     hankel_matrix,

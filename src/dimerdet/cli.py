@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -28,7 +27,7 @@ from .dimer import (
     DimerParams,
     dimer_matrix,
     kernel_symbols,
-    phi_table,
+    symbol_phi,
     symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
@@ -73,8 +72,6 @@ class RunConfig:
     n_list: list[int] = field(default_factory=list)
     identity: str = "all"
     quad_grid: int = 256
-    fourier_m: int = 4096
-    fourier_k: int = 512
     op_order: int = 256
     series_order: int = 2048
     tolerance: float = 1e-10
@@ -85,10 +82,7 @@ class RunConfig:
     verify_roots: bool = False
 
     def dimer_params(self, t=None) -> DimerParams:
-        return DimerParams(t if t is not None else self.t,
-                           quad_grid=self.quad_grid,
-                           fourier_m=self.fourier_m,
-                           fourier_k=self.fourier_k)
+        return DimerParams(t if t is not None else self.t, quad_grid=self.quad_grid)
 
     def truncation(self) -> TruncationConfig:
         return TruncationConfig(self.op_order, self.series_order, self.tolerance)
@@ -120,8 +114,7 @@ _CONFIG_PARSERS = {
     "t": parse_complex,
     "t_start": float, "t_stop": float, "t_count": int, "t_imag": float,
     "n": int, "n_list": parse_n_list, "identity": str,
-    "quad_grid": int, "fourier_m": int, "fourier_k": int,
-    "op_order": int, "series_order": int, "tolerance": float,
+    "quad_grid": int, "op_order": int, "series_order": int, "tolerance": float,
     "output": str, "format": str, "precision": int, "seed": int,
     "verify_roots": lambda s: s.lower() in ("1", "true", "yes"),
 }
@@ -158,8 +151,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("precision must be between 1 and 17")
     if cfg.quad_grid < 8:
         raise ConfigError("quad_grid must be at least 8")
-    if cfg.fourier_m & (cfg.fourier_m - 1) or cfg.fourier_m < 4 * cfg.fourier_k + 4:
-        raise ConfigError("fourier_m must be a power of two with fourier_m >= 4*fourier_k+4")
     if cfg.op_order < 1 or cfg.series_order < 1:
         raise ConfigError("op_order and series_order must be positive")
     if cfg.tolerance <= 0:
@@ -215,7 +206,7 @@ def run_correlation(cfg: RunConfig) -> dict:
 
 
 def run_convergence(cfg: RunConfig) -> dict:
-    scan = limit_scan(cfg.t, cfg.n_list, cfg.fourier_m, cfg.fourier_k)
+    scan = limit_scan(cfg.t, cfg.n_list)
     rows = [_row(cfg.t, r.n, r.value, scan.target) for r in scan.rows]
     if not scan.errors_decreasing:
         print("warning: convergence errors are not monotonically decreasing",
@@ -250,9 +241,8 @@ def _sweep_row(cfg: RunConfig, t: complex) -> dict:
 def run_sweep(cfg: RunConfig) -> dict:
     ts = [complex(re, cfg.t_imag)
           for re in np.linspace(cfg.t_start, cfg.t_stop, cfg.t_count)]
-    workers = int(os.environ.get("DIMERDET_THREADS", "0")) or min(4, max(1, len(ts)))
     if ts:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(4, len(ts))) as pool:
             rows = list(pool.map(lambda t: _sweep_row(cfg, t), ts))
     else:
         rows = []
@@ -263,25 +253,29 @@ def run_sweep(cfg: RunConfig) -> dict:
 # the identity-verification suite
 # ---------------------------------------------------------------------------
 
-def _psi_tables(params: DimerParams):
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
-    inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
-    return psi_tab, inv_tab
+def _psi_table(params: DimerParams) -> FourierTable:
+    return fourier_coefficients(symbol_psi(params), 64, 8)
+
+
+def _psi_inverse_det(params: DimerParams, n: int) -> complex:
+    """det T_n(psi^{-1}), from a table resolved to at least the order n - 1."""
+    inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=n - 1)
+    return log_determinant(toeplitz_matrix(inv_tab, n)).value
 
 
 def _verify_dimer_toeplitz(cfg: RunConfig):
     n = cfg.n or 8
     params = cfg.dimer_params()
     det_m = log_determinant(dimer_matrix(params, n)).value
-    det_t = log_determinant(toeplitz_matrix(phi_table(params), n)).value
+    tab = fourier_coefficients(symbol_phi(params), order=n - 1, tail_tol=params.tail_tol)
+    det_t = log_determinant(toeplitz_matrix(tab, n)).value
     return abs(det_m - det_t) / abs(det_t), 1e-8, n
 
 
 def _verify_widom(cfg: RunConfig):
     params = cfg.dimer_params()
-    psi_tab, _ = _psi_tables(params)
-    e_psi = widom_banded_E(psi_tab, 3, cfg.fourier_m)
-    g = geometric_mean(symbol_psi(params), cfg.fourier_m)
+    e_psi = widom_banded_E(_psi_table(params), 3)
+    g = geometric_mean(symbol_psi(params))
     lam = lambda_value(params.t)
     return abs(e_psi - g ** 3 * lam ** 2) / abs(e_psi), 1e-8, 3
 
@@ -297,8 +291,7 @@ def _verify_exp_rep(cfg: RunConfig):
 
 def _verify_lambda(cfg: RunConfig):
     params = cfg.dimer_params()
-    _, inv_tab = _psi_tables(params)
-    det3 = log_determinant(toeplitz_matrix(inv_tab, 3)).value
+    det3 = _psi_inverse_det(params, 3)
     lam = lambda_value(params.t)
     return abs(lam ** 2 - det3) / abs(det3), 1e-8, 3
 
@@ -317,17 +310,17 @@ def _verify_prefactor(cfg: RunConfig):
 def _verify_bocg(cfg: RunConfig):
     n = cfg.n or 3
     params = cfg.dimer_params()
-    psi_tab, inv_tab = _psi_tables(params)
-    e_psi = widom_banded_E(psi_tab, 3, cfg.fourier_m)
-    g = geometric_mean(symbol_psi(params), cfg.fourier_m)
+    psi_tab = _psi_table(params)
+    e_psi = widom_banded_E(psi_tab, 3)
+    g = geometric_mean(symbol_psi(params))
     res = bocg_residual(psi_tab, n, cfg.truncation())
-    det_n = log_determinant(toeplitz_matrix(inv_tab, n)).value
+    det_n = _psi_inverse_det(params, n)
     return abs(det_n - e_psi / g ** n * res) / abs(det_n), 1e-8, n
 
 
 def _verify_continuation(cfg: RunConfig):
     n = cfg.n or 8
-    seq = theta_decomposition(cfg.t, n, cfg.fourier_m, cfg.fourier_k)
+    seq = theta_decomposition(cfg.t, n)
     return seq.identity_residual, 1e-9, n
 
 
@@ -479,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="key = value file mirroring the run configuration")
         p.add_argument("--quad-grid", type=int, default=None)
-        p.add_argument("--fourier-m", type=int, default=None)
-        p.add_argument("--fourier-k", type=int, default=None)
         p.add_argument("--op-order", type=int, default=None)
         p.add_argument("--series-order", type=int, default=None)
         p.add_argument("--tol", type=float, default=None, dest="tolerance")

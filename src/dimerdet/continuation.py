@@ -92,13 +92,21 @@ def k_plus_matrix(t: complex, n: int) -> np.ndarray:
     return np.where(j > k, t ** expo, 0.0 + 0.0j)
 
 
-def _scalar_tables(t: complex, grid_size: int, order: int):
-    """Fourier tables of e+ and d to ``order``, on a grid of at least ``grid_size``."""
-    grid = max(grid_size, grid_for_order(order))
-    return [fourier_coefficients(sym, grid, order) for sym in (e_plus_symbol(t), symbol_d(t))]
+def _scalar_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
+    """Fourier tables of e+ and d at one shared order of at least ``order``.
+
+    Each entry is resolved on its own and the shorter table is rebuilt at the
+    longer order, because the section reads both tables at the same indices.
+    """
+    syms = (e_plus_symbol(t), symbol_d(t))
+    tabs = [fourier_coefficients(sym, order=order) for sym in syms]
+    top = max(tab.order for tab in tabs)
+    return tuple(tab if tab.order == top
+                 else fourier_coefficients(sym, grid_for_order(top), top)
+                 for sym, tab in zip(syms, tabs))
 
 
-def b_hat(t: complex, n: int, grid_size: int = 4096, order: int = 512) -> np.ndarray:
+def b_hat(t: complex, n: int) -> np.ndarray:
     """The continued section [[B, T_n(d)], [T_n(d)^T, B^T]], B = T_n(e+) + K+.
 
     For real 0 < t < 1 its determinant equals det T_n(phi); for every other
@@ -106,7 +114,7 @@ def b_hat(t: complex, n: int, grid_size: int = 4096, order: int = 512) -> np.nda
     determinant in t.
     """
     t = complex(t)
-    e_tab, d_tab = _scalar_tables(t, grid_size, max(order, n))
+    e_tab, d_tab = _scalar_tables(t, n)
     b = toeplitz_matrix(e_tab, n) + k_plus_matrix(t, n)
     d = toeplitz_matrix(d_tab, n)
     return np.block([[b, d], [d.T, b.T]])
@@ -185,16 +193,15 @@ def theta_section(t: complex, n: int, e_tab: FourierTable,
     return out
 
 
-def theta_decomposition(t: complex, n: int, grid_size: int = 4096,
-                        order: int = 512) -> ContinuedSequence:
+def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     """Check det b_hat = det(T_n(phi_hat) + P_n K P_n + W_n L W_n) to 1e-9.
 
     K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+) are the
     rank-one corrections from the pre-multiplication by T_n(Theta+).
     """
     t = complex(t)
-    lhs_mat = b_hat(t, n, grid_size, order)
-    e_tab, d_tab = _scalar_tables(t, grid_size, max(order, n))
+    lhs_mat = b_hat(t, n)
+    e_tab, d_tab = _scalar_tables(t, n)
     k_row = _k_row(t, n, e_tab, d_tab)
     k_op = np.zeros((2 * n, 2 * n), dtype=complex)
     l_op = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -212,11 +219,11 @@ def theta_decomposition(t: complex, n: int, grid_size: int = 4096,
 def correlation_finite(params: DimerParams, n: int) -> complex:
     """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root.
 
-    The e+ and d tables go to order ``max(fourier_k, n)`` on at least
-    ``fourier_m`` points.  For real t an imaginary residue up to 1e-10 is dropped.
+    The e+ and d tables are resolved to at least order n.  For real t an
+    imaginary residue up to 1e-10 is dropped.
     """
     t = params.t
-    tables = _scalar_tables(t, params.fourier_m, max(params.fourier_k, n))
+    tables = _scalar_tables(t, n)
     val = 0.5 * np.sqrt(pivoted_lu(theta_section(t, n, *tables))[2].value)
     if t.imag == 0.0:
         if abs(val.imag) > 1e-10:
@@ -245,8 +252,7 @@ class LimitScan:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def limit_scan(t: complex, n_list: list[int], grid_size: int = 4096,
-               order: int = 512) -> LimitScan:
+def limit_scan(t: complex, n_list: list[int]) -> LimitScan:
     """det of :func:`theta_section` along increasing n, with distances to
     the closed-form limit; the e+ and d tables are built once for all n.
     """
@@ -254,7 +260,7 @@ def limit_scan(t: complex, n_list: list[int], grid_size: int = 4096,
         raise ValueError("n_list must be strictly increasing")
     t = complex(t)
     target = e_phi(t)
-    e_tab, d_tab = _scalar_tables(t, grid_size, max(order, max(n_list)))
+    e_tab, d_tab = _scalar_tables(t, max(n_list))
     rows = []
     for n in n_list:
         det = pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value

@@ -58,8 +58,6 @@ class DimerParams:
 
     t: complex
     quad_grid: int = 256
-    fourier_m: int = 4096
-    fourier_k: int = 512
     tail_tol: float = 1e-13
     quad_tol: float = 1e-10
 
@@ -318,9 +316,8 @@ def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:
 
 
 def phi_table(params: DimerParams) -> FourierTable:
-    """Fourier table of symbol_phi at the configured grid sizes."""
-    return fourier_coefficients(symbol_phi(params), params.fourier_m,
-                                params.fourier_k, params.tail_tol)
+    """Fourier table of symbol_phi at the order its tail check resolves."""
+    return fourier_coefficients(symbol_phi(params), tail_tol=params.tail_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ class ScalarSymbol:
     """A complex function of the angle x in [-pi, pi), evaluated vectorized."""
 
     fn: Evaluator
-    smoothness_hint: str = "analytic_in_annulus"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -55,19 +54,15 @@ class MatrixSymbol:
 
     fn: Evaluator
     block_size: int
-    smoothness_hint: str = "analytic_in_annulus"
 
     @staticmethod
     def from_entries(rows: Sequence[Sequence[ScalarSymbol]]) -> "MatrixSymbol":
-        """Stack scalar entry symbols; the least smooth entry sets the hint."""
+        """Stack scalar entry symbols into one evaluator."""
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("entries must be square")
-        rank = list(_GRID_DEFAULTS)  # smoothest first; unknown hints rank last
-        hint = max((e.smoothness_hint for r in rows for e in r),
-                   key=lambda h: rank.index(h) if h in rank else len(rank))
         return MatrixSymbol(
-            lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size), n, hint)
+            lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size), n)
 
     @staticmethod
     def from_scalar(sym: ScalarSymbol) -> "MatrixSymbol":
@@ -95,25 +90,16 @@ def as_matrix_symbol(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
     return MatrixSymbol.from_scalar(sym)
 
 
-#: default (grid_size, order) per smoothness hint; the slow-decay class gets
-#: four times the resolution
-_GRID_DEFAULTS = {
-    "analytic_in_annulus": (4096, 512),
-    "wiener_class": (16384, 2048),
-}
+#: the orders the doubling rule of :func:`fourier_coefficients` starts from
+#: and stops at; below order 32 (grid 256) a table costs about as much as at
+#: 32, since per-call overhead dominates the sampling, so it starts no lower
+MIN_ORDER = 32
+MAX_ORDER = 4096
 
 
 def grid_for_order(order: int) -> int:
     """The smallest power-of-two grid with ``grid >= 4*order + 4``."""
     return 1 << (4 * order + 3).bit_length()
-
-
-def default_grid(sym: ScalarSymbol | MatrixSymbol) -> tuple[int, int]:
-    """(grid_size, order) from the symbol's smoothness hint."""
-    hint = as_matrix_symbol(sym).smoothness_hint
-    if hint not in _GRID_DEFAULTS:
-        raise ValueError(f"unknown smoothness hint {hint!r}")
-    return _GRID_DEFAULTS[hint]
 
 
 @dataclass(frozen=True)
@@ -175,22 +161,40 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
                          order: int | None = None, tail_tol: float = 1e-13) -> FourierTable:
     """Fourier coefficients of a symbol by FFT on a uniform grid.
 
-    ``grid_size`` must be a power of two with ``grid_size >= 4*order + 4`` so
-    aliasing of the retained band is controlled; omitted sizes default from
-    the symbol's smoothness hint.  The two outermost coefficient pairs must
-    fall below ``tail_tol`` or TailNotResolved is raised: an unresolved tail
-    means the grid/order do not capture this symbol (e.g. t too close to 1
-    for the default sizes).
+    With ``grid_size`` omitted the resolution follows the symbol: ``order``
+    is only the floor the caller reads, the grid is ``grid_for_order`` of
+    the order, and the order doubles from ``max(order, MIN_ORDER)`` until
+    the tail check passes, up to ``max(order, MAX_ORDER)``.  An explicit ``grid_size`` must be a power
+    of two with ``grid_size >= 4*order + 4``, so aliasing of the retained
+    band is controlled, and is tried once.  The tail check: the two
+    outermost coefficient pairs must fall below ``tail_tol``, or
+    TailNotResolved is raised.
     """
-    if grid_size is None or order is None:
-        auto_grid, auto_order = default_grid(sym)
-        grid_size = auto_grid if grid_size is None else grid_size
-        order = auto_order if order is None else order
-    if grid_size < 4 * order + 4:
-        raise ValueError(f"grid_size {grid_size} < 4*order+4 = {4 * order + 4}")
-    if grid_size & (grid_size - 1):
-        raise ValueError(f"grid_size {grid_size} is not a power of two")
     msym = as_matrix_symbol(sym)
+    if grid_size is None:
+        order = max(order or 0, MIN_ORDER)
+        cap = max(order, MAX_ORDER)
+    else:
+        if order is None or grid_size < 4 * order + 4:
+            raise ValueError(f"grid_size {grid_size} needs an order with 4*order+4 <= "
+                             f"grid_size, got order {order}")
+        if grid_size & (grid_size - 1):
+            raise ValueError(f"grid_size {grid_size} is not a power of two")
+        cap = order
+    while True:
+        tab, tail = _table(msym, grid_size or grid_for_order(order), order, tail_tol)
+        if tail <= tail_tol:
+            return tab
+        if order >= cap:
+            rule = "" if grid_size else f", the doubling rule's cap (MAX_ORDER = {MAX_ORDER})"
+            raise TailNotResolved(
+                f"tail magnitude {tail:.3e} exceeds {tail_tol:.1e} at order {order}{rule}")
+        order = min(2 * order, cap)
+
+
+def _table(msym: MatrixSymbol, grid_size: int, order: int,
+           tail_tol: float) -> tuple[FourierTable, float]:
+    """The table to ``order`` from ``grid_size`` samples, and its tail magnitude."""
     x = 2.0 * np.pi * np.arange(grid_size) / grid_size
     x = (x + np.pi) % (2.0 * np.pi) - np.pi  # evaluator domain is [-pi, pi)
     samples = msym.sample(x)
@@ -198,13 +202,8 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
         raise SampleFailure("symbol evaluator returned non-finite values")
     spec = np.fft.fft(samples, axis=0) / grid_size
     ks = np.arange(-order, order + 1)
-    coeffs = spec[ks % grid_size]
-    tab = FourierTable(msym.block_size, order, coeffs, tail_tol)
-    tail = tab.tail_magnitude()
-    if tail > tail_tol:
-        raise TailNotResolved(
-            f"tail magnitude {tail:.3e} exceeds {tail_tol:.1e} at order {order}")
-    return tab
+    tab = FourierTable(msym.block_size, order, spec[ks % grid_size], tail_tol)
+    return tab, tab.tail_magnitude()
 
 
 def series_symbol(tab: FourierTable) -> MatrixSymbol:
@@ -355,7 +354,7 @@ def pointwise_inverse(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
         # adjugate/det: inv[i][j] = (-1)^{i+j} m[1-j][1-i] / det
         return v[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]] / d[:, None, None]
 
-    return MatrixSymbol(eval_, n, msym.smoothness_hint)
+    return MatrixSymbol(eval_, n)
 
 
 def _pointwise_det(v: np.ndarray) -> np.ndarray:

@@ -176,7 +176,9 @@ def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> c
 
     ``psi_tab`` must have coefficients vanishing (below 1e-13) beyond
     ``band`` on at least one side.  The convention det T_0 = 1 makes the
-    formula valid at band 0 as well.
+    formula valid at band 0 as well.  ``grid_size`` is the geometric mean's
+    grid; the psi^{-1} table follows the doubling rule of
+    :func:`fourier_coefficients`.
     """
     upper = np.max(_coeff_magnitudes(psi_tab, 1)[band:], initial=0.0)
     lower = np.max(_coeff_magnitudes(psi_tab, -1)[band:], initial=0.0)
@@ -187,8 +189,7 @@ def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> c
     gmean = geometric_mean(sym, grid_size)
     if band == 0:
         return complex(1.0)
-    inv_tab = fourier_coefficients(pointwise_inverse(sym), grid_size,
-                                   grid_size // 4 - 1)
+    inv_tab = fourier_coefficients(pointwise_inverse(sym), order=band)
     det = log_determinant(toeplitz_matrix(inv_tab, band)).value
     return complex(gmean ** band * det)
 
@@ -339,7 +340,7 @@ def alpha_log_tables(params: DimerParams, order: int) -> tuple[FourierTable, Fou
 
 def e_phi_operator(params: DimerParams, cfg: TruncationConfig) -> complex:
     """E(phi) by operator truncation of the dimer symbol; real t in (0, 1)."""
-    return szego_E_operator(symbol_phi(params), cfg, params.fourier_m)
+    return szego_E_operator(symbol_phi(params), cfg)
 
 
 def e_phi_reduction(params: DimerParams, cfg: TruncationConfig | None = None) -> complex:
@@ -357,4 +358,4 @@ def e_phi_reduction(params: DimerParams, cfg: TruncationConfig | None = None) ->
     corr = (correction_factor(a1, 2, cfg.series_order, cfg.tolerance)
             / correction_factor(a2, 2, cfg.series_order, cfg.tolerance))
     psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
-    return complex(corr * widom_banded_E(psi_tab, 3, params.fourier_m))
+    return complex(corr * widom_banded_E(psi_tab, 3))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -102,16 +103,16 @@ def test_exit_code_2_on_bad_parameter(capsys):
 
 
 def test_exit_code_3_on_numerical_failure(capsys):
-    # t this close to 0 puts the symbol's branch points near the circle, so
-    # the default Fourier order cannot resolve the tail
-    code = main(["correlation", "--t", "0.02", "--n", "4"])
+    # t this close to 0 puts the symbol's branch points so near the circle
+    # that no Fourier order up to the doubling rule's cap resolves the tail
+    code = main(["correlation", "--t", "0.001", "--n", "4"])
     assert code == 3
     capsys.readouterr()
 
 
 def test_json_error_object(tmp_path):
     out = tmp_path / "err.json"
-    code = main(["correlation", "--t", "0.02", "--n", "4",
+    code = main(["correlation", "--t", "0.001", "--n", "4",
                  "--format", "json", "--output", str(out)])
     assert code == 3
     payload = json.loads(out.read_text())
@@ -230,10 +231,44 @@ def test_correlation_off_unit_interval_reaches_limit(t, capsys):
     assert abs(value - correlation_limit(parse_complex(t))) <= 1e-8
 
 
+@pytest.mark.parametrize("t", ["0.02", "0.05+1i"])
+def test_correlation_at_small_real_part_reaches_limit(t, capsys):
+    # these need Fourier orders of 1024 to 2048, which the doubling rule reaches
+    code, out = run_cli(["correlation", "--t", t, "--n", "64", "--precision", "17"], capsys)
+    assert code == 0
+    row = parse_csv(out)[1]
+    value = complex(float(row["value_re"]), float(row["value_im"]))
+    limit = correlation_limit(parse_complex(t))
+    envelope = max(1e-8, math.exp(-2 * parse_complex(t).real * 64))
+    assert abs(value - limit) <= envelope * abs(limit)
+
+
+@pytest.mark.parametrize("identity, t, n", [
+    ("lambda", "0.05", None), ("lambda", "0.1", None), ("widom", "0.1", None),
+    ("bocg", "0.1", None), ("continuation", "0.02", None),
+    ("dimer-toeplitz", "0.97", None), ("widom", "0.99", None), ("bocg", "0.99", None),
+    ("bocg", "0.3", "300"),  # the psi^{-1} table reaches the order n - 1 it reads
+])
+def test_verify_resolves_tables_near_the_ends_of_the_interval(identity, t, n, capsys):
+    args = ["verify", "--identity", identity, "--t", t] + (["--n", n] if n else [])
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["status"] == "pass"
+
+
+def test_fourier_size_overrides_are_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["correlation", "--t", "0.5", "--fourier-m", "4096"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fourier_k = 64\n")
+    assert main(["correlation", "--t", "0.5", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
 def test_correlation_near_one_with_short_table(capsys):
     # the regular section needs no long table near t = 1
-    code, out = run_cli(["correlation", "--t", "0.97", "--n", "4",
-                         "--fourier-k", "64"], capsys)
+    code, out = run_cli(["correlation", "--t", "0.97", "--n", "4"], capsys)
     assert code == 0
     assert parse_csv(out)[1]["value_re"] != ""
 

@@ -18,6 +18,7 @@ from dimerdet import (
     limit_scan,
     log_determinant,
     phi_table,
+    symbol_d,
     theta_decomposition,
     toeplitz_matrix,
 )
@@ -28,6 +29,7 @@ from dimerdet.continuation import (
     theta_section,
 )
 from dimerdet.dimer import _c
+from dimerdet.spectral import grid_for_order
 
 
 def test_e_plus_is_c_minus_pole_part():
@@ -146,7 +148,7 @@ def test_limit_scan_complex_t():
 
 
 def test_limit_scan_triangular_point():
-    scan = limit_scan(1.0, [16, 32], grid_size=8192, order=1024)
+    scan = limit_scan(1.0, [16, 32])
     assert scan.rows[-1].abs_error <= 1e-2
     # converged to the noise floor already at these sizes
     assert scan.rows[0].abs_error < 1e-10
@@ -172,7 +174,7 @@ def test_convergence_locally_uniform_shadow():
 
 @pytest.mark.parametrize("t", [0.3, 0.97, 1.0, 2.0, 0.3 + 2j])
 def test_phi_hat_table_matches_sampled_symbol(t):
-    e_tab, d_tab = _scalar_tables(complex(t), 4096, 512)
+    e_tab, d_tab = _scalar_tables(complex(t), 512)
     algebraic = _phi_hat_table(complex(t), e_tab, d_tab)
     sampled = fourier_coefficients(_phi_hat_symbol(complex(t)), 4096, 512)
     assert algebraic.order == 511
@@ -185,7 +187,7 @@ def test_theta_section_matches_dense_assembly(t, n):
     # the sliding-window section against T_n(phi_hat) + K + W L W assembled
     # densely from the sampled symbol
     t = complex(t)
-    section = theta_section(t, n, *_scalar_tables(t, 4096, 512))
+    section = theta_section(t, n, *_scalar_tables(t, 512))
     assert section.flags.f_contiguous
     seq = theta_decomposition(t, n)
     # W_n L W_n reverses the order of L's 2 x 2 blocks in both directions
@@ -195,8 +197,19 @@ def test_theta_section_matches_dense_assembly(t, n):
     assert np.max(np.abs(section - dense)) <= 1e-13
 
 
+def test_scalar_tables_share_one_order():
+    # at this t and floor, e+ resolves at order 66 and d already at 33
+    t = 1.25 + 0.35j
+    assert [fourier_coefficients(sym, order=33).order
+            for sym in (e_plus_symbol(t), symbol_d(t))] == [66, 33]
+    e_tab, d_tab = _scalar_tables(t, 33)
+    assert e_tab.order == d_tab.order == 66
+    rebuilt = fourier_coefficients(symbol_d(t), grid_for_order(66), 66)
+    assert np.array_equal(d_tab.coeffs, rebuilt.coeffs)
+
+
 def test_theta_section_needs_table_order():
-    e_tab, d_tab = _scalar_tables(0.6 + 0j, 512, 64)
+    e_tab, d_tab = _scalar_tables(0.6 + 0j, 64)
     assert theta_section(0.6, 64, e_tab, d_tab).shape == (128, 128)
     with pytest.raises(TruncationTooShort):
         theta_section(0.6, 65, e_tab, d_tab)

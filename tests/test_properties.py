@@ -48,3 +48,11 @@ def test_value_or_typed_error(t, n):
     except DimerdetError:
         return
     assert np.isfinite(value) and value != 0
+
+
+@SETTINGS
+@given(box(0.01, 3.0, 2.0), SEPARATIONS)
+def test_value_without_error_down_to_re_t_one_hundredth(t, n):
+    # the doubling rule resolves the e+ and d tables within its cap here
+    value = correlation_finite(DimerParams(t), n)
+    assert np.isfinite(value) and value != 0

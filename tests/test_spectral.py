@@ -14,6 +14,7 @@ from dimerdet import (
     SingularSymbol,
     TailNotResolved,
     TruncationTooShort,
+    e_plus_symbol,
     fourier_coefficients,
     geometric_mean,
     hankel_matrix,
@@ -26,7 +27,7 @@ from dimerdet import (
     symbol_phi,
     toeplitz_matrix,
 )
-from dimerdet.spectral import grid_for_order, pivoted_lu
+from dimerdet.spectral import MAX_ORDER, grid_for_order, pivoted_lu
 
 
 def harmonic(k):
@@ -92,7 +93,7 @@ def test_fourier_sample_failure():
 
 def test_dft_round_trip():
     params = DimerParams(0.5)
-    tab = fourier_coefficients(symbol_phi(params), params.fourier_m, params.fourier_k)
+    tab = fourier_coefficients(symbol_phi(params))
     x = 2 * np.pi * np.arange(257) / 257 - np.pi
     direct = symbol_phi(params).sample(x)
     resampled = series_symbol(tab).sample(x)
@@ -331,14 +332,48 @@ def test_table_from_coeff_map():
     assert abs(tab.scalar(9)) == 0.0  # beyond order reads as zero
 
 
-def test_fourier_default_sizes_from_hint():
-    tab = fourier_coefficients(symbol_d(0.7))
-    assert tab.order == 512
-    slow = ScalarSymbol(lambda x: np.exp(1j * x), smoothness_hint="wiener_class")
-    from dimerdet import default_grid
-    assert default_grid(slow) == (16384, 2048)
-    with pytest.raises(ValueError):
-        default_grid(ScalarSymbol(lambda x: x + 0j, smoothness_hint="zebra"))
+def geometric(r):
+    """1 / (1 - r e^{ix}): coefficient r^k at k >= 0, zero below."""
+    return ScalarSymbol(lambda x: 1.0 / (1.0 - r * np.exp(1j * x)))
+
+
+@pytest.mark.parametrize("floor, order", [(None, 64), (2, 64), (40, 80), (100, 100)])
+def test_doubling_rule_returns_first_certified_order(floor, order):
+    # the tail check passes once 0.5^(K-1) <= 1e-13, i.e. from K = 45 on; the
+    # rule doubles from max(floor, MIN_ORDER = 32) and stops at the first pass
+    tab = fourier_coefficients(geometric(0.5), order=floor)
+    assert tab.order == order
+    assert abs(tab.scalar(40) - 0.5 ** 40) < 1e-15
+
+
+@pytest.mark.parametrize("sym", [symbol_d(0.7), symbol_d(0.05 + 1j), e_plus_symbol(0.3),
+                                 e_plus_symbol(2.0)])
+def test_half_the_resolved_order_fails_the_tail_check(sym):
+    tab = fourier_coefficients(sym, order=40)
+    assert tab.order >= 40 and tab.tail_magnitude() <= 1e-13
+    half = tab.order // 2
+    if half >= 40:
+        with pytest.raises(TailNotResolved):
+            fourier_coefficients(sym, grid_for_order(half), half)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.6, 2.0, 0.8 + 0.3j])
+@pytest.mark.parametrize("entry", [e_plus_symbol, symbol_d])
+def test_resolved_table_equals_the_fixed_size_table(t, entry):
+    resolved = fourier_coefficients(entry(t))
+    fixed = fourier_coefficients(entry(t), 4096, 512)
+    assert resolved.order <= 512
+    padded = np.zeros_like(fixed.coeffs)
+    padded[512 - resolved.order:513 + resolved.order] = resolved.coeffs
+    assert np.max(np.abs(padded - fixed.coeffs)) <= 1e-13
+
+
+def test_doubling_rule_names_its_cap():
+    # coefficients 0.999^k need an order near 30000, past the cap
+    with pytest.raises(TailNotResolved, match=f"order {MAX_ORDER}, .*MAX_ORDER = {MAX_ORDER}"):
+        fourier_coefficients(geometric(0.999))
+    # a floor above the cap is still honoured, once
+    assert fourier_coefficients(harmonic(1), order=MAX_ORDER + 1).order == MAX_ORDER + 1
 
 
 def test_grid_for_order_is_smallest_admissible_power_of_two():
