@@ -11,7 +11,6 @@
 
 from dimerdet import (
     DimerParams,
-    TruncationConfig,
     bocg_residual,
     dimer_matrix,
     fourier_coefficients,
@@ -55,9 +54,8 @@ psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
 inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
 e_psi = widom_banded_E(psi_tab, 3)
 g = geometric_mean(symbol_psi(params))
-cfg = TruncationConfig()
 for n in (1, 2, 3, 5, 8):
-    res = bocg_residual(psi_tab, n, cfg)
+    res = bocg_residual(psi_tab, n)
     det_n = log_determinant(toeplitz_matrix(inv_tab, n)).value
     predicted = e_psi / g ** n * res
     print(f"   n = {n}: residual = {res.real:.9f}   det T_n = {det_n.real:.9f}"

@@ -36,8 +36,6 @@ from .dimer import (
     DimerCoefficients,
     DimerParams,
     KernelSymbols,
-    coefficient_Q,
-    coefficient_R,
     dimer_coefficients,
     dimer_matrix,
     flip_conjugate,
@@ -86,7 +84,6 @@ from .spectral import (
 )
 from .szego import (
     ExpRepresentation,
-    TruncationConfig,
     alpha_log_tables,
     bocg_residual,
     combine_tables,

@@ -42,15 +42,12 @@ from .spectral import (
     toeplitz_matrix,
 )
 from .szego import (
-    TruncationConfig,
-    alpha_log_tables,
     bocg_residual,
-    combine_tables,
-    correction_factor,
-    e_phi_operator,
+    correction_quotient,
     e_phi_reduction,
     exp_representation,
     scalar_E_series,
+    szego_E_operator,
     widom_banded_E,
 )
 
@@ -58,34 +55,6 @@ VALUE_COLUMNS = ["t_re", "t_im", "n", "value_re", "value_im",
                  "target_re", "target_im", "abs_error"]
 SWEEP_COLUMNS = VALUE_COLUMNS + ["note"]
 VERIFY_COLUMNS = ["identity", "t_re", "t_im", "n", "residual", "tolerance", "status"]
-
-
-@dataclass
-class RunConfig:
-    command: str = ""
-    t: complex | None = None
-    t_start: float | None = None
-    t_stop: float | None = None
-    t_count: int | None = None
-    t_imag: float = 0.0
-    n: int | None = None
-    n_list: list[int] = field(default_factory=list)
-    identity: str = "all"
-    quad_grid: int = 256
-    op_order: int = 256
-    series_order: int = 2048
-    tolerance: float = 1e-10
-    output: str | None = None
-    format: str = "csv"
-    precision: int = 12
-    seed: int = 1234
-    verify_roots: bool = False
-
-    def dimer_params(self, t=None) -> DimerParams:
-        return DimerParams(t if t is not None else self.t, quad_grid=self.quad_grid)
-
-    def truncation(self) -> TruncationConfig:
-        return TruncationConfig(self.op_order, self.series_order, self.tolerance)
 
 
 class ConfigError(Exception):
@@ -110,20 +79,69 @@ def parse_n_list(text: str) -> list[int]:
     return values
 
 
-_CONFIG_PARSERS = {
-    "t": parse_complex,
-    "t_start": float, "t_stop": float, "t_count": int, "t_imag": float,
-    "n": int, "n_list": parse_n_list, "identity": str,
-    "quad_grid": int, "op_order": int, "series_order": int, "tolerance": float,
-    "output": str, "format": str, "precision": int, "seed": int,
-    "verify_roots": lambda s: s.lower() in ("1", "true", "yes"),
+def parse_switch(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+#: subcommands and their one-line help
+COMMANDS = {
+    "correlation": "finite-n and limiting correlation at one t",
+    "sweep": "correlation limit over a t grid",
+    "convergence": "determinant convergence table at one t",
+    "verify": "run named identity checks",
 }
 
 
+def option(parse, help: str, commands=tuple(COMMANDS), default=None, flag=None):
+    """A RunConfig field that is the flag ``flag`` (the field name with dashes
+    by default) of ``commands`` and a key of the ``--config`` file, both read
+    by ``parse``; a ``parse_switch`` option is a flag without a value."""
+    return field(default=default,
+                 metadata={"parse": parse, "help": help, "commands": commands, "flag": flag})
+
+
+@dataclass
+class RunConfig:
+    command: str = ""
+    t: complex | None = option(
+        parse_complex, "parameter t, complex as RE+IMi (e.g. 0.8+0.3i); Re(t) > 0",
+        ("correlation", "convergence", "verify"))
+    t_start: float | None = option(float, "first real part of the sweep", ("sweep",))
+    t_stop: float | None = option(float, "last real part of the sweep", ("sweep",))
+    t_count: int | None = option(int, "number of sweep points", ("sweep",))
+    t_imag: float = option(float, "imaginary part of every sweep point", ("sweep",), 0.0)
+    n: int | None = option(int, "separation n", ("correlation", "sweep", "verify"))
+    n_list: list[int] = option(parse_n_list, "comma-separated increasing separations",
+                               ("correlation", "convergence"), ())
+    identity: str = option(str, "one of {identities}, or 'all'", ("verify",), "all")
+    tolerance: float = option(float, "tolerance of truncated series and operators",
+                              default=1e-10, flag="--tol")
+    output: str | None = option(str, "write to this file instead of standard output")
+    format: str = option(str, "csv or json", default="csv")
+    precision: int = option(int, "CSV significant digits (default 12)", default=12)
+    seed: int = option(int, "seed of the randomized checks", default=1234)
+    verify_roots: bool = option(parse_switch, "check the spectral roots of every row",
+                                ("sweep",), False)
+
+
+#: every option, by its flag
+OPTIONS = {f.metadata["flag"] or "--" + f.name.replace("_", "-"): f
+           for f in fields(RunConfig) if f.metadata}
+
+
+def _parse_option(f, text: str):
+    try:
+        return f.metadata["parse"](text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{f.name}: {exc}") from exc
+
+
 def load_config_file(path: str) -> dict:
+    keys = {f.name: f for f in OPTIONS.values()}
     values = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
@@ -134,11 +152,11 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](val.strip())
-        except (ValueError, ConfigError) as exc:
+            values[key] = _parse_option(keys[key], val)
+        except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
@@ -149,10 +167,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if not 1 <= cfg.precision <= 17:
         raise ConfigError("precision must be between 1 and 17")
-    if cfg.quad_grid < 8:
-        raise ConfigError("quad_grid must be at least 8")
-    if cfg.op_order < 1 or cfg.series_order < 1:
-        raise ConfigError("op_order and series_order must be positive")
     if cfg.tolerance <= 0:
         raise ConfigError("tolerance must be positive")
     if cfg.n is not None and cfg.n < 1:
@@ -200,7 +214,7 @@ def run_correlation(cfg: RunConfig) -> dict:
     rows = [_row(t, None, limit, limit)]
     ns = cfg.n_list or ([cfg.n] if cfg.n is not None else [])
     for n in ns:
-        value = correlation_finite(cfg.dimer_params(t), n)
+        value = correlation_finite(DimerParams(t), n)
         rows.append(_row(t, n, value, limit))
     return {"command": "correlation", "rows": rows, "columns": VALUE_COLUMNS}
 
@@ -232,7 +246,7 @@ def _sweep_row(cfg: RunConfig, t: complex) -> dict:
     if cfg.n is None:
         return _row(t, None, limit, limit, note, with_note=True)
     try:
-        value = correlation_finite(cfg.dimer_params(t), cfg.n)
+        value = correlation_finite(DimerParams(t), cfg.n)
     except DimerdetError as exc:
         return _row(t, cfg.n, None, limit, f"error: {exc}", with_note=True)
     return _row(t, cfg.n, value, limit, note, with_note=True)
@@ -265,15 +279,15 @@ def _psi_inverse_det(params: DimerParams, n: int) -> complex:
 
 def _verify_dimer_toeplitz(cfg: RunConfig):
     n = cfg.n or 8
-    params = cfg.dimer_params()
+    params = DimerParams(cfg.t)
     det_m = log_determinant(dimer_matrix(params, n)).value
-    tab = fourier_coefficients(symbol_phi(params), order=n - 1, tail_tol=params.tail_tol)
+    tab = fourier_coefficients(symbol_phi(params), order=n - 1)
     det_t = log_determinant(toeplitz_matrix(tab, n)).value
     return abs(det_m - det_t) / abs(det_t), 1e-8, n
 
 
 def _verify_widom(cfg: RunConfig):
-    params = cfg.dimer_params()
+    params = DimerParams(cfg.t)
     e_psi = widom_banded_E(_psi_table(params), 3)
     g = geometric_mean(symbol_psi(params))
     lam = lambda_value(params.t)
@@ -281,7 +295,7 @@ def _verify_widom(cfg: RunConfig):
 
 
 def _verify_exp_rep(cfg: RunConfig):
-    params = cfg.dimer_params()
+    params = DimerParams(cfg.t)
     rep = exp_representation(params)
     x = 2 * np.pi * np.arange(256) / 256 - np.pi
     rec = rep.reconstructed.sample(x)
@@ -290,30 +304,26 @@ def _verify_exp_rep(cfg: RunConfig):
 
 
 def _verify_lambda(cfg: RunConfig):
-    params = cfg.dimer_params()
+    params = DimerParams(cfg.t)
     det3 = _psi_inverse_det(params, 3)
     lam = lambda_value(params.t)
     return abs(lam ** 2 - det3) / abs(det3), 1e-8, 3
 
 
 def _verify_prefactor(cfg: RunConfig):
-    params = cfg.dimer_params()
-    tab1, tab2 = alpha_log_tables(params, cfg.series_order)
-    a1 = combine_tables([tab1], [-0.5])
-    a2 = combine_tables([tab1, tab2], [0.5, 0.5])
-    ratio = (correction_factor(a1, 2, cfg.series_order, cfg.tolerance)
-             / correction_factor(a2, 2, cfg.series_order, cfg.tolerance))
+    params = DimerParams(cfg.t)
+    ratio = correction_quotient(params, cfg.tolerance)
     expected = prefactor(params.t)
     return abs(ratio - expected) / abs(expected), 1e-8, None
 
 
 def _verify_bocg(cfg: RunConfig):
     n = cfg.n or 3
-    params = cfg.dimer_params()
+    params = DimerParams(cfg.t)
     psi_tab = _psi_table(params)
     e_psi = widom_banded_E(psi_tab, 3)
     g = geometric_mean(symbol_psi(params))
-    res = bocg_residual(psi_tab, n, cfg.truncation())
+    res = bocg_residual(psi_tab, n, cfg.tolerance)
     det_n = _psi_inverse_det(params, n)
     return abs(det_n - e_psi / g ** n * res) / abs(det_n), 1e-8, n
 
@@ -325,7 +335,7 @@ def _verify_continuation(cfg: RunConfig):
 
 
 def _verify_kernel_closed_forms(cfg: RunConfig):
-    syms = kernel_symbols(cfg.dimer_params())
+    syms = kernel_symbols(DimerParams(cfg.t))
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
     err = max(float(np.max(np.abs(syms.st_quadrature(x) - syms.st_closed(x)))),
               float(np.max(np.abs(syms.v_quadrature(x) - syms.v_closed(x)))))
@@ -333,10 +343,9 @@ def _verify_kernel_closed_forms(cfg: RunConfig):
 
 
 def _verify_three_way_e(cfg: RunConfig):
-    params = cfg.dimer_params()
-    trunc = cfg.truncation()
-    e_op = e_phi_operator(params, trunc)
-    e_red = e_phi_reduction(params, trunc)
+    params = DimerParams(cfg.t)
+    e_op = szego_E_operator(symbol_phi(params), cfg.tolerance)
+    e_red = e_phi_reduction(params, cfg.tolerance)
     e_cf = e_phi(params.t)
     residual = max(abs(e_op - e_cf), abs(e_red - e_cf), abs(e_op - e_red)) / abs(e_cf)
     return residual, 1e-6, None
@@ -464,66 +473,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dimer monomer-monomer correlation via block Toeplitz determinants")
     parser.add_argument("--version", action="version", version=f"dimerdet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_t=True):
-        if with_t:
-            p.add_argument("--t", type=str, default=None,
-                           help="parameter t, complex as RE+IMi (e.g. 0.8+0.3i); Re(t) > 0")
-        p.add_argument("--config", type=str, default=None,
-                       help="key = value file mirroring the run configuration")
-        p.add_argument("--quad-grid", type=int, default=None)
-        p.add_argument("--op-order", type=int, default=None)
-        p.add_argument("--series-order", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None, dest="tolerance")
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        p.add_argument("--precision", type=int, default=None,
-                       help="CSV significant digits (default 12)")
-        p.add_argument("--seed", type=int, default=None)
-
-    p_corr = sub.add_parser("correlation", help="finite-n and limiting correlation at one t")
-    common(p_corr)
-    p_corr.add_argument("--n", type=int, default=None)
-    p_corr.add_argument("--n-list", type=str, default=None)
-
-    p_sweep = sub.add_parser("sweep", help="correlation limit over a t grid")
-    common(p_sweep, with_t=False)
-    p_sweep.add_argument("--t-start", type=float, default=None)
-    p_sweep.add_argument("--t-stop", type=float, default=None)
-    p_sweep.add_argument("--t-count", type=int, default=None)
-    p_sweep.add_argument("--t-imag", type=float, default=None)
-    p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--verify-roots", action="store_true", default=None)
-
-    p_conv = sub.add_parser("convergence", help="determinant convergence table at one t")
-    common(p_conv)
-    p_conv.add_argument("--n-list", type=str, default=None)
-
-    p_ver = sub.add_parser("verify", help="run named identity checks")
-    common(p_ver)
-    p_ver.add_argument("--identity", type=str, default=None,
-                       help=f"one of {', '.join(sorted(IDENTITIES))}, or 'all'")
-    p_ver.add_argument("--n", type=int, default=None)
-
+    for command, help_text in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value file mirroring the options")
+        for flag, f in OPTIONS.items():
+            if command in f.metadata["commands"]:
+                switch = f.metadata["parse"] is parse_switch
+                p.add_argument(flag, dest=f.name, help=f.metadata["help"].format(
+                    identities=", ".join(sorted(IDENTITIES))),
+                    **({"action": "store_const", "const": "true"} if switch else {}))
     return parser
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    names = {f.name for f in fields(RunConfig)}
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        if key == "t":
-            cfg.t = parse_complex(value)
-        elif key == "n_list":
-            cfg.n_list = parse_n_list(value)
-        elif key in names:
-            setattr(cfg, key, value)
-    return cfg
+    """The run configuration: the config file, then the flags given over it."""
+    values = load_config_file(args.config) if args.config else {}
+    for f in OPTIONS.values():
+        text = getattr(args, f.name, None)
+        if text is not None:
+            values[f.name] = _parse_option(f, text)
+    return RunConfig(command=args.command, **values)
 
 
 RUNNERS = {

@@ -56,8 +56,8 @@ def spectral_roots(t: complex) -> SpectralRoots:
 
     mu = sqrt(1 - 4 t^2) and xi_1 = 2 + mu - 2 sqrt(1 - t^2 + mu),
     xi_2 = 2 - mu - 2 sqrt(1 - t^2 - mu), all principal square roots; if a
-    principal choice lands outside the unit disk the reciprocal partner root
-    is taken instead and the swap recorded.  The defining invariants
+    principal choice lands outside the unit disk its reciprocal, the partner
+    root, is taken instead and the swap recorded.  The defining invariants
     (xi_i + 1/xi_i = 4 +/- 2 mu, the factorization residual on the circle)
     are validated before returning.
     """
@@ -69,10 +69,10 @@ def spectral_roots(t: complex) -> SpectralRoots:
     xi1 = 2.0 + mu - 2.0 * cmath.sqrt(1.0 - t * t + mu)
     xi2 = 2.0 - mu - 2.0 * cmath.sqrt(1.0 - t * t - mu)
     if abs(xi1) >= 1.0:
-        xi1 = 1.0 / (2.0 + mu + 2.0 * cmath.sqrt(1.0 - t * t + mu))
+        xi1 = 1.0 / xi1
         log.append("xi1 swapped to reciprocal root")
     if abs(xi2) >= 1.0:
-        xi2 = 1.0 / (2.0 - mu + 2.0 * cmath.sqrt(1.0 - t * t - mu))
+        xi2 = 1.0 / xi2
         log.append("xi2 swapped to reciprocal root")
     roots = SpectralRoots(t, mu, xi1, xi2, "; ".join(log))
     if abs(xi1 - xi2) < 1e-8:

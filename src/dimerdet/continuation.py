@@ -30,8 +30,7 @@ from .spectral import (
     _stack_entries,
     MatrixSymbol,
     ScalarSymbol,
-    fourier_coefficients,
-    grid_for_order,
+    common_order_tables,
     log_determinant,
     pivoted_lu,
     toeplitz_matrix,
@@ -93,28 +92,20 @@ def k_plus_matrix(t: complex, n: int) -> np.ndarray:
 
 
 def _scalar_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
-    """Fourier tables of e+ and d at one shared order of at least ``order``.
-
-    Each entry is resolved on its own and the shorter table is rebuilt at the
-    longer order, because the section reads both tables at the same indices.
-    """
-    syms = (e_plus_symbol(t), symbol_d(t))
-    tabs = [fourier_coefficients(sym, order=order) for sym in syms]
-    top = max(tab.order for tab in tabs)
-    return tuple(tab if tab.order == top
-                 else fourier_coefficients(sym, grid_for_order(top), top)
-                 for sym, tab in zip(syms, tabs))
+    """Fourier tables of e+ and d at one shared order of at least ``order``."""
+    return common_order_tables((e_plus_symbol(t), symbol_d(t)), order)
 
 
-def b_hat(t: complex, n: int) -> np.ndarray:
+def b_hat(t: complex, n: int,
+          tables: tuple[FourierTable, FourierTable] | None = None) -> np.ndarray:
     """The continued section [[B, T_n(d)], [T_n(d)^T, B^T]], B = T_n(e+) + K+.
 
     For real 0 < t < 1 its determinant equals det T_n(phi); for every other
     parameter with Re(t) > 0 it is the analytic continuation of that
-    determinant in t.
+    determinant in t.  ``tables`` defaults to :func:`_scalar_tables`.
     """
     t = complex(t)
-    e_tab, d_tab = _scalar_tables(t, n)
+    e_tab, d_tab = tables or _scalar_tables(t, n)
     b = toeplitz_matrix(e_tab, n) + k_plus_matrix(t, n)
     d = toeplitz_matrix(d_tab, n)
     return np.block([[b, d], [d.T, b.T]])
@@ -200,8 +191,8 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     rank-one corrections from the pre-multiplication by T_n(Theta+).
     """
     t = complex(t)
-    lhs_mat = b_hat(t, n)
     e_tab, d_tab = _scalar_tables(t, n)
+    lhs_mat = b_hat(t, n, (e_tab, d_tab))
     k_row = _k_row(t, n, e_tab, d_tab)
     k_op = np.zeros((2 * n, 2 * n), dtype=complex)
     l_op = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -26,7 +26,7 @@ Conventions fixed here (they matter for cross-checks):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,15 +41,23 @@ from .spectral import (
     FourierTable,
     _stack_entries,
     MatrixSymbol,
+    MIN_ORDER,
     ScalarSymbol,
     fourier_coefficients,
     grid_for_order,
 )
 
 
+#: the relative change on the doubled torus grid below which a sum is accepted
+QUAD_TOL = 1e-10
+#: the finest torus grid the doubling rule tries; the integrands peak in a
+#: window of width O(Re t), so real t near 0.02 needs 2048 to 4096 points
+MAX_QUAD_GRID = 4096
+
+
 @dataclass(frozen=True)
 class DimerParams:
-    """Model parameter plus numerical configuration.
+    """The model parameter.
 
     ``t`` interpolates between the square lattice (t=0, excluded) and the
     triangular lattice (t=1); any complex ``t`` with positive real part is
@@ -57,16 +65,11 @@ class DimerParams:
     """
 
     t: complex
-    quad_grid: int = 256
-    tail_tol: float = 1e-13
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         if not self.t.real > 0:
             raise ParameterOutOfRange(f"Re(t) must be positive, got t={self.t}")
-        if self.quad_grid < 8:
-            raise ParameterOutOfRange("quad_grid must be at least 8")
 
     @property
     def is_real_unit_interval(self) -> bool:
@@ -74,16 +77,37 @@ class DimerParams:
 
 
 class DimerCoefficients(NamedTuple):
-    """Maps k -> R_k and k -> Q_k at a fixed parameter."""
+    """Maps k -> R_k and k -> Q_k at a fixed parameter, and their torus grid."""
 
     R: dict
     Q: dict
     t: complex
+    grid: int
 
 
 # ---------------------------------------------------------------------------
 # torus quadrature for the R_k / Q_k double integrals
 # ---------------------------------------------------------------------------
+
+def _doubled(sums, grid: int, what: str):
+    """``sums(grid)`` and its grid, doubled from ``grid`` until one more
+    doubling moves no value by more than ``QUAD_TOL`` relative to
+    max(1, |value|).  The integrands are smooth and periodic on the torus
+    (the denominator cannot vanish for Re(t) > 0): convergence is spectral.
+    """
+    coarse = sums(grid)
+    while True:
+        fine = sums(2 * grid)
+        moved = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+        if moved <= QUAD_TOL:
+            return fine, 2 * grid
+        grid *= 2
+        if 2 * grid > MAX_QUAD_GRID:
+            raise QuadratureUnconverged(
+                f"{what}: doubling the torus grid to {grid} moved the value by {moved:.3e}, "
+                f"at the cap MAX_QUAD_GRID = {MAX_QUAD_GRID}")
+        coarse = fine
+
 
 @functools.lru_cache(maxsize=32)
 def _reduced_grids(t: complex, grid: int):
@@ -91,72 +115,54 @@ def _reduced_grids(t: complex, grid: int):
 
     Writing cos(kx + y) = cos(kx) cos(y) - sin(kx) sin(y) turns each double
     integral into a single sum over x against precomputed y-sums, so the
-    O(grid^2) work is paid once per parameter.
+    O(grid^2) work is paid once per parameter, 128 rows of x at a time so
+    the work arrays stay O(grid).
     """
     g = 2.0 * np.pi * np.arange(grid) / grid - np.pi
-    x = g[:, None]
-    y = g[None, :]
-    den = np.cos(x) ** 2 + np.cos(y) ** 2 + t * t * np.cos(x + y) ** 2
-    w = (2.0 * np.pi / grid) ** 2 / (8.0 * np.pi ** 2)
-    return {
-        "x": g,
-        "even_cos": w * np.sum(np.cos(y) ** 2 / den, axis=1),
-        "even_sin": w * np.sum(np.cos(y) * np.sin(y) / den, axis=1),
-        "odd_cos": w * np.sum(np.cos(x + y) * np.cos(y) / den, axis=1),
-        "odd_sin": w * np.sum(np.cos(x + y) * np.sin(y) / den, axis=1),
-        "q_base": w * np.sum(np.cos(x) / den * np.ones_like(y), axis=1),
-    }
+    cy, sy = np.cos(g), np.sin(g)
+    sums = np.empty((5, grid), dtype=complex)
+    for rows in (slice(lo, lo + 128) for lo in range(0, grid, 128)):
+        x = g[rows, None]
+        cxy = np.cos(x + g)
+        inv = 1.0 / (np.cos(x) ** 2 + cy ** 2 + t * t * cxy ** 2)
+        sums[0, rows] = inv @ cy ** 2
+        sums[1, rows] = inv @ (cy * sy)
+        sums[4, rows] = np.cos(g[rows]) * inv.sum(axis=1)
+        inv *= cxy
+        sums[2, rows] = inv @ cy
+        sums[3, rows] = inv @ sy
+    sums *= (2.0 * np.pi / grid) ** 2 / (8.0 * np.pi ** 2)
+    return g, sums
 
 
-def _r_value(t: complex, k: int, grid: int) -> complex:
-    r = _reduced_grids(t, grid)
-    x = r["x"]
-    if k % 2 == 0:
-        return complex(np.cos(k * x) @ r["even_cos"] - np.sin(k * x) @ r["even_sin"])
-    return complex(t * (np.cos(k * x) @ r["odd_cos"] - np.sin(k * x) @ r["odd_sin"]))
-
-
-def _q_value(t: complex, k: int, grid: int) -> complex:
-    r = _reduced_grids(t, grid)
-    return complex(np.cos(k * r["x"]) @ r["q_base"])
-
-
-def _converged(params: DimerParams, fine, coarse, what: str) -> complex:
-    if abs(fine - coarse) > params.quad_tol * max(1.0, abs(fine)):
-        raise QuadratureUnconverged(
-            f"{what}: doubling quad_grid moved the value by {abs(fine - coarse):.3e}")
-    return fine
-
-
-def coefficient_R(params: DimerParams, k: int) -> complex:
-    """R_k by tensor-product periodic trapezoid quadrature.
+def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
+    """[R_k for k in ks] and [Q_k for k in ks] by tensor-product periodic
+    trapezoid quadrature on the given torus grid.
 
     Even k uses the cos(y) kernel with weight 1/(8 pi^2); odd k the
-    cos(x+y) kernel with an extra factor t.  The integrand is smooth and
-    periodic on the torus (the denominator cannot vanish for Re(t) > 0),
-    so the trapezoid rule converges spectrally; the result at ``quad_grid``
-    is compared against the doubled grid and the finer value returned.
+    cos(x+y) kernel with an extra factor t.  Q_k vanishes for even k.
     """
-    fine = _r_value(params.t, k, 2 * params.quad_grid)
-    coarse = _r_value(params.t, k, params.quad_grid)
-    return _converged(params, fine, coarse, f"R_{k}")
-
-
-def coefficient_Q(params: DimerParams, k: int) -> complex:
-    """Q_k by the same quadrature; vanishes identically for even k."""
-    fine = _q_value(params.t, k, 2 * params.quad_grid)
-    coarse = _q_value(params.t, k, params.quad_grid)
-    return _converged(params, fine, coarse, f"Q_{k}")
+    x, (even_cos, even_sin, odd_cos, odd_sin, q_base) = _reduced_grids(t, grid)
+    c, s = np.cos(np.outer(ks, x)), np.sin(np.outer(ks, x))
+    r = np.where(ks % 2 == 0, c @ even_cos - s @ even_sin, t * (c @ odd_cos - s @ odd_sin))
+    return np.array([r, c @ q_base])
 
 
 def dimer_coefficients(params: DimerParams, k_min: int, k_max: int) -> DimerCoefficients:
-    """All R_k, Q_k for k in [k_min, k_max], with the Q parity invariant."""
-    R = {k: coefficient_R(params, k) for k in range(k_min, k_max + 1)}
-    Q = {k: coefficient_Q(params, k) for k in range(k_min, k_max + 1)}
+    """All R_k, Q_k for k in [k_min, k_max], with the Q parity invariant.
+
+    The torus grid doubles from ``grid_for_order`` of the largest |k| until
+    the doubled grid moves no coefficient (see :func:`_doubled`).
+    """
+    ks = np.arange(k_min, k_max + 1)
+    values, grid = _doubled(lambda grid: _coefficients(params.t, ks, grid),
+                            grid_for_order(max(abs(k_min), abs(k_max))),
+                            f"R_k, Q_k for k in [{k_min}, {k_max}]")
+    R, Q = (dict(zip(ks.tolist(), map(complex, row))) for row in values)
     for k, v in Q.items():
         if k % 2 == 0 and abs(v) > 1e-14:
             raise InvariantViolation(f"Q_{k} = {v} should vanish for even k")
-    return DimerCoefficients(R, Q, params.t)
+    return DimerCoefficients(R, Q, params.t, grid)
 
 
 def _half_floor_sign(m: np.ndarray) -> np.ndarray:
@@ -170,13 +176,12 @@ def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
     With 1-based block indices j, k:
       R_jk = 2 (-1)^[(k-j)/2] R_{k-j+1} + theta(j-k) t^{j-k-1}
       Q_jk = 2i (-1)^[(j+k)/2] Q_{n+1-j-k}
-    where theta(m) = 1 for m > 0 and 0 otherwise.  The torus grid is at
-    least ``grid_for_order(n + 1)``, so it resolves the highest index used.
+    where theta(m) = 1 for m > 0 and 0 otherwise.  The torus grid starts at
+    ``grid_for_order(n + 1)``, so it resolves the highest index used.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    grid = max(params.quad_grid, grid_for_order(n + 1))
-    coeff = dimer_coefficients(replace(params, quad_grid=grid), -n, n + 1)
+    coeff = dimer_coefficients(params, -n, n + 1)
     j = np.arange(1, n + 1)[:, None]
     k = np.arange(1, n + 1)[None, :]
 
@@ -317,7 +322,7 @@ def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:
 
 def phi_table(params: DimerParams) -> FourierTable:
     """Fourier table of symbol_phi at the order its tail check resolves."""
-    return fourier_coefficients(symbol_phi(params), tail_tol=params.tail_tol)
+    return fourier_coefficients(symbol_phi(params))
 
 
 # ---------------------------------------------------------------------------
@@ -331,50 +336,50 @@ class KernelSymbols(NamedTuple):
     v_closed: ScalarSymbol
 
 
+def _y_sums(t: complex, x: np.ndarray, grid: int):
+    """Angles x and y as a column and a row, and the torus denominator on them."""
+    y = (2.0 * np.pi * np.arange(grid) / grid - np.pi)[None, :]
+    xc = np.asarray(x, dtype=float)[:, None]
+    return xc, y, (np.cos(xc - np.pi / 2) ** 2 + np.cos(y) ** 2
+                   + t * t * np.cos(xc + y - np.pi / 2) ** 2)
+
+
+def _st_sum(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
+    """S+T at angles x as a periodic trapezoid sum over ``grid`` values of y."""
+    xc, y, den = _y_sums(t, x, grid)
+    s_num = t * np.cos(xc + y - np.pi / 2) * np.exp(1j * (xc + y - np.pi / 2))
+    t_num = -np.cos(y) * np.exp(1j * (xc + y))
+    return (2.0 * np.pi / grid) / (4.0 * np.pi) * np.sum((s_num + t_num) / den, axis=1)
+
+
+def _v_sum(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
+    """V (global sign dropped) at angles x, by the same y-sum as :func:`_st_sum`."""
+    xc, _, den = _y_sums(t, x, grid)
+    return (2.0 * np.pi / grid) / (4.0 * np.pi) * np.sum(np.cos(xc - np.pi / 2) / den, axis=1)
+
+
 def kernel_symbols(params: DimerParams) -> KernelSymbols:
     """S+T and V as y-quadratures and as closed forms (V with sign dropped).
 
-    The quadrature evaluators integrate over y by the periodic trapezoid
-    rule at ``quad_grid`` points, with a doubled-grid convergence check per
-    evaluation.  The closed form of V omits the n-dependent global sign,
-    which does not affect any determinant built from it.
+    Each quadrature evaluation sums over y by the periodic trapezoid rule on
+    a grid doubled from ``grid_for_order(MIN_ORDER)`` until the doubled grid
+    moves no value (see :func:`_doubled`).  The closed form of V omits the
+    n-dependent global sign, which does not affect any determinant built
+    from it.
     """
     if not params.is_real_unit_interval:
         raise ParameterOutOfRange(f"kernel_symbols requires real t in (0, 1), got {params.t}")
     t = params.t
 
-    def st_sum(x, grid):
-        y = (2.0 * np.pi * np.arange(grid) / grid - np.pi)[None, :]
-        xc = np.asarray(x, dtype=float)[:, None]
-        den = (np.cos(xc - np.pi / 2) ** 2 + np.cos(y) ** 2
-               + t * t * np.cos(xc + y - np.pi / 2) ** 2)
-        s_num = t * np.cos(xc + y - np.pi / 2) * np.exp(1j * (xc + y - np.pi / 2))
-        t_num = -np.cos(y) * np.exp(1j * (xc + y))
-        return (2.0 * np.pi / grid) / (4.0 * np.pi) * np.sum((s_num + t_num) / den, axis=1)
-
-    def v_sum(x, grid):
-        y = (2.0 * np.pi * np.arange(grid) / grid - np.pi)[None, :]
-        xc = np.asarray(x, dtype=float)[:, None]
-        den = (np.cos(xc - np.pi / 2) ** 2 + np.cos(y) ** 2
-               + t * t * np.cos(xc + y - np.pi / 2) ** 2)
-        num = np.cos(xc - np.pi / 2) * np.ones_like(y)
-        return (2.0 * np.pi / grid) / (4.0 * np.pi) * np.sum(num / den, axis=1)
-
     def checked(sum_fn, what):
-        def eval_(x):
-            fine = sum_fn(x, 2 * params.quad_grid)
-            coarse = sum_fn(x, params.quad_grid)
-            err = float(np.max(np.abs(fine - coarse)))
-            if err > params.quad_tol:
-                raise QuadratureUnconverged(f"{what}: doubled-grid change {err:.3e}")
-            return fine
-        return ScalarSymbol(eval_)
+        return ScalarSymbol(lambda x: _doubled(
+            lambda grid: sum_fn(t, x, grid), grid_for_order(MIN_ORDER), what)[0])
 
     st_closed = ScalarSymbol(lambda x: (
         -(t * np.cos(x) + np.sin(x) ** 2) / (2.0 * (t - np.exp(-1j * x)) * _weight(t, x))
         + 1.0 / (2.0 * (t - np.exp(-1j * x)))))
     v_closed = ScalarSymbol(lambda x: np.sin(x) / (2.0 * _weight(t, x)))
-    return KernelSymbols(checked(st_sum, "S+T"), checked(v_sum, "V"),
+    return KernelSymbols(checked(_st_sum, "S+T"), checked(_v_sum, "V"),
                            st_closed, v_closed)
 
 

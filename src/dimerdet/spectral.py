@@ -95,6 +95,8 @@ def as_matrix_symbol(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
 #: 32, since per-call overhead dominates the sampling, so it starts no lower
 MIN_ORDER = 32
 MAX_ORDER = 4096
+#: the magnitude the outermost coefficients of a table must fall below
+TAIL_TOL = 1e-13
 
 
 def grid_for_order(order: int) -> int:
@@ -114,7 +116,7 @@ class FourierTable:
     block_size: int
     order: int
     coeffs: np.ndarray  # shape (2*order+1, N, N)
-    tail_tol: float = 1e-13
+    tail_tol: float = TAIL_TOL
 
     def coeff(self, k: int) -> np.ndarray:
         if abs(k) > self.order:
@@ -158,7 +160,7 @@ class LogDet:
 
 
 def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None = None,
-                         order: int | None = None, tail_tol: float = 1e-13) -> FourierTable:
+                         order: int | None = None, tail_tol: float = TAIL_TOL) -> FourierTable:
     """Fourier coefficients of a symbol by FFT on a uniform grid.
 
     With ``grid_size`` omitted the resolution follows the symbol: ``order``
@@ -190,6 +192,18 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
             raise TailNotResolved(
                 f"tail magnitude {tail:.3e} exceeds {tail_tol:.1e} at order {order}{rule}")
         order = min(2 * order, cap)
+
+
+def common_order_tables(syms: Sequence[ScalarSymbol | MatrixSymbol],
+                        order: int | None = None) -> tuple[FourierTable, ...]:
+    """Tables of several symbols at one shared order, each resolved by the
+    doubling rule of :func:`fourier_coefficients` from the floor ``order``
+    and rebuilt at the highest order any of them reached."""
+    tabs = [fourier_coefficients(sym, order=order) for sym in syms]
+    top = max(tab.order for tab in tabs)
+    return tuple(tab if tab.order == top
+                 else fourier_coefficients(sym, grid_for_order(top), top)
+                 for sym, tab in zip(syms, tabs))
 
 
 def _table(msym: MatrixSymbol, grid_size: int, order: int,
@@ -270,7 +284,7 @@ def toeplitz_section(tab: FourierTable, m: int, reflected: bool = False) -> np.n
     idx = np.subtract.outer(np.arange(m), np.arange(m))
     if reflected:
         idx = -idx
-    return _assemble(tab, idx, pad=True)
+    return _assemble(tab, idx)
 
 
 def hankel_section(tab: FourierTable, m: int, shift: int = 0,
@@ -283,19 +297,19 @@ def hankel_section(tab: FourierTable, m: int, shift: int = 0,
     idx = np.add.outer(np.arange(m), np.arange(m)) + 1 + shift
     if reflected:
         idx = -idx
-    return _assemble(tab, idx, pad=True)
+    return _assemble(tab, idx)
 
 
-def _assemble(tab: FourierTable, idx: np.ndarray, pad: bool = False) -> np.ndarray:
-    n = tab.block_size
-    m = idx.shape[0]
-    if pad:
-        inside = np.abs(idx) <= tab.order
-        blocks = np.zeros((m, m, n, n), dtype=complex)
-        blocks[inside] = tab.coeffs[idx[inside] + tab.order]
-    else:
-        blocks = tab.coeffs[idx + tab.order]
-    out = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+def _assemble(tab: FourierTable, idx: np.ndarray) -> np.ndarray:
+    """The section whose block (j, k) is coefficient ``idx[j, k]`` (zero past
+    the table order), gathered 64 block rows at a time into its buffer."""
+    n, m = tab.block_size, idx.shape[0]
+    out = np.zeros((m * n, m * n), dtype=complex)
+    blocks = out.reshape(m, n, m, n).transpose(0, 2, 1, 3)  # a view of out
+    for lo in range(0, m, 64):
+        rows = idx[lo:lo + 64]
+        inside = np.abs(rows) <= tab.order
+        blocks[lo:lo + 64][inside] = tab.coeffs[rows[inside] + tab.order]
     if not np.all(np.isfinite(out)):
         raise SampleFailure("matrix section contains non-finite entries")
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dimer import DimerParams, symbol_phi, symbol_psi, _p, _q, _sigma
+from .dimer import DimerParams, symbol_psi, _p, _q, _sigma
 from .errors import (
     BranchFailure,
     NotBanded,
@@ -30,12 +30,13 @@ from .spectral import (
     FourierTable,
     _lagrange_fill,
     _stack_entries,
+    MIN_ORDER,
     MatrixSymbol,
     ScalarSymbol,
     as_matrix_symbol,
+    common_order_tables,
     fourier_coefficients,
     geometric_mean,
-    grid_for_order,
     hankel_section,
     log_determinant,
     pivoted_lu,
@@ -49,13 +50,11 @@ from .spectral import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Truncation sizes for semi-infinite operators and scalar series."""
-
-    op_order: int = 256
-    series_order: int = 2048
-    tolerance: float = 1e-10
+#: the largest operator truncation m (in blocks) that :func:`szego_E_operator`
+#: and :func:`bocg_residual` build.  Memory, not time, sets it: with 2x2
+#: blocks the product holds three (2m)^2 complex buffers, 28 MB at m = 384,
+#: and every further 64 adds about 10 MB
+MAX_OP_ORDER = 384
 
 
 def _one_side(tab: FourierTable, side: int) -> np.ndarray:
@@ -81,49 +80,58 @@ def _geometric_tail(mags: np.ndarray) -> float:
     return float(window[-1] * r / (1.0 - r))
 
 
-def _hankel_hs_norms(tab: FourierTable, m: int, side: int) -> tuple[float, float]:
-    """(full, discarded-tail) Hilbert-Schmidt estimates for a truncated Hankel.
+def _hankel_hs_tails(tab: FourierTable, side: int, m_max: int) -> tuple[float, np.ndarray]:
+    """Hilbert-Schmidt estimates for a Hankel: the full norm, and the
+    discarded tail of its truncation at each order m = 0..m_max.
 
     The HS norm of H is sqrt(sum_k k |phi_k|^2); truncation at order m
     discards the part weighted by coefficients beyond m, estimated from the
     table plus a geometric extrapolation past the table order.
     """
-    mags = _coeff_magnitudes(tab, side)
-    ks = np.arange(1, tab.order + 1, dtype=float)
-    full = math.sqrt(float(np.sum(ks * mags ** 2)))
-    beyond = mags[m:] if m < tab.order else mags[:0]
-    tail_sq = float(np.sum((ks[m:] - m) * beyond ** 2)) if beyond.size else 0.0
-    tail_sq += (tab.order + 1) * _geometric_tail(mags ** 2)
-    return full, math.sqrt(tail_sq)
+    w = _coeff_magnitudes(tab, side) ** 2
+    ks = np.arange(1, tab.order + 1)
+    full = math.sqrt(float(np.sum(ks * w)))
+    # sum_{k>m} (k - m) |phi_k|^2 = sum_{j>m} sum_{k>=j} |phi_k|^2, a double
+    # suffix sum; zero for m >= order
+    tail_sq = np.zeros(max(m_max, tab.order) + 1)
+    tail_sq[:tab.order] = np.cumsum(np.cumsum(w[::-1]))[::-1]
+    return full, np.sqrt(tail_sq[:m_max + 1] + (tab.order + 1) * _geometric_tail(w))
 
 
-def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, cfg: TruncationConfig,
-                     grid_size: int = 4096) -> complex:
-    """E(sym) = det(I - H(sym) H(symtilde^{-1})) on an op_order truncation.
+def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> complex:
+    """E(sym) = det(I - H(sym) H(symtilde^{-1})) on the smallest truncation
+    whose Hilbert-Schmidt tail estimate is below ``tol``.
 
-    Requires det sym nonvanishing with winding number zero (checked).  The
-    Hilbert-Schmidt weight of the discarded Hankel blocks is estimated from
-    the coefficient decay; if it exceeds ``cfg.tolerance`` the truncation is
-    rejected rather than silently returning an under-resolved value.
+    Requires det sym nonvanishing with winding number zero (checked).  Both
+    tables follow the doubling rule of :func:`fourier_coefficients`; the tail
+    is read off for every order up to ``MAX_OP_ORDER``, past which the
+    truncation is rejected rather than silently under-resolved.
     """
     msym = as_matrix_symbol(sym)
-    winding_check(msym, grid_size)
-    order = min(2 * cfg.op_order - 1, grid_size // 4 - 1)
-    tab = fourier_coefficients(msym, grid_size, order)
-    tab_inv = fourier_coefficients(pointwise_inverse(msym), grid_size, order)
-    m = cfg.op_order
-    full1, tail1 = _hankel_hs_norms(tab, m, +1)
-    full2, tail2 = _hankel_hs_norms(tab_inv, m, -1)
+    winding_check(msym)
+    tab = fourier_coefficients(msym)
+    tab_inv = fourier_coefficients(pointwise_inverse(msym))
+    full1, tail1 = _hankel_hs_tails(tab, +1, MAX_OP_ORDER)
+    full2, tail2 = _hankel_hs_tails(tab_inv, -1, MAX_OP_ORDER)
     tail = tail1 * full2 + full1 * tail2
-    log.debug("szego_E_operator: truncation tail estimate %.3e", tail)
-    if tail > cfg.tolerance:
+    resolved = np.flatnonzero(tail[1:] <= tol)
+    if resolved.size == 0:
         raise TailNotResolved(
-            f"operator truncation tail {tail:.3e} exceeds {cfg.tolerance:.1e}; "
-            "increase op_order")
-    h1 = hankel_section(tab, m)
-    h2 = hankel_section(tab_inv, m, reflected=True)
-    ld = log_determinant(np.eye(m * msym.block_size) - h1 @ h2)
-    return ld.value
+            f"operator truncation tail {tail[-1]:.3e} exceeds {tol:.1e} at the cap "
+            f"MAX_OP_ORDER = {MAX_OP_ORDER}")
+    m = int(resolved[0]) + 1
+    log.debug("szego_E_operator: order %d, truncation tail estimate %.3e", m, tail[m])
+    return _operator_det(tab, tab_inv, m)
+
+
+def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
+    """det(I - H(sym) H(symtilde^{-1})) on the order-m truncation, from the
+    tables of sym and sym^{-1}, built and factored in one buffer."""
+    a = hankel_section(tab, m) @ hankel_section(tab_inv, m, reflected=True)
+    a *= -1.0
+    a.flat[::a.shape[0] + 1] += 1.0
+    # a.T is Fortran-ordered, so pivoted_lu factors it in place; det a.T = det a
+    return pivoted_lu(a.T)[2].value
 
 
 def _partial_sum_with_tail(terms: np.ndarray, tol: float, what: str) -> complex:
@@ -138,12 +146,7 @@ def _partial_sum_with_tail(terms: np.ndarray, tol: float, what: str) -> complex:
 def scalar_E_series(logsym_coeffs: FourierTable, order: int,
                     tol: float = 1e-10) -> complex:
     """E from the scalar identity exp(sum k [log phi]_k [log phi]_{-k})."""
-    if logsym_coeffs.block_size != 1:
-        raise ValueError("scalar_E_series requires a scalar table")
-    order = min(order, logsym_coeffs.order)
-    terms = (np.arange(1, order + 1) * _one_side(logsym_coeffs, 1)[:order, 0, 0]
-             * _one_side(logsym_coeffs, -1)[:order, 0, 0])
-    return complex(np.exp(_partial_sum_with_tail(terms, tol, "scalar_E_series")))
+    return complex(np.exp(hankel_trace(logsym_coeffs, logsym_coeffs, order, tol)))
 
 
 def hankel_trace(a: FourierTable, b: FourierTable, order: int,
@@ -194,19 +197,36 @@ def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> c
     return complex(gmean ** band * det)
 
 
-def bocg_residual(psi_tab: FourierTable, n: int, cfg: TruncationConfig) -> complex:
+def bocg_residual(psi_tab: FourierTable, n: int, tol: float = 1e-10) -> complex:
     """The operator-determinant factor of the one-step reduction identity
 
         det T_n(psi^{-1}) = E(psi)/G(psi)^n *
             det(I - H(z^{-n} psi) T^{-1}(psitilde) H(psitilde z^{-n}) T^{-1}(psi)),
 
-    computed on truncations of size ``op_order``.  Multiplying by z^{-n} is
-    an index shift of the coefficient table.  The factor tends to 1 as n
-    grows past the coefficient support.  Both Hankel sections vanish outside
-    their leading r = N (order - n) rows and columns, so the product is block
-    triangular and its determinant is exactly the leading r x r one.
+    on truncations of size m doubled from ``MIN_ORDER`` until one more
+    doubling moves it by at most ``tol`` (relative), up to ``MAX_OP_ORDER``.
+    The factor tends to 1 as n grows past the coefficient support.
     """
-    m = cfg.op_order
+    m = MIN_ORDER
+    value = _bocg_truncated(psi_tab, n, m)
+    while m < MAX_OP_ORDER:
+        m = min(2 * m, MAX_OP_ORDER)
+        value, coarse = _bocg_truncated(psi_tab, n, m), value
+        if abs(value - coarse) <= tol * abs(value):
+            return value
+    raise TailNotResolved(
+        f"bocg_residual: doubling the truncation to the cap MAX_OP_ORDER = {MAX_OP_ORDER} "
+        f"moved the residual by {abs(value - coarse):.3e}")
+
+
+def _bocg_truncated(psi_tab: FourierTable, n: int, m: int) -> complex:
+    """:func:`bocg_residual` on the order-m truncations of T(psi) and T(psitilde).
+
+    Multiplying by z^{-n} is an index shift of the coefficient table.  Both
+    Hankel sections vanish outside their leading r = N (order - n) rows and
+    columns, so the product is block triangular and its determinant is
+    exactly the leading r x r one.
+    """
     t_psi = pivoted_lu(toeplitz_section(psi_tab, m))
     t_psit = pivoted_lu(toeplitz_section(psi_tab, m, reflected=True))
     if t_psi[2].is_singular or t_psit[2].is_singular:
@@ -325,37 +345,41 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
 # the reduction route to the dimer constant
 # ---------------------------------------------------------------------------
 
-def alpha_log_tables(params: DimerParams, order: int) -> tuple[FourierTable, FourierTable]:
+def alpha_log_tables(params: DimerParams) -> tuple[FourierTable, FourierTable]:
     """Fourier tables of alpha_1 = log(1-2t cos x+t^2) and
-    alpha_2 = log(t^2+sin^2 x+sin^4 x); real logs for real t in (0,1)."""
+    alpha_2 = log(t^2+sin^2 x+sin^4 x); real logs for real t in (0,1).
+
+    Both follow the doubling rule of :func:`fourier_coefficients` and share
+    one order, so they can be combined coefficient-wise.
+    """
     if not params.is_real_unit_interval:
         raise BranchFailure(f"log symbols need real t in (0, 1), got {params.t}")
     t = params.t.real
-    grid = grid_for_order(order)
-    a1 = ScalarSymbol(lambda x: np.log(1.0 - 2.0 * t * np.cos(x) + t * t) + 0j)
-    a2 = ScalarSymbol(lambda x: np.log(t * t + np.sin(x) ** 2 + np.sin(x) ** 4) + 0j)
-    return (fourier_coefficients(a1, grid, order),
-            fourier_coefficients(a2, grid, order))
+    return common_order_tables((
+        ScalarSymbol(lambda x: np.log(1.0 - 2.0 * t * np.cos(x) + t * t) + 0j),
+        ScalarSymbol(lambda x: np.log(t * t + np.sin(x) ** 2 + np.sin(x) ** 4) + 0j)))
 
 
-def e_phi_operator(params: DimerParams, cfg: TruncationConfig) -> complex:
-    """E(phi) by operator truncation of the dimer symbol; real t in (0, 1)."""
-    return szego_E_operator(symbol_phi(params), cfg)
-
-
-def e_phi_reduction(params: DimerParams, cfg: TruncationConfig | None = None) -> complex:
-    """E(phi) by the trace-correction + banded-determinant route.
+def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:
+    """E(phi) / E(sigma^{-1} phi) as a quotient of trace-correction factors.
 
     The dimer symbol factors through exp representations with scalar shifts
-    a_1 (for phi) and a_2 (for sigma^{-1} phi); the correction-factor
-    quotient converts E(sigma^{-1} phi) into E(phi), and E(sigma^{-1} phi)
-    itself is a band-3 symbol handled by the finite-determinant formula.
+    a_1 = -alpha_1/2 (for phi) and a_2 = (alpha_1 + alpha_2)/2 (for
+    sigma^{-1} phi); the quotient equals the closed-form ``prefactor``.
     """
-    cfg = cfg or TruncationConfig()
-    tab1, tab2 = alpha_log_tables(params, cfg.series_order)
+    tab1, tab2 = alpha_log_tables(params)
     a1 = combine_tables([tab1], [-0.5])
     a2 = combine_tables([tab1, tab2], [0.5, 0.5])
-    corr = (correction_factor(a1, 2, cfg.series_order, cfg.tolerance)
-            / correction_factor(a2, 2, cfg.series_order, cfg.tolerance))
+    return (correction_factor(a1, 2, a1.order, tol)
+            / correction_factor(a2, 2, a2.order, tol))
+
+
+def e_phi_reduction(params: DimerParams, tol: float = 1e-10) -> complex:
+    """E(phi) by the trace-correction + banded-determinant route.
+
+    :func:`correction_quotient` converts E(sigma^{-1} phi) into E(phi), and
+    E(sigma^{-1} phi) itself is a band-3 symbol handled by the
+    finite-determinant formula.
+    """
     psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
-    return complex(corr * widom_banded_E(psi_tab, 3))
+    return complex(correction_quotient(params, tol) * widom_banded_E(psi_tab, 3))

@@ -11,7 +11,6 @@ import numpy as np
 
 from dimerdet import (
     DimerParams,
-    TruncationConfig,
     alpha_log_tables,
     b_hat,
     bocg_residual,
@@ -37,7 +36,8 @@ from dimerdet import (
     toeplitz_matrix,
     widom_banded_E,
 )
-from dimerdet.spectral import FourierTable, ScalarSymbol
+from dimerdet.spectral import FourierTable, ScalarSymbol, pointwise_inverse
+from dimerdet.szego import _bocg_truncated, _operator_det
 
 E_T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 
@@ -76,14 +76,18 @@ def test_criterion_02_dimer_toeplitz_equivalence():
 
 def test_criterion_03_three_way_e_agreement():
     start = time.perf_counter()
-    cfg = TruncationConfig(op_order=256)
     worst = 0.0
     for t in E_T_SET:
         params = DimerParams(t)
-        e_op = szego_E_operator(symbol_phi(params), cfg)
-        e_red = e_phi_reduction(params, cfg)
+        phi = symbol_phi(params)
+        # the operator route at the order its tail estimate picks, and at 256
+        e_op = szego_E_operator(phi)
+        e_256 = _operator_det(fourier_coefficients(phi),
+                              fourier_coefficients(pointwise_inverse(phi)), 256)
+        e_red = e_phi_reduction(params)
         e_cf = e_phi(t)
-        rel = max(abs(e_op - e_red), abs(e_op - e_cf), abs(e_red - e_cf)) / abs(e_cf)
+        rel = max(abs(e_op - e_red), abs(e_op - e_cf), abs(e_red - e_cf),
+                  abs(e_256 - e_cf)) / abs(e_cf)
         worst = max(worst, rel)
         assert rel <= 1e-6, (t, rel)
     elapsed = time.perf_counter() - start
@@ -104,7 +108,7 @@ def test_criterion_04_lambda_identity():
 
 def test_criterion_05_hankel_trace_closed_forms():
     params = DimerParams(0.3)
-    tab1, tab2 = alpha_log_tables(params, 2048)
+    tab1, tab2 = alpha_log_tables(params)
     r = spectral_roots(0.3)
     t2 = 0.09
     cross = -np.log((1 - t2 * r.xi1) * (1 - t2 * r.xi2))
@@ -117,7 +121,6 @@ def test_criterion_05_hankel_trace_closed_forms():
 
 
 def test_criterion_06_bocg_residual():
-    cfg = TruncationConfig(op_order=256)
     params = DimerParams(0.4)
     psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
     inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
@@ -125,12 +128,13 @@ def test_criterion_06_bocg_residual():
     g = geometric_mean(symbol_psi(params))
     worst = 0.0
     for n in (3, 5, 8):
-        res = bocg_residual(psi_tab, n, cfg)
+        res = _bocg_truncated(psi_tab, n, 256)
+        assert abs(bocg_residual(psi_tab, n) - res) <= 1e-12 * abs(res)
         det_n = log_determinant(toeplitz_matrix(inv_tab, n)).value
         rel = abs(det_n - e_psi / g ** n * res) / abs(det_n)
         worst = max(worst, rel)
         assert rel <= 1e-8, (n, rel)
-    drift = max(abs(bocg_residual(psi_tab, n, cfg) - 1.0) for n in (12, 16))
+    drift = max(abs(_bocg_truncated(psi_tab, n, 256) - 1.0) for n in (12, 16))
     assert drift <= 1e-8
     report(6, "one-step residual identity", f"worst rel {worst:.2e}, drift {drift:.2e}")
 

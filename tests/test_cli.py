@@ -3,11 +3,22 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
 from dimerdet import correlation_limit
-from dimerdet.cli import main, parse_complex, parse_n_list, ConfigError
+from dimerdet.cli import (
+    COMMANDS,
+    OPTIONS,
+    ConfigError,
+    build_config,
+    build_parser,
+    main,
+    parse_complex,
+    parse_n_list,
+    parse_switch,
+)
 
 
 def run_cli(args, capsys):
@@ -248,6 +259,12 @@ def test_correlation_at_small_real_part_reaches_limit(t, capsys):
     ("bocg", "0.1", None), ("continuation", "0.02", None),
     ("dimer-toeplitz", "0.97", None), ("widom", "0.99", None), ("bocg", "0.99", None),
     ("bocg", "0.3", "300"),  # the psi^{-1} table reaches the order n - 1 it reads
+    # the operator truncation, the torus grid and the alpha tables follow t,
+    # where the fixed sizes 256, 256 and 2048 failed
+    ("three-way-e", "0.0786", None), ("three-way-e", "0.9115", None),
+    ("three-way-e", "0.9327", None), ("dimer-toeplitz", "0.0361", None),
+    ("dimer-toeplitz", "0.0573", None), ("kernel-closed-forms", "0.0361", None),
+    ("kernel-closed-forms", "0.0573", None), ("prefactor", "0.99", None),
 ])
 def test_verify_resolves_tables_near_the_ends_of_the_interval(identity, t, n, capsys):
     args = ["verify", "--identity", identity, "--t", t] + (["--n", n] if n else [])
@@ -264,6 +281,55 @@ def test_fourier_size_overrides_are_rejected(tmp_path, capsys):
     cfg.write_text("fourier_k = 64\n")
     assert main(["correlation", "--t", "0.5", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--quad-grid", "--op-order", "--series-order"])
+def test_truncation_size_overrides_are_rejected(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--t", "0.5", flag, "512"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = 512\n")
+    assert main(["verify", "--t", "0.5", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_three_way_e_names_the_operator_cap(tmp_path):
+    out = tmp_path / "err.json"
+    code = main(["verify", "--identity", "three-way-e", "--t", "0.9885",
+                 "--format", "json", "--output", str(out)])
+    assert code == 3
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "TailNotResolved"
+    assert "MAX_OP_ORDER = 384" in error["message"]
+
+
+#: a value for every option, other than its default
+SAMPLES = {"t": "0.8+0.3i", "t_start": "0.25", "t_stop": "1.5", "t_count": "7",
+           "t_imag": "0.3", "n": "12", "n_list": "4,8,16", "identity": "widom",
+           "tolerance": "1e-9", "output": "out.csv", "format": "json",
+           "precision": "15", "seed": "99", "verify_roots": "true"}
+
+
+def test_flag_and_config_key_give_the_same_value(tmp_path):
+    assert set(SAMPLES) == {f.name for f in OPTIONS.values()}
+    for flag, f in OPTIONS.items():
+        command = f.metadata["commands"][0]
+        value = [] if f.metadata["parse"] is parse_switch else [SAMPLES[f.name]]
+        from_flag = build_config(build_parser().parse_args([command, flag] + value))
+        path = tmp_path / f"{f.name}.cfg"
+        path.write_text(f"{f.name} = {SAMPLES[f.name]}\n")
+        from_file = build_config(build_parser().parse_args([command, "--config", str(path)]))
+        assert getattr(from_flag, f.name) == getattr(from_file, f.name) != f.default, flag
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_exactly_the_declared_options(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"^\s+(?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M))
+    declared = {flag for flag, f in OPTIONS.items() if command in f.metadata["commands"]}
+    assert listed == declared | {"--help", "--config"}
 
 
 def test_correlation_near_one_with_short_table(capsys):

@@ -78,6 +78,16 @@ def test_root_invariants_over_rectangle():
         count += 1
 
 
+def test_roots_inside_the_disk_over_the_wide_box():
+    # a root outside the unit disk is swapped for its partner 1/xi; when the
+    # swap recomputed the same root, 1342 of these 2460 points raised
+    # InvariantViolation ("|xi2| >= 1")
+    for re in np.linspace(0.01, 3.0, 60):
+        for im in np.linspace(-2.0, 2.0, 41):
+            r = spectral_roots(complex(re, im))
+            assert abs(r.xi1) < 1.0 and abs(r.xi2) < 1.0
+
+
 def test_kl_spot_values():
     k, l = kl_helpers(0.3, 0.0)
     assert abs(k + 1.0) < 1e-15

@@ -229,3 +229,20 @@ def test_correlation_finite_beyond_quadrature_reach():
     # n >= 240 used to raise QuadratureUnconverged on the torus route
     value = correlation_finite(DimerParams(0.6), 256)
     assert abs(value - correlation_limit(0.6)) <= 1e-12
+
+
+def test_theta_decomposition_builds_the_tables_once(monkeypatch):
+    # b_hat reuses the e+ and d tables of the section: two order-2048 tables
+    # at this t, where building them twice took four
+    import dimerdet.continuation as continuation
+    import dimerdet.spectral as spectral
+    real, calls = spectral.fourier_coefficients, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (spectral, continuation):
+        monkeypatch.setattr(module, "fourier_coefficients", counted, raising=False)
+    theta_decomposition(0.02, 8)
+    assert len(calls) == 2

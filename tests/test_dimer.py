@@ -6,9 +6,8 @@ import pytest
 from dimerdet import (
     DimerParams,
     ParameterOutOfRange,
+    QuadratureUnconverged,
     kernel_symbols,
-    coefficient_Q,
-    coefficient_R,
     correlation_finite,
     correlation_limit,
     dimer_coefficients,
@@ -22,6 +21,13 @@ from dimerdet import (
     symbol_psi,
     symbol_psi_inverse,
     toeplitz_matrix,
+)
+from dimerdet.dimer import (
+    MAX_QUAD_GRID,
+    _coefficients,
+    _reduced_grids,
+    _st_sum,
+    _v_sum,
 )
 
 
@@ -48,23 +54,46 @@ def test_q_vanishes_for_even_k():
     rng = np.random.default_rng(3)
     for _ in range(5):
         t = complex(rng.uniform(0.1, 1.4), rng.uniform(-0.4, 0.4))
-        params = DimerParams(t, quad_grid=128)
         for k in (-4, -2, 0, 2, 6):
-            assert abs(coefficient_Q(params, k)) < 1e-14
+            assert abs(_coefficients(t, np.array([k]), 128)[1, 0]) < 1e-14
 
 
 def test_q_symmetry_in_k():
     params = DimerParams(0.8)
+    q = dimer_coefficients(params, -5, 5).Q
     for k in (1, 3, 5):
-        assert abs(coefficient_Q(params, k) - coefficient_Q(params, -k)) < 1e-12
+        assert abs(q[k] - q[-k]) < 1e-12
 
 
 def test_quadrature_grid_convergence():
-    coarse = DimerParams(0.45, quad_grid=128)
-    fine = DimerParams(0.45, quad_grid=256)
-    for k in range(-8, 9):
-        assert abs(coefficient_R(coarse, k) - coefficient_R(fine, k)) < 1e-10
-        assert abs(coefficient_Q(coarse, k) - coefficient_Q(fine, k)) < 1e-10
+    # fixed grids 256 and 512, as the R_k, Q_k of grid 128 were checked
+    # against 256
+    ks = np.arange(-8, 9)
+    coarse, fine = _coefficients(0.45, ks, 256), _coefficients(0.45, ks, 512)
+    assert np.max(np.abs(coarse[0] - fine[0])) < 1e-10  # R_k
+    assert np.max(np.abs(coarse[1] - fine[1])) < 1e-10  # Q_k
+
+
+def test_chunked_torus_sums_match_dense_sums():
+    # the y-sums taken in chunks of rows against the dense grid x grid form
+    t, grid = 0.4 + 0.2j, 512
+    g = 2.0 * np.pi * np.arange(grid) / grid - np.pi
+    x, y = g[:, None], g[None, :]
+    den = np.cos(x) ** 2 + np.cos(y) ** 2 + t * t * np.cos(x + y) ** 2
+    dense = (2.0 * np.pi / grid) ** 2 / (8.0 * np.pi ** 2) * np.array([
+        np.sum(np.cos(y) ** 2 / den, axis=1),
+        np.sum(np.cos(y) * np.sin(y) / den, axis=1),
+        np.sum(np.cos(x + y) * np.cos(y) / den, axis=1),
+        np.sum(np.cos(x + y) * np.sin(y) / den, axis=1),
+        np.sum(np.cos(x) / den * np.ones_like(y), axis=1)])
+    _, sums = _reduced_grids(t, grid)
+    assert np.max(np.abs(sums - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_torus_grid_names_its_cap():
+    # at Re t = 0.0016 the integrand's peak needs a grid near 32768
+    with pytest.raises(QuadratureUnconverged, match=f"MAX_QUAD_GRID = {MAX_QUAD_GRID}"):
+        dimer_matrix(DimerParams(0.0016), 8)
 
 
 @pytest.mark.parametrize("t", [0.5, 0.7])
@@ -74,9 +103,10 @@ def test_sum_kernel_coefficients_match_r(t):
     params = DimerParams(t)
     st = kernel_symbols(params).st_closed
     coeffs, m = fft_coeffs(st)
+    r = dimer_coefficients(params, -3, 5).R
     for k in range(-4, 5):
         sign = 1.0 if (((-k) // 2) % 2 == 0) else -1.0
-        assert abs(coeffs[k % m] - sign * coefficient_R(params, -k + 1)) < 1e-9
+        assert abs(coeffs[k % m] - sign * r[-k + 1]) < 1e-9
 
 
 def test_antisymmetric_kernel_coefficients_match_q():
@@ -84,15 +114,18 @@ def test_antisymmetric_kernel_coefficients_match_q():
     params = DimerParams(0.5)
     v = kernel_symbols(params).v_closed
     coeffs, m = fft_coeffs(v)
+    q = dimer_coefficients(params, -3, 3).Q
     for k in (-3, -1, 1, 3):
         sign = 1.0 if ((1 + (k // 2)) % 2 == 0) else -1.0
-        assert abs(coeffs[k % m] - 1j * sign * coefficient_Q(params, k)) < 1e-9
+        assert abs(coeffs[k % m] - 1j * sign * q[k]) < 1e-9
 
 
 def test_kernel_quadrature_vs_closed_forms():
-    params = DimerParams(0.7, quad_grid=128)
-    syms = kernel_symbols(params)
+    syms = kernel_symbols(DimerParams(0.7))
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
+    # fixed grid 256, the value the grid-128 check returned
+    assert np.max(np.abs(_st_sum(0.7, x, 256) - syms.st_closed(x))) < 1e-9
+    assert np.max(np.abs(_v_sum(0.7, x, 256) - syms.v_closed(x))) < 1e-9
     assert np.max(np.abs(syms.st_quadrature(x) - syms.st_closed(x))) < 1e-9
     assert np.max(np.abs(syms.v_quadrature(x) - syms.v_closed(x))) < 1e-9
 
@@ -108,7 +141,7 @@ def test_kernel_spot_values():
 def test_dimer_matrix_n1_structure():
     params = DimerParams(0.4)
     m1 = dimer_matrix(params, 1)
-    r1 = coefficient_R(params, 1)
+    r1 = dimer_coefficients(params, 1, 1).R[1]
     # Q index n+1-j-k = 0 at n=1, and Q_0 = 0, so M_1 is 2 R_1 times I_2
     assert np.max(np.abs(m1 - 2.0 * r1 * np.eye(2))) < 1e-13
     # and it matches the symbol side
@@ -179,12 +212,12 @@ def test_correlation_approaches_limit():
 
 
 def test_dimer_coefficients_bundle():
-    params = DimerParams(0.6, quad_grid=128)
+    params = DimerParams(0.6)
     bundle = dimer_coefficients(params, -3, 3)
     assert bundle.t == params.t
     assert set(bundle.R) == set(range(-3, 4))
     for k in (-2, 0, 2):
-        assert bundle.Q[k] == coefficient_Q(params, k)
+        assert bundle.Q[k] == _coefficients(params.t, np.arange(-3, 4), bundle.grid)[1, k + 3]
 
 
 def test_symbol_phi_domain():

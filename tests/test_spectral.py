@@ -27,7 +27,7 @@ from dimerdet import (
     symbol_phi,
     toeplitz_matrix,
 )
-from dimerdet.spectral import MAX_ORDER, grid_for_order, pivoted_lu
+from dimerdet.spectral import MAX_ORDER, TAIL_TOL, grid_for_order, pivoted_lu
 
 
 def harmonic(k):
@@ -97,7 +97,7 @@ def test_dft_round_trip():
     x = 2 * np.pi * np.arange(257) / 257 - np.pi
     direct = symbol_phi(params).sample(x)
     resampled = series_symbol(tab).sample(x)
-    assert np.max(np.abs(direct - resampled)) < 10 * params.tail_tol
+    assert np.max(np.abs(direct - resampled)) < 10 * TAIL_TOL
 
 
 def test_toeplitz_constant():

@@ -11,7 +11,6 @@ from dimerdet import (
     ScalarSymbol,
     TailNotResolved,
     TruncatedOperatorSingular,
-    TruncationConfig,
     alpha_log_tables,
     bocg_residual,
     combine_tables,
@@ -38,7 +37,7 @@ from dimerdet import (
     toeplitz_section,
     widom_banded_E,
 )
-CFG = TruncationConfig()
+from dimerdet.szego import MAX_OP_ORDER, _bocg_truncated, _operator_det
 
 
 def geometric_log_table(gammas, deltas, order=256):
@@ -68,12 +67,12 @@ def laurent_symbol(gammas, deltas):
 
 def test_e_operator_identity_symbol():
     ident = ScalarSymbol.constant(1.0)
-    assert abs(szego_E_operator(ident, CFG) - 1.0) < 1e-12
+    assert abs(szego_E_operator(ident) - 1.0) < 1e-12
 
 
 def test_e_operator_scalar_product_symbol():
     sym = laurent_symbol([0.5], [0.5])
-    e_op = szego_E_operator(sym, CFG)
+    e_op = szego_E_operator(sym)
     # oracle: scalar series with [log psi]_k = -0.5^k/k on both sides
     e_series = scalar_E_series(geometric_log_table([0.5], [0.5]), 256)
     assert abs(e_op - 4.0 / 3.0) < 1e-9
@@ -82,15 +81,29 @@ def test_e_operator_scalar_product_symbol():
 
 
 def test_e_operator_dimer_symbol():
-    e_op = szego_E_operator(symbol_phi(DimerParams(0.6)), CFG)
+    e_op = szego_E_operator(symbol_phi(DimerParams(0.6)))
     assert abs(e_op - 0.10960277122488374) < 1e-6
 
 
 def test_e_operator_stable_under_doubling():
-    half = TruncationConfig(op_order=128)
     for params in (DimerParams(0.5), DimerParams(0.3)):
         sym = symbol_phi(params)
-        assert abs(szego_E_operator(sym, half) - szego_E_operator(sym, CFG)) < CFG.tolerance
+        tabs = fourier_coefficients(sym), fourier_coefficients(pointwise_inverse(sym))
+        assert abs(_operator_det(*tabs, 128) - _operator_det(*tabs, 256)) < 1e-10
+
+
+@pytest.mark.parametrize("t", [0.0786, 0.15, 0.6, 0.9327])
+def test_e_operator_truncation_follows_the_tail(t):
+    # the order is read off the tail curve: 269 and 362 at the two ends,
+    # where the fixed order 256 missed the tolerance
+    e_op = szego_E_operator(symbol_phi(DimerParams(t)))
+    assert abs(e_op - e_phi(t)) <= 1e-13 * abs(e_phi(t))
+
+
+@pytest.mark.parametrize("t", [0.0361, 0.9885])
+def test_e_operator_names_its_cap(t):
+    with pytest.raises(TailNotResolved, match=f"MAX_OP_ORDER = {MAX_OP_ORDER}"):
+        szego_E_operator(symbol_phi(DimerParams(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +143,7 @@ def test_hankel_trace_geometric_log():
 def test_hankel_traces_match_closed_forms():
     # the two log-symbol traces behind the scalar-shift reduction
     params = DimerParams(0.3)
-    tab1, tab2 = alpha_log_tables(params, 2048)
+    tab1, tab2 = alpha_log_tables(params)
     r = spectral_roots(0.3)
     tr12 = hankel_trace(tab1, tab2, 2048)
     expected12 = -np.log((1 - 0.09 * r.xi1) * (1 - 0.09 * r.xi2))
@@ -172,7 +185,7 @@ def test_correction_factor_trivial_cases():
 
 def test_correction_factors_reproduce_prefactor():
     params = DimerParams(0.3)
-    tab1, tab2 = alpha_log_tables(params, 2048)
+    tab1, tab2 = alpha_log_tables(params)
     a1 = combine_tables([tab1], [-0.5])
     a2 = combine_tables([tab1, tab2], [0.5, 0.5])
     ratio = correction_factor(a1, 2, 2048) / correction_factor(a2, 2, 2048)
@@ -237,7 +250,7 @@ def test_widom_vs_series_randomized():
 def test_bocg_one_sided_residual_is_one():
     tab = fourier_coefficients(laurent_symbol([0.5], []), 64, 8)
     for n in (1, 2, 4):
-        assert abs(bocg_residual(tab, n, CFG) - 1.0) < 1e-12
+        assert abs(bocg_residual(tab, n) - 1.0) < 1e-12
 
 
 def test_bocg_identity_below_the_band():
@@ -248,17 +261,17 @@ def test_bocg_identity_below_the_band():
     g = geometric_mean(symbol_psi(params))
     inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
     for n in (1, 2):
-        res = bocg_residual(psi_tab, n, CFG)
+        res = bocg_residual(psi_tab, n)
         det_n = log_determinant(toeplitz_matrix(inv_tab, n)).value
         predicted = e_psi / g ** n * res
         assert abs(det_n - predicted) <= 1e-8 * abs(det_n)
-    assert abs(bocg_residual(psi_tab, 1, CFG) - 1.0) > 0.1  # not trivially 1
+    assert abs(bocg_residual(psi_tab, 1) - 1.0) > 0.1  # not trivially 1
 
 
 def test_bocg_residual_tends_to_one():
     params = DimerParams(0.4)
     psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
-    assert abs(bocg_residual(psi_tab, 12, CFG) - 1.0) < 1e-8
+    assert abs(bocg_residual(psi_tab, 12) - 1.0) < 1e-8
 
 
 def test_bocg_consistent_with_banded_formula_at_band():
@@ -268,15 +281,14 @@ def test_bocg_consistent_with_banded_formula_at_band():
     psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
     e_psi = widom_banded_E(psi_tab, 3)
     g = geometric_mean(symbol_psi(params))
-    res = bocg_residual(psi_tab, 3, CFG)
+    res = bocg_residual(psi_tab, 3)
     inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
     det3 = log_determinant(toeplitz_matrix(inv_tab, 3)).value
     assert abs(e_psi / g ** 3 * res - det3) <= 1e-8 * abs(det3)
 
 
-def bocg_dense(psi_tab, n, cfg):
-    """det(I - H(z^{-n} psi) T(psitilde)^{-1} H(psitilde z^{-n}) T(psi)^{-1}) at full op_order."""
-    m = cfg.op_order
+def bocg_dense(psi_tab, n, m):
+    """det(I - H(z^{-n} psi) T(psitilde)^{-1} H(psitilde z^{-n}) T(psi)^{-1}), all m x m blocks."""
     t_psi = scipy.linalg.lu_factor(toeplitz_section(psi_tab, m))
     t_psit = scipy.linalg.lu_factor(toeplitz_section(psi_tab, m, reflected=True))
     h1 = hankel_section(psi_tab, m, shift=n)
@@ -290,31 +302,34 @@ def bocg_dense(psi_tab, n, cfg):
 def test_bocg_residual_matches_dense_truncation(t):
     psi_tab = fourier_coefficients(symbol_psi(DimerParams(t)), 64, 8)
     for n in (0, 1, 2, 3, 5, 8, 12):
-        dense = bocg_dense(psi_tab, n, CFG)
-        assert abs(bocg_residual(psi_tab, n, CFG) - dense) <= 1e-12 * abs(dense)
+        dense = bocg_dense(psi_tab, n, 256)
+        assert abs(_bocg_truncated(psi_tab, n, 256) - dense) <= 1e-12 * abs(dense)
+        # the doubling stops at m = 64 here, where the truncation is already exact
+        assert abs(bocg_residual(psi_tab, n) - dense) <= 1e-12 * abs(dense)
 
 
 def test_bocg_residual_matches_dense_on_a_full_table():
     # every coefficient up to the order is nonzero; at n = 0 and 2 the support
-    # order - n exceeds op_order = 8 and is clipped to it
+    # order - n exceeds the truncation m = 8 and is clipped to it
     rng = np.random.default_rng(3)
     ks = np.abs(np.arange(-12, 13))
     coeffs = (rng.normal(size=(25, 2, 2)) + 1j * rng.normal(size=(25, 2, 2))) \
         * 0.8 ** ks[:, None, None]
     coeffs[12] += 8.0 * np.eye(2)
     tab = FourierTable(2, 12, coeffs)
-    cfg = TruncationConfig(op_order=8)
     for n in (0, 2, 6, 11, 12):
-        dense = bocg_dense(tab, n, cfg)
-        assert abs(bocg_residual(tab, n, cfg) - dense) <= 1e-12 * abs(dense)
-    assert abs(bocg_dense(tab, 6, cfg) - 1.0) > 1e-3  # not trivially 1
+        dense = bocg_dense(tab, n, 8)
+        assert abs(_bocg_truncated(tab, n, 8) - dense) <= 1e-12 * abs(dense)
+    assert abs(bocg_dense(tab, 6, 8) - 1.0) > 1e-3  # not trivially 1
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_bocg_singular_truncation():
     tab = FourierTable.from_coeff_map({1: 1.0}, 4)
     with pytest.raises(TruncatedOperatorSingular):
-        bocg_residual(tab, 1, TruncationConfig(op_order=8))
+        _bocg_truncated(tab, 1, 8)
+    with pytest.raises(TruncatedOperatorSingular):
+        bocg_residual(tab, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +398,8 @@ def test_exp_representation_needs_real_t():
 
 @pytest.mark.parametrize("t", [0.4, 0.7])
 def test_three_way_agreement_spot(t):
-    e_op = szego_E_operator(symbol_phi(DimerParams(t)), CFG)
-    e_red = e_phi_reduction(DimerParams(t), CFG)
+    e_op = szego_E_operator(symbol_phi(DimerParams(t)))
+    e_red = e_phi_reduction(DimerParams(t))
     e_cf = e_phi(t)
     assert abs(e_op - e_cf) <= 1e-6 * abs(e_cf)
     assert abs(e_red - e_cf) <= 1e-6 * abs(e_cf)
