@@ -18,6 +18,7 @@ from dimerdet import (
     lambda_value,
     log_determinant,
     phi_table,
+    psi_table,
     symbol_psi,
     symbol_psi_inverse,
     toeplitz_matrix,
@@ -36,7 +37,7 @@ for n in (2, 4, 8):
 print()
 print("2. Banded-symbol reduction at t = 0.3:")
 params = DimerParams(0.3)
-psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
+psi_tab = psi_table(params)
 inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
 e_psi = widom_banded_E(psi_tab, 3)
 g = geometric_mean(symbol_psi(params))
@@ -50,7 +51,7 @@ print(f"   Lambda^2               = {(lam ** 2).real:.12f}")
 print()
 print("3. One-step residual identity at t = 0.4 (band is 3):")
 params = DimerParams(0.4)
-psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
+psi_tab = psi_table(params)
 inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
 e_psi = widom_banded_E(psi_tab, 3)
 g = geometric_mean(symbol_psi(params))

@@ -91,7 +91,7 @@ from .szego import (
     e_phi_reduction,
     exp_representation,
     hankel_trace,
-    scalar_E_series,
+    psi_table,
     szego_E_operator,
     widom_banded_E,
 )

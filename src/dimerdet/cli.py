@@ -17,6 +17,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +44,10 @@ from .spectral import (
 )
 from .szego import (
     bocg_residual,
+    correction_factor,
     correction_quotient,
-    e_phi_reduction,
     exp_representation,
-    scalar_E_series,
+    psi_table,
     szego_E_operator,
     widom_banded_E,
 )
@@ -267,92 +268,94 @@ def run_sweep(cfg: RunConfig) -> dict:
 # the identity-verification suite
 # ---------------------------------------------------------------------------
 
-def _psi_table(params: DimerParams) -> FourierTable:
-    return fourier_coefficients(symbol_psi(params), 64, 8)
+class Quantities:
+    """The quantities the identities share, for one run: each is computed on
+    its first read and kept, so ``--identity all`` builds each once."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.params = cfg, DimerParams(cfg.t)
+        self._dets = {}
+
+    psi_tab = cached_property(lambda q: psi_table(q.params))
+    e_psi = cached_property(lambda q: widom_banded_E(q.psi_tab, 3))
+    g_psi = cached_property(lambda q: geometric_mean(symbol_psi(q.params)))
+    #: E(phi) / E(psi), the trace-correction quotient
+    quotient = cached_property(lambda q: correction_quotient(q.params, q.cfg.tolerance))
+
+    def psi_inverse_det(self, n: int) -> complex:
+        """det T_n(psi^{-1}), from a table resolved to at least the order n - 1."""
+        if n not in self._dets:
+            inv_tab = fourier_coefficients(symbol_psi_inverse(self.params), order=n - 1)
+            self._dets[n] = log_determinant(toeplitz_matrix(inv_tab, n)).value
+        return self._dets[n]
 
 
-def _psi_inverse_det(params: DimerParams, n: int) -> complex:
-    """det T_n(psi^{-1}), from a table resolved to at least the order n - 1."""
-    inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=n - 1)
-    return log_determinant(toeplitz_matrix(inv_tab, n)).value
-
-
-def _verify_dimer_toeplitz(cfg: RunConfig):
-    n = cfg.n or 8
-    params = DimerParams(cfg.t)
-    det_m = log_determinant(dimer_matrix(params, n)).value
-    tab = fourier_coefficients(symbol_phi(params), order=n - 1)
+def _verify_dimer_toeplitz(q: Quantities):
+    n = q.cfg.n or 8
+    det_m = log_determinant(dimer_matrix(q.params, n)).value
+    tab = fourier_coefficients(symbol_phi(q.params), order=n - 1)
     det_t = log_determinant(toeplitz_matrix(tab, n)).value
     return abs(det_m - det_t) / abs(det_t), 1e-8, n
 
 
-def _verify_widom(cfg: RunConfig):
-    params = DimerParams(cfg.t)
-    e_psi = widom_banded_E(_psi_table(params), 3)
-    g = geometric_mean(symbol_psi(params))
-    lam = lambda_value(params.t)
+def _verify_widom(q: Quantities):
+    e_psi, g = q.e_psi, q.g_psi
+    lam = lambda_value(q.params.t)
     return abs(e_psi - g ** 3 * lam ** 2) / abs(e_psi), 1e-8, 3
 
 
-def _verify_exp_rep(cfg: RunConfig):
-    params = DimerParams(cfg.t)
-    rep = exp_representation(params)
+def _verify_exp_rep(q: Quantities):
+    rep = exp_representation(q.params)
     x = 2 * np.pi * np.arange(256) / 256 - np.pi
     rec = rep.reconstructed.sample(x)
-    target = symbol_phi_product(params).sample(x)
+    target = symbol_phi_product(q.params).sample(x)
     return float(np.max(np.abs(rec - target))), 1e-9, None
 
 
-def _verify_lambda(cfg: RunConfig):
-    params = DimerParams(cfg.t)
-    det3 = _psi_inverse_det(params, 3)
-    lam = lambda_value(params.t)
+def _verify_lambda(q: Quantities):
+    det3 = q.psi_inverse_det(3)
+    lam = lambda_value(q.params.t)
     return abs(lam ** 2 - det3) / abs(det3), 1e-8, 3
 
 
-def _verify_prefactor(cfg: RunConfig):
-    params = DimerParams(cfg.t)
-    ratio = correction_quotient(params, cfg.tolerance)
-    expected = prefactor(params.t)
+def _verify_prefactor(q: Quantities):
+    ratio = q.quotient
+    expected = prefactor(q.params.t)
     return abs(ratio - expected) / abs(expected), 1e-8, None
 
 
-def _verify_bocg(cfg: RunConfig):
-    n = cfg.n or 3
-    params = DimerParams(cfg.t)
-    psi_tab = _psi_table(params)
-    e_psi = widom_banded_E(psi_tab, 3)
-    g = geometric_mean(symbol_psi(params))
-    res = bocg_residual(psi_tab, n, cfg.tolerance)
-    det_n = _psi_inverse_det(params, n)
+def _verify_bocg(q: Quantities):
+    n = q.cfg.n or 3
+    e_psi, g = q.e_psi, q.g_psi
+    res = bocg_residual(q.psi_tab, n, q.cfg.tolerance)
+    det_n = q.psi_inverse_det(n)
     return abs(det_n - e_psi / g ** n * res) / abs(det_n), 1e-8, n
 
 
-def _verify_continuation(cfg: RunConfig):
-    n = cfg.n or 8
-    seq = theta_decomposition(cfg.t, n)
+def _verify_continuation(q: Quantities):
+    n = q.cfg.n or 8
+    seq = theta_decomposition(q.cfg.t, n)
     return seq.identity_residual, 1e-9, n
 
 
-def _verify_kernel_closed_forms(cfg: RunConfig):
-    syms = kernel_symbols(DimerParams(cfg.t))
+def _verify_kernel_closed_forms(q: Quantities):
+    syms = kernel_symbols(q.params)
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
     err = max(float(np.max(np.abs(syms.st_quadrature(x) - syms.st_closed(x)))),
               float(np.max(np.abs(syms.v_quadrature(x) - syms.v_closed(x)))))
     return err, 1e-9, None
 
 
-def _verify_three_way_e(cfg: RunConfig):
-    params = DimerParams(cfg.t)
-    e_op = szego_E_operator(symbol_phi(params), cfg.tolerance)
-    e_red = e_phi_reduction(params, cfg.tolerance)
-    e_cf = e_phi(params.t)
+def _verify_three_way_e(q: Quantities):
+    e_op = szego_E_operator(symbol_phi(q.params), q.cfg.tolerance)
+    e_red = q.quotient * q.e_psi
+    e_cf = e_phi(q.params.t)
     residual = max(abs(e_op - e_cf), abs(e_red - e_cf), abs(e_op - e_red)) / abs(e_cf)
     return residual, 1e-6, None
 
 
-def _verify_scalar_widom(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
+def _verify_scalar_widom(q: Quantities):
+    rng = np.random.default_rng(q.cfg.seed)
     ks = np.arange(1, 257)
     worst = 0.0
     for _ in range(20):
@@ -365,12 +368,7 @@ def _verify_scalar_widom(cfg: RunConfig):
 
         def sym_eval(x, gs=gammas, ds=deltas):
             z = np.exp(1j * x)
-            out = np.ones_like(z)
-            for g in gs:
-                out = out * (1.0 - g * z)
-            for d in ds:
-                out = out * (1.0 - d / z)
-            return out
+            return np.prod([1.0 - g * z for g in gs] + [1.0 - d / z for d in ds], axis=0)
 
         tab = fourier_coefficients(ScalarSymbol(sym_eval), 128, 16)
         # log of each factor (1 - g z): coefficients -g^k / k at k >= 1
@@ -379,7 +377,7 @@ def _verify_scalar_widom(cfg: RunConfig):
         logs[:256, 0, 0] = (-sum(d ** ks for d in deltas) / ks)[::-1]
         log_tab = FourierTable(1, 256, logs)
         e_w = widom_banded_E(tab, n_up, grid_size=1024)
-        e_s = scalar_E_series(log_tab, 256)
+        e_s = correction_factor(log_tab, 1, 256)
         worst = max(worst, abs(e_w - e_s))
     return worst, 1e-9, None
 
@@ -400,10 +398,11 @@ IDENTITIES = {
 
 def run_verify(cfg: RunConfig) -> dict:
     names = sorted(IDENTITIES) if cfg.identity == "all" else [cfg.identity]
+    quantities = Quantities(cfg)
     rows = []
     failed = None
     for name in names:
-        residual, tol, n = IDENTITIES[name](cfg)
+        residual, tol, n = IDENTITIES[name](quantities)
         status = "pass" if residual <= tol else "fail"
         if status == "fail" and failed is None:
             failed = name

@@ -118,6 +118,9 @@ class FourierTable:
     coeffs: np.ndarray  # shape (2*order+1, N, N)
     tail_tol: float = TAIL_TOL
 
+    def __post_init__(self):  # readers share a table; none may change it
+        self.coeffs.setflags(write=False)
+
     def coeff(self, k: int) -> np.ndarray:
         if abs(k) > self.order:
             return np.zeros((self.block_size, self.block_size), dtype=complex)

@@ -52,8 +52,8 @@ log = logging.getLogger(__name__)
 
 #: the largest operator truncation m (in blocks) that :func:`szego_E_operator`
 #: and :func:`bocg_residual` build.  Memory, not time, sets it: with 2x2
-#: blocks the product holds three (2m)^2 complex buffers, 28 MB at m = 384,
-#: and every further 64 adds about 10 MB
+#: blocks the product holds two (2m)^2 complex buffers, 19 MB at m = 384,
+#: and every further 64 adds about 7 MB
 MAX_OP_ORDER = 384
 
 
@@ -127,26 +127,14 @@ def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> co
 def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
     """det(I - H(sym) H(symtilde^{-1})) on the order-m truncation, from the
     tables of sym and sym^{-1}, built and factored in one buffer."""
-    a = hankel_section(tab, m) @ hankel_section(tab_inv, m, reflected=True)
+    a, h2 = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
+    # the product overwrites H1 a row block at a time, so two buffers are live
+    for lo in range(0, a.shape[0], 128):
+        a[lo:lo + 128] = a[lo:lo + 128] @ h2
     a *= -1.0
     a.flat[::a.shape[0] + 1] += 1.0
     # a.T is Fortran-ordered, so pivoted_lu factors it in place; det a.T = det a
     return pivoted_lu(a.T)[2].value
-
-
-def _partial_sum_with_tail(terms: np.ndarray, tol: float, what: str) -> complex:
-    total = complex(np.sum(terms))
-    est = _geometric_tail(np.abs(terms))
-    log.debug("%s: tail estimate %.3e", what, est)
-    if est > tol:
-        raise TailNotResolved(f"{what}: series tail estimate {est:.3e} exceeds {tol:.1e}")
-    return total
-
-
-def scalar_E_series(logsym_coeffs: FourierTable, order: int,
-                    tol: float = 1e-10) -> complex:
-    """E from the scalar identity exp(sum k [log phi]_k [log phi]_{-k})."""
-    return complex(np.exp(hankel_trace(logsym_coeffs, logsym_coeffs, order, tol)))
 
 
 def hankel_trace(a: FourierTable, b: FourierTable, order: int,
@@ -157,13 +145,17 @@ def hankel_trace(a: FourierTable, b: FourierTable, order: int,
     order = min(order, a.order, b.order)
     terms = (np.arange(1, order + 1) * _one_side(a, 1)[:order, 0, 0]
              * _one_side(b, -1)[:order, 0, 0])
-    return _partial_sum_with_tail(terms, tol, "hankel_trace")
+    est = _geometric_tail(np.abs(terms))
+    log.debug("hankel_trace: tail estimate %.3e", est)
+    if est > tol:
+        raise TailNotResolved(f"hankel_trace: series tail estimate {est:.3e} exceeds {tol:.1e}")
+    return complex(np.sum(terms))
 
 
 def correction_factor(a: FourierTable, block_size: int, order: int,
                       tol: float = 1e-10) -> complex:
     """exp(N trace H(a) H(atilde)): the scalar-shift factor relating
-    E(e^{a I_N + Q}) to E(e^Q)."""
+    E(e^{a I_N + Q}) to E(e^Q), and at N = 1 the scalar constant E(e^a)."""
     return complex(np.exp(block_size * hankel_trace(a, a, order, tol)))
 
 
@@ -374,6 +366,11 @@ def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:
             / correction_factor(a2, 2, a2.order, tol))
 
 
+def psi_table(params: DimerParams) -> FourierTable:
+    """The table of the band-3 symbol psi = sigma^{-1} phi, to order 8."""
+    return fourier_coefficients(symbol_psi(params), 64, 8)
+
+
 def e_phi_reduction(params: DimerParams, tol: float = 1e-10) -> complex:
     """E(phi) by the trace-correction + banded-determinant route.
 
@@ -381,5 +378,4 @@ def e_phi_reduction(params: DimerParams, tol: float = 1e-10) -> complex:
     E(sigma^{-1} phi) itself is a band-3 symbol handled by the
     finite-determinant formula.
     """
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
-    return complex(correction_quotient(params, tol) * widom_banded_E(psi_tab, 3))
+    return complex(correction_quotient(params, tol) * widom_banded_E(psi_table(params), 3))

@@ -14,6 +14,7 @@ from dimerdet import (
     alpha_log_tables,
     b_hat,
     bocg_residual,
+    correction_factor,
     correlation_limit,
     dimer_matrix,
     e_phi,
@@ -25,7 +26,6 @@ from dimerdet import (
     lambda_value,
     log_determinant,
     phi_table,
-    scalar_E_series,
     spectral_roots,
     symbol_phi,
     symbol_phi_product,
@@ -229,7 +229,7 @@ def test_criterion_11_scalar_widom_randomized():
             coeffs[-k] = -sum(d ** k for d in deltas) / k
         log_tab = FourierTable.from_coeff_map(coeffs, 256)
         diff = abs(widom_banded_E(tab, n_up, grid_size=1024)
-                   - scalar_E_series(log_tab, 256))
+                   - correction_factor(log_tab, 1, 256))
         worst = max(worst, diff)
         assert diff <= 1e-9
     report(11, "randomized banded/series agreement", f"20 symbols, worst {worst:.2e}")

@@ -346,3 +346,92 @@ def test_sweep_up_to_one_has_no_error_rows(capsys):
     rows = parse_csv(out)
     assert len(rows) == 200
     assert [row["t_re"] for row in rows if row["note"].startswith("error:")] == []
+
+
+def _identity_rows(args, capsys):
+    code, out = run_cli(["verify", "--format", "json"] + args, capsys)
+    assert code == 0
+    return {row["identity"]: row for row in json.loads(out)["rows"]}
+
+
+def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
+    from dimerdet import cli, szego
+
+    # symbols and tables handed out by the patched builders, so the tables,
+    # means and determinants built from psi can be told from all others
+    made = {"psi": [], "psi table": [], "psi inverse": [], "psi inverse table": []}
+    counts = {"psi table": 0, "E(psi)": 0, "G(psi)": 0, "quotient": 0, "det T_3": 0}
+
+    def made_from(kind, obj):
+        return any(obj is m for m in made[kind])
+
+    def patch(name, before=None, after=None):
+        for module in (cli, szego):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def wrapper(*args, _original=original, **kwargs):
+                if before is not None:
+                    before(*args, **kwargs)
+                result = _original(*args, **kwargs)
+                if after is not None:
+                    after(result, *args, **kwargs)
+                return result
+            monkeypatch.setattr(module, name, wrapper)
+
+    def count(key, test=lambda *args, **kwargs: True):
+        def before(*args, **kwargs):
+            counts[key] += bool(test(*args, **kwargs))
+        return before
+
+    def fourier_after(tab, sym, *args, **kwargs):
+        if made_from("psi", sym):
+            counts["psi table"] += 1
+            made["psi table"].append(tab)
+        elif made_from("psi inverse", sym):
+            made["psi inverse table"].append(tab)
+
+    patch("symbol_psi", after=lambda sym, *a, **k: made["psi"].append(sym))
+    patch("symbol_psi_inverse", after=lambda sym, *a, **k: made["psi inverse"].append(sym))
+    patch("fourier_coefficients", after=fourier_after)
+    patch("widom_banded_E", before=count("E(psi)", lambda tab, *a, **k: made_from("psi table", tab)))
+    patch("geometric_mean", before=count("G(psi)", lambda sym, *a, **k: made_from("psi", sym)))
+    patch("correction_quotient", before=count("quotient"))
+    patch("toeplitz_matrix", before=count(
+        "det T_3", lambda tab, n, *a, **k: n == 3 and made_from("psi inverse table", tab)))
+
+    code, _ = run_cli(["verify", "--identity", "all", "--t", "0.3"], capsys)
+    assert code == 0
+    assert counts == {"psi table": 1, "E(psi)": 1, "G(psi)": 1, "quotient": 1, "det T_3": 1}
+
+
+def test_verify_exp_rep_reads_no_psi_quantity(monkeypatch, capsys):
+    from dimerdet import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp-rep read a psi quantity")
+    monkeypatch.setattr(cli, "psi_table", refuse)
+    monkeypatch.setattr(cli, "symbol_psi", refuse)
+    code, out = run_cli(["verify", "--identity", "exp-rep", "--t", "0.3"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("t", ["0.15", "0.3", "0.75"])
+def test_each_identity_alone_matches_its_row_in_all(t, capsys):
+    from dimerdet.cli import IDENTITIES
+
+    together = _identity_rows(["--identity", "all", "--t", t], capsys)
+    assert sorted(together) == sorted(IDENTITIES)
+    for name in IDENTITIES:
+        alone = _identity_rows(["--identity", name, "--t", t], capsys)
+        assert alone == {name: together[name]}
+
+
+def test_each_identity_alone_matches_its_row_in_all_at_given_n(capsys):
+    together = _identity_rows(["--identity", "all", "--t", "0.3", "--n", "5"], capsys)
+    for name in ("bocg", "continuation", "dimer-toeplitz"):
+        alone = _identity_rows(["--identity", name, "--t", "0.3", "--n", "5"], capsys)
+        assert alone == {name: together[name]}
+        assert alone[name]["n"] == 5

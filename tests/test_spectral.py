@@ -100,6 +100,15 @@ def test_dft_round_trip():
     assert np.max(np.abs(direct - resampled)) < 10 * TAIL_TOL
 
 
+def test_table_coefficients_are_read_only():
+    # a table shared between readers cannot be changed by one of them
+    tab = fourier_coefficients(harmonic(1), 64, 8)
+    with pytest.raises(ValueError):
+        tab.coeffs[tab.order] = 1.0
+    with pytest.raises(ValueError):
+        tab.coeff(1)[0, 0] = 2.0
+
+
 def test_toeplitz_constant():
     tab = fourier_coefficients(ScalarSymbol.constant(5.0), 64, 8)
     assert np.max(np.abs(toeplitz_matrix(tab, 3) - 5.0 * np.eye(3))) < 1e-13

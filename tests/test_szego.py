@@ -26,7 +26,6 @@ from dimerdet import (
     log_determinant,
     pointwise_inverse,
     prefactor,
-    scalar_E_series,
     spectral_roots,
     symbol_phi,
     symbol_phi_product,
@@ -74,7 +73,7 @@ def test_e_operator_scalar_product_symbol():
     sym = laurent_symbol([0.5], [0.5])
     e_op = szego_E_operator(sym)
     # oracle: scalar series with [log psi]_k = -0.5^k/k on both sides
-    e_series = scalar_E_series(geometric_log_table([0.5], [0.5]), 256)
+    e_series = correction_factor(geometric_log_table([0.5], [0.5]), 1, 256)
     assert abs(e_op - 4.0 / 3.0) < 1e-9
     assert abs(e_series - 4.0 / 3.0) < 1e-12
     assert abs(e_op - e_series) < 1e-9
@@ -112,12 +111,12 @@ def test_e_operator_names_its_cap(t):
 
 def test_scalar_series_zeroth_only():
     tab = FourierTable.from_coeff_map({0: 3.7}, 8)
-    assert abs(scalar_E_series(tab, 8) - 1.0) < 1e-15
+    assert abs(correction_factor(tab, 1, 8) - 1.0) < 1e-15
 
 
 def test_scalar_series_one_sided():
     tab = geometric_log_table([0.5, 0.3], [], order=64)
-    assert abs(scalar_E_series(tab, 64) - 1.0) < 1e-15
+    assert abs(correction_factor(tab, 1, 64) - 1.0) < 1e-15
 
 
 def test_scalar_series_tail_failure():
@@ -125,7 +124,7 @@ def test_scalar_series_tail_failure():
     coeffs.update({-k: 0.999 ** k / k for k in range(1, 65)})
     tab = FourierTable.from_coeff_map(coeffs, 64)
     with pytest.raises(TailNotResolved):
-        scalar_E_series(tab, 64)
+        correction_factor(tab, 1, 64)
 
 
 def test_hankel_trace_one_sided_is_zero():
@@ -173,7 +172,7 @@ def test_sliced_sums_equal_per_k_loop():
         top = min(order, a.order)
         terms = np.array([k * a.scalar(k) * a.scalar(-k) for k in range(1, top + 1)])
         expected = np.exp(np.sum(terms))
-        assert abs(scalar_E_series(a, order, tol=1.0) - expected) <= 1e-14 * abs(expected)
+        assert abs(correction_factor(a, 1, order, tol=1.0) - expected) <= 1e-14 * abs(expected)
 
 
 def test_correction_factor_trivial_cases():
@@ -239,7 +238,7 @@ def test_widom_vs_series_randomized():
                   for _ in range(n_dn)]
         tab = fourier_coefficients(laurent_symbol(gammas, deltas), 128, 16)
         e_w = widom_banded_E(tab, n_up, grid_size=1024)
-        e_s = scalar_E_series(geometric_log_table(gammas, deltas), 256)
+        e_s = correction_factor(geometric_log_table(gammas, deltas), 1, 256)
         assert abs(e_w - e_s) < 1e-9
 
 
