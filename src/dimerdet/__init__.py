@@ -38,10 +38,8 @@ from .dimer import (
     KernelSymbols,
     dimer_coefficients,
     dimer_matrix,
-    flip_conjugate,
     kernel_symbols,
     phi_table,
-    symbol_a_b,
     symbol_d,
     symbol_phi,
     symbol_phi_product,
@@ -52,7 +50,6 @@ from .errors import (
     BranchFailure,
     DecompositionMismatch,
     DegenerateRoots,
-    DimensionMismatch,
     DimerdetError,
     InvariantViolation,
     NonzeroWinding,

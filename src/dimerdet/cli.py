@@ -23,11 +23,12 @@ import numpy as np
 
 from . import __version__
 from .closed_form import correlation_limit, e_phi, lambda_value, prefactor, spectral_roots
-from .continuation import correlation_finite, limit_scan, theta_decomposition
+from .continuation import correlation_finite, e_plus_symbol, limit_scan, theta_decomposition
 from .dimer import (
     DimerParams,
     dimer_matrix,
     kernel_symbols,
+    symbol_d,
     symbol_phi,
     symbol_phi_product,
     symbol_psi,
@@ -339,10 +340,11 @@ def _verify_continuation(q: Quantities):
 
 
 def _verify_kernel_closed_forms(q: Quantities):
+    # the closed forms are e+/2 and d/2, the entries P(n) is computed from
     syms = kernel_symbols(q.params)
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
-    err = max(float(np.max(np.abs(syms.st_quadrature(x) - syms.st_closed(x)))),
-              float(np.max(np.abs(syms.v_quadrature(x) - syms.v_closed(x)))))
+    err = max(float(np.max(np.abs(syms.st_quadrature(x) - e_plus_symbol(q.params.t)(x) / 2))),
+              float(np.max(np.abs(syms.v_quadrature(x) - symbol_d(q.params.t)(x) / 2))))
     return err, 1e-9, None
 
 

@@ -25,18 +25,12 @@ Conventions fixed here (they matter for cross-checks):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    ParameterOutOfRange,
-    QuadratureUnconverged,
-)
+from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged
 from .spectral import (
     FourierTable,
     _stack_entries,
@@ -50,8 +44,10 @@ from .spectral import (
 
 #: the relative change on the doubled torus grid below which a sum is accepted
 QUAD_TOL = 1e-10
-#: the finest torus grid the doubling rule tries; the integrands peak in a
-#: window of width O(Re t), so real t near 0.02 needs 2048 to 4096 points
+#: the cap of the torus doubling rule: grids run up to
+#: max(MAX_QUAD_GRID, 2 * start grid), so for n >= 511 (start grid 4096) the
+#: doubled check runs at 8192; the integrands peak in a window of width
+#: O(Re t), so real t near 0.02 needs 2048 to 4096 points
 MAX_QUAD_GRID = 4096
 
 
@@ -77,16 +73,18 @@ class DimerParams:
 
 
 class DimerCoefficients(NamedTuple):
-    """Maps k -> R_k and k -> Q_k at a fixed parameter, and their torus grid."""
+    """R_k and Q_k for k = k_min..k_max as arrays (``R[i]`` is R_{k_min + i}),
+    at a fixed parameter, and their torus grid."""
 
-    R: dict
-    Q: dict
+    k_min: int
+    R: np.ndarray
+    Q: np.ndarray
     t: complex
     grid: int
 
 
 # ---------------------------------------------------------------------------
-# torus quadrature for the R_k / Q_k double integrals
+# the one torus quadrature: y-sums of the kernels, then one FFT in x
 # ---------------------------------------------------------------------------
 
 def _doubled(sums, grid: int, what: str):
@@ -94,6 +92,9 @@ def _doubled(sums, grid: int, what: str):
     doubling moves no value by more than ``QUAD_TOL`` relative to
     max(1, |value|).  The integrands are smooth and periodic on the torus
     (the denominator cannot vanish for Re(t) > 0): convergence is spectral.
+
+    The grids tried run up to ``max(MAX_QUAD_GRID, 2 * grid)``: a start
+    grid at or above the cap still gets its one doubled check.
     """
     coarse = sums(grid)
     while True:
@@ -109,43 +110,43 @@ def _doubled(sums, grid: int, what: str):
         coarse = fine
 
 
-@functools.lru_cache(maxsize=32)
-def _reduced_grids(t: complex, grid: int):
-    """y-reduced sums shared by every coefficient index at fixed (t, grid).
+def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
+    """[S+T, V] at angles x, shape (2, len(x)), each a periodic trapezoid
+    sum over ``grid`` values of y (V with its global sign dropped).
 
-    Writing cos(kx + y) = cos(kx) cos(y) - sin(kx) sin(y) turns each double
-    integral into a single sum over x against precomputed y-sums, so the
-    O(grid^2) work is paid once per parameter, 128 rows of x at a time so
-    the work arrays stay O(grid).
+    With den = sin^2 x + cos^2 y + t^2 sin^2(x+y),
+      S+T(x) = -(1/4pi) e^{ix} int e^{iy} (i t sin(x+y) + cos y) / den dy,
+      V(x)   =  (1/4pi) sin x int 1 / den dy,
+    summed 128 angles at a time so the work arrays stay O(grid).
     """
-    g = 2.0 * np.pi * np.arange(grid) / grid - np.pi
-    cy, sy = np.cos(g), np.sin(g)
-    sums = np.empty((5, grid), dtype=complex)
-    for rows in (slice(lo, lo + 128) for lo in range(0, grid, 128)):
-        x = g[rows, None]
-        cxy = np.cos(x + g)
-        inv = 1.0 / (np.cos(x) ** 2 + cy ** 2 + t * t * cxy ** 2)
-        sums[0, rows] = inv @ cy ** 2
-        sums[1, rows] = inv @ (cy * sy)
-        sums[4, rows] = np.cos(g[rows]) * inv.sum(axis=1)
-        inv *= cxy
-        sums[2, rows] = inv @ cy
-        sums[3, rows] = inv @ sy
-    sums *= (2.0 * np.pi / grid) ** 2 / (8.0 * np.pi ** 2)
-    return g, sums
+    y = 2.0 * np.pi * np.arange(grid) / grid - np.pi
+    cy, eiy = np.cos(y), np.exp(1j * y)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((2, x.size), dtype=complex)
+    for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
+        xc = x[rows, None]
+        s = np.sin(xc + y)
+        inv = 1.0 / (np.sin(xc) ** 2 + cy ** 2 + t * t * s ** 2)
+        out[1, rows] = inv.sum(axis=1)
+        out[0, rows] = inv @ (cy * eiy) + 1j * t * ((inv * s) @ eiy)
+    out[0] *= -np.exp(1j * x)
+    out[1] *= np.sin(x)
+    return out / (2.0 * grid)
 
 
 def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
     """[R_k for k in ks] and [Q_k for k in ks] by tensor-product periodic
     trapezoid quadrature on the given torus grid.
 
-    Even k uses the cos(y) kernel with weight 1/(8 pi^2); odd k the
-    cos(x+y) kernel with an extra factor t.  Q_k vanishes for even k.
+    The x-Fourier coefficients of the double integrals are the kernels:
+    R_k = (-1)^[k/2] (S+T)^_{1-k} and Q_k = -i (-1)^[k/2] V^_k, where ^ is
+    the FFT of the samples on the x grid of the torus divided by its size,
+    so one FFT of each kernel gives every k.  Q_k vanishes for even k.
     """
-    x, (even_cos, even_sin, odd_cos, odd_sin, q_base) = _reduced_grids(t, grid)
-    c, s = np.cos(np.outer(ks, x)), np.sin(np.outer(ks, x))
-    r = np.where(ks % 2 == 0, c @ even_cos - s @ even_sin, t * (c @ odd_cos - s @ odd_sin))
-    return np.array([r, c @ q_base])
+    x = 2.0 * np.pi * np.arange(grid) / grid - np.pi
+    hat = np.fft.fft(_kernel_sums(t, x, grid), axis=1) / grid
+    sign = _half_floor_sign(ks)
+    return np.array([sign * hat[0, (1 - ks) % grid], -1j * sign * hat[1, ks % grid]])
 
 
 def dimer_coefficients(params: DimerParams, k_min: int, k_max: int) -> DimerCoefficients:
@@ -155,14 +156,14 @@ def dimer_coefficients(params: DimerParams, k_min: int, k_max: int) -> DimerCoef
     the doubled grid moves no coefficient (see :func:`_doubled`).
     """
     ks = np.arange(k_min, k_max + 1)
-    values, grid = _doubled(lambda grid: _coefficients(params.t, ks, grid),
+    (R, Q), grid = _doubled(lambda grid: _coefficients(params.t, ks, grid),
                             grid_for_order(max(abs(k_min), abs(k_max))),
                             f"R_k, Q_k for k in [{k_min}, {k_max}]")
-    R, Q = (dict(zip(ks.tolist(), map(complex, row))) for row in values)
-    for k, v in Q.items():
-        if k % 2 == 0 and abs(v) > 1e-14:
-            raise InvariantViolation(f"Q_{k} = {v} should vanish for even k")
-    return DimerCoefficients(R, Q, params.t, grid)
+    nonzero_even = np.flatnonzero((ks % 2 == 0) & (np.abs(Q) > 1e-14))
+    if nonzero_even.size:
+        i = nonzero_even[0]
+        raise InvariantViolation(f"Q_{ks[i]} = {Q[i]} should vanish for even k")
+    return DimerCoefficients(k_min, R, Q, params.t, grid)
 
 
 def _half_floor_sign(m: np.ndarray) -> np.ndarray:
@@ -186,14 +187,12 @@ def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
     k = np.arange(1, n + 1)[None, :]
 
     m = k - j
-    r_vals = np.array([[coeff.R[int(mm) + 1] for mm in row] for row in m])
-    rmat = 2.0 * _half_floor_sign(m) * r_vals
+    rmat = 2.0 * _half_floor_sign(m) * coeff.R[m + 1 - coeff.k_min]
     expo = np.where(j > k, j - k - 1, 0)
     rmat = rmat + np.where(j > k, params.t ** expo, 0.0)
 
     qi = n + 1 - j - k
-    q_vals = np.array([[coeff.Q[int(ii)] for ii in row] for row in qi])
-    qmat = 2.0j * _half_floor_sign(j + k) * q_vals
+    qmat = 2.0j * _half_floor_sign(j + k) * coeff.Q[qi - coeff.k_min]
 
     return np.block([[rmat, qmat], [qmat, rmat]])
 
@@ -305,21 +304,6 @@ def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
     return MatrixSymbol(lambda x: _eta(t, x)[:, None, None] * _psi_samples(t, -x), 2)
 
 
-def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:
-    """The scalar entries a = eta*p and b = eta*q of psi^{-1}.
-
-    ``a`` is the lower-right entry of psi^{-1} and ``b`` the lower-left one;
-    their Fourier coefficients are the inputs to the finite-determinant
-    constant algebra in :mod:`dimerdet.closed_form`.
-    """
-    if not params.is_real_unit_interval:
-        raise ParameterOutOfRange(f"symbol_a_b requires real t in (0, 1), got {params.t}")
-    t = params.t
-    a = ScalarSymbol(lambda x: _eta(t, x) * _p(t, x))
-    b = ScalarSymbol(lambda x: _eta(t, x) * _q(t, x))
-    return a, b
-
-
 def phi_table(params: DimerParams) -> FourierTable:
     """Fourier table of symbol_phi at the order its tail check resolves."""
     return fourier_coefficients(symbol_phi(params))
@@ -332,72 +316,22 @@ def phi_table(params: DimerParams) -> FourierTable:
 class KernelSymbols(NamedTuple):
     st_quadrature: ScalarSymbol
     v_quadrature: ScalarSymbol
-    st_closed: ScalarSymbol
-    v_closed: ScalarSymbol
-
-
-def _y_sums(t: complex, x: np.ndarray, grid: int):
-    """Angles x and y as a column and a row, and the torus denominator on them."""
-    y = (2.0 * np.pi * np.arange(grid) / grid - np.pi)[None, :]
-    xc = np.asarray(x, dtype=float)[:, None]
-    return xc, y, (np.cos(xc - np.pi / 2) ** 2 + np.cos(y) ** 2
-                   + t * t * np.cos(xc + y - np.pi / 2) ** 2)
-
-
-def _st_sum(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
-    """S+T at angles x as a periodic trapezoid sum over ``grid`` values of y."""
-    xc, y, den = _y_sums(t, x, grid)
-    s_num = t * np.cos(xc + y - np.pi / 2) * np.exp(1j * (xc + y - np.pi / 2))
-    t_num = -np.cos(y) * np.exp(1j * (xc + y))
-    return (2.0 * np.pi / grid) / (4.0 * np.pi) * np.sum((s_num + t_num) / den, axis=1)
-
-
-def _v_sum(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
-    """V (global sign dropped) at angles x, by the same y-sum as :func:`_st_sum`."""
-    xc, _, den = _y_sums(t, x, grid)
-    return (2.0 * np.pi / grid) / (4.0 * np.pi) * np.sum(np.cos(xc - np.pi / 2) / den, axis=1)
 
 
 def kernel_symbols(params: DimerParams) -> KernelSymbols:
-    """S+T and V as y-quadratures and as closed forms (V with sign dropped).
+    """S+T and V (global sign dropped) by the y-quadrature of :func:`_kernel_sums`.
 
-    Each quadrature evaluation sums over y by the periodic trapezoid rule on
-    a grid doubled from ``grid_for_order(MIN_ORDER)`` until the doubled grid
-    moves no value (see :func:`_doubled`).  The closed form of V omits the
-    n-dependent global sign, which does not affect any determinant built
-    from it.
+    Each evaluation sums over y by the periodic trapezoid rule on a grid
+    doubled from ``grid_for_order(MIN_ORDER)`` until the doubled grid moves
+    neither kernel (see :func:`_doubled`).  Their closed forms are e+/2 and
+    d/2 (:func:`dimerdet.continuation.e_plus_symbol`, :func:`symbol_d`).
     """
     if not params.is_real_unit_interval:
         raise ParameterOutOfRange(f"kernel_symbols requires real t in (0, 1), got {params.t}")
     t = params.t
 
-    def checked(sum_fn, what):
+    def row(i):
         return ScalarSymbol(lambda x: _doubled(
-            lambda grid: sum_fn(t, x, grid), grid_for_order(MIN_ORDER), what)[0])
+            lambda grid: _kernel_sums(t, x, grid), grid_for_order(MIN_ORDER), "S+T and V")[0][i])
 
-    st_closed = ScalarSymbol(lambda x: (
-        -(t * np.cos(x) + np.sin(x) ** 2) / (2.0 * (t - np.exp(-1j * x)) * _weight(t, x))
-        + 1.0 / (2.0 * (t - np.exp(-1j * x)))))
-    v_closed = ScalarSymbol(lambda x: np.sin(x) / (2.0 * _weight(t, x)))
-    return KernelSymbols(checked(_st_sum, "S+T"), checked(_v_sum, "V"),
-                           st_closed, v_closed)
-
-
-# ---------------------------------------------------------------------------
-# determinant-level operations
-# ---------------------------------------------------------------------------
-
-def flip_conjugate(mat: np.ndarray, n: int) -> np.ndarray:
-    """diag(I_n, W_n) . M . diag(I_n, W_n) with W_n the index reversal.
-
-    Conjugation by the involution W_n turns the sum-index (Hankel-type)
-    off-diagonal blocks of the dimer matrix into difference-index
-    (Toeplitz-type) blocks without changing the determinant.
-    """
-    mat = np.asarray(mat)
-    if mat.shape != (2 * n, 2 * n):
-        raise DimensionMismatch(f"expected shape {(2 * n, 2 * n)}, got {mat.shape}")
-    out = mat.copy()
-    out[n:, :] = out[n:, :][::-1, :]
-    out[:, n:] = out[:, n:][:, ::-1]
-    return out
+    return KernelSymbols(row(0), row(1))

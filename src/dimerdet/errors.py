@@ -38,10 +38,6 @@ class QuadratureUnconverged(DimerdetError):
     """Doubling the quadrature grid moved the result too much."""
 
 
-class DimensionMismatch(DimerdetError):
-    """Matrix dimensions are inconsistent with the requested operation."""
-
-
 class SingularDeterminant(DimerdetError):
     """A determinant needed downstream was flagged singular."""
 

@@ -21,10 +21,10 @@ from dimerdet import (
     log_determinant,
     prefactor,
     spectral_roots,
-    symbol_a_b,
     symbol_psi_inverse,
     toeplitz_matrix,
 )
+from oracles import symbol_a_b
 
 T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 

@@ -1,10 +1,13 @@
 """Tests for the torus quadrature, the dimer matrix, and its symbol."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dimerdet import (
     DimerParams,
+    InvariantViolation,
     ParameterOutOfRange,
     QuadratureUnconverged,
     kernel_symbols,
@@ -12,23 +15,30 @@ from dimerdet import (
     correlation_limit,
     dimer_coefficients,
     dimer_matrix,
-    flip_conjugate,
+    e_plus_symbol,
     fourier_coefficients,
     log_determinant,
     phi_table,
+    symbol_d,
     symbol_phi,
     symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
     toeplitz_matrix,
 )
-from dimerdet.dimer import (
-    MAX_QUAD_GRID,
-    _coefficients,
-    _reduced_grids,
-    _st_sum,
-    _v_sum,
-)
+from dimerdet import dimer
+from dimerdet.dimer import MAX_QUAD_GRID, _coefficients, _doubled, _kernel_sums
+from oracles import flip_conjugate
+
+
+def st_closed(t):
+    """S+T in closed form: half the regularized diagonal entry e+."""
+    return lambda x: e_plus_symbol(t)(x) / 2
+
+
+def v_closed(t):
+    """V (global sign dropped) in closed form: half the entry d."""
+    return lambda x: symbol_d(t)(x) / 2
 
 
 def fft_coeffs(sym, m=256):
@@ -60,9 +70,23 @@ def test_q_vanishes_for_even_k():
 
 def test_q_symmetry_in_k():
     params = DimerParams(0.8)
-    q = dimer_coefficients(params, -5, 5).Q
+    q = dimer_coefficients(params, -5, 5).Q   # q[i] is Q_{i-5}
     for k in (1, 3, 5):
-        assert abs(q[k] - q[-k]) < 1e-12
+        assert abs(q[k + 5] - q[-k + 5]) < 1e-12
+
+
+def test_q_parity_check_is_live(monkeypatch):
+    # an even harmonic slipped into V must surface as a nonzero even-k Q
+    real = dimer._kernel_sums
+
+    def tainted(t, x, grid):
+        sums = real(t, x, grid)
+        sums[1] += 1e-10 * np.cos(2 * np.asarray(x))
+        return sums
+
+    monkeypatch.setattr(dimer, "_kernel_sums", tainted)
+    with pytest.raises(InvariantViolation, match="should vanish for even k"):
+        dimer_coefficients(DimerParams(0.5), -3, 3)
 
 
 def test_quadrature_grid_convergence():
@@ -74,20 +98,73 @@ def test_quadrature_grid_convergence():
     assert np.max(np.abs(coarse[1] - fine[1])) < 1e-10  # Q_k
 
 
-def test_chunked_torus_sums_match_dense_sums():
-    # the y-sums taken in chunks of rows against the dense grid x grid form
-    t, grid = 0.4 + 0.2j, 512
+def dense_kernel_sums(t, x, grid):
+    """S+T and V at angles x as dense len(x) x grid trapezoid sums over y."""
+    y = (2.0 * np.pi * np.arange(grid) / grid - np.pi)[None, :]
+    xc = np.asarray(x, dtype=float)[:, None]
+    den = (np.cos(xc - np.pi / 2) ** 2 + np.cos(y) ** 2
+           + t * t * np.cos(xc + y - np.pi / 2) ** 2)
+    s_num = t * np.cos(xc + y - np.pi / 2) * np.exp(1j * (xc + y - np.pi / 2))
+    t_num = -np.cos(y) * np.exp(1j * (xc + y))
+    weight = (2.0 * np.pi / grid) / (4.0 * np.pi)
+    return (weight * np.sum((s_num + t_num) / den, axis=1),
+            weight * np.sum(np.cos(xc - np.pi / 2) / den, axis=1))
+
+
+@pytest.mark.parametrize("t", [0.7, 0.4 + 0.2j, 1.5])
+def test_kernel_sums_match_dense_sums(t):
+    # 300 angles, so the sums run over three chunks of rows
+    x = np.linspace(-np.pi, np.pi, 300, endpoint=False) + 0.01
+    sums = _kernel_sums(t, x, 512)
+    for got, dense in zip(sums, dense_kernel_sums(t, x, 512)):
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("t", [0.45, 0.4 + 0.2j, 1.5])
+@pytest.mark.parametrize("grid", [256, 512])
+def test_coefficients_match_dense_double_sums(t, grid):
+    # R_k, Q_k from one FFT of the kernels against the grid x grid sums of
+    # the double integrals: even k weighs cos(kx+y) cos(y), odd k
+    # t cos(kx+y) cos(x+y), and Q_k cos(kx) cos(x), all over 8 pi^2
+    ks = np.arange(-12, 14)
     g = 2.0 * np.pi * np.arange(grid) / grid - np.pi
     x, y = g[:, None], g[None, :]
-    den = np.cos(x) ** 2 + np.cos(y) ** 2 + t * t * np.cos(x + y) ** 2
-    dense = (2.0 * np.pi / grid) ** 2 / (8.0 * np.pi ** 2) * np.array([
-        np.sum(np.cos(y) ** 2 / den, axis=1),
-        np.sum(np.cos(y) * np.sin(y) / den, axis=1),
-        np.sum(np.cos(x + y) * np.cos(y) / den, axis=1),
-        np.sum(np.cos(x + y) * np.sin(y) / den, axis=1),
-        np.sum(np.cos(x) / den * np.ones_like(y), axis=1)])
-    _, sums = _reduced_grids(t, grid)
-    assert np.max(np.abs(sums - dense)) <= 1e-14 * np.max(np.abs(dense))
+    inv = (2.0 * np.pi / grid) ** 2 / (8.0 * np.pi ** 2) / (
+        np.cos(x) ** 2 + np.cos(y) ** 2 + t * t * np.cos(x + y) ** 2)
+    dense = np.array([
+        [np.sum(np.cos(k * x + y) * (np.cos(y) if k % 2 == 0 else t * np.cos(x + y)) * inv)
+         for k in ks],
+        [np.sum(np.cos(k * x) * np.cos(x) * inv) for k in ks]])
+    assert np.max(np.abs(_coefficients(t, ks, grid) - dense)) < 1e-14
+
+
+def test_doubled_grids_reach_twice_a_start_grid_above_the_cap():
+    # grids run up to max(MAX_QUAD_GRID, 2 * start grid)
+    def never_settles(grids):
+        return lambda grid: grids.append(grid) or np.array([float(len(grids))])
+
+    for start, tried in [(256, [256, 512, 1024, 2048, 4096]),
+                         (2048, [2048, 4096]),
+                         (MAX_QUAD_GRID, [MAX_QUAD_GRID, 2 * MAX_QUAD_GRID])]:
+        grids = []
+        with pytest.raises(QuadratureUnconverged, match="MAX_QUAD_GRID"):
+            _doubled(never_settles(grids), start, "stub")
+        assert grids == tried
+    grids = []
+    assert _doubled(lambda grid: grids.append(grid) or np.zeros(1), 4096, "stub")[1] == 8192
+    assert grids == [4096, 8192]
+
+
+def test_dimer_matrix_memory_stays_small():
+    # the torus sums run 128 angles at a time, so n = 240 (grid 2048) stays
+    # well below the dense grid x grid arrays
+    tracemalloc.start()
+    try:
+        dimer_matrix(DimerParams(0.3), 240)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_torus_grid_names_its_cap():
@@ -101,47 +178,46 @@ def test_sum_kernel_coefficients_match_r(t):
     # S_k + T_k = (-1)^[-k/2] R_{-k+1}: the sum-kernel closed form against
     # the 2-D quadrature
     params = DimerParams(t)
-    st = kernel_symbols(params).st_closed
-    coeffs, m = fft_coeffs(st)
-    r = dimer_coefficients(params, -3, 5).R
+    coeffs, m = fft_coeffs(st_closed(t))
+    r = dimer_coefficients(params, -3, 5).R   # r[i] is R_{i-3}
     for k in range(-4, 5):
         sign = 1.0 if (((-k) // 2) % 2 == 0) else -1.0
-        assert abs(coeffs[k % m] - sign * r[-k + 1]) < 1e-9
+        assert abs(coeffs[k % m] - sign * r[-k + 1 + 3]) < 1e-9
 
 
 def test_antisymmetric_kernel_coefficients_match_q():
     # with the global sign dropped, V_k = i (-1)^{1+floor(k/2)} Q_k (odd k)
     params = DimerParams(0.5)
-    v = kernel_symbols(params).v_closed
-    coeffs, m = fft_coeffs(v)
-    q = dimer_coefficients(params, -3, 3).Q
+    coeffs, m = fft_coeffs(v_closed(0.5))
+    q = dimer_coefficients(params, -3, 3).Q   # q[i] is Q_{i-3}
     for k in (-3, -1, 1, 3):
         sign = 1.0 if ((1 + (k // 2)) % 2 == 0) else -1.0
-        assert abs(coeffs[k % m] - 1j * sign * q[k]) < 1e-9
+        assert abs(coeffs[k % m] - 1j * sign * q[k + 3]) < 1e-9
 
 
 def test_kernel_quadrature_vs_closed_forms():
     syms = kernel_symbols(DimerParams(0.7))
+    st, v = st_closed(0.7), v_closed(0.7)
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
     # fixed grid 256, the value the grid-128 check returned
-    assert np.max(np.abs(_st_sum(0.7, x, 256) - syms.st_closed(x))) < 1e-9
-    assert np.max(np.abs(_v_sum(0.7, x, 256) - syms.v_closed(x))) < 1e-9
-    assert np.max(np.abs(syms.st_quadrature(x) - syms.st_closed(x))) < 1e-9
-    assert np.max(np.abs(syms.v_quadrature(x) - syms.v_closed(x))) < 1e-9
+    st_sum, v_sum = _kernel_sums(0.7, x, 256)
+    assert np.max(np.abs(st_sum - st(x))) < 1e-9
+    assert np.max(np.abs(v_sum - v(x))) < 1e-9
+    assert np.max(np.abs(syms.st_quadrature(x) - st(x))) < 1e-9
+    assert np.max(np.abs(syms.v_quadrature(x) - v(x))) < 1e-9
 
 
 def test_kernel_spot_values():
-    params = DimerParams(0.5)
-    st = kernel_symbols(params).st_closed
+    st = st_closed(0.5)
     assert abs(st(np.array([0.0]))[0]) < 1e-12
-    v = kernel_symbols(DimerParams(0.3)).v_closed
+    v = v_closed(0.3)
     assert abs(abs(v(np.array([np.pi / 2]))[0]) - 0.34585723193303733) < 1e-12
 
 
 def test_dimer_matrix_n1_structure():
     params = DimerParams(0.4)
     m1 = dimer_matrix(params, 1)
-    r1 = dimer_coefficients(params, 1, 1).R[1]
+    r1 = dimer_coefficients(params, 1, 1).R[0]
     # Q index n+1-j-k = 0 at n=1, and Q_0 = 0, so M_1 is 2 R_1 times I_2
     assert np.max(np.abs(m1 - 2.0 * r1 * np.eye(2))) < 1e-13
     # and it matches the symbol side
@@ -173,8 +249,7 @@ def test_flip_conjugate_is_involution():
 
 
 def test_flip_conjugate_dimension_check():
-    from dimerdet import DimensionMismatch
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError):
         flip_conjugate(np.eye(6), 4)
 
 
@@ -215,9 +290,9 @@ def test_dimer_coefficients_bundle():
     params = DimerParams(0.6)
     bundle = dimer_coefficients(params, -3, 3)
     assert bundle.t == params.t
-    assert set(bundle.R) == set(range(-3, 4))
+    assert bundle.k_min == -3 and len(bundle.R) == len(bundle.Q) == 7
     for k in (-2, 0, 2):
-        assert bundle.Q[k] == _coefficients(params.t, np.arange(-3, 4), bundle.grid)[1, k + 3]
+        assert bundle.Q[k + 3] == _coefficients(params.t, np.arange(-3, 4), bundle.grid)[1, k + 3]
 
 
 def test_symbol_phi_domain():

@@ -22,12 +22,12 @@ from dimerdet import (
     pointwise_inverse,
     series_symbol,
     spectral_roots,
-    symbol_a_b,
     symbol_d,
     symbol_phi,
     toeplitz_matrix,
 )
 from dimerdet.spectral import MAX_ORDER, TAIL_TOL, grid_for_order, pivoted_lu
+from oracles import symbol_a_b
 
 
 def harmonic(k):
