@@ -35,7 +35,6 @@ from .continuation import (
 from .dimer import (
     DimerCoefficients,
     DimerParams,
-    KernelSymbols,
     dimer_coefficients,
     dimer_matrix,
     kernel_symbols,

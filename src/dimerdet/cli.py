@@ -341,10 +341,10 @@ def _verify_continuation(q: Quantities):
 
 def _verify_kernel_closed_forms(q: Quantities):
     # the closed forms are e+/2 and d/2, the entries P(n) is computed from
-    syms = kernel_symbols(q.params)
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
-    err = max(float(np.max(np.abs(syms.st_quadrature(x) - e_plus_symbol(q.params.t)(x) / 2))),
-              float(np.max(np.abs(syms.v_quadrature(x) - symbol_d(q.params.t)(x) / 2))))
+    st, v = kernel_symbols(q.params, x)
+    err = max(float(np.max(np.abs(st - e_plus_symbol(q.params.t)(x) / 2))),
+              float(np.max(np.abs(v - symbol_d(q.params.t)(x) / 2))))
     return err, 1e-9, None
 
 
@@ -378,7 +378,7 @@ def _verify_scalar_widom(q: Quantities):
         logs[257:, 0, 0] = -sum(g ** ks for g in gammas) / ks
         logs[:256, 0, 0] = (-sum(d ** ks for d in deltas) / ks)[::-1]
         log_tab = FourierTable(1, 256, logs)
-        e_w = widom_banded_E(tab, n_up, grid_size=1024)
+        e_w = widom_banded_E(tab, n_up)
         e_s = correction_factor(log_tab, 1, 256)
         worst = max(worst, abs(e_w - e_s))
     return worst, 1e-9, None

@@ -33,21 +33,21 @@ import numpy as np
 from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged
 from .spectral import (
     FourierTable,
+    _doubled,
     _stack_entries,
     MatrixSymbol,
     MIN_ORDER,
+    QUAD_TOL,
     ScalarSymbol,
     fourier_coefficients,
     grid_for_order,
 )
 
 
-#: the relative change on the doubled torus grid below which a sum is accepted
-QUAD_TOL = 1e-10
-#: the cap of the torus doubling rule: grids run up to
-#: max(MAX_QUAD_GRID, 2 * start grid), so for n >= 511 (start grid 4096) the
-#: doubled check runs at 8192; the integrands peak in a window of width
-#: O(Re t), so real t near 0.02 needs 2048 to 4096 points
+#: the cap of the torus doubling rule (:func:`dimerdet.spectral._doubled`):
+#: grids run up to max(MAX_QUAD_GRID, 2 * start grid), so for n >= 511 (start
+#: grid 4096) the doubled check runs at 8192; the integrands peak in a window
+#: of width O(Re t), so real t near 0.02 needs 2048 to 4096 points
 MAX_QUAD_GRID = 4096
 
 
@@ -87,29 +87,6 @@ class DimerCoefficients(NamedTuple):
 # the one torus quadrature: y-sums of the kernels, then one FFT in x
 # ---------------------------------------------------------------------------
 
-def _doubled(sums, grid: int, what: str):
-    """``sums(grid)`` and its grid, doubled from ``grid`` until one more
-    doubling moves no value by more than ``QUAD_TOL`` relative to
-    max(1, |value|).  The integrands are smooth and periodic on the torus
-    (the denominator cannot vanish for Re(t) > 0): convergence is spectral.
-
-    The grids tried run up to ``max(MAX_QUAD_GRID, 2 * grid)``: a start
-    grid at or above the cap still gets its one doubled check.
-    """
-    coarse = sums(grid)
-    while True:
-        fine = sums(2 * grid)
-        moved = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
-        if moved <= QUAD_TOL:
-            return fine, 2 * grid
-        grid *= 2
-        if 2 * grid > MAX_QUAD_GRID:
-            raise QuadratureUnconverged(
-                f"{what}: doubling the torus grid to {grid} moved the value by {moved:.3e}, "
-                f"at the cap MAX_QUAD_GRID = {MAX_QUAD_GRID}")
-        coarse = fine
-
-
 def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     """[S+T, V] at angles x, shape (2, len(x)), each a periodic trapezoid
     sum over ``grid`` values of y (V with its global sign dropped).
@@ -117,8 +94,10 @@ def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     With den = sin^2 x + cos^2 y + t^2 sin^2(x+y),
       S+T(x) = -(1/4pi) e^{ix} int e^{iy} (i t sin(x+y) + cos y) / den dy,
       V(x)   =  (1/4pi) sin x int 1 / den dy,
-    summed 128 angles at a time so the work arrays stay O(grid).
+    summed 128 angles at a time so the work arrays stay O(grid).  For real t
+    the denominator is real, and so is the arithmetic on it.
     """
+    tt = t.real * t.real if t.imag == 0 else t * t
     y = 2.0 * np.pi * np.arange(grid) / grid - np.pi
     cy, eiy = np.cos(y), np.exp(1j * y)
     x = np.asarray(x, dtype=float)
@@ -126,12 +105,17 @@ def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
         xc = x[rows, None]
         s = np.sin(xc + y)
-        inv = 1.0 / (np.sin(xc) ** 2 + cy ** 2 + t * t * s ** 2)
+        inv = 1.0 / (np.sin(xc) ** 2 + cy ** 2 + tt * s ** 2)
         out[1, rows] = inv.sum(axis=1)
-        out[0, rows] = inv @ (cy * eiy) + 1j * t * ((inv * s) @ eiy)
+        out[0, rows] = _dot(inv, cy * eiy) + 1j * t * _dot(inv * s, eiy)
     out[0] *= -np.exp(1j * x)
     out[1] *= np.sin(x)
     return out / (2.0 * grid)
+
+
+def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a complex vector v, with no complex copy of a real ``a``."""
+    return a @ v if np.iscomplexobj(a) else (a @ np.stack([v.real, v.imag], 1)) @ [1, 1j]
 
 
 def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
@@ -153,12 +137,14 @@ def dimer_coefficients(params: DimerParams, k_min: int, k_max: int) -> DimerCoef
     """All R_k, Q_k for k in [k_min, k_max], with the Q parity invariant.
 
     The torus grid doubles from ``grid_for_order`` of the largest |k| until
-    the doubled grid moves no coefficient (see :func:`_doubled`).
+    the doubled grid moves no coefficient (:func:`dimerdet.spectral._doubled`);
+    the integrands are smooth and periodic on the torus, so this is spectral.
     """
     ks = np.arange(k_min, k_max + 1)
     (R, Q), grid = _doubled(lambda grid: _coefficients(params.t, ks, grid),
-                            grid_for_order(max(abs(k_min), abs(k_max))),
-                            f"R_k, Q_k for k in [{k_min}, {k_max}]")
+                            grid_for_order(max(abs(k_min), abs(k_max))), MAX_QUAD_GRID,
+                            QUAD_TOL, QuadratureUnconverged,
+                            f"R_k, Q_k for k in [{k_min}, {k_max}]", "MAX_QUAD_GRID")
     nonzero_even = np.flatnonzero((ks % 2 == 0) & (np.abs(Q) > 1e-14))
     if nonzero_even.size:
         i = nonzero_even[0]
@@ -313,25 +299,17 @@ def phi_table(params: DimerParams) -> FourierTable:
 # the single-integral kernels behind the coefficients
 # ---------------------------------------------------------------------------
 
-class KernelSymbols(NamedTuple):
-    st_quadrature: ScalarSymbol
-    v_quadrature: ScalarSymbol
+def kernel_symbols(params: DimerParams, x) -> np.ndarray:
+    """[S+T, V] at angles x (V with its global sign dropped), shape
+    (2, len(x)), by the y-quadrature of :func:`_kernel_sums`.
 
-
-def kernel_symbols(params: DimerParams) -> KernelSymbols:
-    """S+T and V (global sign dropped) by the y-quadrature of :func:`_kernel_sums`.
-
-    Each evaluation sums over y by the periodic trapezoid rule on a grid
-    doubled from ``grid_for_order(MIN_ORDER)`` until the doubled grid moves
-    neither kernel (see :func:`_doubled`).  Their closed forms are e+/2 and
-    d/2 (:func:`dimerdet.continuation.e_plus_symbol`, :func:`symbol_d`).
+    The y grid doubles from ``grid_for_order(MIN_ORDER)`` until the doubled
+    grid moves neither kernel (see :func:`dimerdet.spectral._doubled`).
+    Their closed forms are e+/2 and d/2
+    (:func:`dimerdet.continuation.e_plus_symbol`, :func:`symbol_d`).
     """
     if not params.is_real_unit_interval:
         raise ParameterOutOfRange(f"kernel_symbols requires real t in (0, 1), got {params.t}")
-    t = params.t
-
-    def row(i):
-        return ScalarSymbol(lambda x: _doubled(
-            lambda grid: _kernel_sums(t, x, grid), grid_for_order(MIN_ORDER), "S+T and V")[0][i])
-
-    return KernelSymbols(row(0), row(1))
+    return _doubled(lambda grid: _kernel_sums(params.t, x, grid), grid_for_order(MIN_ORDER),
+                    MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged, "S+T and V",
+                    "MAX_QUAD_GRID")[0]

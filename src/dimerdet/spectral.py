@@ -20,6 +20,7 @@ import scipy.linalg
 
 from .errors import (
     NonzeroWinding,
+    QuadratureUnconverged,
     SampleFailure,
     SingularDeterminant,
     SingularSymbol,
@@ -97,11 +98,36 @@ MIN_ORDER = 32
 MAX_ORDER = 4096
 #: the magnitude the outermost coefficients of a table must fall below
 TAIL_TOL = 1e-13
+#: the tolerance of :func:`_doubled` for quadratures: the relative change one
+#: more doubling may make to the torus sums of ``dimer`` and to G
+QUAD_TOL = 1e-10
 
 
 def grid_for_order(order: int) -> int:
     """The smallest power-of-two grid with ``grid >= 4*order + 4``."""
     return 1 << (4 * order + 3).bit_length()
+
+
+def _doubled(values, size: int, cap: int, tol: float, error: type, what: str,
+             cap_name: str):
+    """``values(size)`` and its size, doubled from ``size`` until one more
+    doubling moves no entry by more than ``tol`` relative to max(1, |entry|).
+
+    Sizes double up to ``max(cap, 2 * size)``, the last step clamped to it:
+    a start at or above the cap still gets its one doubled check.  Past it
+    ``error`` is raised, naming ``cap_name`` and its value.
+    """
+    top = max(cap, 2 * size)
+    coarse = np.asarray(values(size))
+    while size < top:
+        size = min(2 * size, top)
+        fine = np.asarray(values(size))
+        moved = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+        if moved <= tol:
+            return fine, size
+        coarse = fine
+    raise error(f"{what}: doubling to {size} moved the value by {moved:.3e}, "
+                f"at the cap {cap_name} = {cap}")
 
 
 @dataclass(frozen=True)
@@ -383,39 +409,38 @@ def _pointwise_det(v: np.ndarray) -> np.ndarray:
     return np.linalg.det(v)
 
 
-def _unwrapped_logdet_samples(sym: MatrixSymbol, grid_size: int):
-    x = 2.0 * np.pi * np.arange(grid_size) / grid_size
+def _logdet_mean(msym: MatrixSymbol, grid: int) -> np.ndarray:
+    """[mean of log det, change of arg det around the circle] on ``grid``
+    points.  The argument is unwrapped along the grid, which measures the
+    winding and fixes the log branch."""
+    x = 2.0 * np.pi * np.arange(grid) / grid
     x = (x + np.pi) % (2.0 * np.pi) - np.pi
-    d = _pointwise_det(sym.sample(x))
+    d = _pointwise_det(msym.sample(x))
     if not np.all(np.isfinite(d)):
         raise SampleFailure("symbol evaluator returned non-finite values")
     if np.any(np.abs(d) < 1e-14):
         raise SingularSymbol("det of symbol below 1e-14 on the sampling grid")
-    # branch-continuous argument along the grid, closed around the circle
     ang = np.unwrap(np.angle(np.concatenate([d, d[:1]])))
-    winding_change = ang[-1] - ang[0]
-    return d, ang, winding_change
+    change = ang[-1] - ang[0]
+    # the periodic trapezoid rule; its closing point is the first one, moved by the change
+    mean = np.mean(np.log(np.abs(d)) + 1j * ang[:-1]) + 0.5j * change / grid
+    return np.array([mean, change])
 
 
-def winding_check(sym: ScalarSymbol | MatrixSymbol, grid_size: int = 4096) -> None:
-    """Raise NonzeroWinding unless arg det sym returns to itself."""
-    _, _, change = _unwrapped_logdet_samples(as_matrix_symbol(sym), grid_size)
-    if abs(change) >= math.pi:
-        raise NonzeroWinding(f"accumulated argument change {change:.3f} rad")
-
-
-def geometric_mean(sym: ScalarSymbol | MatrixSymbol, grid_size: int = 4096) -> complex:
+def geometric_mean(sym: ScalarSymbol | MatrixSymbol) -> complex:
     """G(sym): exp of the circle average of log det sym.
 
-    The argument of det is unwrapped sequentially along the grid, which both
-    verifies the zero-winding hypothesis and fixes the log branch; the
-    average is the periodic trapezoid rule including the closing point.
+    The grid doubles from ``grid_for_order(MIN_ORDER)`` until one more
+    doubling moves neither the mean of log det nor the change of arg det
+    (see :func:`_doubled`); the trapezoid rule converges exponentially, at
+    a rate set by how far the nearest singularity of log det lies from the
+    circle.  A converged change of at least pi raises NonzeroWinding.
     """
     msym = as_matrix_symbol(sym)
-    d, ang, change = _unwrapped_logdet_samples(msym, grid_size)
+    (mean, change), _ = _doubled(
+        lambda grid: _logdet_mean(msym, grid), grid_for_order(MIN_ORDER),
+        grid_for_order(MAX_ORDER), QUAD_TOL, QuadratureUnconverged,
+        "the geometric mean", "grid_for_order(MAX_ORDER)")
     if abs(change) >= math.pi:
-        raise NonzeroWinding(f"accumulated argument change {change:.3f} rad")
-    vals = np.log(np.abs(d)) + 1j * ang[:-1]
-    closing = np.log(abs(d[0])) + 1j * ang[-1]
-    mean = (0.5 * vals[0] + np.sum(vals[1:]) + 0.5 * closing) / grid_size
+        raise NonzeroWinding(f"accumulated argument change {change.real:.3f} rad")
     return complex(np.exp(mean))

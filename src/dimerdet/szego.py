@@ -28,6 +28,7 @@ from .errors import (
 )
 from .spectral import (
     FourierTable,
+    _doubled,
     _lagrange_fill,
     _stack_entries,
     MIN_ORDER,
@@ -44,7 +45,6 @@ from .spectral import (
     series_symbol,
     toeplitz_matrix,
     toeplitz_section,
-    winding_check,
 )
 
 log = logging.getLogger(__name__)
@@ -108,7 +108,7 @@ def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> co
     truncation is rejected rather than silently under-resolved.
     """
     msym = as_matrix_symbol(sym)
-    winding_check(msym)
+    geometric_mean(msym)  # the winding check: raises NonzeroWinding
     tab = fourier_coefficients(msym)
     tab_inv = fourier_coefficients(pointwise_inverse(msym))
     full1, tail1 = _hankel_hs_tails(tab, +1, MAX_OP_ORDER)
@@ -166,14 +166,13 @@ def combine_tables(tables: list[FourierTable], weights: list[complex]) -> Fourie
     return FourierTable(base.block_size, base.order, coeffs, base.tail_tol)
 
 
-def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> complex:
+def widom_banded_E(psi_tab: FourierTable, band: int) -> complex:
     """E(psi) = G(psi)^n det T_n(psi^{-1}) for one-sided banded symbols.
 
     ``psi_tab`` must have coefficients vanishing (below 1e-13) beyond
     ``band`` on at least one side.  The convention det T_0 = 1 makes the
-    formula valid at band 0 as well.  ``grid_size`` is the geometric mean's
-    grid; the psi^{-1} table follows the doubling rule of
-    :func:`fourier_coefficients`.
+    formula valid at band 0 as well.  The geometric mean and the psi^{-1}
+    table each follow their doubling rule.
     """
     upper = np.max(_coeff_magnitudes(psi_tab, 1)[band:], initial=0.0)
     lower = np.max(_coeff_magnitudes(psi_tab, -1)[band:], initial=0.0)
@@ -181,7 +180,7 @@ def widom_banded_E(psi_tab: FourierTable, band: int, grid_size: int = 4096) -> c
         raise NotBanded(
             f"coefficients beyond band {band} reach {min(upper, lower):.3e} on both sides")
     sym = series_symbol(psi_tab)
-    gmean = geometric_mean(sym, grid_size)
+    gmean = geometric_mean(sym)
     if band == 0:
         return complex(1.0)
     inv_tab = fourier_coefficients(pointwise_inverse(sym), order=band)
@@ -196,19 +195,13 @@ def bocg_residual(psi_tab: FourierTable, n: int, tol: float = 1e-10) -> complex:
             det(I - H(z^{-n} psi) T^{-1}(psitilde) H(psitilde z^{-n}) T^{-1}(psi)),
 
     on truncations of size m doubled from ``MIN_ORDER`` until one more
-    doubling moves it by at most ``tol`` (relative), up to ``MAX_OP_ORDER``.
-    The factor tends to 1 as n grows past the coefficient support.
+    doubling moves it by at most ``tol`` relative to max(1, |value|), up to
+    ``MAX_OP_ORDER`` (see :func:`dimerdet.spectral._doubled`).  The factor
+    tends to 1 as n grows past the coefficient support.
     """
-    m = MIN_ORDER
-    value = _bocg_truncated(psi_tab, n, m)
-    while m < MAX_OP_ORDER:
-        m = min(2 * m, MAX_OP_ORDER)
-        value, coarse = _bocg_truncated(psi_tab, n, m), value
-        if abs(value - coarse) <= tol * abs(value):
-            return value
-    raise TailNotResolved(
-        f"bocg_residual: doubling the truncation to the cap MAX_OP_ORDER = {MAX_OP_ORDER} "
-        f"moved the residual by {abs(value - coarse):.3e}")
+    return complex(_doubled(lambda m: _bocg_truncated(psi_tab, n, m), MIN_ORDER, MAX_OP_ORDER,
+                            tol, TailNotResolved, "bocg_residual: the truncation",
+                            "MAX_OP_ORDER")[0])
 
 
 def _bocg_truncated(psi_tab: FourierTable, n: int, m: int) -> complex:

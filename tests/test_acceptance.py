@@ -228,7 +228,7 @@ def test_criterion_11_scalar_widom_randomized():
             coeffs[k] = -sum(g ** k for g in gammas) / k
             coeffs[-k] = -sum(d ** k for d in deltas) / k
         log_tab = FourierTable.from_coeff_map(coeffs, 256)
-        diff = abs(widom_banded_E(tab, n_up, grid_size=1024)
+        diff = abs(widom_banded_E(tab, n_up)
                    - correction_factor(log_tab, 1, 256))
         worst = max(worst, diff)
         assert diff <= 1e-9

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,33 @@ def test_json_error_object(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["error"]["type"] == "TailNotResolved"
     assert payload["error"]["code"] == 3
+
+
+#: one run per shape of JSON output: the sweep's first row fails, and the
+#: last run emits the error object
+SCHEMA_RUNS = {
+    "correlation": ["correlation", "--t", "0.6", "--n-list", "4,8"],
+    "convergence": ["convergence", "--t", "0.6", "--n-list", "4,8"],
+    "sweep": ["sweep", "--t-start", "0.001", "--t-stop", "0.5", "--t-count", "3", "--n", "8"],
+    "verify": ["verify", "--identity", "all", "--t", "0.3"],
+    "error": ["correlation", "--t", "0.001", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("args", SCHEMA_RUNS.values(), ids=SCHEMA_RUNS)
+def test_json_output_matches_the_schema(args, capsys):
+    import jsonschema
+
+    schema = json.loads((Path(__file__).parents[1] / "schemas" / "output.schema.json")
+                        .read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    code, out = run_cli(args + ["--format", "json"], capsys)
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema, cls=jsonschema.Draft202012Validator)
+    if args[0] == "sweep":
+        assert payload["rows"][0]["note"].startswith("error:")
+    assert code == (3 if args == SCHEMA_RUNS["error"] else 0)
+    assert ("error" in payload) == (code == 3)
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -27,7 +27,9 @@ from dimerdet import (
     toeplitz_matrix,
 )
 from dimerdet import dimer
-from dimerdet.dimer import MAX_QUAD_GRID, _coefficients, _doubled, _kernel_sums
+from dimerdet.dimer import MAX_QUAD_GRID, _coefficients, _kernel_sums
+from dimerdet.spectral import MIN_ORDER, QUAD_TOL, _doubled
+from dimerdet.szego import MAX_OP_ORDER
 from oracles import flip_conjugate
 
 
@@ -111,7 +113,7 @@ def dense_kernel_sums(t, x, grid):
             weight * np.sum(np.cos(xc - np.pi / 2) / den, axis=1))
 
 
-@pytest.mark.parametrize("t", [0.7, 0.4 + 0.2j, 1.5])
+@pytest.mark.parametrize("t", [0.7, 0.7 + 0j, 0.4 + 0.2j, 1.5])
 def test_kernel_sums_match_dense_sums(t):
     # 300 angles, so the sums run over three chunks of rows
     x = np.linspace(-np.pi, np.pi, 300, endpoint=False) + 0.01
@@ -139,19 +141,23 @@ def test_coefficients_match_dense_double_sums(t, grid):
 
 
 def test_doubled_grids_reach_twice_a_start_grid_above_the_cap():
-    # grids run up to max(MAX_QUAD_GRID, 2 * start grid)
+    # sizes double up to max(cap, 2 * start), the last step clamped to it:
+    # the torus grids, and bocg's truncations 32 -> 384
     def never_settles(grids):
         return lambda grid: grids.append(grid) or np.array([float(len(grids))])
 
-    for start, tried in [(256, [256, 512, 1024, 2048, 4096]),
-                         (2048, [2048, 4096]),
-                         (MAX_QUAD_GRID, [MAX_QUAD_GRID, 2 * MAX_QUAD_GRID])]:
+    for start, cap, tried in [(256, MAX_QUAD_GRID, [256, 512, 1024, 2048, 4096]),
+                              (2048, MAX_QUAD_GRID, [2048, 4096]),
+                              (MAX_QUAD_GRID, MAX_QUAD_GRID, [MAX_QUAD_GRID, 2 * MAX_QUAD_GRID]),
+                              (MIN_ORDER, MAX_OP_ORDER, [32, 64, 128, 256, 384])]:
         grids = []
-        with pytest.raises(QuadratureUnconverged, match="MAX_QUAD_GRID"):
-            _doubled(never_settles(grids), start, "stub")
+        with pytest.raises(QuadratureUnconverged, match=f"the cap CAP = {cap}"):
+            _doubled(never_settles(grids), start, cap, QUAD_TOL, QuadratureUnconverged,
+                     "stub", "CAP")
         assert grids == tried
     grids = []
-    assert _doubled(lambda grid: grids.append(grid) or np.zeros(1), 4096, "stub")[1] == 8192
+    assert _doubled(lambda grid: grids.append(grid) or np.zeros(1), 4096, MAX_QUAD_GRID,
+                    QUAD_TOL, QuadratureUnconverged, "stub", "CAP")[1] == 8192
     assert grids == [4096, 8192]
 
 
@@ -196,15 +202,15 @@ def test_antisymmetric_kernel_coefficients_match_q():
 
 
 def test_kernel_quadrature_vs_closed_forms():
-    syms = kernel_symbols(DimerParams(0.7))
     st, v = st_closed(0.7), v_closed(0.7)
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
     # fixed grid 256, the value the grid-128 check returned
     st_sum, v_sum = _kernel_sums(0.7, x, 256)
     assert np.max(np.abs(st_sum - st(x))) < 1e-9
     assert np.max(np.abs(v_sum - v(x))) < 1e-9
-    assert np.max(np.abs(syms.st_quadrature(x) - st(x))) < 1e-9
-    assert np.max(np.abs(syms.v_quadrature(x) - v(x))) < 1e-9
+    st_quad, v_quad = kernel_symbols(DimerParams(0.7), x)
+    assert np.max(np.abs(st_quad - st(x))) < 1e-9
+    assert np.max(np.abs(v_quad - v(x))) < 1e-9
 
 
 def test_kernel_spot_values():

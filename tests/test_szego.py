@@ -7,6 +7,8 @@ import scipy.linalg
 from dimerdet import (
     DimerParams,
     FourierTable,
+    MatrixSymbol,
+    NonzeroWinding,
     NotBanded,
     ScalarSymbol,
     TailNotResolved,
@@ -97,6 +99,15 @@ def test_e_operator_truncation_follows_the_tail(t):
     # where the fixed order 256 missed the tolerance
     e_op = szego_E_operator(symbol_phi(DimerParams(t)))
     assert abs(e_op - e_phi(t)) <= 1e-13 * abs(e_phi(t))
+
+
+def test_e_operator_rejects_nonzero_winding():
+    # det diag(e^{ix}, 1) winds once around the origin
+    one, zero = ScalarSymbol.constant(1.0), ScalarSymbol.constant(0.0)
+    sym = MatrixSymbol.from_entries([[ScalarSymbol(lambda x: np.exp(1j * x)), zero],
+                                     [zero, one]])
+    with pytest.raises(NonzeroWinding):
+        szego_E_operator(sym)
 
 
 @pytest.mark.parametrize("t", [0.0361, 0.9885])
@@ -237,7 +248,7 @@ def test_widom_vs_series_randomized():
         deltas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
                   for _ in range(n_dn)]
         tab = fourier_coefficients(laurent_symbol(gammas, deltas), 128, 16)
-        e_w = widom_banded_E(tab, n_up, grid_size=1024)
+        e_w = widom_banded_E(tab, n_up)
         e_s = correction_factor(geometric_log_table(gammas, deltas), 1, 256)
         assert abs(e_w - e_s) < 1e-9
 
