@@ -99,7 +99,10 @@ def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     """
     tt = t.real * t.real if t.imag == 0 else t * t
     y = 2.0 * np.pi * np.arange(grid) / grid - np.pi
-    cy, eiy = np.cos(y), np.exp(1j * y)
+    cy = np.cos(y)
+    # e^{iy} as two real columns, so a real denominator meets it in real products
+    ey = np.stack([cy, np.sin(y)], axis=1)
+    cey = cy[:, None] * ey
     x = np.asarray(x, dtype=float)
     out = np.empty((2, x.size), dtype=complex)
     for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
@@ -107,15 +110,10 @@ def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
         s = np.sin(xc + y)
         inv = 1.0 / (np.sin(xc) ** 2 + cy ** 2 + tt * s ** 2)
         out[1, rows] = inv.sum(axis=1)
-        out[0, rows] = _dot(inv, cy * eiy) + 1j * t * _dot(inv * s, eiy)
+        out[0, rows] = (inv @ cey + 1j * t * ((inv * s) @ ey)) @ [1, 1j]
     out[0] *= -np.exp(1j * x)
     out[1] *= np.sin(x)
     return out / (2.0 * grid)
-
-
-def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for a complex vector v, with no complex copy of a real ``a``."""
-    return a @ v if np.iscomplexobj(a) else (a @ np.stack([v.real, v.imag], 1)) @ [1, 1j]
 
 
 def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
