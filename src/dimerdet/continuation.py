@@ -26,7 +26,7 @@ from .errors import (
 )
 from .spectral import (
     FourierTable,
-    _lagrange_fill,
+    _extrapolated,
     _stack_entries,
     MatrixSymbol,
     ScalarSymbol,
@@ -35,7 +35,7 @@ from .spectral import (
     pivoted_lu,
     toeplitz_matrix,
 )
-from .dimer import DimerParams, _d, _weight, symbol_d
+from .dimer import DimerParams, _weight
 
 #: circle-distance below which the removable point of e+ is extrapolated
 POLE_WINDOW = 1e-4
@@ -54,26 +54,42 @@ class ContinuedSequence:
 
 
 def e_plus_symbol(t: complex) -> ScalarSymbol:
-    """The regularized diagonal entry e+ = c - 1/(e^{-ix} - t).
+    """The regularized diagonal entry e+ = c - 1/(e^{-ix} - t), the first
+    value of :func:`_e_plus_d`."""
+    pair = _e_plus_d(t)
+    return ScalarSymbol(lambda x: pair(x)[..., 0])
 
-    Evaluated as a single fraction so the numerator cancellation at
+
+def _e_plus_d(t: complex) -> ScalarSymbol:
+    """e+ and d from one evaluator, values of shape x.shape + (2,): sin x,
+    e^{-ix} and the weight are computed once per angle for both.
+
+    e+ is evaluated as a single fraction so the numerator cancellation at
     e^{-ix} = t is explicit; within ``POLE_WINDOW`` of that (removable)
-    point the value is filled by 4-point polynomial extrapolation from
-    nearby angles, where the direct formula is well conditioned.
+    point it is filled by 4-point polynomial extrapolation from nearby
+    angles, where the direct formula is well conditioned.  d = sin x / weight
+    is :func:`dimerdet.dimer.symbol_d`, bit for bit.
     """
     t = complex(t)
     if not t.real > 0:
         raise ParameterOutOfRange(f"Re(t) must be positive, got {t}")
 
     def direct(x):
-        root = _weight(t, x)
+        ez, s, root = np.exp(-1j * x), np.sin(x), _weight(t, x)
         if np.any(np.abs(root) < 1e-13):
             raise BranchFailure("weight root vanished on evaluation points")
-        return ((t * np.cos(x) + np.sin(x) ** 2) - root) / ((np.exp(-1j * x) - t) * root)
+        out = np.empty(x.shape + (2,), dtype=complex)
+        with np.errstate(all="ignore"):  # near e^{-ix} = t; e+ is filled there
+            out[..., 0] = ((t * np.cos(x) + s ** 2) - root) / ((ez - t) * root)
+        out[..., 1] = s / root
+        return out, np.abs(ez - t) < POLE_WINDOW
 
     def eval_(x):
         x = np.asarray(x, dtype=float)
-        return _lagrange_fill(direct, x, np.abs(np.exp(-1j * x) - t) < POLE_WINDOW, 3e-4)
+        out, near = direct(x)
+        if np.any(near):
+            out[near, 0] = _extrapolated(lambda y: direct(y)[0][..., 0], x[near], 3e-4)
+        return out
 
     return ScalarSymbol(eval_)
 
@@ -92,8 +108,10 @@ def k_plus_matrix(t: complex, n: int) -> np.ndarray:
 
 
 def _scalar_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
-    """Fourier tables of e+ and d at one shared order of at least ``order``."""
-    return common_order_tables((e_plus_symbol(t), symbol_d(t)), order)
+    """Fourier tables of e+ and d at one shared order of at least ``order``,
+    from one sampling of :func:`_e_plus_d` per grid point."""
+    pair = _e_plus_d(t)
+    return common_order_tables(lambda x: pair(x)[:, :, None, None], 1, order)
 
 
 def b_hat(t: complex, n: int,
@@ -119,14 +137,15 @@ def _phi_hat_symbol(t: complex) -> MatrixSymbol:
     are (1 - t e^{+-ix}) e+(+-x) + e^{+-ix} with no near-pole cancellation.
     This sampled form is the reference for :func:`_phi_hat_table`.
     """
-    ep = e_plus_symbol(t)
+    pair = _e_plus_d(t)
 
     def eval_(x):
         z = np.exp(1j * x)
         zc = z.conj()
-        d = _d(t, x)  # d(-x) = -d(x): the weight is even in x
-        return _stack_entries([[(1.0 - t * z) * ep(x) + z, (1.0 - t * z) * d],
-                              [-(1.0 - t * zc) * d, (1.0 - t * zc) * ep(-x) + zc]], x.size)
+        (ep, d), ep_reflected = pair(x).T, pair(-x)[:, 0]  # d(-x) = -d(x)
+        return _stack_entries([[(1.0 - t * z) * ep + z, (1.0 - t * z) * d],
+                              [-(1.0 - t * zc) * d, (1.0 - t * zc) * ep_reflected + zc]],
+                              x.size)
 
     return MatrixSymbol(eval_, 2)
 

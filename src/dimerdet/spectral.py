@@ -11,6 +11,7 @@ exponentiated at reporting boundaries.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,7 +36,11 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ScalarSymbol:
-    """A complex function of the angle x in [-pi, pi), evaluated vectorized."""
+    """A complex function of the angle x in [-pi, pi), evaluated vectorized.
+
+    An evaluator may return several such functions at once, shape
+    (len(x), m), when they share work (see :func:`common_order_tables`).
+    """
 
     fn: Evaluator
 
@@ -159,8 +164,7 @@ class FourierTable:
 
     def tail_magnitude(self) -> float:
         """Largest entry magnitude among the two outermost coefficient pairs."""
-        edge = [self.coeffs[0], self.coeffs[1], self.coeffs[-2], self.coeffs[-1]]
-        return float(max(np.max(np.abs(c)) for c in edge))
+        return float(np.abs(self.coeffs[[0, 1, -2, -1]]).max())
 
     @staticmethod
     def from_coeff_map(coeffs: dict[int, complex], order: int) -> "FourierTable":
@@ -193,60 +197,109 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
     """Fourier coefficients of a symbol by FFT on a uniform grid.
 
     With ``grid_size`` omitted the resolution follows the symbol: ``order``
-    is only the floor the caller reads, the grid is ``grid_for_order`` of
-    the order, and the order doubles from ``max(order, MIN_ORDER)`` until
-    the tail check passes, up to ``max(order, MAX_ORDER)``.  An explicit ``grid_size`` must be a power
-    of two with ``grid_size >= 4*order + 4``, so aliasing of the retained
-    band is controlled, and is tried once.  The tail check: the two
-    outermost coefficient pairs must fall below ``tail_tol``, or
-    TailNotResolved is raised.
+    is only the floor the caller reads (see :func:`common_order_tables`).
+    An explicit ``grid_size`` must be a power of two with
+    ``grid_size >= 4*order + 4``, so aliasing of the retained band is
+    controlled, and is tried once.  The tail check: the two outermost
+    coefficient pairs must fall below ``tail_tol``, or TailNotResolved is
+    raised.
     """
     msym = as_matrix_symbol(sym)
+
+    def sample(x):  # a family of one
+        return msym.sample(x)[:, None]
+
     if grid_size is None:
-        order = max(order or 0, MIN_ORDER)
-        cap = max(order, MAX_ORDER)
-    else:
-        if order is None or grid_size < 4 * order + 4:
-            raise ValueError(f"grid_size {grid_size} needs an order with 4*order+4 <= "
-                             f"grid_size, got order {order}")
-        if grid_size & (grid_size - 1):
-            raise ValueError(f"grid_size {grid_size} is not a power of two")
-        cap = order
+        return common_order_tables(sample, msym.block_size, order, tail_tol)[0]
+    if order is None or grid_size < 4 * order + 4:
+        raise ValueError(f"grid_size {grid_size} needs an order with 4*order+4 <= "
+                         f"grid_size, got order {order}")
+    if grid_size & (grid_size - 1):
+        raise ValueError(f"grid_size {grid_size} is not a power of two")
+    return _tables(sample, msym.block_size, order, tail_tol, grid_size)[0]
+
+
+def common_order_tables(sample: Evaluator, block_size: int, order: int | None = None,
+                        tail_tol: float = TAIL_TOL) -> tuple[FourierTable, ...]:
+    """Tables of the symbols one evaluator samples together, at one order.
+
+    ``sample(x)`` has shape (len(x), m, N, N): m symbols of block size N.
+    The grid is ``grid_for_order`` of the order, and the order doubles from
+    ``max(order, MIN_ORDER)`` until every table has passed the tail check,
+    up to ``max(order, MAX_ORDER)``.  Each doubling reuses the samples of
+    the grid before as its even points (see :func:`_nested`).
+    """
+    return _tables(sample, block_size, max(order or 0, MIN_ORDER), tail_tol)
+
+
+def _tables(sample: Evaluator, block_size: int, order: int, tail_tol: float,
+            grid: int | None = None) -> tuple[FourierTable, ...]:
+    """The one table loop: FFT the samples, and stop once every table has
+    passed the tail check on this rung or an earlier one.  With ``grid``
+    given it is tried once; else the grid is ``grid_for_order`` of the
+    order, which doubles up to ``max(order, MAX_ORDER)``."""
+    cap = order if grid else max(order, MAX_ORDER)
+    rule = "" if grid else f", the doubling rule's cap (MAX_ORDER = {MAX_ORDER})"
+    grid = grid or grid_for_order(order)
+    on_grid = _nested(sample)
+    passed = False
     while True:
-        tab, tail = _table(msym, grid_size or grid_for_order(order), order, tail_tol)
-        if tail <= tail_tol:
-            return tab
+        spec = np.fft.fft(on_grid(grid), axis=0)
+        edge = spec[np.array([-order, 1 - order, order - 1, order]) % grid] / grid
+        tails = np.abs(edge).max(axis=(0, 2, 3))
+        passed = passed | (tails <= tail_tol)
+        if np.all(passed):
+            ks = np.arange(-order, order + 1) % grid
+            # each table owns its coefficients: advanced indexing copies
+            return tuple(FourierTable(block_size, order, spec[ks, i] / grid, tail_tol)
+                         for i in range(tails.size))
         if order >= cap:
-            rule = "" if grid_size else f", the doubling rule's cap (MAX_ORDER = {MAX_ORDER})"
             raise TailNotResolved(
-                f"tail magnitude {tail:.3e} exceeds {tail_tol:.1e} at order {order}{rule}")
+                f"tail magnitude {tails[np.argmin(passed)]:.3e} exceeds {tail_tol:.1e} "
+                f"at order {order}{rule}")
         order = min(2 * order, cap)
+        grid = grid_for_order(order)
 
 
-def common_order_tables(syms: Sequence[ScalarSymbol | MatrixSymbol],
-                        order: int | None = None) -> tuple[FourierTable, ...]:
-    """Tables of several symbols at one shared order, each resolved by the
-    doubling rule of :func:`fourier_coefficients` from the floor ``order``
-    and rebuilt at the highest order any of them reached."""
-    tabs = [fourier_coefficients(sym, order=order) for sym in syms]
-    top = max(tab.order for tab in tabs)
-    return tuple(tab if tab.order == top
-                 else fourier_coefficients(sym, grid_for_order(top), top)
-                 for sym, tab in zip(syms, tabs))
+@functools.lru_cache(maxsize=16)
+def _grid(size: int) -> np.ndarray:
+    """The points 2 pi j / size, mapped into [-pi, pi), the evaluator domain.
+
+    Read-only and kept: the mapping costs about as much as an FFT of the
+    same size, and the doubling rules ask for a few powers of two only.
+
+    For a power of two the even points of ``_grid(2 * size)`` are bitwise
+    ``_grid(size)``: doubling numerator and denominator is exact.
+    """
+    x = 2.0 * np.pi * np.arange(size) / size
+    x = (x + np.pi) % (2.0 * np.pi) - np.pi
+    x.setflags(write=False)
+    return x
 
 
-def _table(msym: MatrixSymbol, grid_size: int, order: int,
-           tail_tol: float) -> tuple[FourierTable, float]:
-    """The table to ``order`` from ``grid_size`` samples, and its tail magnitude."""
-    x = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    x = (x + np.pi) % (2.0 * np.pi) - np.pi  # evaluator domain is [-pi, pi)
-    samples = msym.sample(x)
-    if not np.all(np.isfinite(samples)):
-        raise SampleFailure("symbol evaluator returned non-finite values")
-    spec = np.fft.fft(samples, axis=0) / grid_size
-    ks = np.arange(-order, order + 1)
-    tab = FourierTable(msym.block_size, order, spec[ks % grid_size], tail_tol)
-    return tab, tab.tail_magnitude()
+def _nested(sample: Evaluator) -> Callable[[int], np.ndarray]:
+    """``sample`` on ``_grid(size)`` for the sizes asked in turn, checked finite.
+
+    When a size doubles the one before, the samples before are its even
+    points and only the odd points are evaluated (the periodic trapezoid
+    rule refines by midpoints); any other size is sampled fresh.
+    """
+    held = None
+
+    def on_grid(size: int) -> np.ndarray:
+        nonlocal held
+        if held is not None and size == 2 * len(held):
+            new = sample(np.ascontiguousarray(_grid(size)[1::2]))
+            out = np.empty((size,) + new.shape[1:], dtype=new.dtype)
+            out[0::2], out[1::2] = held, new
+        else:
+            new = out = sample(_grid(size))
+        if not np.all(np.isfinite(new)):
+            raise SampleFailure("symbol evaluator returned non-finite values")
+        held = out
+        return out
+
+    return on_grid
 
 
 def series_symbol(tab: FourierTable) -> MatrixSymbol:
@@ -264,23 +317,27 @@ def series_symbol(tab: FourierTable) -> MatrixSymbol:
 
 
 def _lagrange_fill(fn, x: np.ndarray, bad: np.ndarray, step: float) -> np.ndarray:
-    """Evaluate fn(x), replacing entries flagged ``bad`` by a 4-point
-    polynomial extrapolation from offsets +-step, +-2*step."""
+    """Evaluate fn(x), replacing entries flagged ``bad`` by
+    :func:`_extrapolated` values."""
     out = np.empty(x.shape, dtype=complex)
     good = ~bad
     if np.any(good):
         out[good] = fn(x[good])
     if np.any(bad):
-        offs = np.array([-2.0 * step, -step, step, 2.0 * step])
-        # Lagrange weights for interpolating to offset 0
-        weights = np.array([
-            np.prod([0.0 - offs[b] for b in range(4) if b != a])
-            / np.prod([offs[a] - offs[b] for b in range(4) if b != a])
-            for a in range(4)
-        ])
-        vals = np.stack([fn(x[bad] + o) for o in offs], axis=0)
-        out[bad] = weights @ vals
+        out[bad] = _extrapolated(fn, x[bad], step)
     return out
+
+
+def _extrapolated(fn, x: np.ndarray, step: float) -> np.ndarray:
+    """fn at x by a 4-point polynomial extrapolation from offsets +-step, +-2*step."""
+    offs = np.array([-2.0 * step, -step, step, 2.0 * step])
+    # Lagrange weights for interpolating to offset 0
+    weights = np.array([
+        np.prod([0.0 - offs[b] for b in range(4) if b != a])
+        / np.prod([offs[a] - offs[b] for b in range(4) if b != a])
+        for a in range(4)
+    ])
+    return weights @ np.stack([fn(x + o) for o in offs], axis=0)
 
 
 def toeplitz_matrix(tab: FourierTable, n: int) -> np.ndarray:
@@ -383,21 +440,21 @@ def log_determinant(a: np.ndarray) -> LogDet:
 def pointwise_inverse(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
     """The symbol x -> sym(x)^{-1}, via reciprocal (N=1) or 2x2 adjugate."""
     msym = as_matrix_symbol(sym)
-    n = msym.block_size
-    if n > 2:
+    if msym.block_size > 2:
         raise ValueError("pointwise_inverse supports block sizes 1 and 2 only")
+    return MatrixSymbol(lambda x: _inverse_samples(msym.sample(x)), msym.block_size)
 
-    def eval_(x):
-        v = msym.sample(x)
-        d = _pointwise_det(v)
-        if np.any(np.abs(d) < 1e-14):
-            raise SingularSymbol("det of symbol below 1e-14 on evaluation points")
-        if n == 1:
-            return 1.0 / v
-        # adjugate/det: inv[i][j] = (-1)^{i+j} m[1-j][1-i] / det
-        return v[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]] / d[:, None, None]
 
-    return MatrixSymbol(eval_, n)
+def _inverse_samples(v: np.ndarray) -> np.ndarray:
+    """The inverse of each N x N sample in a (len(x), N, N) array, N <= 2:
+    the reciprocal, or the adjugate over the determinant."""
+    d = _pointwise_det(v)
+    if np.any(np.abs(d) < 1e-14):
+        raise SingularSymbol("det of symbol below 1e-14 on evaluation points")
+    if v.shape[1] == 1:
+        return 1.0 / v
+    # adjugate/det: inv[i][j] = (-1)^{i+j} m[1-j][1-i] / det
+    return v[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]] / d[:, None, None]
 
 
 def _pointwise_det(v: np.ndarray) -> np.ndarray:
@@ -409,15 +466,10 @@ def _pointwise_det(v: np.ndarray) -> np.ndarray:
     return np.linalg.det(v)
 
 
-def _logdet_mean(msym: MatrixSymbol, grid: int) -> np.ndarray:
-    """[mean of log det, change of arg det around the circle] on ``grid``
-    points.  The argument is unwrapped along the grid, which measures the
-    winding and fixes the log branch."""
-    x = 2.0 * np.pi * np.arange(grid) / grid
-    x = (x + np.pi) % (2.0 * np.pi) - np.pi
-    d = _pointwise_det(msym.sample(x))
-    if not np.all(np.isfinite(d)):
-        raise SampleFailure("symbol evaluator returned non-finite values")
+def _logdet_mean(d: np.ndarray, grid: int) -> np.ndarray:
+    """[mean of log det, change of arg det around the circle] from the
+    values ``d`` of det on ``grid`` points.  The argument is unwrapped along
+    the grid, which measures the winding and fixes the log branch."""
     if np.any(np.abs(d) < 1e-14):
         raise SingularSymbol("det of symbol below 1e-14 on the sampling grid")
     ang = np.unwrap(np.angle(np.concatenate([d, d[:1]])))
@@ -434,11 +486,13 @@ def geometric_mean(sym: ScalarSymbol | MatrixSymbol) -> complex:
     doubling moves neither the mean of log det nor the change of arg det
     (see :func:`_doubled`); the trapezoid rule converges exponentially, at
     a rate set by how far the nearest singularity of log det lies from the
-    circle.  A converged change of at least pi raises NonzeroWinding.
+    circle; each doubling samples only the new midpoints (:func:`_nested`).
+    A converged change of at least pi raises NonzeroWinding.
     """
     msym = as_matrix_symbol(sym)
+    dets = _nested(lambda x: _pointwise_det(msym.sample(x)))
     (mean, change), _ = _doubled(
-        lambda grid: _logdet_mean(msym, grid), grid_for_order(MIN_ORDER),
+        lambda grid: _logdet_mean(dets(grid), grid), grid_for_order(MIN_ORDER),
         grid_for_order(MAX_ORDER), QUAD_TOL, QuadratureUnconverged,
         "the geometric mean", "grid_for_order(MAX_ORDER)")
     if abs(change) >= math.pi:

@@ -29,6 +29,7 @@ from .errors import (
 from .spectral import (
     FourierTable,
     _doubled,
+    _inverse_samples,
     _lagrange_fill,
     _stack_entries,
     MIN_ORDER,
@@ -102,15 +103,20 @@ def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> co
     """E(sym) = det(I - H(sym) H(symtilde^{-1})) on the smallest truncation
     whose Hilbert-Schmidt tail estimate is below ``tol``.
 
-    Requires det sym nonvanishing with winding number zero (checked).  Both
-    tables follow the doubling rule of :func:`fourier_coefficients`; the tail
-    is read off for every order up to ``MAX_OP_ORDER``, past which the
+    Requires det sym nonvanishing with winding number zero (checked).  The
+    tables of sym and sym^{-1} come from one sampling of sym per grid point,
+    at the one order :func:`common_order_tables` resolves; the tail is read
+    off for every truncation order up to ``MAX_OP_ORDER``, past which the
     truncation is rejected rather than silently under-resolved.
     """
     msym = as_matrix_symbol(sym)
     geometric_mean(msym)  # the winding check: raises NonzeroWinding
-    tab = fourier_coefficients(msym)
-    tab_inv = fourier_coefficients(pointwise_inverse(msym))
+
+    def with_inverse(x):
+        v = msym.sample(x)
+        return np.stack([v, _inverse_samples(v)], axis=1)
+
+    tab, tab_inv = common_order_tables(with_inverse, msym.block_size)
     full1, tail1 = _hankel_hs_tails(tab, +1, MAX_OP_ORDER)
     full2, tail2 = _hankel_hs_tails(tab_inv, -1, MAX_OP_ORDER)
     tail = tail1 * full2 + full1 * tail2
@@ -334,15 +340,16 @@ def alpha_log_tables(params: DimerParams) -> tuple[FourierTable, FourierTable]:
     """Fourier tables of alpha_1 = log(1-2t cos x+t^2) and
     alpha_2 = log(t^2+sin^2 x+sin^4 x); real logs for real t in (0,1).
 
-    Both follow the doubling rule of :func:`fourier_coefficients` and share
-    one order, so they can be combined coefficient-wise.
+    Both come from one evaluator and one run of :func:`common_order_tables`,
+    so they share one order and can be combined coefficient-wise.
     """
     if not params.is_real_unit_interval:
         raise BranchFailure(f"log symbols need real t in (0, 1), got {params.t}")
     t = params.t.real
-    return common_order_tables((
-        ScalarSymbol(lambda x: np.log(1.0 - 2.0 * t * np.cos(x) + t * t) + 0j),
-        ScalarSymbol(lambda x: np.log(t * t + np.sin(x) ** 2 + np.sin(x) ** 4) + 0j)))
+    logs = ScalarSymbol(lambda x: np.stack([np.log(1.0 - 2.0 * t * np.cos(x) + t * t),
+                                            np.log(t * t + np.sin(x) ** 2 + np.sin(x) ** 4)],
+                                           axis=-1) + 0j)
+    return common_order_tables(lambda x: logs(x)[:, :, None, None], 1)
 
 
 def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:

@@ -29,7 +29,7 @@ from dimerdet.continuation import (
     theta_section,
 )
 from dimerdet.dimer import _c
-from dimerdet.spectral import grid_for_order
+from dimerdet.spectral import ScalarSymbol, grid_for_order
 
 
 def test_e_plus_is_c_minus_pole_part():
@@ -231,18 +231,30 @@ def test_correlation_finite_beyond_quadrature_reach():
     assert abs(value - correlation_limit(0.6)) <= 1e-12
 
 
-def test_theta_decomposition_builds_the_tables_once(monkeypatch):
-    # b_hat reuses the e+ and d tables of the section: two order-2048 tables
-    # at this t, where building them twice took four
+def _count_pair_angles(monkeypatch):
+    """Record the number of angles each evaluation of the e+/d pair sees."""
     import dimerdet.continuation as continuation
-    import dimerdet.spectral as spectral
-    real, calls = spectral.fourier_coefficients, []
+    real, angles = continuation._e_plus_d, []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(t):
+        pair = real(t)
+        return ScalarSymbol(lambda x: angles.append(np.size(x)) or pair(x))
 
-    for module in (spectral, continuation):
-        monkeypatch.setattr(module, "fourier_coefficients", counted, raising=False)
+    monkeypatch.setattr(continuation, "_e_plus_d", counted)
+    return angles
+
+
+def test_theta_decomposition_builds_the_tables_once(monkeypatch):
+    # b_hat reuses the e+ and d tables of the section: one sampling of the
+    # order-2048 grid at this t (16384 angles); building them twice takes two
+    angles = _count_pair_angles(monkeypatch)
     theta_decomposition(0.02, 8)
-    assert len(calls) == 2
+    assert sum(angles) == grid_for_order(2048)
+
+
+def test_correlation_finite_samples_the_pair_once_per_angle(monkeypatch):
+    # at t = 0.3 the tables climb to order 128, grids 256 -> 512 -> 1024: the
+    # e+/d pair sees 1024 angles in all, each doubling only its new midpoints
+    angles = _count_pair_angles(monkeypatch)
+    correlation_finite(DimerParams(0.3), 32)
+    assert angles == [256, 256, 512]

@@ -1,11 +1,22 @@
 """Property tests for the finite correlation over the half-plane Re(t) > 0."""
 
+import cmath
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dimerdet import DimerdetError, DimerParams, correlation_finite, correlation_limit
+from dimerdet import (
+    DimerdetError,
+    DimerParams,
+    correlation_finite,
+    correlation_limit,
+    e_plus_symbol,
+    fourier_coefficients,
+    symbol_d,
+)
+from dimerdet.continuation import _scalar_tables
+from dimerdet.spectral import grid_for_order
 
 SETTINGS = settings(deadline=None, max_examples=50)
 
@@ -56,3 +67,25 @@ def test_value_without_error_down_to_re_t_one_hundredth(t, n):
     # the doubling rule resolves the e+ and d tables within its cap here
     value = correlation_finite(DimerParams(t), n)
     assert np.isfinite(value) and value != 0
+
+
+#: |t| = 1 with Re t >= 0.05 puts the removable point e^{-ix} = t of e+ on
+#: the circle: at a grid angle for x = -2 pi j / 1024 (t = 1 at x = 0), or
+#: between grid angles
+ON_UNIT_CIRCLE = st.one_of(
+    st.integers(-247, 247).map(lambda j: cmath.exp(2j * math.pi * j / 1024)),
+    st.floats(-math.acos(0.05), math.acos(0.05)).map(lambda a: cmath.exp(1j * a)))
+
+
+@SETTINGS
+@given(st.one_of(box(0.05, 3.0, 2.0).filter(lambda t: t.real > 0.05), ON_UNIT_CIRCLE))
+def test_joint_tables_match_the_entries_sampled_alone(t):
+    # the e+/d pair is sampled by one evaluator; each entry sampled alone on
+    # the final grid gives d bit for bit and e+ to 1e-15
+    e_tab, d_tab = _scalar_tables(t, 32)
+    grid, order = grid_for_order(e_tab.order), e_tab.order
+    alone = [fourier_coefficients(sym, grid, order, tail_tol=math.inf)
+             for sym in (e_plus_symbol(t), symbol_d(t))]
+    assert d_tab.order == order
+    assert np.array_equal(d_tab.coeffs, alone[1].coeffs)
+    assert np.max(np.abs(e_tab.coeffs - alone[0].coeffs)) <= 1e-15

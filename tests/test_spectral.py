@@ -26,7 +26,14 @@ from dimerdet import (
     symbol_phi,
     toeplitz_matrix,
 )
-from dimerdet.spectral import MAX_ORDER, TAIL_TOL, grid_for_order, pivoted_lu
+from dimerdet.spectral import (
+    MAX_ORDER,
+    MIN_ORDER,
+    TAIL_TOL,
+    common_order_tables,
+    grid_for_order,
+    pivoted_lu,
+)
 from oracles import symbol_a_b
 
 
@@ -358,6 +365,48 @@ def test_table_from_coeff_map():
 def geometric(r):
     """1 / (1 - r e^{ix}): coefficient r^k at k >= 0, zero below."""
     return ScalarSymbol(lambda x: 1.0 / (1.0 - r * np.exp(1j * x)))
+
+
+def counting(sym):
+    """sym, and the list of the number of angles each evaluation saw."""
+    angles = []
+    return ScalarSymbol(lambda x: angles.append(x.size) or sym(x)), angles
+
+
+def test_table_doubling_samples_only_the_new_midpoints():
+    # 0.7^k first passes the tail check at order 128: grids 256 -> 512 -> 1024,
+    # 1024 angles in all where sampling every grid afresh took 1792
+    sym, angles = counting(geometric(0.7))
+    assert fourier_coefficients(sym).order == 128
+    assert angles == [256, 256, 512]
+
+
+def test_geometric_mean_doubling_samples_only_the_new_midpoints():
+    # log(1 - 0.96 e^{ix}) needs the grid 1024 for G to settle
+    sym, angles = counting(geometric(0.96))
+    assert abs(geometric_mean(sym) - 1.0) < 1e-12
+    assert angles == [256, 256, 512]
+
+
+@pytest.mark.parametrize("sym", [geometric(0.7), symbol_d(0.05 + 1j),
+                                 symbol_phi(DimerParams(0.6))])
+def test_resolved_table_is_one_fresh_sampling_of_its_grid(sym):
+    tab = fourier_coefficients(sym)
+    assert tab.order > MIN_ORDER  # at least one doubling reused its samples
+    fresh = fourier_coefficients(sym, grid_for_order(tab.order), tab.order)
+    assert np.array_equal(tab.coeffs, fresh.coeffs)
+
+
+def test_common_order_tables_own_read_only_coefficients():
+    def both(x):
+        return np.stack([geometric(0.5)(x), geometric(0.7)(x)], axis=1)[:, :, None, None]
+
+    tabs = common_order_tables(both, 1)
+    # 0.5^k alone passes at order 64; the family stops where 0.7^k passes
+    assert [tab.order for tab in tabs] == [128, 128]
+    for tab in tabs:
+        assert tab.coeffs.flags.owndata and tab.coeffs.flags.c_contiguous
+        assert not tab.coeffs.flags.writeable
 
 
 @pytest.mark.parametrize("floor, order", [(None, 64), (2, 64), (40, 80), (100, 100)])

@@ -93,6 +93,15 @@ def test_e_operator_stable_under_doubling():
         assert abs(_operator_det(*tabs, 128) - _operator_det(*tabs, 256)) < 1e-10
 
 
+def test_e_operator_samples_phi_once_per_grid_point():
+    # the winding check and one family run for phi and phi^{-1}: at t = 0.6
+    # G settles on 512 points and the tables at order 64, also 512 points
+    phi, angles = symbol_phi(DimerParams(0.6)), []
+    counted = MatrixSymbol(lambda x: angles.append(x.size) or phi.sample(x), 2)
+    assert abs(szego_E_operator(counted) - szego_E_operator(phi)) == 0.0
+    assert angles == [256, 256, 256, 256]
+
+
 @pytest.mark.parametrize("t", [0.0786, 0.15, 0.6, 0.9327])
 def test_e_operator_truncation_follows_the_tail(t):
     # the order is read off the tail curve: 269 and 362 at the two ends,
