@@ -70,12 +70,10 @@ from .spectral import (
     ScalarSymbol,
     fourier_coefficients,
     geometric_mean,
-    hankel_matrix,
     hankel_section,
     log_determinant,
     pointwise_inverse,
     series_symbol,
-    toeplitz_matrix,
     toeplitz_section,
 )
 from .szego import (

@@ -41,7 +41,7 @@ from .spectral import (
     fourier_coefficients,
     geometric_mean,
     log_determinant,
-    toeplitz_matrix,
+    toeplitz_section,
 )
 from .szego import (
     bocg_residual,
@@ -287,7 +287,7 @@ class Quantities:
         """det T_n(psi^{-1}), from a table resolved to at least the order n - 1."""
         if n not in self._dets:
             inv_tab = fourier_coefficients(symbol_psi_inverse(self.params), order=n - 1)
-            self._dets[n] = log_determinant(toeplitz_matrix(inv_tab, n)).value
+            self._dets[n] = log_determinant(toeplitz_section(inv_tab, n)).value
         return self._dets[n]
 
 
@@ -295,7 +295,7 @@ def _verify_dimer_toeplitz(q: Quantities):
     n = q.cfg.n or 8
     det_m = log_determinant(dimer_matrix(q.params, n)).value
     tab = fourier_coefficients(symbol_phi(q.params), order=n - 1)
-    det_t = log_determinant(toeplitz_matrix(tab, n)).value
+    det_t = log_determinant(toeplitz_section(tab, n)).value
     return abs(det_m - det_t) / abs(det_t), 1e-8, n
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import e_phi
 from .errors import (
@@ -33,7 +32,7 @@ from .spectral import (
     common_order_tables,
     log_determinant,
     pivoted_lu,
-    toeplitz_matrix,
+    toeplitz_section,
 )
 from .dimer import DimerParams, _weight
 
@@ -124,8 +123,8 @@ def b_hat(t: complex, n: int,
     """
     t = complex(t)
     e_tab, d_tab = tables or _scalar_tables(t, n)
-    b = toeplitz_matrix(e_tab, n) + k_plus_matrix(t, n)
-    d = toeplitz_matrix(d_tab, n)
+    b = toeplitz_section(e_tab, n) + k_plus_matrix(t, n)
+    d = toeplitz_section(d_tab, n)
     return np.block([[b, d], [d.T, b.T]])
 
 
@@ -182,21 +181,14 @@ def theta_section(t: complex, n: int, e_tab: FourierTable,
                   d_tab: FourierTable) -> np.ndarray:
     """T_n(phi_hat) + P_n K P_n + W_n L W_n, the section P(n) is taken from.
 
-    Block (j, k) is phi_hat_{j-k}, copied once from a zero-copy sliding
-    window into a Fortran-ordered buffer that ``pivoted_lu`` factors in
-    place; K adds to row 0 and W_n L W_n to row 2n-1 (see :func:`_k_row`).
+    The Fortran-ordered :func:`toeplitz_section` of phi_hat, which
+    ``pivoted_lu`` factors in place; K adds to row 0 and W_n L W_n to row
+    2n-1 (see :func:`_k_row`).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > e_tab.order:
         raise TruncationTooShort(
             f"section n={n} needs coefficients to {n}, table has {e_tab.order}")
-    tab = _phi_hat_table(t, e_tab, d_tab)
-    coeffs = tab.coeffs[tab.order - n + 1:tab.order + n]  # indices 1-n .. n-1
-    out = np.empty((2 * n, 2 * n), dtype=complex, order="F")
-    # row 2j + a is blocks[a, j]; window [j, a, b, k] holds coefficient j - k
-    blocks = out.reshape((2, n, 2, n), order="F")
-    blocks[...] = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(1, 0, 2, 3)
+    out = toeplitz_section(_phi_hat_table(t, e_tab, d_tab), n)
     k_row = _k_row(t, n, e_tab, d_tab)
     out[0] += k_row
     out[-1] += k_row[::-1]

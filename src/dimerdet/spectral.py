@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     NonzeroWinding,
@@ -26,7 +27,6 @@ from .errors import (
     SingularDeterminant,
     SingularSymbol,
     TailNotResolved,
-    TruncationTooShort,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -47,11 +47,6 @@ class ScalarSymbol:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.asarray(self.fn(x), dtype=complex)
-
-    @staticmethod
-    def constant(value) -> "ScalarSymbol":
-        c = complex(value)
-        return ScalarSymbol(lambda x: np.full(np.shape(x), c, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -157,24 +152,9 @@ class FourierTable:
             return np.zeros((self.block_size, self.block_size), dtype=complex)
         return self.coeffs[k + self.order]
 
-    def scalar(self, k: int) -> complex:
-        if self.block_size != 1:
-            raise ValueError("scalar() requires a block size of 1")
-        return complex(self.coeff(k)[0, 0])
-
     def tail_magnitude(self) -> float:
         """Largest entry magnitude among the two outermost coefficient pairs."""
         return float(np.abs(self.coeffs[[0, 1, -2, -1]]).max())
-
-    @staticmethod
-    def from_coeff_map(coeffs: dict[int, complex], order: int) -> "FourierTable":
-        """Build a scalar table from an explicit {index: value} map."""
-        arr = np.zeros((2 * order + 1, 1, 1), dtype=complex)
-        for k, v in coeffs.items():
-            if abs(k) > order:
-                raise ValueError(f"coefficient index {k} beyond order {order}")
-            arr[k + order, 0, 0] = v
-        return FourierTable(1, order, arr)
 
 
 @dataclass(frozen=True)
@@ -340,64 +320,48 @@ def _extrapolated(fn, x: np.ndarray, step: float) -> np.ndarray:
     return weights @ np.stack([fn(x + o) for o in offs], axis=0)
 
 
-def toeplitz_matrix(tab: FourierTable, n: int) -> np.ndarray:
-    """The nN x nN section with block (j, k) equal to coefficient j - k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n - 1 > tab.order:
-        raise TruncationTooShort(
-            f"Toeplitz section n={n} needs coefficients to {n - 1}, table has {tab.order}")
-    return _assemble(tab, np.subtract.outer(np.arange(n), np.arange(n)))
-
-
-def hankel_matrix(tab: FourierTable, m: int) -> np.ndarray:
-    """The mN x mN section with block (j, k) equal to coefficient j + k + 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if 2 * m - 1 > tab.order:
-        raise TruncationTooShort(
-            f"Hankel section m={m} needs coefficients to {2 * m - 1}, table has {tab.order}")
-    return _assemble(tab, np.add.outer(np.arange(m), np.arange(m)) + 1)
-
-
 def toeplitz_section(tab: FourierTable, m: int, reflected: bool = False) -> np.ndarray:
-    """Truncation of the semi-infinite T(phi) (or T(phitilde)), zero-padded.
-
-    Unlike :func:`toeplitz_matrix` this reads indices beyond the table order
-    as zero blocks; use it for operator truncations where the tail has been
-    certified small.
-    """
-    idx = np.subtract.outer(np.arange(m), np.arange(m))
-    if reflected:
-        idx = -idx
-    return _assemble(tab, idx)
+    """The mN x mN truncation of T(phi), or of T(phitilde) when ``reflected``:
+    block (j, k) is coefficient ``j-k`` (or ``k-j``), zero past the table order."""
+    return _section(tab, m, -(m - 1), -1 if reflected else 1, toeplitz=True)
 
 
 def hankel_section(tab: FourierTable, m: int, shift: int = 0,
                    reflected: bool = False) -> np.ndarray:
-    """Truncation of H(z^{-shift} phi) (or with phitilde), zero-padded.
+    """The mN x mN truncation of H(z^{-shift} phi), or with phitilde:
+    block (j, k) is coefficient ``j+k+1+shift``, negated when ``reflected``,
+    zero past the table order."""
+    return _section(tab, m, 1 + shift, -1 if reflected else 1, toeplitz=False)
 
-    Block (j, k) is coefficient ``j+k+1+shift`` of phi, or coefficient
-    ``-(j+k+1+shift)`` when ``reflected`` (symbol replaced by its tilde).
+
+def _section(tab: FourierTable, m: int, first: int, sign: int, toeplitz: bool) -> np.ndarray:
+    """The section whose block (j, k) is ``strip[j + k]`` (Hankel), or
+    ``strip[j + m-1-k]`` (Toeplitz), where ``strip[i]`` is coefficient
+    ``sign * (first + i)``, i < 2m - 1.
+
+    The strip is a view of the table where it lies inside the order and a
+    zero-padded copy where it does not; it is copied once, through a
+    zero-copy sliding window, into a Fortran-ordered buffer that
+    :func:`pivoted_lu` factors in place.
     """
-    idx = np.add.outer(np.arange(m), np.arange(m)) + 1 + shift
-    if reflected:
-        idx = -idx
-    return _assemble(tab, idx)
-
-
-def _assemble(tab: FourierTable, idx: np.ndarray) -> np.ndarray:
-    """The section whose block (j, k) is coefficient ``idx[j, k]`` (zero past
-    the table order), gathered 64 block rows at a time into its buffer."""
-    n, m = tab.block_size, idx.shape[0]
-    out = np.zeros((m * n, m * n), dtype=complex)
-    blocks = out.reshape(m, n, m, n).transpose(0, 2, 1, 3)  # a view of out
-    for lo in range(0, m, 64):
-        rows = idx[lo:lo + 64]
-        inside = np.abs(rows) <= tab.order
-        blocks[lo:lo + 64][inside] = tab.coeffs[rows[inside] + tab.order]
-    if not np.all(np.isfinite(out)):
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    n, order = tab.block_size, tab.order
+    start = sign * first + order  # the row of tab.coeffs strip[0] reads
+    if abs(first) <= order and abs(first + 2 * m - 2) <= order:
+        strip = tab.coeffs[start::sign][:2 * m - 1]
+    else:
+        rows = start + sign * np.arange(2 * m - 1)
+        inside = (0 <= rows) & (rows <= 2 * order)
+        strip = np.zeros((2 * m - 1, n, n), dtype=complex)
+        strip[inside] = tab.coeffs[rows[inside]]
+    if not np.isfinite(strip).all():
         raise SampleFailure("matrix section contains non-finite entries")
+    window = sliding_window_view(strip, m, axis=0)  # [j, a, b, k] is strip[j + k]
+    out = np.empty((m * n, m * n), dtype=complex, order="F")
+    # row jN + a of out is blocks[a, j]
+    blocks = out.reshape((n, m, n, m), order="F")
+    blocks[...] = (window[..., ::-1] if toeplitz else window).transpose(1, 0, 2, 3)
     return out
 
 
@@ -410,8 +374,7 @@ def pivoted_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, LogDet]:
     norm without a temporary and catches non-finite entries.
     """
     lange = scipy.linalg.get_lapack_funcs("lange", (a,))
-    # the transpose of a C-ordered array is Fortran-ordered, with 1-norm ||a||_inf
-    norm = float(lange("I", a) if a.flags.f_contiguous else lange("1", a.T))
+    norm = float(lange("I", a))
     if not math.isfinite(norm):
         raise SampleFailure("matrix contains non-finite entries")
     lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)

@@ -44,7 +44,6 @@ from .spectral import (
     pivoted_lu,
     pointwise_inverse,
     series_symbol,
-    toeplitz_matrix,
     toeplitz_section,
 )
 
@@ -133,14 +132,13 @@ def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> co
 def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
     """det(I - H(sym) H(symtilde^{-1})) on the order-m truncation, from the
     tables of sym and sym^{-1}, built and factored in one buffer."""
-    a, h2 = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
-    # the product overwrites H1 a row block at a time, so two buffers are live
-    for lo in range(0, a.shape[0], 128):
-        a[lo:lo + 128] = a[lo:lo + 128] @ h2
+    h1, a = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
+    # the product overwrites H2 a column block at a time, so two buffers are live
+    for lo in range(0, a.shape[1], 128):
+        a[:, lo:lo + 128] = h1 @ a[:, lo:lo + 128]
     a *= -1.0
     a.flat[::a.shape[0] + 1] += 1.0
-    # a.T is Fortran-ordered, so pivoted_lu factors it in place; det a.T = det a
-    return pivoted_lu(a.T)[2].value
+    return pivoted_lu(a)[2].value
 
 
 def hankel_trace(a: FourierTable, b: FourierTable, order: int,
@@ -190,7 +188,7 @@ def widom_banded_E(psi_tab: FourierTable, band: int) -> complex:
     if band == 0:
         return complex(1.0)
     inv_tab = fourier_coefficients(pointwise_inverse(sym), order=band)
-    det = log_determinant(toeplitz_matrix(inv_tab, band)).value
+    det = log_determinant(toeplitz_section(inv_tab, band)).value
     return complex(gmean ** band * det)
 
 

@@ -5,8 +5,61 @@ from __future__ import annotations
 
 import numpy as np
 
-from dimerdet import DimerParams, ParameterOutOfRange, ScalarSymbol
+from dimerdet import DimerParams, FourierTable, ParameterOutOfRange, SampleFailure, ScalarSymbol
 from dimerdet.dimer import _eta, _p, _q
+
+
+def constant_symbol(value) -> ScalarSymbol:
+    """The symbol x -> value."""
+    c = complex(value)
+    return ScalarSymbol(lambda x: np.full(np.shape(x), c, dtype=complex))
+
+
+def scalar_coeff(tab: FourierTable, k: int) -> complex:
+    """Coefficient k of a scalar table (zero past its order)."""
+    if tab.block_size != 1:
+        raise ValueError("scalar_coeff requires a block size of 1")
+    return complex(tab.coeff(k)[0, 0])
+
+
+def table_from_coeff_map(coeffs: dict[int, complex], order: int) -> FourierTable:
+    """Build a scalar table from an explicit {index: value} map."""
+    arr = np.zeros((2 * order + 1, 1, 1), dtype=complex)
+    for k, v in coeffs.items():
+        if abs(k) > order:
+            raise ValueError(f"coefficient index {k} beyond order {order}")
+        arr[k + order, 0, 0] = v
+    return FourierTable(1, order, arr)
+
+
+def toeplitz_index(m: int, reflected: bool = False) -> np.ndarray:
+    """Block (j, k) of the Toeplitz section reads coefficient j - k (k - j
+    when reflected)."""
+    idx = np.subtract.outer(np.arange(m), np.arange(m))
+    return -idx if reflected else idx
+
+
+def hankel_index(m: int, shift: int = 0, reflected: bool = False) -> np.ndarray:
+    """Block (j, k) of the Hankel section reads coefficient j + k + 1 + shift
+    (negated when reflected)."""
+    idx = np.add.outer(np.arange(m), np.arange(m)) + 1 + shift
+    return -idx if reflected else idx
+
+
+def assemble(tab: FourierTable, idx: np.ndarray) -> np.ndarray:
+    """The section whose block (j, k) is coefficient ``idx[j, k]`` (zero past
+    the table order), gathered 64 block rows at a time into its buffer: the
+    reference the strided-window builders of ``spectral`` are checked against."""
+    n, m = tab.block_size, idx.shape[0]
+    out = np.zeros((m * n, m * n), dtype=complex)
+    blocks = out.reshape(m, n, m, n).transpose(0, 2, 1, 3)  # a view of out
+    for lo in range(0, m, 64):
+        rows = idx[lo:lo + 64]
+        inside = np.abs(rows) <= tab.order
+        blocks[lo:lo + 64][inside] = tab.coeffs[rows[inside] + tab.order]
+    if not np.all(np.isfinite(out)):
+        raise SampleFailure("matrix section contains non-finite entries")
+    return out
 
 
 def flip_conjugate(mat: np.ndarray, n: int) -> np.ndarray:

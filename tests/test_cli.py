@@ -426,7 +426,7 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
     patch("widom_banded_E", before=count("E(psi)", lambda tab, *a, **k: made_from("psi table", tab)))
     patch("geometric_mean", before=count("G(psi)", lambda sym, *a, **k: made_from("psi", sym)))
     patch("correction_quotient", before=count("quotient"))
-    patch("toeplitz_matrix", before=count(
+    patch("toeplitz_section", before=count(
         "det T_3", lambda tab, n, *a, **k: n == 3 and made_from("psi inverse table", tab)))
 
     code, _ = run_cli(["verify", "--identity", "all", "--t", "0.3"], capsys)

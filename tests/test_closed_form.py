@@ -22,9 +22,9 @@ from dimerdet import (
     prefactor,
     spectral_roots,
     symbol_psi_inverse,
-    toeplitz_matrix,
+    toeplitz_section,
 )
-from oracles import symbol_a_b
+from oracles import scalar_coeff, symbol_a_b
 
 T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 
@@ -32,7 +32,7 @@ T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 def det_t3_psi_inverse(t):
     """Spectral oracle: det T_3(psi^{-1}) from the closed-form inverse symbol."""
     tab = fourier_coefficients(symbol_psi_inverse(DimerParams(t)), 4096, 256)
-    return log_determinant(toeplitz_matrix(tab, 3)).value
+    return log_determinant(toeplitz_section(tab, 3)).value
 
 
 def test_roots_at_0p3():
@@ -121,12 +121,12 @@ def test_coefficient_bundle_vs_quadrature(t):
     a, b = symbol_a_b(DimerParams(t))
     tab_a = fourier_coefficients(a, 4096, 256)
     tab_b = fourier_coefficients(b, 4096, 256)
-    assert abs(bundle.a0 - tab_a.scalar(0)) < 1e-9
-    assert abs(bundle.a1 - tab_a.scalar(1)) < 1e-9
-    assert abs(bundle.am1 - tab_a.scalar(-1)) < 1e-9
-    assert abs(bundle.a2 - tab_a.scalar(2)) < 1e-9
-    assert abs(bundle.am2 - tab_a.scalar(-2)) < 1e-9
-    assert abs(bundle.b1 - tab_b.scalar(1)) < 1e-9
+    assert abs(bundle.a0 - scalar_coeff(tab_a, 0)) < 1e-9
+    assert abs(bundle.a1 - scalar_coeff(tab_a, 1)) < 1e-9
+    assert abs(bundle.am1 - scalar_coeff(tab_a, -1)) < 1e-9
+    assert abs(bundle.a2 - scalar_coeff(tab_a, 2)) < 1e-9
+    assert abs(bundle.am2 - scalar_coeff(tab_a, -2)) < 1e-9
+    assert abs(bundle.b1 - scalar_coeff(tab_b, 1)) < 1e-9
     assert bundle.b2 == 0
 
 

@@ -20,7 +20,7 @@ from dimerdet import (
     phi_table,
     symbol_d,
     theta_decomposition,
-    toeplitz_matrix,
+    toeplitz_section,
 )
 from dimerdet.continuation import (
     _phi_hat_symbol,
@@ -29,7 +29,7 @@ from dimerdet.continuation import (
     theta_section,
 )
 from dimerdet.dimer import _c
-from dimerdet.spectral import ScalarSymbol, grid_for_order
+from dimerdet.spectral import ScalarSymbol, grid_for_order, pivoted_lu
 
 
 def test_e_plus_is_c_minus_pole_part():
@@ -81,7 +81,7 @@ def test_k_plus_matches_pole_symbol_sections():
     from dimerdet import ScalarSymbol
     tab = fourier_coefficients(
         ScalarSymbol(lambda x: 1.0 / (np.exp(-1j * x) - t)), 256, 48)
-    direct = toeplitz_matrix(tab, 5)
+    direct = toeplitz_section(tab, 5)
     assert np.max(np.abs(direct - k_plus_matrix(t, 5))) < 1e-12
 
 
@@ -89,7 +89,7 @@ def test_k_plus_matches_pole_symbol_sections():
 def test_b_hat_continues_the_toeplitz_section(n):
     t = 0.6
     det_b = log_determinant(b_hat(t, n)).value
-    det_t = log_determinant(toeplitz_matrix(phi_table(DimerParams(t)), n)).value
+    det_t = log_determinant(toeplitz_section(phi_table(DimerParams(t)), n)).value
     assert abs(det_b - det_t) <= 1e-8 * abs(det_t)
 
 
@@ -192,7 +192,7 @@ def test_theta_section_matches_dense_assembly(t, n):
     seq = theta_decomposition(t, n)
     # W_n L W_n reverses the order of L's 2 x 2 blocks in both directions
     wlw = seq.l_op.reshape(n, 2, n, 2)[::-1, :, ::-1, :].reshape(2 * n, 2 * n)
-    dense = (toeplitz_matrix(fourier_coefficients(_phi_hat_symbol(t), 4096, 512), n)
+    dense = (toeplitz_section(fourier_coefficients(_phi_hat_symbol(t), 4096, 512), n)
              + seq.k_op + wlw)
     assert np.max(np.abs(section - dense)) <= 1e-13
 
@@ -206,6 +206,12 @@ def test_scalar_tables_share_one_order():
     assert e_tab.order == d_tab.order == 66
     rebuilt = fourier_coefficients(symbol_d(t), grid_for_order(66), 66)
     assert np.array_equal(d_tab.coeffs, rebuilt.coeffs)
+
+
+def test_theta_section_is_factored_in_place():
+    section = theta_section(0.6, 8, *_scalar_tables(0.6, 8))
+    assert section.flags.f_contiguous
+    assert np.shares_memory(pivoted_lu(section)[0], section)
 
 
 def test_theta_section_needs_table_order():

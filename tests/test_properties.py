@@ -16,7 +16,8 @@ from dimerdet import (
     symbol_d,
 )
 from dimerdet.continuation import _scalar_tables
-from dimerdet.spectral import grid_for_order
+from dimerdet.spectral import FourierTable, grid_for_order, hankel_section, toeplitz_section
+from oracles import assemble, hankel_index, toeplitz_index
 
 SETTINGS = settings(deadline=None, max_examples=50)
 
@@ -89,3 +90,23 @@ def test_joint_tables_match_the_entries_sampled_alone(t):
     assert d_tab.order == order
     assert np.array_equal(d_tab.coeffs, alone[1].coeffs)
     assert np.max(np.abs(e_tab.coeffs - alone[0].coeffs)) <= 1e-15
+
+
+@st.composite
+def tables(draw):
+    n, order = draw(st.sampled_from([1, 2])), draw(st.integers(0, 40))
+    parts = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * (2 * order + 1) * n * n,
+                          max_size=2 * (2 * order + 1) * n * n))
+    re, im = np.reshape(parts, (2, 2 * order + 1, n, n))
+    return FourierTable(n, order, re + 1j * im)
+
+
+@SETTINGS
+@given(tables(), st.integers(1, 100), st.integers(0, 10), st.booleans())
+def test_sections_equal_the_block_gather(tab, m, shift, reflected):
+    # windows inside the order are views of the table, windows past it on
+    # either side are zero-padded; both equal the block-by-block gather
+    assert np.array_equal(toeplitz_section(tab, m, reflected),
+                          assemble(tab, toeplitz_index(m, reflected)))
+    assert np.array_equal(hankel_section(tab, m, shift, reflected),
+                          assemble(tab, hankel_index(m, shift, reflected)))

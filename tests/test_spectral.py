@@ -13,18 +13,17 @@ from dimerdet import (
     SingularDeterminant,
     SingularSymbol,
     TailNotResolved,
-    TruncationTooShort,
     e_plus_symbol,
     fourier_coefficients,
     geometric_mean,
-    hankel_matrix,
+    hankel_section,
     log_determinant,
     pointwise_inverse,
     series_symbol,
     spectral_roots,
     symbol_d,
     symbol_phi,
-    toeplitz_matrix,
+    toeplitz_section,
 )
 from dimerdet.spectral import (
     MAX_ORDER,
@@ -34,7 +33,7 @@ from dimerdet.spectral import (
     grid_for_order,
     pivoted_lu,
 )
-from oracles import symbol_a_b
+from oracles import constant_symbol, scalar_coeff, symbol_a_b, table_from_coeff_map
 
 
 def harmonic(k):
@@ -45,13 +44,13 @@ def test_fourier_single_harmonic():
     tab = fourier_coefficients(harmonic(1), 64, 8)
     for k in range(-8, 9):
         expected = 1.0 if k == 1 else 0.0
-        assert abs(tab.scalar(k) - expected) < 1e-14
+        assert abs(scalar_coeff(tab, k) - expected) < 1e-14
 
 
 def test_fourier_constant_matrix():
     c = np.array([[1.5, -2j], [0.25, 3.0 + 1j]])
     sym = MatrixSymbol.from_entries(
-        [[ScalarSymbol.constant(c[i, j]) for j in range(2)] for i in range(2)])
+        [[constant_symbol(c[i, j]) for j in range(2)] for i in range(2)])
     tab = fourier_coefficients(sym, 64, 8)
     assert np.max(np.abs(tab.coeff(0) - c)) < 1e-14
     for k in range(1, 9):
@@ -63,10 +62,10 @@ def test_fourier_d_is_odd_and_imaginary():
     # d is odd and real on the circle, so its coefficients are purely
     # imaginary and odd in k
     tab = fourier_coefficients(symbol_d(0.7), 4096, 64)
-    assert abs(tab.scalar(0)) < 1e-14
+    assert abs(scalar_coeff(tab, 0)) < 1e-14
     for k in range(1, 65):
-        assert abs(tab.scalar(-k) + tab.scalar(k)) < 1e-13
-        assert abs(tab.scalar(k).real) < 1e-13
+        assert abs(scalar_coeff(tab, -k) + scalar_coeff(tab, k)) < 1e-13
+        assert abs(scalar_coeff(tab, k).real) < 1e-13
 
 
 def test_fourier_b_coefficient_closed_form():
@@ -75,8 +74,8 @@ def test_fourier_b_coefficient_closed_form():
     roots = spectral_roots(0.3)
     x1, x2 = roots.xi1, roots.xi2
     b1 = -8j * x1 * x2 / ((1 + x1) * (1 + x2) * (1 - x1 * x2))
-    assert abs(tab.scalar(2)) < 1e-13
-    assert abs(tab.scalar(1) - b1) < 1e-12
+    assert abs(scalar_coeff(tab, 2)) < 1e-13
+    assert abs(scalar_coeff(tab, 1) - b1) < 1e-12
 
 
 def test_fourier_preconditions():
@@ -117,43 +116,51 @@ def test_table_coefficients_are_read_only():
 
 
 def test_toeplitz_constant():
-    tab = fourier_coefficients(ScalarSymbol.constant(5.0), 64, 8)
-    assert np.max(np.abs(toeplitz_matrix(tab, 3) - 5.0 * np.eye(3))) < 1e-13
+    tab = fourier_coefficients(constant_symbol(5.0), 64, 8)
+    assert np.max(np.abs(toeplitz_section(tab, 3) - 5.0 * np.eye(3))) < 1e-13
 
 
 def test_toeplitz_shift():
     tab = fourier_coefficients(harmonic(1), 64, 8)
     expected = np.array([[0, 0], [1, 0]], dtype=complex)
-    assert np.max(np.abs(toeplitz_matrix(tab, 2) - expected)) < 1e-13
+    assert np.max(np.abs(toeplitz_section(tab, 2) - expected)) < 1e-13
 
 
 def test_toeplitz_block_structure():
     tab = fourier_coefficients(symbol_phi(DimerParams(0.5)), 4096, 64)
-    mat = toeplitz_matrix(tab, 5)
+    mat = toeplitz_section(tab, 5)
     blocks = mat.reshape(5, 2, 5, 2).transpose(0, 2, 1, 3)
     for j in range(4):
         for k in range(4):
             assert np.array_equal(blocks[j, k], blocks[j + 1, k + 1])
 
 
+def padded(tab, order):
+    """The same table at a higher order, padded with explicit zero blocks."""
+    coeffs = np.zeros((2 * order + 1,) + tab.coeffs.shape[1:], dtype=complex)
+    coeffs[order - tab.order:order + tab.order + 1] = tab.coeffs
+    return FourierTable(tab.block_size, order, coeffs)
+
+
 def test_toeplitz_truncation_too_short():
+    # a section read past the table order reads zero blocks there
     tab = fourier_coefficients(harmonic(1), 64, 4)
-    with pytest.raises(TruncationTooShort):
-        toeplitz_matrix(tab, 6)
+    for reflected in (False, True):
+        assert np.array_equal(toeplitz_section(tab, 6, reflected),
+                              toeplitz_section(padded(tab, 5), 6, reflected))
 
 
 def test_hankel_examples():
-    const = fourier_coefficients(ScalarSymbol.constant(3.0), 64, 8)
-    assert np.max(np.abs(hankel_matrix(const, 3))) < 1e-13
+    const = fourier_coefficients(constant_symbol(3.0), 64, 8)
+    assert np.max(np.abs(hankel_section(const, 3))) < 1e-13
     shift = fourier_coefficients(harmonic(1), 64, 8)
-    assert np.max(np.abs(hankel_matrix(shift, 2)
+    assert np.max(np.abs(hankel_section(shift, 2)
                          - np.array([[1, 0], [0, 0]]))) < 1e-13
     cosine = fourier_coefficients(
         ScalarSymbol(lambda x: 2.0 * np.cos(x) + 0j), 64, 8)
-    assert np.max(np.abs(hankel_matrix(cosine, 2)
+    assert np.max(np.abs(hankel_section(cosine, 2)
                          - np.array([[1, 0], [0, 0]]))) < 1e-13
-    with pytest.raises(TruncationTooShort):
-        hankel_matrix(shift, 5)
+    assert np.array_equal(hankel_section(shift, 5), hankel_section(padded(shift, 9), 5))
 
 
 def test_logdet_identity():
@@ -233,10 +240,30 @@ def test_pivoted_lu_factors_fortran_buffer_in_place():
     assert abs(det.value - expected) <= 1e-12 * abs(expected)
 
 
+def test_sections_are_fortran_ordered_and_factored_in_place():
+    tab = fourier_coefficients(symbol_phi(DimerParams(0.5)), 4096, 64)
+    for a in (toeplitz_section(tab, 9), toeplitz_section(tab, 9, reflected=True),
+              hankel_section(tab, 9, shift=2), hankel_section(tab, 9, reflected=True)):
+        assert a.flags.f_contiguous
+        assert np.shares_memory(pivoted_lu(a)[0], a)
+
+
+def test_sections_reject_non_finite_coefficients_they_read():
+    coeffs = np.zeros((9, 1, 1), dtype=complex)
+    coeffs[4] = 1.0
+    coeffs[8] = np.nan  # coefficient 4
+    tab = FourierTable(1, 4, coeffs)
+    with pytest.raises(SampleFailure):
+        toeplitz_section(tab, 5)  # reads coefficients -4..4
+    with pytest.raises(SampleFailure):
+        hankel_section(tab, 2, shift=1)  # reads 2..4
+    assert np.array_equal(toeplitz_section(tab, 4), np.eye(4))  # reads -3..3
+
+
 def test_pointwise_inverse_identity():
     ident = MatrixSymbol.from_entries([
-        [ScalarSymbol.constant(1), ScalarSymbol.constant(0)],
-        [ScalarSymbol.constant(0), ScalarSymbol.constant(1)]])
+        [constant_symbol(1), constant_symbol(0)],
+        [constant_symbol(0), constant_symbol(1)]])
     inv = pointwise_inverse(ident)
     x = np.linspace(-3, 3, 11)
     assert np.max(np.abs(inv.sample(x) - np.eye(2))) < 1e-14
@@ -300,7 +327,7 @@ def test_pointwise_inverse_singular():
 
 def test_geometric_mean_constant():
     g = 2.5 - 0.3j
-    assert abs(geometric_mean(ScalarSymbol.constant(g)) - g) < 1e-12
+    assert abs(geometric_mean(constant_symbol(g)) - g) < 1e-12
 
 
 def test_geometric_mean_of_phi_is_one():
@@ -356,10 +383,10 @@ def test_symbol_periodicity():
 
 
 def test_table_from_coeff_map():
-    tab = FourierTable.from_coeff_map({1: 1.0, -1: 1.0}, 4)
-    assert abs(tab.scalar(1) - 1.0) < 1e-15
-    assert abs(tab.scalar(3)) == 0.0
-    assert abs(tab.scalar(9)) == 0.0  # beyond order reads as zero
+    tab = table_from_coeff_map({1: 1.0, -1: 1.0}, 4)
+    assert abs(scalar_coeff(tab, 1) - 1.0) < 1e-15
+    assert abs(scalar_coeff(tab, 3)) == 0.0
+    assert abs(scalar_coeff(tab, 9)) == 0.0  # beyond order reads as zero
 
 
 def geometric(r):
@@ -415,7 +442,7 @@ def test_doubling_rule_returns_first_certified_order(floor, order):
     # rule doubles from max(floor, MIN_ORDER = 32) and stops at the first pass
     tab = fourier_coefficients(geometric(0.5), order=floor)
     assert tab.order == order
-    assert abs(tab.scalar(40) - 0.5 ** 40) < 1e-15
+    assert abs(scalar_coeff(tab, 40) - 0.5 ** 40) < 1e-15
 
 
 @pytest.mark.parametrize("sym", [symbol_d(0.7), symbol_d(0.05 + 1j), e_plus_symbol(0.3),

@@ -34,11 +34,12 @@ from dimerdet import (
     symbol_psi,
     symbol_psi_inverse,
     szego_E_operator,
-    toeplitz_matrix,
     toeplitz_section,
     widom_banded_E,
 )
+from dimerdet.spectral import pivoted_lu
 from dimerdet.szego import MAX_OP_ORDER, _bocg_truncated, _operator_det
+from oracles import constant_symbol, scalar_coeff, table_from_coeff_map
 
 
 def geometric_log_table(gammas, deltas, order=256):
@@ -47,7 +48,7 @@ def geometric_log_table(gammas, deltas, order=256):
     for k in range(1, order + 1):
         coeffs[k] = -sum(g ** k for g in gammas) / k
         coeffs[-k] = -sum(d ** k for d in deltas) / k
-    return FourierTable.from_coeff_map(coeffs, order)
+    return table_from_coeff_map(coeffs, order)
 
 
 def laurent_symbol(gammas, deltas):
@@ -67,7 +68,7 @@ def laurent_symbol(gammas, deltas):
 # ---------------------------------------------------------------------------
 
 def test_e_operator_identity_symbol():
-    ident = ScalarSymbol.constant(1.0)
+    ident = constant_symbol(1.0)
     assert abs(szego_E_operator(ident) - 1.0) < 1e-12
 
 
@@ -93,6 +94,22 @@ def test_e_operator_stable_under_doubling():
         assert abs(_operator_det(*tabs, 128) - _operator_det(*tabs, 256)) < 1e-10
 
 
+def test_operator_truncations_factor_their_sections_in_place(monkeypatch):
+    from dimerdet import szego
+    seen = []
+
+    def checked(a):
+        lu = pivoted_lu(a)
+        seen.append(a.flags.f_contiguous and np.shares_memory(lu[0], a))
+        return lu
+
+    monkeypatch.setattr(szego, "pivoted_lu", checked)
+    sym = symbol_phi(DimerParams(0.5))
+    _operator_det(fourier_coefficients(sym), fourier_coefficients(pointwise_inverse(sym)), 64)
+    _bocg_truncated(fourier_coefficients(symbol_psi(DimerParams(0.3)), 64, 8), 2, 64)
+    assert seen == [True, True, True]
+
+
 def test_e_operator_samples_phi_once_per_grid_point():
     # the winding check and one family run for phi and phi^{-1}: at t = 0.6
     # G settles on 512 points and the tables at order 64, also 512 points
@@ -112,7 +129,7 @@ def test_e_operator_truncation_follows_the_tail(t):
 
 def test_e_operator_rejects_nonzero_winding():
     # det diag(e^{ix}, 1) winds once around the origin
-    one, zero = ScalarSymbol.constant(1.0), ScalarSymbol.constant(0.0)
+    one, zero = constant_symbol(1.0), constant_symbol(0.0)
     sym = MatrixSymbol.from_entries([[ScalarSymbol(lambda x: np.exp(1j * x)), zero],
                                      [zero, one]])
     with pytest.raises(NonzeroWinding):
@@ -130,7 +147,7 @@ def test_e_operator_names_its_cap(t):
 # ---------------------------------------------------------------------------
 
 def test_scalar_series_zeroth_only():
-    tab = FourierTable.from_coeff_map({0: 3.7}, 8)
+    tab = table_from_coeff_map({0: 3.7}, 8)
     assert abs(correction_factor(tab, 1, 8) - 1.0) < 1e-15
 
 
@@ -142,7 +159,7 @@ def test_scalar_series_one_sided():
 def test_scalar_series_tail_failure():
     coeffs = {k: 0.999 ** k / k for k in range(1, 65)}
     coeffs.update({-k: 0.999 ** k / k for k in range(1, 65)})
-    tab = FourierTable.from_coeff_map(coeffs, 64)
+    tab = table_from_coeff_map(coeffs, 64)
     with pytest.raises(TailNotResolved):
         correction_factor(tab, 1, 64)
 
@@ -186,19 +203,19 @@ def test_sliced_sums_equal_per_k_loop():
     a, b = random_table(rng, 30), random_table(rng, 20)
     for order in (5, 25, 40):
         top = min(order, a.order, b.order)
-        terms = np.array([k * a.scalar(k) * b.scalar(-k) for k in range(1, top + 1)])
+        terms = np.array([k * scalar_coeff(a, k) * scalar_coeff(b, -k) for k in range(1, top + 1)])
         assert abs(hankel_trace(a, b, order, tol=1.0) - np.sum(terms)) \
             <= 1e-14 * np.sum(np.abs(terms))
         top = min(order, a.order)
-        terms = np.array([k * a.scalar(k) * a.scalar(-k) for k in range(1, top + 1)])
+        terms = np.array([k * scalar_coeff(a, k) * scalar_coeff(a, -k) for k in range(1, top + 1)])
         expected = np.exp(np.sum(terms))
         assert abs(correction_factor(a, 1, order, tol=1.0) - expected) <= 1e-14 * abs(expected)
 
 
 def test_correction_factor_trivial_cases():
-    zero = FourierTable.from_coeff_map({}, 8)
+    zero = table_from_coeff_map({}, 8)
     assert abs(correction_factor(zero, 2, 8) - 1.0) < 1e-15
-    const = FourierTable.from_coeff_map({0: 2.0 - 1j}, 8)
+    const = table_from_coeff_map({0: 2.0 - 1j}, 8)
     assert abs(correction_factor(const, 5, 8) - 1.0) < 1e-15
 
 
@@ -281,7 +298,7 @@ def test_bocg_identity_below_the_band():
     inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
     for n in (1, 2):
         res = bocg_residual(psi_tab, n)
-        det_n = log_determinant(toeplitz_matrix(inv_tab, n)).value
+        det_n = log_determinant(toeplitz_section(inv_tab, n)).value
         predicted = e_psi / g ** n * res
         assert abs(det_n - predicted) <= 1e-8 * abs(det_n)
     assert abs(bocg_residual(psi_tab, 1) - 1.0) > 0.1  # not trivially 1
@@ -302,7 +319,7 @@ def test_bocg_consistent_with_banded_formula_at_band():
     g = geometric_mean(symbol_psi(params))
     res = bocg_residual(psi_tab, 3)
     inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
-    det3 = log_determinant(toeplitz_matrix(inv_tab, 3)).value
+    det3 = log_determinant(toeplitz_section(inv_tab, 3)).value
     assert abs(e_psi / g ** 3 * res - det3) <= 1e-8 * abs(det3)
 
 
@@ -344,7 +361,7 @@ def test_bocg_residual_matches_dense_on_a_full_table():
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_bocg_singular_truncation():
-    tab = FourierTable.from_coeff_map({1: 1.0}, 4)
+    tab = table_from_coeff_map({1: 1.0}, 4)
     with pytest.raises(TruncatedOperatorSingular):
         _bocg_truncated(tab, 1, 8)
     with pytest.raises(TruncatedOperatorSingular):
