@@ -17,8 +17,8 @@ from dimerdet import (
     geometric_mean,
     lambda_value,
     log_determinant,
-    phi_table,
     psi_table,
+    symbol_phi,
     symbol_psi,
     symbol_psi_inverse,
     toeplitz_section,
@@ -27,7 +27,7 @@ from dimerdet import (
 
 print("1. Dimer matrix vs block Toeplitz section (t = 0.5):")
 params = DimerParams(0.5)
-tab = phi_table(params)
+tab = fourier_coefficients(symbol_phi(params))
 for n in (2, 4, 8):
     det_m = log_determinant(dimer_matrix(params, n)).value
     det_t = log_determinant(toeplitz_section(tab, n)).value

@@ -21,7 +21,6 @@ from dimerdet import (
     e_phi_reduction,
     exp_representation,
     symbol_phi,
-    symbol_phi_product,
     szego_E_operator,
 )
 
@@ -40,7 +39,7 @@ params = DimerParams(0.7)
 rep = exp_representation(params)
 x = 2 * np.pi * np.arange(256) / 256 - np.pi
 rec = rep.reconstructed.sample(x)
-target = symbol_phi_product(params).sample(x)
+target = symbol_phi(params).sample(x)
 print(f"   max pointwise reconstruction error over 256 angles: "
       f"{np.max(np.abs(rec - target)):.2e}")
 q = rep.q_part.sample(x)

@@ -38,10 +38,8 @@ from .dimer import (
     dimer_coefficients,
     dimer_matrix,
     kernel_symbols,
-    phi_table,
     symbol_d,
     symbol_phi,
-    symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
 )

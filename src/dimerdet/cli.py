@@ -1,11 +1,11 @@
 """Batch command-line surface: correlation tables, sweeps, convergence scans,
 and the identity-verification suite, with CSV/JSON emission.
 
-Exit codes: 0 success, 2 configuration rejected, 3 numerical failure (or a
-failed identity).  Output rows are deterministic for a fixed configuration
-and seed; numbers are serialized with 17 significant digits in JSON and a
-configurable precision (default 12) in CSV, so ``--precision 17`` makes the
-two emissions value-identical after parsing.
+Exit codes: 0 success, 2 configuration rejected or output file unwritable,
+3 numerical failure (or a failed identity).  Output rows are deterministic
+for a fixed configuration and seed; numbers are serialized with 17
+significant digits in JSON and a configurable precision (default 12) in CSV,
+so ``--precision 17`` makes the two emissions value-identical after parsing.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .dimer import (
     kernel_symbols,
     symbol_d,
     symbol_phi,
-    symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
 )
@@ -82,6 +81,8 @@ def parse_n_list(text: str) -> list[int]:
 
 
 def parse_switch(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
     return text.lower() in ("1", "true", "yes")
 
 
@@ -309,7 +310,7 @@ def _verify_exp_rep(q: Quantities):
     rep = exp_representation(q.params)
     x = 2 * np.pi * np.arange(256) / 256 - np.pi
     rec = rep.reconstructed.sample(x)
-    target = symbol_phi_product(q.params).sample(x)
+    target = symbol_phi(q.params).sample(x)
     return float(np.max(np.abs(rec - target))), 1e-9, None
 
 
@@ -442,26 +443,36 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def emit(report: dict, cfg: RunConfig) -> None:
-    text = render_json(report) if cfg.format == "json" else render_csv(report, cfg.precision)
-    if cfg.output:
+def _write(text: str, cfg: RunConfig) -> int:
+    """Write ``text`` to ``--output`` or standard output: exit code 0, or 2
+    after one error line when the output file cannot be written."""
+    if not cfg.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
-def emit_error(exc: Exception, cfg: RunConfig, code: int) -> None:
+def emit(report: dict, cfg: RunConfig) -> int:
+    text = render_json(report) if cfg.format == "json" else render_csv(report, cfg.precision)
+    return _write(text, cfg)
+
+
+def emit_error(exc: Exception, cfg: RunConfig, code: int) -> int:
+    """Report ``exc``; returns ``code``, or 2 if the output cannot be written."""
     if cfg.format == "json":
         payload = json.dumps(
             {"error": {"type": type(exc).__name__, "message": str(exc), "code": code}},
             indent=2, sort_keys=True) + "\n"
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        if _write(payload, cfg):
+            return 2
     print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +522,13 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         validate(cfg)
     except (ConfigError, ParameterOutOfRange) as exc:
-        emit_error(exc, cfg, 2)
-        return 2
+        return emit_error(exc, cfg, 2)
     try:
         report = RUNNERS[cfg.command](cfg)
     except DimerdetError as exc:
-        emit_error(exc, cfg, 3)
-        return 3
-    emit(report, cfg)
+        return emit_error(exc, cfg, 3)
+    if emit(report, cfg):
+        return 2
     if cfg.command == "verify" and report["first_failure"]:
         print(f"error: identity {report['first_failure']!r} failed", file=sys.stderr)
         return 3

@@ -1,10 +1,12 @@
 """The one route for P(n): the regular section, for every Re(t) > 0.
 
-For real 0 < t < 1 the diagonal symbol entry splits as c = e+ + u, u the
-geometric-series symbol with section K+ (bands t^{j-k-1}); e+ stays smooth
-on the whole half-plane.  T_n(e+) + K+ continues the section (``b_hat``,
-entries growing like t^n), and pre-multiplying by T_n(Theta+), of
-determinant 1, gives the regular T_n(phi_hat) + P_n K P_n + W_n L W_n.
+For real 0 < t < 1 the entry regularised here is c = -phi_11 of the dimer
+symbol (below, phi names [[c, d], [-d, ctilde]], of the same section
+determinants).  c = e+ + u, u the geometric-series symbol with section K+
+(bands t^{j-k-1}); e+ stays smooth on the whole half-plane.  T_n(e+) + K+
+continues the section (``b_hat``, entries growing like t^n), and
+pre-multiplying by T_n(Theta+), of determinant 1, gives the regular
+T_n(phi_hat) + P_n K P_n + W_n L W_n.
 :func:`correlation_finite` and :func:`limit_scan` use :func:`theta_section`;
 ``b_hat`` and ``_phi_hat_symbol`` are only references checked against it.
 """
@@ -162,7 +164,7 @@ def _phi_hat_table(t: complex, e_tab: FourierTable, d_tab: FourierTable) -> Four
         out[:, 0, col] = c[1:-1] - t * c[:-2]
     out[order + 1, 0, 0] += 1.0
     out[:, 1, ::-1] = out[::-1, 0, :]
-    return FourierTable(2, order, out, e_tab.tail_tol)
+    return FourierTable(2, order, out)
 
 
 def _k_row(t: complex, n: int, e_tab: FourierTable, d_tab: FourierTable) -> np.ndarray:

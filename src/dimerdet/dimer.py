@@ -15,10 +15,6 @@ Conventions fixed here (they matter for cross-checks):
   which is positive for real positive ``t`` and stays analytic in both
   ``x`` and ``t`` on the half-plane Re(t) > 0 (the imaginary part of the
   radicand has the fixed sign of Im(t^2), so the branch cut is never hit).
-* The diagonal symbol entry ``c`` carries the denominator ``(e^{-ix} - t)``.
-  Block determinants are insensitive to that sign choice, but pointwise
-  values are not; see also ``symbol_psi`` which uses the opposite
-  (product-form) orientation on the diagonal.
 * The antisymmetric integral kernel ``V`` is used with its n-dependent
   global sign dropped, which leaves every determinant unchanged.
 """
@@ -32,14 +28,12 @@ import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged
 from .spectral import (
-    FourierTable,
     _doubled,
     _stack_entries,
     MatrixSymbol,
     MIN_ORDER,
     QUAD_TOL,
     ScalarSymbol,
-    fourier_coefficients,
     grid_for_order,
 )
 
@@ -190,14 +184,6 @@ def _weight(t: complex, x: np.ndarray) -> np.ndarray:
     return np.sqrt(t * t + np.sin(x) ** 2 + np.sin(x) ** 4 + 0j)
 
 
-def _c(t: complex, x: np.ndarray) -> np.ndarray:
-    return (t * np.cos(x) + np.sin(x) ** 2) / ((np.exp(-1j * x) - t) * _weight(t, x))
-
-
-def _d(t: complex, x: np.ndarray) -> np.ndarray:
-    return np.sin(x) / _weight(t, x)
-
-
 def _p(t: complex, x: np.ndarray) -> np.ndarray:
     return (t * np.cos(x) + np.sin(x) ** 2) * (t - np.exp(1j * x))
 
@@ -223,46 +209,36 @@ def _psi_samples(t: complex, x: np.ndarray) -> np.ndarray:
 def symbol_d(t: complex) -> ScalarSymbol:
     """The off-diagonal entry sin(x)/sqrt(t^2+sin^2 x+sin^4 x); Re(t) > 0."""
     t = complex(t)
-    return ScalarSymbol(lambda x: _d(t, x))
+    return ScalarSymbol(lambda x: np.sin(x) / _weight(t, x))
+
+
+def _unit_interval_t(params: DimerParams, what: str) -> complex:
+    """t, if it is real in (0, 1); else ParameterOutOfRange naming ``what``."""
+    if not params.is_real_unit_interval:
+        raise ParameterOutOfRange(f"{what} requires real t in (0, 1), got {params.t}")
+    return params.t
 
 
 def symbol_phi(params: DimerParams) -> MatrixSymbol:
-    """The 2x2 symbol [[c, d], [dtilde, ctilde]] whose sections match det M_n.
+    """The dimer symbol sigma psi = [[sigma p, d], [-d, sigma ptilde]], with
+    sigma p = (t cos x + sin^2 x) / ((t - e^{-ix}) weight); its sections
+    match det M_n.
 
     Only defined for real 0 < t < 1: the diagonal entry has a pole on the
-    unit circle at |t| = 1, and the analytic continuation to general
-    parameters lives in :mod:`dimerdet.continuation`.
+    unit circle at |t| = 1; :mod:`dimerdet.continuation` continues the
+    sections to general parameters.
     """
-    if not params.is_real_unit_interval:
-        raise ParameterOutOfRange(
-            f"symbol_phi requires real t in (0, 1), got {params.t}; "
-            "use the continuation module for general parameters")
-    t = params.t
+    t = _unit_interval_t(params, "symbol_phi")
 
     def eval_(x):
-        # the weight is even in x, so c(-x) and d(-x) = -d(x) reuse it
+        # the weight is even in x, so the entries at -x reuse it
         w = _weight(t, x)
         num = t * np.cos(x) + np.sin(x) ** 2
         d = np.sin(x) / w
-        return _stack_entries([[num / ((np.exp(-1j * x) - t) * w), d],
-                              [-d, num / ((np.exp(1j * x) - t) * w)]], x.size)
+        return _stack_entries([[num / ((t - np.exp(-1j * x)) * w), d],
+                              [-d, num / ((t - np.exp(1j * x)) * w)]], x.size)
 
     return MatrixSymbol(eval_, 2)
-
-
-def symbol_phi_product(params: DimerParams) -> MatrixSymbol:
-    """The dimer symbol in product form, sigma * [[p, q], [qtilde, ptilde]].
-
-    Pointwise this differs from ``symbol_phi`` by the sign of the diagonal
-    entries (the two denominator orientations); every determinant-level
-    quantity agrees between the two.  The exponential representation
-    reconstructs exactly this form.
-    """
-    if not params.is_real_unit_interval:
-        raise ParameterOutOfRange(
-            f"symbol_phi_product requires real t in (0, 1), got {params.t}")
-    t = params.t
-    return MatrixSymbol(lambda x: _sigma(t, x)[:, None, None] * _psi_samples(t, x), 2)
 
 
 def symbol_psi(params: DimerParams) -> MatrixSymbol:
@@ -270,27 +246,16 @@ def symbol_psi(params: DimerParams) -> MatrixSymbol:
 
     psi equals the dimer symbol with the scalar factor sigma removed; its
     Fourier coefficients vanish beyond |k| = 3, which is what makes the
-    banded-symbol determinant identity applicable.  Note the product-form
-    diagonal orientation (opposite in sign to ``symbol_phi``'s diagonal);
-    all determinant-level quantities agree between the two orientations.
+    banded-symbol determinant identity applicable.
     """
-    if not params.is_real_unit_interval:
-        raise ParameterOutOfRange(f"symbol_psi requires real t in (0, 1), got {params.t}")
-    t = params.t
+    t = _unit_interval_t(params, "symbol_psi")
     return MatrixSymbol(lambda x: _psi_samples(t, x), 2)
 
 
 def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
     """psi^{-1} = eta [[ptilde, qtilde], [q, p]] in closed form."""
-    if not params.is_real_unit_interval:
-        raise ParameterOutOfRange(f"symbol_psi_inverse requires real t in (0, 1), got {params.t}")
-    t = params.t
+    t = _unit_interval_t(params, "symbol_psi_inverse")
     return MatrixSymbol(lambda x: _eta(t, x)[:, None, None] * _psi_samples(t, -x), 2)
-
-
-def phi_table(params: DimerParams) -> FourierTable:
-    """Fourier table of symbol_phi at the order its tail check resolves."""
-    return fourier_coefficients(symbol_phi(params))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +271,7 @@ def kernel_symbols(params: DimerParams, x) -> np.ndarray:
     Their closed forms are e+/2 and d/2
     (:func:`dimerdet.continuation.e_plus_symbol`, :func:`symbol_d`).
     """
-    if not params.is_real_unit_interval:
-        raise ParameterOutOfRange(f"kernel_symbols requires real t in (0, 1), got {params.t}")
-    return _doubled(lambda grid: _kernel_sums(params.t, x, grid), grid_for_order(MIN_ORDER),
+    t = _unit_interval_t(params, "kernel_symbols")
+    return _doubled(lambda grid: _kernel_sums(t, x, grid), grid_for_order(MIN_ORDER),
                     MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged, "S+T and V",
                     "MAX_QUAD_GRID")[0]

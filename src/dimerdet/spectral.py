@@ -56,19 +56,6 @@ class MatrixSymbol:
     fn: Evaluator
     block_size: int
 
-    @staticmethod
-    def from_entries(rows: Sequence[Sequence[ScalarSymbol]]) -> "MatrixSymbol":
-        """Stack scalar entry symbols into one evaluator."""
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("entries must be square")
-        return MatrixSymbol(
-            lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size), n)
-
-    @staticmethod
-    def from_scalar(sym: ScalarSymbol) -> "MatrixSymbol":
-        return MatrixSymbol.from_entries([[sym]])
-
     def sample(self, x) -> np.ndarray:
         """Evaluate on angles x, returning an array of shape (len(x), N, N)."""
         x = np.asarray(x, dtype=float)
@@ -88,7 +75,7 @@ def _stack_entries(rows: Sequence[Sequence], size: int) -> np.ndarray:
 def as_matrix_symbol(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
     if isinstance(sym, MatrixSymbol):
         return sym
-    return MatrixSymbol.from_scalar(sym)
+    return MatrixSymbol(lambda x: sym(x)[:, None, None], 1)
 
 
 #: the orders the doubling rule of :func:`fourier_coefficients` starts from
@@ -136,25 +123,15 @@ class FourierTable:
 
     ``coeffs[k + order]`` holds the N x N coefficient at index k.  Indices
     beyond the order read as zero blocks, which is legitimate once the tail
-    invariant (last coefficients below ``tail_tol``) has been certified.
+    invariant (last coefficients below ``TAIL_TOL``) has been certified.
     """
 
     block_size: int
     order: int
     coeffs: np.ndarray  # shape (2*order+1, N, N)
-    tail_tol: float = TAIL_TOL
 
     def __post_init__(self):  # readers share a table; none may change it
         self.coeffs.setflags(write=False)
-
-    def coeff(self, k: int) -> np.ndarray:
-        if abs(k) > self.order:
-            return np.zeros((self.block_size, self.block_size), dtype=complex)
-        return self.coeffs[k + self.order]
-
-    def tail_magnitude(self) -> float:
-        """Largest entry magnitude among the two outermost coefficient pairs."""
-        return float(np.abs(self.coeffs[[0, 1, -2, -1]]).max())
 
 
 @dataclass(frozen=True)
@@ -173,7 +150,7 @@ class LogDet:
 
 
 def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None = None,
-                         order: int | None = None, tail_tol: float = TAIL_TOL) -> FourierTable:
+                         order: int | None = None) -> FourierTable:
     """Fourier coefficients of a symbol by FFT on a uniform grid.
 
     With ``grid_size`` omitted the resolution follows the symbol: ``order``
@@ -181,7 +158,7 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
     An explicit ``grid_size`` must be a power of two with
     ``grid_size >= 4*order + 4``, so aliasing of the retained band is
     controlled, and is tried once.  The tail check: the two outermost
-    coefficient pairs must fall below ``tail_tol``, or TailNotResolved is
+    coefficient pairs must fall below ``TAIL_TOL``, or TailNotResolved is
     raised.
     """
     msym = as_matrix_symbol(sym)
@@ -190,17 +167,17 @@ def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None
         return msym.sample(x)[:, None]
 
     if grid_size is None:
-        return common_order_tables(sample, msym.block_size, order, tail_tol)[0]
+        return common_order_tables(sample, msym.block_size, order)[0]
     if order is None or grid_size < 4 * order + 4:
         raise ValueError(f"grid_size {grid_size} needs an order with 4*order+4 <= "
                          f"grid_size, got order {order}")
     if grid_size & (grid_size - 1):
         raise ValueError(f"grid_size {grid_size} is not a power of two")
-    return _tables(sample, msym.block_size, order, tail_tol, grid_size)[0]
+    return _tables(sample, msym.block_size, order, grid_size)[0]
 
 
-def common_order_tables(sample: Evaluator, block_size: int, order: int | None = None,
-                        tail_tol: float = TAIL_TOL) -> tuple[FourierTable, ...]:
+def common_order_tables(sample: Evaluator, block_size: int,
+                        order: int | None = None) -> tuple[FourierTable, ...]:
     """Tables of the symbols one evaluator samples together, at one order.
 
     ``sample(x)`` has shape (len(x), m, N, N): m symbols of block size N.
@@ -209,10 +186,10 @@ def common_order_tables(sample: Evaluator, block_size: int, order: int | None = 
     up to ``max(order, MAX_ORDER)``.  Each doubling reuses the samples of
     the grid before as its even points (see :func:`_nested`).
     """
-    return _tables(sample, block_size, max(order or 0, MIN_ORDER), tail_tol)
+    return _tables(sample, block_size, max(order or 0, MIN_ORDER))
 
 
-def _tables(sample: Evaluator, block_size: int, order: int, tail_tol: float,
+def _tables(sample: Evaluator, block_size: int, order: int,
             grid: int | None = None) -> tuple[FourierTable, ...]:
     """The one table loop: FFT the samples, and stop once every table has
     passed the tail check on this rung or an earlier one.  With ``grid``
@@ -227,15 +204,15 @@ def _tables(sample: Evaluator, block_size: int, order: int, tail_tol: float,
         spec = np.fft.fft(on_grid(grid), axis=0)
         edge = spec[np.array([-order, 1 - order, order - 1, order]) % grid] / grid
         tails = np.abs(edge).max(axis=(0, 2, 3))
-        passed = passed | (tails <= tail_tol)
+        passed = passed | (tails <= TAIL_TOL)
         if np.all(passed):
             ks = np.arange(-order, order + 1) % grid
             # each table owns its coefficients: advanced indexing copies
-            return tuple(FourierTable(block_size, order, spec[ks, i] / grid, tail_tol)
+            return tuple(FourierTable(block_size, order, spec[ks, i] / grid)
                          for i in range(tails.size))
         if order >= cap:
             raise TailNotResolved(
-                f"tail magnitude {tails[np.argmin(passed)]:.3e} exceeds {tail_tol:.1e} "
+                f"tail magnitude {tails[np.argmin(passed)]:.3e} exceeds {TAIL_TOL:.1e} "
                 f"at order {order}{rule}")
         order = min(2 * order, cap)
         grid = grid_for_order(order)

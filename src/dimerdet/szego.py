@@ -167,7 +167,7 @@ def combine_tables(tables: list[FourierTable], weights: list[complex]) -> Fourie
     """Pointwise linear combination of coefficient tables (same shape/order)."""
     base = tables[0]
     coeffs = sum(complex(w) * t.coeffs for w, t in zip(weights, tables))
-    return FourierTable(base.block_size, base.order, coeffs, base.tail_tol)
+    return FourierTable(base.block_size, base.order, coeffs)
 
 
 def widom_banded_E(psi_tab: FourierTable, band: int) -> complex:
@@ -256,9 +256,7 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
     alpha(x) = -(p + ptilde)/2 - Delta (real positive at x = 0 and pi).
     The matrix exponential is evaluated through cosh/sinh of b*Delta with
     the removable points x in {0, pi} filled by polynomial extrapolation.
-    The reconstruction equals the product-form symbol sigma * psi, whose
-    diagonal orientation is opposite to ``symbol_phi``; determinants do not
-    see the difference.
+    The reconstruction equals sigma psi, :func:`dimerdet.dimer.symbol_phi`.
     """
     if not params.is_real_unit_interval:
         raise BranchFailure(

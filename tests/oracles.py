@@ -5,8 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from dimerdet import DimerParams, FourierTable, ParameterOutOfRange, SampleFailure, ScalarSymbol
+from dimerdet import (
+    DimerParams,
+    FourierTable,
+    MatrixSymbol,
+    ParameterOutOfRange,
+    SampleFailure,
+    ScalarSymbol,
+)
 from dimerdet.dimer import _eta, _p, _q
+from dimerdet.spectral import _grid, _stack_entries
 
 
 def constant_symbol(value) -> ScalarSymbol:
@@ -15,11 +23,40 @@ def constant_symbol(value) -> ScalarSymbol:
     return ScalarSymbol(lambda x: np.full(np.shape(x), c, dtype=complex))
 
 
+def from_entries(rows) -> MatrixSymbol:
+    """The matrix symbol whose entry (i, j) is the scalar symbol ``rows[i][j]``."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("entries must be square")
+    return MatrixSymbol(
+        lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size), n)
+
+
+def coeff(tab: FourierTable, k: int) -> np.ndarray:
+    """The N x N coefficient k of a table (a zero block past its order)."""
+    if abs(k) > tab.order:
+        return np.zeros((tab.block_size, tab.block_size), dtype=complex)
+    return tab.coeffs[k + tab.order]
+
+
 def scalar_coeff(tab: FourierTable, k: int) -> complex:
     """Coefficient k of a scalar table (zero past its order)."""
     if tab.block_size != 1:
         raise ValueError("scalar_coeff requires a block size of 1")
-    return complex(tab.coeff(k)[0, 0])
+    return complex(coeff(tab, k)[0, 0])
+
+
+def tail_magnitude(tab: FourierTable) -> float:
+    """Largest entry magnitude among the two outermost coefficient pairs."""
+    return float(np.abs(tab.coeffs[[0, 1, -2, -1]]).max())
+
+
+def fft_table(sym: ScalarSymbol, grid: int, order: int) -> FourierTable:
+    """The scalar table of ``sym`` to ``order`` from one plain FFT of its
+    samples on the ``grid`` points the package samples at, without the
+    tail check."""
+    spec = np.fft.fft(sym(_grid(grid)))
+    return FourierTable(1, order, spec[np.arange(-order, order + 1) % grid, None, None] / grid)
 
 
 def table_from_coeff_map(coeffs: dict[int, complex], order: int) -> FourierTable:

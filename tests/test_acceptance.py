@@ -25,10 +25,8 @@ from dimerdet import (
     hankel_trace,
     lambda_value,
     log_determinant,
-    phi_table,
     spectral_roots,
     symbol_phi,
-    symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
     szego_E_operator,
@@ -63,7 +61,7 @@ def test_criterion_02_dimer_toeplitz_equivalence():
     worst = 0.0
     for t in (0.3, 0.5, 0.7):
         params = DimerParams(t)
-        tab = phi_table(params)
+        tab = fourier_coefficients(symbol_phi(params))
         for n in (2, 4, 8, 16):
             det_m = log_determinant(dimer_matrix(params, n)).value
             det_t = log_determinant(toeplitz_section(tab, n)).value
@@ -146,7 +144,7 @@ def test_criterion_07_exponential_representation():
         rep = exp_representation(DimerParams(t))
         x = 2 * np.pi * np.arange(256) / 256 - np.pi
         rec = rep.reconstructed.sample(x)
-        target = symbol_phi_product(DimerParams(t)).sample(x)
+        target = symbol_phi(DimerParams(t)).sample(x)
         err = float(np.max(np.abs(rec - target)))
         worst = max(worst, err)
         assert err <= 1e-9, (t, err)

@@ -132,6 +132,39 @@ def test_json_error_object(tmp_path):
     assert payload["error"]["code"] == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["correlation", "--t", "0.3"],
+    ["correlation", "--t", "-1", "--format", "json"],
+    ["correlation", "--t", "0.001", "--n", "4", "--format", "json"],
+], ids=["success", "config-error", "numerical-error"])
+def test_unwritable_output_exits_2_with_one_error_line(args, tmp_path, capsys):
+    # the report and both error objects go through the one writer
+    out = tmp_path / "missing" / "out.txt"
+    assert main(args + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
+def test_parse_switch_accepts_two_word_sets_and_rejects_the_rest():
+    for text in ("1", "true", "True", "YES"):
+        assert parse_switch(text) is True
+    for text in ("0", "false", "No", "FALSE"):
+        assert parse_switch(text) is False
+    for text in ("on", "ture", ""):
+        with pytest.raises(ValueError):
+            parse_switch(text)
+
+
+@pytest.mark.parametrize("text", ["on", "ture"])
+def test_config_switch_typo_exits_2_naming_the_line(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_start = 0.1\nverify_roots = {text}\n")
+    code = main(["sweep", "--t-stop", "0.2", "--t-count", "2", "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:2: verify_roots" in capsys.readouterr().err
+
+
 #: one run per shape of JSON output: the sweep's first row fails, and the
 #: last run emits the error object
 SCHEMA_RUNS = {

@@ -12,12 +12,14 @@ from dimerdet import (
     correlation_finite,
     correlation_limit,
     e_plus_symbol,
-    fourier_coefficients,
     symbol_d,
+    symbol_phi,
+    symbol_psi,
 )
 from dimerdet.continuation import _scalar_tables
+from dimerdet.dimer import _sigma
 from dimerdet.spectral import FourierTable, grid_for_order, hankel_section, toeplitz_section
-from oracles import assemble, hankel_index, toeplitz_index
+from oracles import assemble, fft_table, hankel_index, toeplitz_index
 
 SETTINGS = settings(deadline=None, max_examples=50)
 
@@ -85,11 +87,25 @@ def test_joint_tables_match_the_entries_sampled_alone(t):
     # the final grid gives d bit for bit and e+ to 1e-15
     e_tab, d_tab = _scalar_tables(t, 32)
     grid, order = grid_for_order(e_tab.order), e_tab.order
-    alone = [fourier_coefficients(sym, grid, order, tail_tol=math.inf)
-             for sym in (e_plus_symbol(t), symbol_d(t))]
+    alone = [fft_table(sym, grid, order) for sym in (e_plus_symbol(t), symbol_d(t))]
     assert d_tab.order == order
     assert np.array_equal(d_tab.coeffs, alone[1].coeffs)
     assert np.max(np.abs(e_tab.coeffs - alone[0].coeffs)) <= 1e-15
+
+
+@SETTINGS
+@given(st.floats(0.01, 0.99),
+       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=64))
+def test_symbol_phi_is_sigma_times_psi(t, angles):
+    # the dimer symbol is sigma psi entry by entry, diagonal included, to
+    # 1e-14 relative times the condition of 1 - 2t cos x + t^2, which sigma
+    # divides by and symbol_phi never forms
+    x = np.array(angles)
+    params = DimerParams(t)
+    product = _sigma(t, x)[:, None, None] * symbol_psi(params).sample(x)
+    err = np.abs(symbol_phi(params).sample(x) - product).max(axis=(1, 2))
+    cond = (1.0 + t) ** 2 / (1.0 - 2.0 * t * np.cos(x) + t * t)
+    assert np.all(err <= 1e-14 * cond * np.abs(product).max(axis=(1, 2)))
 
 
 @st.composite

@@ -30,7 +30,6 @@ from dimerdet import (
     prefactor,
     spectral_roots,
     symbol_phi,
-    symbol_phi_product,
     symbol_psi,
     symbol_psi_inverse,
     szego_E_operator,
@@ -39,7 +38,7 @@ from dimerdet import (
 )
 from dimerdet.spectral import pivoted_lu
 from dimerdet.szego import MAX_OP_ORDER, _bocg_truncated, _operator_det
-from oracles import constant_symbol, scalar_coeff, table_from_coeff_map
+from oracles import constant_symbol, from_entries, scalar_coeff, table_from_coeff_map
 
 
 def geometric_log_table(gammas, deltas, order=256):
@@ -130,8 +129,7 @@ def test_e_operator_truncation_follows_the_tail(t):
 def test_e_operator_rejects_nonzero_winding():
     # det diag(e^{ix}, 1) winds once around the origin
     one, zero = constant_symbol(1.0), constant_symbol(0.0)
-    sym = MatrixSymbol.from_entries([[ScalarSymbol(lambda x: np.exp(1j * x)), zero],
-                                     [zero, one]])
+    sym = from_entries([[ScalarSymbol(lambda x: np.exp(1j * x)), zero], [zero, one]])
     with pytest.raises(NonzeroWinding):
         szego_E_operator(sym)
 
@@ -372,30 +370,16 @@ def test_bocg_singular_truncation():
 # exponential representation
 # ---------------------------------------------------------------------------
 
-def product_form_samples(t, x):
-    return symbol_phi_product(DimerParams(t)).sample(x)
-
-
 @pytest.mark.parametrize("t", [0.3, 0.7])
 def test_exp_representation_reconstructs_product_form(t):
+    # all four entries, the diagonal included
     rep = exp_representation(DimerParams(t))
     x = 2 * np.pi * np.arange(256) / 256 - np.pi
     rec = rep.reconstructed.sample(x)
-    assert np.max(np.abs(rec - product_form_samples(t, x))) < 1e-9
-
-
-def test_exp_representation_vs_phi_orientation():
-    # the reconstruction carries the product-form diagonal, which is the
-    # negative of symbol_phi's diagonal; off-diagonals agree exactly
-    t = 0.5
-    rep = exp_representation(DimerParams(t))
-    x = 2 * np.pi * np.arange(64) / 64 - np.pi
-    rec = rep.reconstructed.sample(x)
     phi = symbol_phi(DimerParams(t)).sample(x)
-    assert np.max(np.abs(rec[:, 0, 1] - phi[:, 0, 1])) < 1e-9
-    assert np.max(np.abs(rec[:, 1, 0] - phi[:, 1, 0])) < 1e-9
-    assert np.max(np.abs(rec[:, 0, 0] + phi[:, 0, 0])) < 1e-9
-    assert np.max(np.abs(rec[:, 1, 1] + phi[:, 1, 1])) < 1e-9
+    for i in range(2):
+        for j in range(2):
+            assert np.max(np.abs(rec[:, i, j] - phi[:, i, j])) < 1e-9
 
 
 def test_exp_representation_q_is_trace_free():
