@@ -38,7 +38,7 @@ print()
 print("2. Banded-symbol reduction at t = 0.3:")
 params = DimerParams(0.3)
 psi_tab = psi_table(params)
-inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
+inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=256)
 e_psi = widom_banded_E(psi_tab, 3)
 g = geometric_mean(symbol_psi(params))
 lam = lambda_value(0.3)
@@ -52,7 +52,7 @@ print()
 print("3. One-step residual identity at t = 0.4 (band is 3):")
 params = DimerParams(0.4)
 psi_tab = psi_table(params)
-inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
+inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=256)
 e_psi = widom_banded_E(psi_tab, 3)
 g = geometric_mean(symbol_psi(params))
 for n in (1, 2, 3, 5, 8):

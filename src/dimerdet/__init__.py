@@ -9,36 +9,11 @@ trace corrections, and the analytic continuation to all parameters with
 positive real part.
 """
 
-from .closed_form import (
-    CoefficientBundle,
-    SpectralRoots,
-    coefficient_bundle,
-    correlation_limit,
-    e_phi,
-    kl_helpers,
-    lambda_long_form,
-    lambda_value,
-    prefactor,
-    spectral_roots,
-)
-from .continuation import (
-    ContinuedSequence,
-    LimitScan,
-    ScanRow,
-    b_hat,
-    correlation_finite,
-    e_plus_symbol,
-    k_plus_matrix,
-    limit_scan,
-    theta_decomposition,
-)
+from .closed_form import correlation_limit, e_phi, lambda_value
+from .continuation import correlation_finite, limit_scan, theta_decomposition
 from .dimer import (
-    DimerCoefficients,
     DimerParams,
-    dimer_coefficients,
     dimer_matrix,
-    kernel_symbols,
-    symbol_d,
     symbol_phi,
     symbol_psi,
     symbol_psi_inverse,
@@ -61,31 +36,29 @@ from .errors import (
     TruncatedOperatorSingular,
     TruncationTooShort,
 )
-from .spectral import (
-    FourierTable,
-    LogDet,
-    MatrixSymbol,
-    ScalarSymbol,
-    fourier_coefficients,
-    geometric_mean,
-    hankel_section,
-    log_determinant,
-    pointwise_inverse,
-    series_symbol,
-    toeplitz_section,
-)
+from .spectral import fourier_coefficients, geometric_mean, log_determinant, toeplitz_section
 from .szego import (
-    ExpRepresentation,
-    alpha_log_tables,
     bocg_residual,
-    combine_tables,
-    correction_factor,
     e_phi_reduction,
     exp_representation,
-    hankel_trace,
     psi_table,
     szego_E_operator,
     widom_banded_E,
 )
+
+#: the functions the README and the demos call, the parameter type, and the
+#: error hierarchy; everything else is imported from the module defining it
+__all__ = [
+    "bocg_residual", "correlation_finite", "correlation_limit", "dimer_matrix", "e_phi",
+    "e_phi_reduction", "exp_representation", "fourier_coefficients", "geometric_mean",
+    "lambda_value", "limit_scan", "log_determinant", "psi_table", "symbol_phi", "symbol_psi",
+    "symbol_psi_inverse", "szego_E_operator", "theta_decomposition", "toeplitz_section",
+    "widom_banded_E",
+    "DimerParams",
+    "DimerdetError", "BranchFailure", "DecompositionMismatch", "DegenerateRoots",
+    "InvariantViolation", "NonzeroWinding", "NotBanded", "ParameterOutOfRange", "PoleInput",
+    "QuadratureUnconverged", "SampleFailure", "SingularDeterminant", "SingularSymbol",
+    "TailNotResolved", "TruncatedOperatorSingular", "TruncationTooShort",
+]
 
 __version__ = "0.1.0"

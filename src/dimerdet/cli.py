@@ -15,9 +15,8 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .dimer import (
 from .errors import DegenerateRoots, DimerdetError, ParameterOutOfRange
 from .spectral import (
     FourierTable,
-    ScalarSymbol,
     fourier_coefficients,
     geometric_mean,
     log_determinant,
@@ -258,11 +256,7 @@ def _sweep_row(cfg: RunConfig, t: complex) -> dict:
 def run_sweep(cfg: RunConfig) -> dict:
     ts = [complex(re, cfg.t_imag)
           for re in np.linspace(cfg.t_start, cfg.t_stop, cfg.t_count)]
-    if ts:
-        with ThreadPoolExecutor(max_workers=min(4, len(ts))) as pool:
-            rows = list(pool.map(lambda t: _sweep_row(cfg, t), ts))
-    else:
-        rows = []
+    rows = [_sweep_row(cfg, t) for t in ts]
     return {"command": "sweep", "rows": rows, "columns": SWEEP_COLUMNS}
 
 
@@ -368,12 +362,13 @@ def _verify_scalar_widom(q: Quantities):
                   for _ in range(n_up)]
         deltas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
                   for _ in range(n_dn)]
-
-        def sym_eval(x, gs=gammas, ds=deltas):
-            z = np.exp(1j * x)
-            return np.prod([1.0 - g * z for g in gs] + [1.0 - d / z for d in ds], axis=0)
-
-        tab = fourier_coefficients(ScalarSymbol(sym_eval), 128, 16)
+        # the symbol prod (1 - g z) prod (1 - d/z), exactly: its coefficients
+        # k = -n_dn..n_up are the convolution of those of its linear factors
+        order = max(n_up, n_dn)
+        coeffs = np.zeros((2 * order + 1, 1, 1), dtype=complex)
+        coeffs[order - n_dn:order + n_up + 1, 0, 0] = reduce(
+            np.convolve, [[1.0, -g] for g in gammas] + [[-d, 1.0] for d in deltas])
+        tab = FourierTable(1, order, coeffs)
         # log of each factor (1 - g z): coefficients -g^k / k at k >= 1
         logs = np.zeros((513, 1, 1), dtype=complex)
         logs[257:, 0, 0] = -sum(g ** ks for g in gammas) / ks

@@ -8,7 +8,8 @@ continues the section (``b_hat``, entries growing like t^n), and
 pre-multiplying by T_n(Theta+), of determinant 1, gives the regular
 T_n(phi_hat) + P_n K P_n + W_n L W_n.
 :func:`correlation_finite` and :func:`limit_scan` use :func:`theta_section`;
-``b_hat`` and ``_phi_hat_symbol`` are only references checked against it.
+``b_hat`` is only a reference checked against it, and so is the sampled
+phi_hat symbol of the tests.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from .errors import (
     TruncationTooShort,
 )
 from .spectral import (
+    _EPS,
     FourierTable,
     _extrapolated,
-    _stack_entries,
-    MatrixSymbol,
     ScalarSymbol,
     common_order_tables,
     log_determinant,
@@ -128,27 +128,6 @@ def b_hat(t: complex, n: int,
     b = toeplitz_section(e_tab, n) + k_plus_matrix(t, n)
     d = toeplitz_section(d_tab, n)
     return np.block([[b, d], [d.T, b.T]])
-
-
-def _phi_hat_symbol(t: complex) -> MatrixSymbol:
-    """Theta+ * phi, written so every entry is regular on Re(t) > 0.
-
-    Theta+ = diag(1 - t e^{ix}, 1 - t e^{-ix}) and
-    (1 - t e^{ix}) / (e^{-ix} - t) = e^{ix} exactly, so the diagonal entries
-    are (1 - t e^{+-ix}) e+(+-x) + e^{+-ix} with no near-pole cancellation.
-    This sampled form is the reference for :func:`_phi_hat_table`.
-    """
-    pair = _e_plus_d(t)
-
-    def eval_(x):
-        z = np.exp(1j * x)
-        zc = z.conj()
-        (ep, d), ep_reflected = pair(x).T, pair(-x)[:, 0]  # d(-x) = -d(x)
-        return _stack_entries([[(1.0 - t * z) * ep + z, (1.0 - t * z) * d],
-                              [-(1.0 - t * zc) * d, (1.0 - t * zc) * ep_reflected + zc]],
-                              x.size)
-
-    return MatrixSymbol(eval_, 2)
 
 
 def _phi_hat_table(t: complex, e_tab: FourierTable, d_tab: FourierTable) -> FourierTable:
@@ -252,8 +231,10 @@ class LimitScan:
 
     @property
     def errors_decreasing(self) -> bool:
-        errs = [r.abs_error for r in self.rows]
-        return all(b < a for a, b in zip(errs, errs[1:]))
+        """Each error below the one before it, or within the rounding level
+        of its 2n x 2n LU determinant, 2n eps |target|."""
+        return all(b.abs_error < a.abs_error or b.abs_error <= 2 * b.n * _EPS * abs(self.target)
+                   for a, b in zip(self.rows, self.rows[1:]))
 
 
 def limit_scan(t: complex, n_list: list[int]) -> LimitScan:

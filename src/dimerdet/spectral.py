@@ -149,31 +149,13 @@ class LogDet:
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
-def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol, grid_size: int | None = None,
+def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol,
                          order: int | None = None) -> FourierTable:
-    """Fourier coefficients of a symbol by FFT on a uniform grid.
-
-    With ``grid_size`` omitted the resolution follows the symbol: ``order``
-    is only the floor the caller reads (see :func:`common_order_tables`).
-    An explicit ``grid_size`` must be a power of two with
-    ``grid_size >= 4*order + 4``, so aliasing of the retained band is
-    controlled, and is tried once.  The tail check: the two outermost
-    coefficient pairs must fall below ``TAIL_TOL``, or TailNotResolved is
-    raised.
-    """
+    """Fourier coefficients of a symbol by FFT, at the resolution the symbol
+    needs: ``order`` is only the floor the caller reads (the doubling rule
+    of :func:`common_order_tables`, for a family of one)."""
     msym = as_matrix_symbol(sym)
-
-    def sample(x):  # a family of one
-        return msym.sample(x)[:, None]
-
-    if grid_size is None:
-        return common_order_tables(sample, msym.block_size, order)[0]
-    if order is None or grid_size < 4 * order + 4:
-        raise ValueError(f"grid_size {grid_size} needs an order with 4*order+4 <= "
-                         f"grid_size, got order {order}")
-    if grid_size & (grid_size - 1):
-        raise ValueError(f"grid_size {grid_size} is not a power of two")
-    return _tables(sample, msym.block_size, order, grid_size)[0]
+    return common_order_tables(lambda x: msym.sample(x)[:, None], msym.block_size, order)[0]
 
 
 def common_order_tables(sample: Evaluator, block_size: int,
@@ -189,18 +171,17 @@ def common_order_tables(sample: Evaluator, block_size: int,
     return _tables(sample, block_size, max(order or 0, MIN_ORDER))
 
 
-def _tables(sample: Evaluator, block_size: int, order: int,
-            grid: int | None = None) -> tuple[FourierTable, ...]:
-    """The one table loop: FFT the samples, and stop once every table has
-    passed the tail check on this rung or an earlier one.  With ``grid``
-    given it is tried once; else the grid is ``grid_for_order`` of the
-    order, which doubles up to ``max(order, MAX_ORDER)``."""
-    cap = order if grid else max(order, MAX_ORDER)
-    rule = "" if grid else f", the doubling rule's cap (MAX_ORDER = {MAX_ORDER})"
-    grid = grid or grid_for_order(order)
+def _tables(sample: Evaluator, block_size: int, order: int) -> tuple[FourierTable, ...]:
+    """The one table loop: FFT the samples on ``grid_for_order`` of the
+    order, and stop once every table has passed the tail check (the two
+    outermost coefficient pairs below ``TAIL_TOL``) on this rung or an
+    earlier one; else the order doubles up to ``max(order, MAX_ORDER)``,
+    past which TailNotResolved is raised."""
+    cap = max(order, MAX_ORDER)
     on_grid = _nested(sample)
     passed = False
     while True:
+        grid = grid_for_order(order)
         spec = np.fft.fft(on_grid(grid), axis=0)
         edge = spec[np.array([-order, 1 - order, order - 1, order]) % grid] / grid
         tails = np.abs(edge).max(axis=(0, 2, 3))
@@ -213,9 +194,8 @@ def _tables(sample: Evaluator, block_size: int, order: int,
         if order >= cap:
             raise TailNotResolved(
                 f"tail magnitude {tails[np.argmin(passed)]:.3e} exceeds {TAIL_TOL:.1e} "
-                f"at order {order}{rule}")
+                f"at order {order}, the doubling rule's cap (MAX_ORDER = {MAX_ORDER})")
         order = min(2 * order, cap)
-        grid = grid_for_order(order)
 
 
 @functools.lru_cache(maxsize=16)
@@ -271,18 +251,6 @@ def series_symbol(tab: FourierTable) -> MatrixSymbol:
         return acc
 
     return MatrixSymbol(eval_, tab.block_size)
-
-
-def _lagrange_fill(fn, x: np.ndarray, bad: np.ndarray, step: float) -> np.ndarray:
-    """Evaluate fn(x), replacing entries flagged ``bad`` by
-    :func:`_extrapolated` values."""
-    out = np.empty(x.shape, dtype=complex)
-    good = ~bad
-    if np.any(good):
-        out[good] = fn(x[good])
-    if np.any(bad):
-        out[bad] = _extrapolated(fn, x[bad], step)
-    return out
 
 
 def _extrapolated(fn, x: np.ndarray, step: float) -> np.ndarray:

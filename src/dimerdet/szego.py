@@ -29,8 +29,8 @@ from .errors import (
 from .spectral import (
     FourierTable,
     _doubled,
+    _extrapolated,
     _inverse_samples,
-    _lagrange_fill,
     _stack_entries,
     MIN_ORDER,
     MatrixSymbol,
@@ -300,16 +300,19 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
     def b_direct(x):
         return w_fn(x) / delta_fn(x)
 
-    def removable(x):
-        return np.abs(np.sin(x)) < 1e-6
+    def filled(direct):
+        """``direct``, with its removable points x in {0, pi} extrapolated."""
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(all="ignore"):  # 0/0 at the removable points
+                out = direct(x)
+            removable = np.abs(np.sin(x)) < 1e-6
+            if np.any(removable):
+                out[removable] = _extrapolated(direct, x[removable], 5e-4)
+            return out
+        return fn
 
-    def ratio_fn(x):
-        x = np.asarray(x, dtype=float)
-        return _lagrange_fill(ratio_direct, x, removable(x), 5e-4)
-
-    def b_fn(x):
-        x = np.asarray(x, dtype=float)
-        return _lagrange_fill(b_direct, x, removable(x), 5e-4)
+    ratio_fn, b_fn = filled(ratio_direct), filled(b_direct)
 
     def q_fn(x):
         q11 = (_p(t, x) - _p(t, -x)) / 2.0
@@ -363,8 +366,12 @@ def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:
 
 
 def psi_table(params: DimerParams) -> FourierTable:
-    """The table of the band-3 symbol psi = sigma^{-1} phi, to order 8."""
-    return fourier_coefficients(symbol_psi(params), 64, 8)
+    """The table of the band-3 symbol psi = sigma^{-1} phi, to order 8: the
+    resolved table cut to its coefficients |k| <= 8.  Past the band the cut
+    drops only rounding noise, and it keeps the Hankel supports of
+    :func:`bocg_residual` short."""
+    tab = fourier_coefficients(symbol_psi(params), order=8)
+    return FourierTable(tab.block_size, 8, tab.coeffs[tab.order - 8:tab.order + 9])
 
 
 def e_phi_reduction(params: DimerParams, tol: float = 1e-10) -> complex:

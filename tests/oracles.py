@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from dimerdet import (
-    DimerParams,
+from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
+from dimerdet.continuation import _e_plus_d
+from dimerdet.dimer import _eta, _p, _q
+from dimerdet.spectral import (
     FourierTable,
     MatrixSymbol,
-    ParameterOutOfRange,
-    SampleFailure,
     ScalarSymbol,
+    _grid,
+    _stack_entries,
+    as_matrix_symbol,
 )
-from dimerdet.dimer import _eta, _p, _q
-from dimerdet.spectral import _grid, _stack_entries
 
 
 def constant_symbol(value) -> ScalarSymbol:
@@ -51,12 +52,14 @@ def tail_magnitude(tab: FourierTable) -> float:
     return float(np.abs(tab.coeffs[[0, 1, -2, -1]]).max())
 
 
-def fft_table(sym: ScalarSymbol, grid: int, order: int) -> FourierTable:
-    """The scalar table of ``sym`` to ``order`` from one plain FFT of its
-    samples on the ``grid`` points the package samples at, without the
-    tail check."""
-    spec = np.fft.fft(sym(_grid(grid)))
-    return FourierTable(1, order, spec[np.arange(-order, order + 1) % grid, None, None] / grid)
+def fft_table(sym: ScalarSymbol | MatrixSymbol, grid: int, order: int) -> FourierTable:
+    """The table of ``sym`` to ``order`` from one plain FFT of its samples
+    on the ``grid`` points the package samples at, without the tail check:
+    the fixed-grid reference the resolved tables of ``fourier_coefficients``
+    are checked against."""
+    msym = as_matrix_symbol(sym)
+    spec = np.fft.fft(msym.sample(_grid(grid)), axis=0)
+    return FourierTable(msym.block_size, order, spec[np.arange(-order, order + 1) % grid] / grid)
 
 
 def table_from_coeff_map(coeffs: dict[int, complex], order: int) -> FourierTable:
@@ -128,3 +131,24 @@ def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:
     a = ScalarSymbol(lambda x: _eta(t, x) * _p(t, x))
     b = ScalarSymbol(lambda x: _eta(t, x) * _q(t, x))
     return a, b
+
+
+def phi_hat_symbol(t: complex) -> MatrixSymbol:
+    """Theta+ * phi, written so every entry is regular on Re(t) > 0.
+
+    Theta+ = diag(1 - t e^{ix}, 1 - t e^{-ix}) and
+    (1 - t e^{ix}) / (e^{-ix} - t) = e^{ix} exactly, so the diagonal entries
+    are (1 - t e^{+-ix}) e+(+-x) + e^{+-ix} with no near-pole cancellation.
+    This sampled form is the reference for ``continuation._phi_hat_table``.
+    """
+    pair = _e_plus_d(t)
+
+    def eval_(x):
+        z = np.exp(1j * x)
+        zc = z.conj()
+        (ep, d), ep_reflected = pair(x).T, pair(-x)[:, 0]  # d(-x) = -d(x)
+        return _stack_entries([[(1.0 - t * z) * ep + z, (1.0 - t * z) * d],
+                              [-(1.0 - t * zc) * d, (1.0 - t * zc) * ep_reflected + zc]],
+                              x.size)
+
+    return MatrixSymbol(eval_, 2)

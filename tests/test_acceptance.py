@@ -11,10 +11,7 @@ import numpy as np
 
 from dimerdet import (
     DimerParams,
-    alpha_log_tables,
-    b_hat,
     bocg_residual,
-    correction_factor,
     correlation_limit,
     dimer_matrix,
     e_phi,
@@ -22,10 +19,9 @@ from dimerdet import (
     exp_representation,
     fourier_coefficients,
     geometric_mean,
-    hankel_trace,
     lambda_value,
     log_determinant,
-    spectral_roots,
+    psi_table,
     symbol_phi,
     symbol_psi,
     symbol_psi_inverse,
@@ -34,8 +30,16 @@ from dimerdet import (
     toeplitz_section,
     widom_banded_E,
 )
+from dimerdet.closed_form import spectral_roots
+from dimerdet.continuation import b_hat
 from dimerdet.spectral import ScalarSymbol, pointwise_inverse
-from dimerdet.szego import _bocg_truncated, _operator_det
+from dimerdet.szego import (
+    _bocg_truncated,
+    _operator_det,
+    alpha_log_tables,
+    correction_factor,
+    hankel_trace,
+)
 from oracles import table_from_coeff_map
 
 E_T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
@@ -97,7 +101,7 @@ def test_criterion_03_three_way_e_agreement():
 def test_criterion_04_lambda_identity():
     worst = 0.0
     for t in E_T_SET:
-        inv_tab = fourier_coefficients(symbol_psi_inverse(DimerParams(t)), 4096, 256)
+        inv_tab = fourier_coefficients(symbol_psi_inverse(DimerParams(t)), order=256)
         det3 = log_determinant(toeplitz_section(inv_tab, 3)).value
         rel = abs(lambda_value(t) ** 2 - det3) / abs(det3)
         worst = max(worst, rel)
@@ -121,8 +125,8 @@ def test_criterion_05_hankel_trace_closed_forms():
 
 def test_criterion_06_bocg_residual():
     params = DimerParams(0.4)
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
-    inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
+    psi_tab = psi_table(params)
+    inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=256)
     e_psi = widom_banded_E(psi_tab, 3)
     g = geometric_mean(symbol_psi(params))
     worst = 0.0
@@ -221,7 +225,7 @@ def test_criterion_11_scalar_widom_randomized():
                 out = out * (1.0 - d / z)
             return out
 
-        tab = fourier_coefficients(ScalarSymbol(sym_eval), 128, 16)
+        tab = fourier_coefficients(ScalarSymbol(sym_eval), order=16)
         coeffs = {}
         for k in range(1, 257):
             coeffs[k] = -sum(g ** k for g in gammas) / k

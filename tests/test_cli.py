@@ -251,6 +251,17 @@ def test_convergence_table(capsys):
     assert errs == sorted(errs, reverse=True)
 
 
+@pytest.mark.parametrize("t, n_list", [("0.6", "4,8,16,32,64"), ("1", "8,16,24,32")])
+def test_convergence_at_rounding_level_does_not_warn(t, n_list, capsys):
+    # the last errors are at the rounding level of the determinant (about
+    # 2e-16, then 3e-16), where their order carries no information
+    code = main(["convergence", "--t", t, "--n-list", n_list, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["errors_decreasing"] is True
+    assert "warning" not in captured.err
+
+
 def test_verify_single_identity(capsys):
     code, out = run_cli(["verify", "--identity", "widom", "--t", "0.3"], capsys)
     assert code == 0
@@ -456,6 +467,7 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
     patch("symbol_psi", after=lambda sym, *a, **k: made["psi"].append(sym))
     patch("symbol_psi_inverse", after=lambda sym, *a, **k: made["psi inverse"].append(sym))
     patch("fourier_coefficients", after=fourier_after)
+    patch("psi_table", after=lambda tab, *a, **k: made["psi table"].append(tab))
     patch("widom_banded_E", before=count("E(psi)", lambda tab, *a, **k: made_from("psi table", tab)))
     patch("geometric_mean", before=count("G(psi)", lambda sym, *a, **k: made_from("psi", sym)))
     patch("correction_quotient", before=count("quotient"))

@@ -11,18 +11,20 @@ from dimerdet import (
     InvariantViolation,
     ParameterOutOfRange,
     PoleInput,
-    coefficient_bundle,
     correlation_limit,
     e_phi,
     fourier_coefficients,
-    kl_helpers,
-    lambda_long_form,
     lambda_value,
     log_determinant,
-    prefactor,
-    spectral_roots,
     symbol_psi_inverse,
     toeplitz_section,
+)
+from dimerdet.closed_form import (
+    coefficient_bundle,
+    kl_helpers,
+    lambda_long_form,
+    prefactor,
+    spectral_roots,
 )
 from oracles import scalar_coeff, symbol_a_b
 
@@ -31,7 +33,7 @@ T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 
 def det_t3_psi_inverse(t):
     """Spectral oracle: det T_3(psi^{-1}) from the closed-form inverse symbol."""
-    tab = fourier_coefficients(symbol_psi_inverse(DimerParams(t)), 4096, 256)
+    tab = fourier_coefficients(symbol_psi_inverse(DimerParams(t)), order=256)
     return log_determinant(toeplitz_section(tab, 3)).value
 
 
@@ -119,8 +121,8 @@ def test_kl_pole_rejection():
 def test_coefficient_bundle_vs_quadrature(t):
     bundle = coefficient_bundle(t)
     a, b = symbol_a_b(DimerParams(t))
-    tab_a = fourier_coefficients(a, 4096, 256)
-    tab_b = fourier_coefficients(b, 4096, 256)
+    tab_a = fourier_coefficients(a, order=256)
+    tab_b = fourier_coefficients(b, order=256)
     assert abs(bundle.a0 - scalar_coeff(tab_a, 0)) < 1e-9
     assert abs(bundle.a1 - scalar_coeff(tab_a, 1)) < 1e-9
     assert abs(bundle.am1 - scalar_coeff(tab_a, -1)) < 1e-9

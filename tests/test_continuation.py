@@ -7,29 +7,30 @@ from dimerdet import (
     DimerParams,
     ParameterOutOfRange,
     TruncationTooShort,
-    b_hat,
     correlation_finite,
     correlation_limit,
     dimer_matrix,
     e_phi,
-    e_plus_symbol,
     fourier_coefficients,
-    k_plus_matrix,
     limit_scan,
     log_determinant,
-    symbol_d,
     symbol_phi,
     theta_decomposition,
     toeplitz_section,
 )
 from dimerdet.continuation import (
-    _phi_hat_symbol,
+    LimitScan,
+    ScanRow,
     _phi_hat_table,
     _scalar_tables,
+    b_hat,
+    e_plus_symbol,
+    k_plus_matrix,
     theta_section,
 )
+from dimerdet.dimer import symbol_d
 from dimerdet.spectral import ScalarSymbol, grid_for_order, pivoted_lu
-from oracles import tail_magnitude
+from oracles import fft_table, phi_hat_symbol, tail_magnitude
 
 
 def test_e_plus_is_c_minus_pole_part():
@@ -58,7 +59,7 @@ def test_e_plus_removable_point_at_t_one():
 
 
 def test_e_plus_tail_resolves_at_t_one():
-    tab = fourier_coefficients(e_plus_symbol(1.0), 16384, 2048)
+    tab = fourier_coefficients(e_plus_symbol(1.0), order=2048)
     assert tail_magnitude(tab) <= 1e-13
 
 
@@ -79,9 +80,8 @@ def test_k_plus_examples():
 def test_k_plus_matches_pole_symbol_sections():
     # for |t| < 1, K+ is the section of 1/(e^{-ix} - t) (causal coefficients)
     t = 0.5
-    from dimerdet import ScalarSymbol
     tab = fourier_coefficients(
-        ScalarSymbol(lambda x: 1.0 / (np.exp(-1j * x) - t)), 256, 48)
+        ScalarSymbol(lambda x: 1.0 / (np.exp(-1j * x) - t)), order=48)
     direct = toeplitz_section(tab, 5)
     assert np.max(np.abs(direct - k_plus_matrix(t, 5))) < 1e-12
 
@@ -108,7 +108,7 @@ def test_det_theta_section_is_one():
 
 
 def test_phi_hat_has_unit_determinant():
-    sym = _phi_hat_symbol(0.7)
+    sym = phi_hat_symbol(0.7)
     v = sym.sample(np.array([1.3]))[0]
     assert abs(np.linalg.det(v) - 1.0) < 1e-12
 
@@ -156,6 +156,12 @@ def test_limit_scan_triangular_point():
     assert scan.rows[0].abs_error < 1e-10
 
 
+def test_errors_decreasing_rejects_a_growing_error():
+    # 1e-2 is far above the rounding level 2n eps |target| of n = 16
+    rows = (ScanRow(8, 0.2, 1e-3), ScanRow(16, 0.2, 1e-2))
+    assert LimitScan(0.3, e_phi(0.3), rows).errors_decreasing is False
+
+
 def test_limit_scan_requires_increasing_n():
     with pytest.raises(ValueError):
         limit_scan(0.6, [8, 4])
@@ -178,7 +184,7 @@ def test_convergence_locally_uniform_shadow():
 def test_phi_hat_table_matches_sampled_symbol(t):
     e_tab, d_tab = _scalar_tables(complex(t), 512)
     algebraic = _phi_hat_table(complex(t), e_tab, d_tab)
-    sampled = fourier_coefficients(_phi_hat_symbol(complex(t)), 4096, 512)
+    sampled = fft_table(phi_hat_symbol(complex(t)), 4096, 512)
     assert algebraic.order == 511
     assert np.max(np.abs(algebraic.coeffs - sampled.coeffs[1:-1])) <= 1e-13
 
@@ -194,7 +200,7 @@ def test_theta_section_matches_dense_assembly(t, n):
     seq = theta_decomposition(t, n)
     # W_n L W_n reverses the order of L's 2 x 2 blocks in both directions
     wlw = seq.l_op.reshape(n, 2, n, 2)[::-1, :, ::-1, :].reshape(2 * n, 2 * n)
-    dense = (toeplitz_section(fourier_coefficients(_phi_hat_symbol(t), 4096, 512), n)
+    dense = (toeplitz_section(fft_table(phi_hat_symbol(t), 4096, 512), n)
              + seq.k_op + wlw)
     assert np.max(np.abs(section - dense)) <= 1e-13
 
@@ -206,7 +212,7 @@ def test_scalar_tables_share_one_order():
             for sym in (e_plus_symbol(t), symbol_d(t))] == [66, 33]
     e_tab, d_tab = _scalar_tables(t, 33)
     assert e_tab.order == d_tab.order == 66
-    rebuilt = fourier_coefficients(symbol_d(t), grid_for_order(66), 66)
+    rebuilt = fft_table(symbol_d(t), grid_for_order(66), 66)
     assert np.array_equal(d_tab.coeffs, rebuilt.coeffs)
 
 

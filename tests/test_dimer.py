@@ -10,22 +10,26 @@ from dimerdet import (
     InvariantViolation,
     ParameterOutOfRange,
     QuadratureUnconverged,
-    kernel_symbols,
     correlation_finite,
     correlation_limit,
-    dimer_coefficients,
     dimer_matrix,
-    e_plus_symbol,
     fourier_coefficients,
     log_determinant,
-    symbol_d,
     symbol_phi,
     symbol_psi,
     symbol_psi_inverse,
     toeplitz_section,
 )
 from dimerdet import dimer
-from dimerdet.dimer import MAX_QUAD_GRID, _coefficients, _kernel_sums
+from dimerdet.continuation import e_plus_symbol
+from dimerdet.dimer import (
+    MAX_QUAD_GRID,
+    _coefficients,
+    _kernel_sums,
+    dimer_coefficients,
+    kernel_symbols,
+    symbol_d,
+)
 from dimerdet.spectral import MIN_ORDER, QUAD_TOL, _doubled
 from dimerdet.szego import MAX_OP_ORDER
 from oracles import coeff, flip_conjugate
@@ -339,7 +343,7 @@ def test_array_symbols_match_entry_formulas(t):
 def test_fourier_d_t07_matches_example():
     # d is an odd real function: coefficient at 0 vanishes, c_{-k} = -c_k
     params = DimerParams(0.7)
-    tab = fourier_coefficients(symbol_phi(params), 4096, 128)
+    tab = fourier_coefficients(symbol_phi(params), order=128)
     assert np.max(np.abs(coeff(tab, 0)[0, 1])) < 1e-14
     for k in (1, 2, 3):
         assert abs(coeff(tab, -k)[0, 1] + coeff(tab, k)[0, 1]) < 1e-13

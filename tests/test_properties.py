@@ -11,13 +11,11 @@ from dimerdet import (
     DimerParams,
     correlation_finite,
     correlation_limit,
-    e_plus_symbol,
-    symbol_d,
     symbol_phi,
     symbol_psi,
 )
-from dimerdet.continuation import _scalar_tables
-from dimerdet.dimer import _sigma
+from dimerdet.continuation import _scalar_tables, e_plus_symbol
+from dimerdet.dimer import _sigma, symbol_d
 from dimerdet.spectral import FourierTable, grid_for_order, hankel_section, toeplitz_section
 from oracles import assemble, fft_table, hankel_index, toeplitz_index
 

@@ -6,29 +6,19 @@ import scipy.linalg
 
 from dimerdet import (
     DimerParams,
-    FourierTable,
-    MatrixSymbol,
     NonzeroWinding,
     NotBanded,
-    ScalarSymbol,
     TailNotResolved,
     TruncatedOperatorSingular,
-    alpha_log_tables,
     bocg_residual,
-    combine_tables,
-    correction_factor,
     e_phi,
     e_phi_reduction,
     exp_representation,
     fourier_coefficients,
     geometric_mean,
-    hankel_section,
-    hankel_trace,
     lambda_value,
     log_determinant,
-    pointwise_inverse,
-    prefactor,
-    spectral_roots,
+    psi_table,
     symbol_phi,
     symbol_psi,
     symbol_psi_inverse,
@@ -36,8 +26,24 @@ from dimerdet import (
     toeplitz_section,
     widom_banded_E,
 )
-from dimerdet.spectral import pivoted_lu
-from dimerdet.szego import MAX_OP_ORDER, _bocg_truncated, _operator_det
+from dimerdet.closed_form import prefactor, spectral_roots
+from dimerdet.spectral import (
+    FourierTable,
+    MatrixSymbol,
+    ScalarSymbol,
+    hankel_section,
+    pivoted_lu,
+    pointwise_inverse,
+)
+from dimerdet.szego import (
+    MAX_OP_ORDER,
+    _bocg_truncated,
+    _operator_det,
+    alpha_log_tables,
+    combine_tables,
+    correction_factor,
+    hankel_trace,
+)
 from oracles import constant_symbol, from_entries, scalar_coeff, table_from_coeff_map
 
 
@@ -105,7 +111,7 @@ def test_operator_truncations_factor_their_sections_in_place(monkeypatch):
     monkeypatch.setattr(szego, "pivoted_lu", checked)
     sym = symbol_phi(DimerParams(0.5))
     _operator_det(fourier_coefficients(sym), fourier_coefficients(pointwise_inverse(sym)), 64)
-    _bocg_truncated(fourier_coefficients(symbol_psi(DimerParams(0.3)), 64, 8), 2, 64)
+    _bocg_truncated(psi_table(DimerParams(0.3)), 2, 64)
     assert seen == [True, True, True]
 
 
@@ -232,30 +238,30 @@ def test_correction_factors_reproduce_prefactor():
 # ---------------------------------------------------------------------------
 
 def test_widom_one_sided_scalar():
-    tab = fourier_coefficients(laurent_symbol([0.5], []), 64, 8)
+    tab = fourier_coefficients(laurent_symbol([0.5], []), order=8)
     assert abs(widom_banded_E(tab, 1) - 1.0) < 1e-12
 
 
 def test_widom_band_zero_convention():
-    tab = fourier_coefficients(laurent_symbol([], [0.5]), 64, 8)
+    tab = fourier_coefficients(laurent_symbol([], [0.5]), order=8)
     assert abs(widom_banded_E(tab, 0) - 1.0) < 1e-15
 
 
 def test_widom_matches_series_simple():
-    tab = fourier_coefficients(laurent_symbol([0.5], [0.5]), 64, 8)
+    tab = fourier_coefficients(laurent_symbol([0.5], [0.5]), order=8)
     assert abs(widom_banded_E(tab, 1) - 4.0 / 3.0) < 1e-9
 
 
 def test_widom_rejects_unbanded():
     sym = ScalarSymbol(lambda x: np.exp(0.5 * np.cos(x)) + 0j)
-    tab = fourier_coefficients(sym, 256, 24)
+    tab = fourier_coefficients(sym, order=24)
     with pytest.raises(NotBanded):
         widom_banded_E(tab, 2)
 
 
 def test_widom_dimer_psi_against_lambda():
     params = DimerParams(0.3)
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
+    psi_tab = psi_table(params)
     e_psi = widom_banded_E(psi_tab, 3)
     g = geometric_mean(symbol_psi(params))
     lam = lambda_value(0.3)
@@ -271,7 +277,7 @@ def test_widom_vs_series_randomized():
                   for _ in range(n_up)]
         deltas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
                   for _ in range(n_dn)]
-        tab = fourier_coefficients(laurent_symbol(gammas, deltas), 128, 16)
+        tab = fourier_coefficients(laurent_symbol(gammas, deltas), order=16)
         e_w = widom_banded_E(tab, n_up)
         e_s = correction_factor(geometric_log_table(gammas, deltas), 1, 256)
         assert abs(e_w - e_s) < 1e-9
@@ -282,7 +288,7 @@ def test_widom_vs_series_randomized():
 # ---------------------------------------------------------------------------
 
 def test_bocg_one_sided_residual_is_one():
-    tab = fourier_coefficients(laurent_symbol([0.5], []), 64, 8)
+    tab = fourier_coefficients(laurent_symbol([0.5], []), order=8)
     for n in (1, 2, 4):
         assert abs(bocg_residual(tab, n) - 1.0) < 1e-12
 
@@ -290,10 +296,10 @@ def test_bocg_one_sided_residual_is_one():
 def test_bocg_identity_below_the_band():
     # n smaller than the band exercises a genuinely nontrivial residual
     params = DimerParams(0.4)
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
+    psi_tab = psi_table(params)
     e_psi = widom_banded_E(psi_tab, 3)
     g = geometric_mean(symbol_psi(params))
-    inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
+    inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=256)
     for n in (1, 2):
         res = bocg_residual(psi_tab, n)
         det_n = log_determinant(toeplitz_section(inv_tab, n)).value
@@ -304,7 +310,7 @@ def test_bocg_identity_below_the_band():
 
 def test_bocg_residual_tends_to_one():
     params = DimerParams(0.4)
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
+    psi_tab = psi_table(params)
     assert abs(bocg_residual(psi_tab, 12) - 1.0) < 1e-8
 
 
@@ -312,11 +318,11 @@ def test_bocg_consistent_with_banded_formula_at_band():
     # at n equal to the band, E/G^n times the residual reduces to the
     # banded finite-determinant formula
     params = DimerParams(0.3)
-    psi_tab = fourier_coefficients(symbol_psi(params), 64, 8)
+    psi_tab = psi_table(params)
     e_psi = widom_banded_E(psi_tab, 3)
     g = geometric_mean(symbol_psi(params))
     res = bocg_residual(psi_tab, 3)
-    inv_tab = fourier_coefficients(symbol_psi_inverse(params), 4096, 256)
+    inv_tab = fourier_coefficients(symbol_psi_inverse(params), order=256)
     det3 = log_determinant(toeplitz_section(inv_tab, 3)).value
     assert abs(e_psi / g ** 3 * res - det3) <= 1e-8 * abs(det3)
 
@@ -334,7 +340,7 @@ def bocg_dense(psi_tab, n, m):
 
 @pytest.mark.parametrize("t", [0.3, 0.7])
 def test_bocg_residual_matches_dense_truncation(t):
-    psi_tab = fourier_coefficients(symbol_psi(DimerParams(t)), 64, 8)
+    psi_tab = psi_table(DimerParams(t))
     for n in (0, 1, 2, 3, 5, 8, 12):
         dense = bocg_dense(psi_tab, n, 256)
         assert abs(_bocg_truncated(psi_tab, n, 256) - dense) <= 1e-12 * abs(dense)
