@@ -2,10 +2,11 @@
 and the identity-verification suite, with CSV/JSON emission.
 
 Exit codes: 0 success, 2 configuration rejected or output file unwritable,
-3 numerical failure (or a failed identity).  Output rows are deterministic
-for a fixed configuration and seed; numbers are serialized with 17
-significant digits in JSON and a configurable precision (default 12) in CSV,
-so ``--precision 17`` makes the two emissions value-identical after parsing.
+3 numerical failure (or an identity that failed or raised).  Output rows are
+deterministic for a fixed configuration and seed; numbers are serialized with
+17 significant digits in JSON and a configurable precision (default 12) in
+CSV, so ``--precision 17`` makes the two emissions value-identical after
+parsing.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from . import __version__
 from .closed_form import correlation_limit, e_phi, lambda_value, prefactor, spectral_roots
-from .continuation import correlation_finite, e_plus_symbol, limit_scan, theta_decomposition
+from .continuation import (
+    correlation_finite,
+    correlation_scan,
+    e_plus_symbol,
+    limit_scan,
+    theta_decomposition,
+)
 from .dimer import (
     DimerParams,
     dimer_matrix,
@@ -174,6 +181,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("n must be >= 1")
     if cfg.n_list and any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
+    if cfg.command == "correlation" and cfg.n is not None and cfg.n_list:
+        raise ConfigError("--n and --n-list exclude each other; give one")
     if cfg.command in ("correlation", "convergence", "verify"):
         if cfg.t is None:
             raise ConfigError(f"{cfg.command} requires --t")
@@ -214,9 +223,9 @@ def run_correlation(cfg: RunConfig) -> dict:
     limit = correlation_limit(t)
     rows = [_row(t, None, limit, limit)]
     ns = cfg.n_list or ([cfg.n] if cfg.n is not None else [])
-    for n in ns:
-        value = correlation_finite(DimerParams(t), n)
-        rows.append(_row(t, n, value, limit))
+    if ns:
+        values = correlation_scan(DimerParams(t), ns)
+        rows += [_row(t, n, value, limit) for n, value in zip(ns, values)]
     return {"command": "correlation", "rows": rows, "columns": VALUE_COLUMNS}
 
 
@@ -264,26 +273,46 @@ def run_sweep(cfg: RunConfig) -> dict:
 # the identity-verification suite
 # ---------------------------------------------------------------------------
 
+def _shared(compute):
+    """A property of :class:`Quantities`, computed by ``compute(q)`` through
+    ``Quantities._once``."""
+    return property(lambda q: q._once(compute, lambda: compute(q)))
+
+
 class Quantities:
     """The quantities the identities share, for one run: each is computed on
     its first read and kept, so ``--identity all`` builds each once."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg, self.params = cfg, DimerParams(cfg.t)
-        self._dets = {}
+        self._kept = {}
 
-    psi_tab = cached_property(lambda q: psi_table(q.params))
-    e_psi = cached_property(lambda q: widom_banded_E(q.psi_tab, 3))
-    g_psi = cached_property(lambda q: geometric_mean(symbol_psi(q.params)))
+    def _once(self, key, compute):
+        """``compute()`` on the first call with ``key``; later calls return
+        its value, or raise again the ``DimerdetError`` it raised, so an
+        identity that reads a failed quantity does not compute it again."""
+        if key not in self._kept:
+            try:
+                self._kept[key] = compute(), None
+            except DimerdetError as exc:
+                self._kept[key] = None, exc
+        value, exc = self._kept[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    psi_tab = _shared(lambda q: psi_table(q.params))
+    e_psi = _shared(lambda q: widom_banded_E(q.psi_tab, 3))
+    g_psi = _shared(lambda q: geometric_mean(symbol_psi(q.params)))
     #: E(phi) / E(psi), the trace-correction quotient
-    quotient = cached_property(lambda q: correction_quotient(q.params, q.cfg.tolerance))
+    quotient = _shared(lambda q: correction_quotient(q.params, q.cfg.tolerance))
 
     def psi_inverse_det(self, n: int) -> complex:
         """det T_n(psi^{-1}), from a table resolved to at least the order n - 1."""
-        if n not in self._dets:
+        def compute():
             inv_tab = fourier_coefficients(symbol_psi_inverse(self.params), order=n - 1)
-            self._dets[n] = log_determinant(toeplitz_section(inv_tab, n)).value
-        return self._dets[n]
+            return log_determinant(toeplitz_section(inv_tab, n)).value
+        return self._once(n, compute)
 
 
 def _verify_dimer_toeplitz(q: Quantities):
@@ -394,20 +423,24 @@ IDENTITIES = {
 }
 
 
+def _verify_row(name: str, q: Quantities) -> dict:
+    """One identity's row: ``pass`` or ``fail`` by its residual, or ``error``
+    with the type and message of the ``DimerdetError`` it raised."""
+    row = {"identity": name, "t_re": q.cfg.t.real, "t_im": q.cfg.t.imag}
+    try:
+        residual, tol, n = IDENTITIES[name](q)
+    except DimerdetError as exc:
+        return row | {"n": None, "residual": None, "tolerance": None, "status": "error",
+                      "error": {"type": type(exc).__name__, "message": str(exc)}}
+    return row | {"n": n, "residual": float(residual), "tolerance": tol,
+                  "status": "pass" if residual <= tol else "fail"}
+
+
 def run_verify(cfg: RunConfig) -> dict:
     names = sorted(IDENTITIES) if cfg.identity == "all" else [cfg.identity]
     quantities = Quantities(cfg)
-    rows = []
-    failed = None
-    for name in names:
-        residual, tol, n = IDENTITIES[name](quantities)
-        status = "pass" if residual <= tol else "fail"
-        if status == "fail" and failed is None:
-            failed = name
-        rows.append({
-            "identity": name, "t_re": cfg.t.real, "t_im": cfg.t.imag, "n": n,
-            "residual": float(residual), "tolerance": tol, "status": status,
-        })
+    rows = [_verify_row(name, quantities) for name in names]
+    failed = next((row["identity"] for row in rows if row["status"] != "pass"), None)
     return {"command": "verify", "rows": rows, "columns": VERIFY_COLUMNS,
             "first_failure": failed}
 
@@ -474,7 +507,11 @@ def emit_error(exc: Exception, cfg: RunConfig, code: int) -> int:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then reused:
+    it depends only on module constants, and ``parse_args`` starts each call
+    from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dimerdet",
         description="Dimer monomer-monomer correlation via block Toeplitz determinants")
@@ -525,6 +562,10 @@ def main(argv=None) -> int:
     if emit(report, cfg):
         return 2
     if cfg.command == "verify" and report["first_failure"]:
+        for row in report["rows"]:
+            if row["status"] == "error":
+                print(f"error: identity {row['identity']!r} raised {row['error']['type']}: "
+                      f"{row['error']['message']}", file=sys.stderr)
         print(f"error: identity {report['first_failure']!r} failed", file=sys.stderr)
         return 3
     return 0

@@ -7,7 +7,8 @@ determinants).  c = e+ + u, u the geometric-series symbol with section K+
 continues the section (``b_hat``, entries growing like t^n), and
 pre-multiplying by T_n(Theta+), of determinant 1, gives the regular
 T_n(phi_hat) + P_n K P_n + W_n L W_n.
-:func:`correlation_finite` and :func:`limit_scan` use :func:`theta_section`;
+:func:`correlation_scan` (with :func:`correlation_finite`, its one-n case)
+and :func:`limit_scan` use :func:`theta_section`, one e+/d table pair per scan;
 ``b_hat`` is only a reference checked against it, and so is the sampled
 phi_hat symbol of the tests.
 """
@@ -199,21 +200,37 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     return ContinuedSequence(t, n, lhs_mat, k_op, l_op, residual)
 
 
-def correlation_finite(params: DimerParams, n: int) -> complex:
-    """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root.
+def _section_dets(t: complex, n_list: list[int]) -> list[complex]:
+    """det :func:`theta_section` for each n of the strictly increasing
+    ``n_list``, from one e+/d table pair resolved to at least max(n_list)."""
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
+    e_tab, d_tab = _scalar_tables(t, max(n_list))
+    return [pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value for n in n_list]
 
-    The e+ and d tables are resolved to at least order n.  For real t an
-    imaginary residue up to 1e-10 is dropped.
+
+def correlation_scan(params: DimerParams, n_list: list[int]) -> list[complex]:
+    """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root, for each
+    n of the strictly increasing ``n_list``; the e+ and d tables are resolved
+    once, to at least order max(n_list).  For real t an imaginary residue up
+    to 1e-10 is dropped.
     """
     t = params.t
-    tables = _scalar_tables(t, n)
-    val = 0.5 * np.sqrt(pivoted_lu(theta_section(t, n, *tables))[2].value)
-    if t.imag == 0.0:
-        if abs(val.imag) > 1e-10:
-            raise InvariantViolation(
-                f"correlation at real t has imaginary residue {val.imag:.3e}")
-        val = val.real
-    return complex(val)
+    values = []
+    for det in _section_dets(t, n_list):
+        val = 0.5 * np.sqrt(det)
+        if t.imag == 0.0:
+            if abs(val.imag) > 1e-10:
+                raise InvariantViolation(
+                    f"correlation at real t has imaginary residue {val.imag:.3e}")
+            val = val.real
+        values.append(complex(val))
+    return values
+
+
+def correlation_finite(params: DimerParams, n: int) -> complex:
+    """P(n) of :func:`correlation_scan`, from tables resolved to at least order n."""
+    return correlation_scan(params, [n])[0]
 
 
 @dataclass(frozen=True)
@@ -241,13 +258,8 @@ def limit_scan(t: complex, n_list: list[int]) -> LimitScan:
     """det of :func:`theta_section` along increasing n, with distances to
     the closed-form limit; the e+ and d tables are built once for all n.
     """
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
     t = complex(t)
     target = e_phi(t)
-    e_tab, d_tab = _scalar_tables(t, max(n_list))
-    rows = []
-    for n in n_list:
-        det = pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value
-        rows.append(ScanRow(n, det, abs(det - target)))
-    return LimitScan(t, target, tuple(rows))
+    rows = tuple(ScanRow(n, det, abs(det - target))
+                 for n, det in zip(n_list, _section_dets(t, n_list)))
+    return LimitScan(t, target, rows)

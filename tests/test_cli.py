@@ -11,6 +11,7 @@ import pytest
 from dimerdet import correlation_limit
 from dimerdet.cli import (
     COMMANDS,
+    IDENTITIES,
     OPTIONS,
     ConfigError,
     build_config,
@@ -172,6 +173,8 @@ SCHEMA_RUNS = {
     "convergence": ["convergence", "--t", "0.6", "--n-list", "4,8"],
     "sweep": ["sweep", "--t-start", "0.001", "--t-stop", "0.5", "--t-count", "3", "--n", "8"],
     "verify": ["verify", "--identity", "all", "--t", "0.3"],
+    # three-way-e raises at its operator cap; the other nine rows pass
+    "verify-error-row": ["verify", "--identity", "all", "--t", "0.0229"],
     "error": ["correlation", "--t", "0.001", "--n", "4"],
 }
 
@@ -188,8 +191,9 @@ def test_json_output_matches_the_schema(args, capsys):
     jsonschema.validate(payload, schema, cls=jsonschema.Draft202012Validator)
     if args[0] == "sweep":
         assert payload["rows"][0]["note"].startswith("error:")
-    assert code == (3 if args == SCHEMA_RUNS["error"] else 0)
-    assert ("error" in payload) == (code == 3)
+    failing = (SCHEMA_RUNS["error"], SCHEMA_RUNS["verify-error-row"])
+    assert code == (3 if args in failing else 0)
+    assert ("error" in payload) == (args == SCHEMA_RUNS["error"])
 
 
 def test_config_file_and_override(tmp_path, capsys):
@@ -371,9 +375,10 @@ def test_three_way_e_names_the_operator_cap(tmp_path):
     code = main(["verify", "--identity", "three-way-e", "--t", "0.9885",
                  "--format", "json", "--output", str(out)])
     assert code == 3
-    error = json.loads(out.read_text())["error"]
-    assert error["type"] == "TailNotResolved"
-    assert "MAX_OP_ORDER = 384" in error["message"]
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["status"] == "error" and row["residual"] is None
+    assert row["error"]["type"] == "TailNotResolved"
+    assert "MAX_OP_ORDER = 384" in row["error"]["message"]
 
 
 #: a value for every option, other than its default
@@ -420,9 +425,9 @@ def test_sweep_up_to_one_has_no_error_rows(capsys):
     assert [row["t_re"] for row in rows if row["note"].startswith("error:")] == []
 
 
-def _identity_rows(args, capsys):
-    code, out = run_cli(["verify", "--format", "json"] + args, capsys)
-    assert code == 0
+def _identity_rows(args, capsys, code=0):
+    got, out = run_cli(["verify", "--format", "json"] + args, capsys)
+    assert got == code
     return {row["identity"]: row for row in json.loads(out)["rows"]}
 
 
@@ -430,9 +435,10 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
     from dimerdet import cli, szego
 
     # symbols and tables handed out by the patched builders, so the tables,
-    # means and determinants built from psi can be told from all others
-    made = {"psi": [], "psi table": [], "psi inverse": [], "psi inverse table": []}
-    counts = {"psi table": 0, "E(psi)": 0, "G(psi)": 0, "quotient": 0, "det T_3": 0}
+    # means and determinants built from psi can be told from all others;
+    # each count is of attempts, so a quantity that raised counts too
+    made = {"psi": [], "psi table": [], "psi inverse": []}
+    counts = {}
 
     def made_from(kind, obj):
         return any(obj is m for m in made[kind])
@@ -457,26 +463,27 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
             counts[key] += bool(test(*args, **kwargs))
         return before
 
-    def fourier_after(tab, sym, *args, **kwargs):
-        if made_from("psi", sym):
-            counts["psi table"] += 1
-            made["psi table"].append(tab)
-        elif made_from("psi inverse", sym):
-            made["psi inverse table"].append(tab)
+    def fourier_before(sym, order=None):
+        counts["psi table"] += made_from("psi", sym)
+        # the psi^{-1} table det T_3 reads, resolved to at least order 2
+        counts["det T_3"] += made_from("psi inverse", sym) and order == 2
 
     patch("symbol_psi", after=lambda sym, *a, **k: made["psi"].append(sym))
     patch("symbol_psi_inverse", after=lambda sym, *a, **k: made["psi inverse"].append(sym))
-    patch("fourier_coefficients", after=fourier_after)
+    patch("fourier_coefficients", before=fourier_before)
     patch("psi_table", after=lambda tab, *a, **k: made["psi table"].append(tab))
     patch("widom_banded_E", before=count("E(psi)", lambda tab, *a, **k: made_from("psi table", tab)))
     patch("geometric_mean", before=count("G(psi)", lambda sym, *a, **k: made_from("psi", sym)))
     patch("correction_quotient", before=count("quotient"))
-    patch("toeplitz_section", before=count(
-        "det T_3", lambda tab, n, *a, **k: n == 3 and made_from("psi inverse table", tab)))
 
-    code, _ = run_cli(["verify", "--identity", "all", "--t", "0.3"], capsys)
-    assert code == 0
-    assert counts == {"psi table": 1, "E(psi)": 1, "G(psi)": 1, "quotient": 1, "det T_3": 1}
+    # at 0.003 E(psi), the quotient and det T_3 raise TailNotResolved: E(psi)
+    # is read by widom and then by bocg, and must not be computed a second
+    # time; both raise before they read G(psi)
+    for t, code, g_psi in (("0.3", 0, 1), ("0.003", 3, 0)):
+        counts.update(dict.fromkeys(["psi table", "E(psi)", "G(psi)", "quotient", "det T_3"], 0))
+        assert run_cli(["verify", "--identity", "all", "--t", t], capsys)[0] == code
+        assert counts == {"psi table": 1, "E(psi)": 1, "G(psi)": g_psi, "quotient": 1,
+                          "det T_3": 1}, t
 
 
 def test_verify_exp_rep_reads_no_psi_quantity(monkeypatch, capsys):
@@ -493,8 +500,6 @@ def test_verify_exp_rep_reads_no_psi_quantity(monkeypatch, capsys):
 
 @pytest.mark.parametrize("t", ["0.15", "0.3", "0.75"])
 def test_each_identity_alone_matches_its_row_in_all(t, capsys):
-    from dimerdet.cli import IDENTITIES
-
     together = _identity_rows(["--identity", "all", "--t", t], capsys)
     assert sorted(together) == sorted(IDENTITIES)
     for name in IDENTITIES:
@@ -508,3 +513,104 @@ def test_each_identity_alone_matches_its_row_in_all_at_given_n(capsys):
         alone = _identity_rows(["--identity", name, "--t", "0.3", "--n", "5"], capsys)
         assert alone == {name: together[name]}
         assert alone[name]["n"] == 5
+
+
+@pytest.mark.parametrize("t", ["0.0229", "0.5"])
+def test_each_identity_alone_matches_its_row_in_all_when_some_raise(t, capsys):
+    # three-way-e raises at its operator cap at 0.0229; lambda, prefactor and
+    # widom refuse the degenerate point 0.5: each becomes an error row, and
+    # every other identity still reports its residual
+    together = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
+    assert sorted(together) == sorted(IDENTITIES)
+    errors = {name for name, row in together.items() if row["status"] == "error"}
+    assert errors == ({"three-way-e"} if t == "0.0229" else {"lambda", "prefactor", "widom"})
+    assert all(row["status"] == "pass" for name, row in together.items() if name not in errors)
+    for name in IDENTITIES:
+        alone = _identity_rows(["--identity", name, "--t", t], capsys,
+                               code=3 if name in errors else 0)
+        assert alone == {name: together[name]}
+
+
+def test_verify_error_row_names_the_identity_on_stderr(capsys):
+    code = main(["verify", "--identity", "three-way-e", "--t", "0.0229"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert parse_csv(captured.out)[0]["status"] == "error"
+    raised, failed = captured.err.splitlines()
+    assert raised.startswith("error: identity 'three-way-e' raised TailNotResolved: ")
+    assert raised.endswith("at the cap MAX_OP_ORDER = 384")
+    assert failed == "error: identity 'three-way-e' failed"
+
+
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_correlation_rejects_n_together_with_n_list(route, tmp_path, capsys):
+    # --n was dropped silently: only the --n-list rows were printed
+    if route == "flags":
+        args = ["correlation", "--t", "0.6", "--n", "12", "--n-list", "4,8"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t = 0.6\nn = 12\n")
+        args = ["correlation", "--config", str(cfg), "--n-list", "4,8"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n and --n-list" in captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_main_builds_one_parser_for_a_mixed_sequence_of_calls(
+        fresh_parser, tmp_path, monkeypatch, capsys):
+    import argparse
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t = 0.5\nn = 4\n")
+    out = tmp_path / "out.csv"
+    calls = [
+        ["correlation", "--t", "0.6", "--n", "8", "--format", "json"],
+        ["sweep", "--t-start", "0.25", "--t-stop", "1.0", "--t-count", "3", "--n", "8"],
+        ["convergence", "--t", "0.6", "--n-list", "4,8"],
+        ["verify", "--identity", "widom", "--t", "0.3"],
+        ["correlation", "--t", "-1"],
+        ["correlation", "--config", str(cfg)],
+        ["--version"],
+        ["correlation", "--t", "0.3", "--output", str(out)],
+        ["correlation", "--t", "0.6", "--n-list", "4,8"],
+    ]
+
+    def outcome(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    alone = []
+    for args in calls:
+        build_parser.cache_clear()
+        alone.append(outcome(args))
+    assert [a[0] for a in alone] == [0, 0, 0, 0, 2, 0, "exit 0", 0, 0]
+    assert alone[6][1].startswith("dimerdet ") and alone[7][3].startswith("t_re,")
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    per_call = []
+    for args, expected in zip(calls, alone):
+        before = len(built)
+        assert outcome(args) == expected, args
+        per_call.append(len(built) - before)
+    # the first call builds the parser and its subparsers, later calls none
+    assert per_call == [1 + len(COMMANDS)] + [0] * (len(calls) - 1)

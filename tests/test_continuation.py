@@ -1,5 +1,9 @@
 """Tests for the analytic continuation of the sections to Re(t) > 0."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,7 @@ from dimerdet.continuation import (
     k_plus_matrix,
     theta_section,
 )
+from dimerdet.cli import main
 from dimerdet.dimer import symbol_d
 from dimerdet.spectral import ScalarSymbol, grid_for_order, pivoted_lu
 from oracles import fft_table, phi_hat_symbol, tail_magnitude
@@ -272,3 +277,57 @@ def test_correlation_finite_samples_the_pair_once_per_angle(monkeypatch):
     angles = _count_pair_angles(monkeypatch)
     correlation_finite(DimerParams(0.3), 32)
     assert angles == [256, 256, 512]
+
+
+def _single_n_p(t: complex, n: int) -> complex:
+    """P(n) from a table pair of its own, resolved to at least order n: the
+    single-n route written out step by step, as a reference."""
+    t = complex(t)
+    val = 0.5 * np.sqrt(pivoted_lu(theta_section(t, n, *_scalar_tables(t, n)))[2].value)
+    if t.imag == 0.0:
+        val = val.real
+    return complex(val)
+
+
+def _cli_json(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args + ["--format", "json"])
+    assert code == 0
+    return out.getvalue()
+
+
+def test_correlation_n_list_samples_the_pair_once_per_angle(monkeypatch):
+    # one table pair for the whole list: at t = 0.02 it reaches order 2048,
+    # and each of its 16384 angles is sampled once, not once per n
+    order = _scalar_tables(0.02, 64)[0].order
+    angles = _count_pair_angles(monkeypatch)
+    rows = json.loads(_cli_json(["correlation", "--t", "0.02", "--n-list", "8,16,32,64"]))["rows"]
+    assert [row["n"] for row in rows] == [None, 8, 16, 32, 64]
+    assert sum(angles) == grid_for_order(order) == grid_for_order(2048)
+
+
+@pytest.mark.parametrize("t", ["0.02", "0.3", "0.6", "0.8+0.3i", "2", "0.05+1i"])
+def test_correlation_n_list_rows_match_correlation_finite(t):
+    ns = [8, 16, 32, 64]
+    tc = complex(t.replace("i", "j"))
+    rows = json.loads(_cli_json(["correlation", "--t", t, "--n-list", "8,16,32,64"]))["rows"]
+    shared = _scalar_tables(tc, max(ns))[0].order
+    for row, n in zip(rows[1:], ns):
+        value = complex(row["value_re"], row["value_im"])
+        alone = correlation_finite(DimerParams(tc), n)
+        assert abs(value - alone) <= 1e-13 * abs(alone)
+        if _scalar_tables(tc, n)[0].order == shared:
+            assert value == alone
+
+
+@pytest.mark.parametrize("t, n", [("0.6", 32), ("0.02", 64), ("2", 8), ("0.8+0.3i", 16),
+                                  ("0.05+1i", 64), ("1", 64)])
+def test_correlation_n_output_is_the_single_n_route_byte_for_byte(t, n):
+    from dimerdet.cli import VALUE_COLUMNS, _row, render_json
+
+    tc = complex(t.replace("i", "j"))
+    limit = correlation_limit(tc)
+    expected = render_json({"command": "correlation", "columns": VALUE_COLUMNS, "rows": [
+        _row(tc, None, limit, limit), _row(tc, n, _single_n_p(tc, n), limit)]})
+    assert _cli_json(["correlation", "--t", t, "--n", str(n)]) == expected
