@@ -144,7 +144,9 @@ def _parse_option(f, text: str):
         raise ConfigError(f"{f.name}: {exc}") from exc
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, command: str) -> dict:
+    """The options of a ``key = value`` file; a key that is no flag of
+    ``command`` is rejected, naming the file and line."""
     keys = {f.name: f for f in OPTIONS.values()}
     values = {}
     try:
@@ -162,6 +164,8 @@ def load_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if command not in keys[key].metadata["commands"]:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is not an option of {command}")
         try:
             values[key] = _parse_option(keys[key], val)
         except ConfigError as exc:
@@ -317,8 +321,10 @@ class Quantities:
 
 def _verify_dimer_toeplitz(q: Quantities):
     n = q.cfg.n or 8
-    det_m = log_determinant(dimer_matrix(q.params, n)).value
+    # the table first: where both fail (t below about 0.0056) its TailNotResolved
+    # comes in milliseconds, the torus grid's QuadratureUnconverged in a second
     tab = fourier_coefficients(symbol_phi(q.params), order=n - 1)
+    det_m = log_determinant(dimer_matrix(q.params, n)).value
     det_t = log_determinant(toeplitz_section(tab, n)).value
     return abs(det_m - det_t) / abs(det_t), 1e-8, n
 
@@ -531,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The run configuration: the config file, then the flags given over it."""
-    values = load_config_file(args.config) if args.config else {}
+    values = load_config_file(args.config, args.command) if args.config else {}
     for f in OPTIONS.values():
         text = getattr(args, f.name, None)
         if text is not None:

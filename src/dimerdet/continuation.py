@@ -7,10 +7,13 @@ determinants).  c = e+ + u, u the geometric-series symbol with section K+
 continues the section (``b_hat``, entries growing like t^n), and
 pre-multiplying by T_n(Theta+), of determinant 1, gives the regular
 T_n(phi_hat) + P_n K P_n + W_n L W_n.
+That section is centrosymmetric, so :func:`theta_section` builds only its
+top n rows and its determinant is two n x n LUs (the fold of
+:func:`dimerdet.spectral.folded_log_determinant`).
 :func:`correlation_scan` (with :func:`correlation_finite`, its one-n case)
-and :func:`limit_scan` use :func:`theta_section`, one e+/d table pair per scan;
-``b_hat`` is only a reference checked against it, and so is the sampled
-phi_hat symbol of the tests.
+and :func:`limit_scan` use it, one e+/d table pair per scan; ``b_hat`` is
+only a reference checked against it, and so are the sampled phi_hat symbol
+and the dense 2n x 2n section of the tests.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .spectral import (
     _EPS,
     FourierTable,
     _extrapolated,
+    _section,
     ScalarSymbol,
     common_order_tables,
+    folded_log_determinant,
     log_determinant,
-    pivoted_lu,
     toeplitz_section,
 )
 from .dimer import DimerParams, _weight
@@ -161,19 +165,22 @@ def _k_row(t: complex, n: int, e_tab: FourierTable, d_tab: FourierTable) -> np.n
 
 def theta_section(t: complex, n: int, e_tab: FourierTable,
                   d_tab: FourierTable) -> np.ndarray:
-    """T_n(phi_hat) + P_n K P_n + W_n L W_n, the section P(n) is taken from.
+    """The top n rows of T_n(phi_hat) + P_n K P_n + W_n L W_n, the 2n x 2n
+    section P(n) is taken from: the Fortran-ordered n x 2n slab that
+    :func:`dimerdet.spectral.folded_log_determinant` folds and factors in
+    place.
 
-    The Fortran-ordered :func:`toeplitz_section` of phi_hat, which
-    ``pivoted_lu`` factors in place; K adds to row 0 and W_n L W_n to row
-    2n-1 (see :func:`_k_row`).
+    The section is centrosymmetric, bit for bit: ``_phi_hat_table`` fills
+    entries (2,2) and (2,1) with (1,1) and (1,2) at -k, so phi_hat_{-k} =
+    J phi_hat_k J with J the 2 x 2 swap, and K adds ``_k_row`` to row 0 as
+    W_n L W_n adds it reversed to row 2n-1.  So its rows below the slab are
+    the slab's reversed, and they are not built.
     """
     if n > e_tab.order:
         raise TruncationTooShort(
             f"section n={n} needs coefficients to {n}, table has {e_tab.order}")
-    out = toeplitz_section(_phi_hat_table(t, e_tab, d_tab), n)
-    k_row = _k_row(t, n, e_tab, d_tab)
-    out[0] += k_row
-    out[-1] += k_row[::-1]
+    out = _section(_phi_hat_table(t, e_tab, d_tab), n, -(n - 1), 1, toeplitz=True, rows=n)
+    out[0] += _k_row(t, n, e_tab, d_tab)
     return out
 
 
@@ -192,7 +199,7 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     k_op[0], l_op[1] = k_row, k_row.reshape(n, 2)[:, ::-1].ravel()
 
     lhs = log_determinant(lhs_mat).value
-    rhs = pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value
+    rhs = folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual > 1e-9:
         raise DecompositionMismatch(
@@ -202,11 +209,12 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
 
 def _section_dets(t: complex, n_list: list[int]) -> list[complex]:
     """det :func:`theta_section` for each n of the strictly increasing
-    ``n_list``, from one e+/d table pair resolved to at least max(n_list)."""
+    ``n_list``, from one e+/d table pair resolved to at least max(n_list),
+    each from two n x n LUs (:func:`dimerdet.spectral.folded_log_determinant`)."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     e_tab, d_tab = _scalar_tables(t, max(n_list))
-    return [pivoted_lu(theta_section(t, n, e_tab, d_tab))[2].value for n in n_list]
+    return [folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value for n in n_list]
 
 
 def correlation_scan(params: DimerParams, n_list: list[int]) -> list[complex]:

@@ -181,7 +181,8 @@ def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
 
 def _weight(t: complex, x: np.ndarray) -> np.ndarray:
     # principal branch: positive for real positive t, analytic on Re(t) > 0
-    return np.sqrt(t * t + np.sin(x) ** 2 + np.sin(x) ** 4 + 0j)
+    s2 = np.sin(x) ** 2
+    return np.sqrt(t * t + s2 + s2 * s2 + 0j)
 
 
 def _p(t: complex, x: np.ndarray) -> np.ndarray:

@@ -279,10 +279,13 @@ def hankel_section(tab: FourierTable, m: int, shift: int = 0,
     return _section(tab, m, 1 + shift, -1 if reflected else 1, toeplitz=False)
 
 
-def _section(tab: FourierTable, m: int, first: int, sign: int, toeplitz: bool) -> np.ndarray:
-    """The section whose block (j, k) is ``strip[j + k]`` (Hankel), or
+def _section(tab: FourierTable, m: int, first: int, sign: int, toeplitz: bool,
+             rows: int | None = None) -> np.ndarray:
+    """The first ``rows`` rows (all mN by default) of the m-block-column
+    section whose block (j, k) is ``strip[j + k]`` (Hankel), or
     ``strip[j + m-1-k]`` (Toeplitz), where ``strip[i]`` is coefficient
-    ``sign * (first + i)``, i < 2m - 1.
+    ``sign * (first + i)``; a ``rows`` that is not a multiple of N cuts the
+    last block row.
 
     The strip is a view of the table where it lies inside the order and a
     zero-padded copy where it does not; it is copied once, through a
@@ -292,47 +295,96 @@ def _section(tab: FourierTable, m: int, first: int, sign: int, toeplitz: bool) -
     if m < 1:
         raise ValueError("m must be >= 1")
     n, order = tab.block_size, tab.order
+    rows = m * n if rows is None else rows
+    whole, cut = divmod(rows, n)
+    length = whole + (cut > 0) + m - 1  # strip entries the block rows read
     start = sign * first + order  # the row of tab.coeffs strip[0] reads
-    if abs(first) <= order and abs(first + 2 * m - 2) <= order:
-        strip = tab.coeffs[start::sign][:2 * m - 1]
+    if abs(first) <= order and abs(first + length - 1) <= order:
+        strip = tab.coeffs[start::sign][:length]
     else:
-        rows = start + sign * np.arange(2 * m - 1)
-        inside = (0 <= rows) & (rows <= 2 * order)
-        strip = np.zeros((2 * m - 1, n, n), dtype=complex)
-        strip[inside] = tab.coeffs[rows[inside]]
+        idx = start + sign * np.arange(length)
+        inside = (0 <= idx) & (idx <= 2 * order)
+        strip = np.zeros((length, n, n), dtype=complex)
+        strip[inside] = tab.coeffs[idx[inside]]
     if not np.isfinite(strip).all():
         raise SampleFailure("matrix section contains non-finite entries")
     window = sliding_window_view(strip, m, axis=0)  # [j, a, b, k] is strip[j + k]
-    out = np.empty((m * n, m * n), dtype=complex, order="F")
-    # row jN + a of out is blocks[a, j]
-    blocks = out.reshape((n, m, n, m), order="F")
-    blocks[...] = (window[..., ::-1] if toeplitz else window).transpose(1, 0, 2, 3)
+    if toeplitz:
+        window = window[..., ::-1]
+    out = np.empty((rows, m * n), dtype=complex, order="F")
+    # row jN + a of out is blocks[a, j], one row at a time in a cut block row
+    blocks = out[:whole * n].reshape((n, whole, n, m), order="F")
+    blocks[...] = window[:whole].transpose(1, 0, 2, 3)
+    for a in range(cut):
+        out[whole * n + a].reshape((n, m), order="F")[...] = window[whole, a]
     return out
 
 
-def pivoted_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, LogDet]:
-    """Partial-pivot LU of a square array, consumed (in place if Fortran-ordered).
-
-    The determinant is U's diagonal times the permutation sign, kept in log
-    form so hundreds of pivots cannot overflow; a pivot at or below
-    ``n * eps * ||a||_inf`` flags it singular.  LAPACK ``?lange`` gives the
-    norm without a temporary and catches non-finite entries.
-    """
-    lange = scipy.linalg.get_lapack_funcs("lange", (a,))
-    norm = float(lange("I", a))
-    if not math.isfinite(norm):
-        raise SampleFailure("matrix contains non-finite entries")
-    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+def _factored(a: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, LogDet]:
+    """LAPACK ``?getrf`` of a square array, in place if it is Fortran-ordered,
+    and its determinant: U's diagonal times the permutation sign, kept in
+    log form so hundreds of pivots cannot overflow, flagged singular when a
+    pivot is at or below ``floor``."""
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
+    lu, piv, _ = getrf(a, overwrite_a=True)
     diag = np.diagonal(lu)
-    if norm == 0.0 or np.any(np.abs(diag) <= a.shape[0] * _EPS * norm):
+    if np.any(np.abs(diag) <= floor):
         return lu, piv, LogDet(-math.inf, 0.0, True)
-    parity = int(np.sum(piv != np.arange(diag.size))) % 2
-    log_mod = float(np.sum(np.log(np.abs(diag))))
-    phase = float(np.sum(np.angle(diag))) + parity * math.pi
+    parity = int(np.count_nonzero(piv != np.arange(diag.size))) % 2
+    return lu, piv, _log_det(float(np.sum(np.log(np.abs(diag)))),
+                             float(np.sum(np.angle(diag))) + parity * math.pi)
+
+
+def _log_det(log_mod: float, phase: float) -> LogDet:
+    """A nonsingular LogDet, its phase reduced to (-pi, pi]."""
     phase = math.remainder(phase, 2.0 * math.pi)
     if phase <= -math.pi:
         phase += 2.0 * math.pi
-    return lu, piv, LogDet(log_mod, phase, False)
+    return LogDet(log_mod, phase, False)
+
+
+def _inf_norm(a: np.ndarray) -> float:
+    """||a||_inf by LAPACK ``?lange``, without a temporary; a non-finite
+    entry raises SampleFailure."""
+    lange, = scipy.linalg.get_lapack_funcs(("lange",), (a,))
+    norm = float(lange("I", a))
+    if not math.isfinite(norm):
+        raise SampleFailure("matrix contains non-finite entries")
+    return norm
+
+
+def pivoted_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, LogDet]:
+    """Partial-pivot LU of a square array, consumed (in place if Fortran-ordered),
+    with pivots and LogDet as :func:`_factored` gives them; a pivot at or
+    below ``n * eps * ||a||_inf`` flags it singular."""
+    return _factored(a, a.shape[0] * _EPS * _inf_norm(a))
+
+
+def folded_log_determinant(slab: np.ndarray) -> LogDet:
+    """det of the centrosymmetric 2n x 2n matrix A (E A E = A, E the index
+    reversal) whose top n rows are the Fortran-ordered n x 2n ``slab``
+    [B | C], consumed: with Q = [[I, I], [E, -E]] / sqrt 2, Q^T A Q =
+    diag(B + CE, B - CE), so det A = det(B + CE) det(B - CE) (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976).
+
+    The slab is folded in place, B + CE into its left half and (B - CE) E
+    into its right half, and each half is factored by :func:`_factored`
+    (det E = (-1)^floor(n/2)).  Both halves' pivots are tested against
+    A's own threshold, ``2n * eps * ||A||_inf``, and ||A||_inf is the
+    slab's: the rows of A below it are its rows reversed.
+    """
+    n = slab.shape[0]
+    floor = 2 * n * _EPS * _inf_norm(slab)
+    b, ce = slab[:, :n], slab[:, n:][:, ::-1]
+    diff = b - ce
+    b += ce
+    ce[...] = diff
+    plus = _factored(slab[:, :n], floor)[2]
+    minus = _factored(slab[:, n:], floor)[2]
+    if plus.is_singular or minus.is_singular:
+        return LogDet(-math.inf, 0.0, True)
+    return _log_det(plus.log_modulus + minus.log_modulus,
+                    plus.phase + minus.phase + n // 2 % 2 * math.pi)
 
 
 def log_determinant(a: np.ndarray) -> LogDet:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
-from dimerdet.continuation import _e_plus_d
+from dimerdet.continuation import _e_plus_d, _k_row, _phi_hat_table
 from dimerdet.dimer import _eta, _p, _q
 from dimerdet.spectral import (
     FourierTable,
@@ -15,6 +15,7 @@ from dimerdet.spectral import (
     _grid,
     _stack_entries,
     as_matrix_symbol,
+    toeplitz_section,
 )
 
 
@@ -152,3 +153,15 @@ def phi_hat_symbol(t: complex) -> MatrixSymbol:
                               x.size)
 
     return MatrixSymbol(eval_, 2)
+
+
+def theta_section_dense(t: complex, n: int, e_tab: FourierTable,
+                        d_tab: FourierTable) -> np.ndarray:
+    """The whole 2n x 2n section T_n(phi_hat) + P_n K P_n + W_n L W_n, with
+    K in row 0 and W_n L W_n in row 2n-1: the dense reference for the top-n
+    slab ``continuation.theta_section`` builds and the fold it is read by."""
+    out = toeplitz_section(_phi_hat_table(t, e_tab, d_tab), n)
+    k_row = _k_row(t, n, e_tab, d_tab)
+    out[0] += k_row
+    out[-1] += k_row[::-1]
+    return out

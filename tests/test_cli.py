@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,28 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("zebra = 1\n")
     assert main(["correlation", "--config", str(cfg), "--t", "0.5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line, key", [("n_list = 4,8", "n_list"), ("identity = widom", "identity")])
+def test_config_file_rejects_a_key_the_command_has_no_flag_for(line, key, tmp_path, capsys):
+    # sweep has neither --n-list nor --identity; the file may not set them either
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tolerance = 1e-9\n{line}\n")
+    code = main(["sweep", "--t-start", "0.3", "--t-stop", "0.4", "--t-count", "2",
+                 "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:2: key '{key}' is not an option of sweep" in capsys.readouterr().err
+
+
+def test_config_file_keys_every_command_has_pass(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-9\nformat = json\nprecision = 5\nseed = 3\n"
+                   f"output = {tmp_path / 'out.json'}\n")
+    for args in (["sweep", "--t-start", "0.3", "--t-stop", "0.4", "--t-count", "2"],
+                 ["correlation", "--t", "0.5"], ["convergence", "--t", "0.5", "--n-list", "4,8"],
+                 ["verify", "--t", "0.3", "--identity", "lambda"]):
+        assert main(args + ["--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out.json").read_text())["command"] == args[0]
 
 
 def test_sweep_rows_and_degenerate_marking(capsys):
@@ -429,6 +452,16 @@ def _identity_rows(args, capsys, code=0):
     got, out = run_cli(["verify", "--format", "json"] + args, capsys)
     assert got == code
     return {row["identity"]: row for row in json.loads(out)["rows"]}
+
+
+def test_dimer_toeplitz_fails_fast_below_its_table_reach(capsys):
+    # at t = 0.00162 the phi table passes MAX_ORDER before the torus grid
+    # would pass MAX_QUAD_GRID (about 1 s); the table is built first
+    start = time.perf_counter()
+    rows = _identity_rows(["--identity", "dimer-toeplitz", "--t", "0.00162"], capsys, code=3)
+    assert time.perf_counter() - start < 0.3
+    assert rows["dimer-toeplitz"]["status"] == "error"
+    assert rows["dimer-toeplitz"]["error"]["type"] == "TailNotResolved"
 
 
 def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):

@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dimerdet import (
     DimerParams,
@@ -34,8 +36,8 @@ from dimerdet.continuation import (
 )
 from dimerdet.cli import main
 from dimerdet.dimer import symbol_d
-from dimerdet.spectral import ScalarSymbol, grid_for_order, pivoted_lu
-from oracles import fft_table, phi_hat_symbol, tail_magnitude
+from dimerdet.spectral import ScalarSymbol, folded_log_determinant, grid_for_order
+from oracles import fft_table, phi_hat_symbol, tail_magnitude, theta_section_dense
 
 
 def test_e_plus_is_c_minus_pole_part():
@@ -197,17 +199,20 @@ def test_phi_hat_table_matches_sampled_symbol(t):
 @pytest.mark.parametrize("t", [0.6, 1.0, 2.0, 0.8 + 0.3j])
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_theta_section_matches_dense_assembly(t, n):
-    # the sliding-window section against T_n(phi_hat) + K + W L W assembled
-    # densely from the sampled symbol
+    # the slab is the top n rows of T_n(phi_hat) + K + W L W assembled
+    # densely from the sampled symbol, and bit for bit those of the dense
+    # reference section from the same tables
     t = complex(t)
-    section = theta_section(t, n, *_scalar_tables(t, 512))
-    assert section.flags.f_contiguous
+    tables = _scalar_tables(t, 512)
+    slab = theta_section(t, n, *tables)
+    assert slab.flags.f_contiguous and slab.shape == (n, 2 * n)
     seq = theta_decomposition(t, n)
     # W_n L W_n reverses the order of L's 2 x 2 blocks in both directions
     wlw = seq.l_op.reshape(n, 2, n, 2)[::-1, :, ::-1, :].reshape(2 * n, 2 * n)
     dense = (toeplitz_section(fft_table(phi_hat_symbol(t), 4096, 512), n)
              + seq.k_op + wlw)
-    assert np.max(np.abs(section - dense)) <= 1e-13
+    assert np.max(np.abs(slab - dense[:n])) <= 1e-13
+    assert np.array_equal(slab, theta_section_dense(t, n, *tables)[:n])
 
 
 def test_scalar_tables_share_one_order():
@@ -222,14 +227,32 @@ def test_scalar_tables_share_one_order():
 
 
 def test_theta_section_is_factored_in_place():
-    section = theta_section(0.6, 8, *_scalar_tables(0.6, 8))
-    assert section.flags.f_contiguous
-    assert np.shares_memory(pivoted_lu(section)[0], section)
+    # the slab [B | C] becomes the LU factors of B + CE (left half) and of
+    # (B - CE) E (right half), E the index reversal
+    slab = theta_section(0.6, 8, *_scalar_tables(0.6, 8))
+    assert slab.flags.f_contiguous
+    b, ce = slab[:, :8].copy(), slab[:, 8:][:, ::-1].copy()
+    folded_log_determinant(slab)
+    assert np.array_equal(slab[:, :8], scipy.linalg.lu_factor(b + ce)[0])
+    assert np.array_equal(slab[:, 8:], scipy.linalg.lu_factor((b - ce)[:, ::-1])[0])
+
+
+def test_correlation_finite_builds_no_full_section():
+    # the slab (8 MiB at n = 512) and one half-size temporary of the fold;
+    # one 2n x 2n complex buffer alone would be 16 MiB
+    correlation_finite(DimerParams(0.6), 512)  # imports and caches out of the count
+    tracemalloc.start()
+    try:
+        correlation_finite(DimerParams(0.6), 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * 512) ** 2 * 16
 
 
 def test_theta_section_needs_table_order():
     e_tab, d_tab = _scalar_tables(0.6 + 0j, 64)
-    assert theta_section(0.6, 64, e_tab, d_tab).shape == (128, 128)
+    assert theta_section(0.6, 64, e_tab, d_tab).shape == (64, 128)
     with pytest.raises(TruncationTooShort):
         theta_section(0.6, 65, e_tab, d_tab)
 
@@ -283,7 +306,7 @@ def _single_n_p(t: complex, n: int) -> complex:
     """P(n) from a table pair of its own, resolved to at least order n: the
     single-n route written out step by step, as a reference."""
     t = complex(t)
-    val = 0.5 * np.sqrt(pivoted_lu(theta_section(t, n, *_scalar_tables(t, n)))[2].value)
+    val = 0.5 * np.sqrt(folded_log_determinant(theta_section(t, n, *_scalar_tables(t, n))).value)
     if t.imag == 0.0:
         val = val.real
     return complex(val)

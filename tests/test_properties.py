@@ -14,10 +14,24 @@ from dimerdet import (
     symbol_phi,
     symbol_psi,
 )
-from dimerdet.continuation import _scalar_tables, e_plus_symbol
+from dimerdet.continuation import _scalar_tables, e_plus_symbol, theta_section
 from dimerdet.dimer import _sigma, symbol_d
-from dimerdet.spectral import FourierTable, grid_for_order, hankel_section, toeplitz_section
-from oracles import assemble, fft_table, hankel_index, toeplitz_index
+from dimerdet.spectral import (
+    FourierTable,
+    _section,
+    folded_log_determinant,
+    grid_for_order,
+    hankel_section,
+    log_determinant,
+    toeplitz_section,
+)
+from oracles import (
+    assemble,
+    fft_table,
+    hankel_index,
+    theta_section_dense,
+    toeplitz_index,
+)
 
 SETTINGS = settings(deadline=None, max_examples=50)
 
@@ -124,3 +138,31 @@ def test_sections_equal_the_block_gather(tab, m, shift, reflected):
                           assemble(tab, toeplitz_index(m, reflected)))
     assert np.array_equal(hankel_section(tab, m, shift, reflected),
                           assemble(tab, hankel_index(m, shift, reflected)))
+
+
+@SETTINGS
+@given(tables(), st.integers(1, 100), st.integers(0, 10), st.booleans(), st.data())
+def test_cut_sections_are_the_first_rows(tab, m, shift, reflected, data):
+    # a window of fewer rows, a block row cut when the count is odd, is the
+    # first rows of the square section, in its own Fortran-ordered buffer
+    rows = data.draw(st.integers(1, m * tab.block_size))
+    sign = -1 if reflected else 1
+    for section, square in ((_section(tab, m, -(m - 1), sign, True, rows),
+                             toeplitz_section(tab, m, reflected)),
+                            (_section(tab, m, 1 + shift, sign, False, rows),
+                             hankel_section(tab, m, shift, reflected))):
+        assert section.flags.f_contiguous
+        assert np.array_equal(section, square[:rows])
+
+
+@SETTINGS
+@given(box(0.05, 3.0, 3.0), st.integers(1, 96))
+def test_folded_determinant_matches_the_dense_section(t, n):
+    # the whole section is centrosymmetric bit for bit, and the two n x n
+    # LUs of the fold give the determinant of its 2n x 2n LU
+    tables = _scalar_tables(t, n)
+    dense = theta_section_dense(t, n, *tables)
+    assert np.array_equal(dense[::-1, ::-1], dense)
+    folded = folded_log_determinant(theta_section(t, n, *tables)).value
+    full = log_determinant(dense).value
+    assert abs(folded - full) <= 1e-12 * abs(full)

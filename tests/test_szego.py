@@ -363,7 +363,6 @@ def test_bocg_residual_matches_dense_on_a_full_table():
     assert abs(bocg_dense(tab, 6, 8) - 1.0) > 1e-3  # not trivially 1
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_bocg_singular_truncation():
     tab = table_from_coeff_map({1: 1.0}, 4)
     with pytest.raises(TruncatedOperatorSingular):
