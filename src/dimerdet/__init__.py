@@ -21,7 +21,6 @@ from .dimer import (
 from .errors import (
     BranchFailure,
     DecompositionMismatch,
-    DegenerateRoots,
     DimerdetError,
     InvariantViolation,
     NonzeroWinding,
@@ -55,10 +54,10 @@ __all__ = [
     "symbol_psi_inverse", "szego_E_operator", "theta_decomposition", "toeplitz_section",
     "widom_banded_E",
     "DimerParams",
-    "DimerdetError", "BranchFailure", "DecompositionMismatch", "DegenerateRoots",
-    "InvariantViolation", "NonzeroWinding", "NotBanded", "ParameterOutOfRange", "PoleInput",
-    "QuadratureUnconverged", "SampleFailure", "SingularDeterminant", "SingularSymbol",
-    "TailNotResolved", "TruncatedOperatorSingular", "TruncationTooShort",
+    "DimerdetError", "BranchFailure", "DecompositionMismatch", "InvariantViolation",
+    "NonzeroWinding", "NotBanded", "ParameterOutOfRange", "PoleInput", "QuadratureUnconverged",
+    "SampleFailure", "SingularDeterminant", "SingularSymbol", "TailNotResolved",
+    "TruncatedOperatorSingular", "TruncationTooShort",
 ]
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 and the identity-verification suite, with CSV/JSON emission.
 
 Exit codes: 0 success, 2 configuration rejected or output file unwritable,
-3 numerical failure (or an identity that failed or raised).  Output rows are
-deterministic for a fixed configuration and seed; numbers are serialized with
-17 significant digits in JSON and a configurable precision (default 12) in
-CSV, so ``--precision 17`` makes the two emissions value-identical after
-parsing.
+3 numerical failure, a failed memory allocation, or an identity that failed
+or raised.  Output rows are deterministic for a fixed configuration and
+seed; numbers are serialized with 17 significant digits in JSON and a
+configurable precision (default 12) in CSV, so ``--precision 17`` makes the
+two emissions value-identical after parsing.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .dimer import (
     symbol_psi,
     symbol_psi_inverse,
 )
-from .errors import DegenerateRoots, DimerdetError, ParameterOutOfRange
+from .errors import DimerdetError, ParameterOutOfRange
 from .spectral import (
     FourierTable,
     fourier_coefficients,
@@ -85,6 +85,13 @@ def parse_n_list(text: str) -> list[int]:
     return values
 
 
+def parse_finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_switch(text: str) -> bool:
     if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
@@ -114,15 +121,15 @@ class RunConfig:
     t: complex | None = option(
         parse_complex, "parameter t, complex as RE+IMi (e.g. 0.8+0.3i); Re(t) > 0",
         ("correlation", "convergence", "verify"))
-    t_start: float | None = option(float, "first real part of the sweep", ("sweep",))
-    t_stop: float | None = option(float, "last real part of the sweep", ("sweep",))
+    t_start: float | None = option(parse_finite, "first real part of the sweep", ("sweep",))
+    t_stop: float | None = option(parse_finite, "last real part of the sweep", ("sweep",))
     t_count: int | None = option(int, "number of sweep points", ("sweep",))
-    t_imag: float = option(float, "imaginary part of every sweep point", ("sweep",), 0.0)
+    t_imag: float = option(parse_finite, "imaginary part of every sweep point", ("sweep",), 0.0)
     n: int | None = option(int, "separation n", ("correlation", "sweep", "verify"))
     n_list: list[int] = option(parse_n_list, "comma-separated increasing separations",
                                ("correlation", "convergence"), ())
     identity: str = option(str, "one of {identities}, or 'all'", ("verify",), "all")
-    tolerance: float = option(float, "tolerance of truncated series and operators",
+    tolerance: float = option(parse_finite, "tolerance of truncated series and operators",
                               default=1e-10, flag="--tol")
     output: str | None = option(str, "write to this file instead of standard output")
     format: str = option(str, "csv or json", default="csv")
@@ -253,8 +260,6 @@ def _sweep_row(cfg: RunConfig, t: complex) -> dict:
         try:
             spectral_roots(t)
             note = "roots: ok"
-        except DegenerateRoots:
-            note = "skipped: degenerate"
         except DimerdetError as exc:
             note = f"roots: {exc}"
     if cfg.n is None:
@@ -499,13 +504,14 @@ def emit(report: dict, cfg: RunConfig) -> int:
 
 def emit_error(exc: Exception, cfg: RunConfig, code: int) -> int:
     """Report ``exc``; returns ``code``, or 2 if the output cannot be written."""
+    message = str(exc) or type(exc).__name__  # a bare MemoryError has no message
     if cfg.format == "json":
         payload = json.dumps(
-            {"error": {"type": type(exc).__name__, "message": str(exc), "code": code}},
+            {"error": {"type": type(exc).__name__, "message": message, "code": code}},
             indent=2, sort_keys=True) + "\n"
         if _write(payload, cfg):
             return 2
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     return code
 
 
@@ -563,7 +569,7 @@ def main(argv=None) -> int:
         return emit_error(exc, cfg, 2)
     try:
         report = RUNNERS[cfg.command](cfg)
-    except DimerdetError as exc:
+    except (DimerdetError, MemoryError) as exc:
         return emit_error(exc, cfg, 3)
     if emit(report, cfg):
         return 2

@@ -1,11 +1,11 @@
 """Exact-formula engine: spectral roots, coefficient algebra, and the limit.
 
 Everything here is closed-form arithmetic in the two roots xi_1, xi_2 of the
-quartic factorization of ``t^2 + sin^2 x + sin^4 x``.  The final constant and
-the correlation limit have forms that stay regular at the root-degenerate
-point t = 1/2, so they are computed directly; the intermediate root-based
-quantities refuse a small disk around that point instead of limping through
-an ill-conditioned cancellation.
+quartic factorization of ``t^2 + sin^2 x + sin^4 x``.  One formula holds on
+the whole half-plane Re(t) > 0: each root is the small root of
+``xi^2 - 2 h xi + 1``, taken as ``1/(h + r)`` without cancellation, and each
+coefficient is a divided difference that never divides by ``xi_1 - xi_2``, so
+the constants stay regular where the roots collide, at t = 1/2.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRoots, InvariantViolation, ParameterOutOfRange, PoleInput
-
-#: half-width of the refusal disk around the degenerate point t = 1/2
-DEGENERATE_RADIUS = 1e-3
+from .errors import InvariantViolation, ParameterOutOfRange, PoleInput
 
 
 @dataclass(frozen=True)
@@ -31,52 +28,49 @@ class SpectralRoots:
     xi2: complex
     branch_log: str
 
-    @property
-    def product(self) -> complex:
-        return self.xi1 * self.xi2
-
 
 @dataclass(frozen=True)
 class CoefficientBundle:
-    """Fourier coefficients of the inverse-symbol entries, in closed form."""
+    """Fourier coefficients of the inverse-symbol entries, in closed form,
+    with the roots they come from and the factors beta, omega of Lambda."""
 
+    roots: SpectralRoots
     a0: complex
     a1: complex
     am1: complex
     a2: complex
     am2: complex
     b1: complex
-    b2: complex
-    alpha: complex
+    beta: complex
     omega: complex
 
 
 def spectral_roots(t: complex) -> SpectralRoots:
     """Roots xi_i with |xi_i| < 1 from the quartic factorization.
 
-    mu = sqrt(1 - 4 t^2) and xi_1 = 2 + mu - 2 sqrt(1 - t^2 + mu),
-    xi_2 = 2 - mu - 2 sqrt(1 - t^2 - mu), all principal square roots; if a
-    principal choice lands outside the unit disk its reciprocal, the partner
-    root, is taken instead and the swap recorded.  The defining invariants
-    (xi_i + 1/xi_i = 4 +/- 2 mu, the factorization residual on the circle)
-    are validated before returning.
+    mu = sqrt(1 - 4 t^2), and xi_1, xi_2 are the small roots of
+    xi + 1/xi = 2h with h = 2 + mu and h = 2 - mu: xi = 1/(h + r) with
+    r = +/- 2 sqrt(1 - t^2 +/- mu), the sign of r the one that makes
+    |h + r| larger (recorded in ``branch_log``), all square roots principal;
+    no difference cancels (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 1.8).
+    The defining invariants (xi_i + 1/xi_i = 4 +/- 2 mu, the factorization
+    residual on the circle) are validated, relative to their size, before
+    returning.
     """
     t = complex(t)
     if not t.real > 0:
         raise ParameterOutOfRange(f"Re(t) must be positive, got {t}")
     mu = cmath.sqrt(1.0 - 4.0 * t * t)
     log = [f"mu principal sqrt -> {mu!r}"]
-    xi1 = 2.0 + mu - 2.0 * cmath.sqrt(1.0 - t * t + mu)
-    xi2 = 2.0 - mu - 2.0 * cmath.sqrt(1.0 - t * t - mu)
-    if abs(xi1) >= 1.0:
-        xi1 = 1.0 / xi1
-        log.append("xi1 swapped to reciprocal root")
-    if abs(xi2) >= 1.0:
-        xi2 = 1.0 / xi2
-        log.append("xi2 swapped to reciprocal root")
-    roots = SpectralRoots(t, mu, xi1, xi2, "; ".join(log))
-    if abs(xi1 - xi2) < 1e-8:
-        raise DegenerateRoots(f"|xi1 - xi2| = {abs(xi1 - xi2):.2e} at t={t}")
+    xis = []
+    for name, sign in (("xi1", 1.0), ("xi2", -1.0)):
+        h = 2.0 + sign * mu
+        r = 2.0 * cmath.sqrt(1.0 - t * t + sign * mu)
+        plus = abs(h + r) >= abs(h - r)
+        xis.append(1.0 / (h + r if plus else h - r))
+        log.append(f"{name} = 1/(h {'+' if plus else '-'} r)")
+    roots = SpectralRoots(t, mu, *xis, "; ".join(log))
     _validate_roots(roots)
     return roots
 
@@ -85,23 +79,17 @@ def _validate_roots(r: SpectralRoots) -> None:
     for name, xi, sign in (("xi1", r.xi1, 1.0), ("xi2", r.xi2, -1.0)):
         if abs(xi) >= 1.0:
             raise InvariantViolation(f"|{name}| = {abs(xi)} >= 1 at t={r.t}")
-        res = abs(xi + 1.0 / xi - (4.0 + 2.0 * sign * r.mu))
+        two_h = 4.0 + 2.0 * sign * r.mu
+        res = abs(xi + 1.0 / xi - two_h) / abs(two_h)
         if res > 1e-12:
-            raise InvariantViolation(f"{name} sum identity residual {res:.2e} at t={r.t}")
+            raise InvariantViolation(f"{name} relative sum residual {res:.2e} at t={r.t}")
     y = np.exp(2j * np.pi * np.arange(16) / 16)
     lhs = y ** 2 - 8 * y + (14 + 16 * r.t ** 2) - 8 / y + y ** -2
     rhs = ((1 - r.xi1 * y) * (1 - r.xi2 * y) * (1 - r.xi1 / y) * (1 - r.xi2 / y)
            / (r.xi1 * r.xi2))
-    res = float(np.max(np.abs(lhs - rhs)))
+    res = float(np.max(np.abs(lhs - rhs))) / max(1.0, abs(16 * r.t ** 2))
     if res > 1e-10:
-        raise InvariantViolation(f"factorization residual {res:.2e} at t={r.t}")
-
-
-def _refuse_degenerate(t: complex) -> None:
-    if abs(t - 0.5) < DEGENERATE_RADIUS:
-        raise DegenerateRoots(
-            f"t={t} within {DEGENERATE_RADIUS} of the degenerate point 1/2; "
-            "use e_phi/correlation_limit, which are regular there")
+        raise InvariantViolation(f"relative factorization residual {res:.2e} at t={r.t}")
 
 
 def kl_helpers(t: complex, x: complex) -> tuple[complex, complex]:
@@ -127,32 +115,45 @@ def kl_helpers(t: complex, x: complex) -> tuple[complex, complex]:
     return k, l
 
 
+def _divided_difference(num, den, x1: complex, x2: complex, f2: complex) -> complex:
+    """(f(x1) - f(x2)) / (x1 - x2) for f = N/D, from the power-basis
+    coefficients of N and D and f2 = f(x2): ([N] - f2 [D]) / D(x1), where
+    [x^m] = sum_i x1^i x2^(m-1-i), so nothing divides by x1 - x2."""
+    def dd(coeffs):
+        return sum(c * sum(x1 ** i * x2 ** (m - 1 - i) for i in range(m))
+                   for m, c in enumerate(coeffs))
+    return (dd(num) - f2 * dd(den)) / sum(c * x1 ** m for m, c in enumerate(den))
+
+
 def coefficient_bundle(t: complex) -> CoefficientBundle:
-    """Closed-form Fourier coefficients a_0, a_{+-1}, a_{+-2}, b_1, b_2."""
+    """Closed-form Fourier coefficients a_0, a_{+-1}, a_{+-2}, b_1.
+
+    Each a is beta = 4 xi1 xi2 / (1 - xi1 xi2) times the divided difference
+    at the roots of x^j k(x) or x^j l(x), and b_1 = -2i beta / ((1+xi1)(1+xi2)).
+    """
     r = spectral_roots(t)
     t = r.t
     x1, x2 = r.xi1, r.xi2
-    alpha = 4.0 * x1 * x2 / ((1.0 - x1 * x2) * (x1 - x2))
-    omega = (1.0 - t * t * x1) * (1.0 - t * t * x2)
-    k1, l1 = kl_helpers(t, x1)
+    tt = t * t
+    beta = 4.0 * x1 * x2 / (1.0 - x1 * x2)
     k2, l2 = kl_helpers(t, x2)
+    den = (1.0, -tt, -1.0, tt)  # (1 - t^2 x)(1 - x^2)
+    k_num, l_num = (-1.0, -4.0, 1.0), (1.0, -2.0 - 2.0 * tt, 1.0 - 2.0 * tt)
+
+    def dd(j, num, f2):  # beta [xi1, xi2] x^j N/D, with f2 = N/D at xi2
+        return beta * _divided_difference((0.0,) * j + num, den, x1, x2, x2 ** j * f2)
+
     return CoefficientBundle(
-        a0=t * alpha * (x1 * k1 - x2 * k2),
-        a1=alpha * (l1 - l2),
-        am1=alpha * (x1 * l1 - x2 * l2),
-        a2=t * alpha * (k1 - k2),
-        am2=t * alpha * (x1 * x1 * k1 - x2 * x2 * k2),
-        b1=-8j * x1 * x2 / ((1.0 + x1) * (1.0 + x2) * (1.0 - x1 * x2)),
-        b2=0.0j,
-        alpha=alpha,
-        omega=omega,
-    )
+        roots=r, a0=t * dd(1, k_num, k2), a1=dd(0, l_num, l2), am1=dd(1, l_num, l2),
+        a2=t * dd(0, k_num, k2), am2=t * dd(2, k_num, k2),
+        b1=-2j * beta / ((1.0 + x1) * (1.0 + x2)), beta=beta,
+        omega=(1.0 - tt * x1) * (1.0 - tt * x2))
 
 
-def lambda_long_form(t: complex) -> complex:
-    """The constant as the explicit polynomial in the coefficient bundle."""
-    _refuse_degenerate(complex(t))
-    c = coefficient_bundle(t)
+def lambda_long_form(t: complex, bundle: CoefficientBundle | None = None) -> complex:
+    """The constant as the explicit polynomial in the coefficient bundle
+    (of ``t``, unless ``bundle`` is given)."""
+    c = bundle or coefficient_bundle(t)
     a0, a1, am1, a2, am2, b1 = c.a0, c.a1, c.am1, c.a2, c.am2, c.b1
     return (a0 ** 3 - 2.0 * (a1 * am1 + b1 * b1) * a0 - a2 * am2 * a0
             + am2 * (a1 ** 2 - b1 ** 2) + a2 * (am1 ** 2 - b1 ** 2))
@@ -162,17 +163,18 @@ def lambda_value(t: complex) -> complex:
     """The 3x3-section constant Lambda; Lambda^2 = det T_3(psi^{-1}).
 
     Computed from the reduced closed form
-    8 mu alpha^3 (xi1-xi2)^2 / (sqrt(omega) (1+xi1)(1+xi2)), with sqrt(omega)
-    the principal branch (omega > 0 for real t in (0,1)); agreement with the
-    long polynomial form is asserted to 1e-9.
+    8 mu alpha^3 (xi1-xi2)^2 / (sqrt(omega) (1+xi1)(1+xi2)), with
+    alpha = beta / (xi1 - xi2).  The sum identities give
+    mu / (xi1 - xi2) = -1/beta, so the form is
+    -8 beta^2 / (sqrt(omega) (1+xi1)(1+xi2)), regular at t = 1/2; sqrt(omega)
+    is the principal branch (omega > 0 for real t in (0,1)).  Agreement with
+    the long polynomial form is asserted to 1e-9.
     """
     t = complex(t)
-    _refuse_degenerate(t)
-    r = spectral_roots(t)
     c = coefficient_bundle(t)
-    value = (8.0 * r.mu * c.alpha ** 3 * (r.xi1 - r.xi2) ** 2
-             / (cmath.sqrt(c.omega) * (1.0 + r.xi1) * (1.0 + r.xi2)))
-    long = lambda_long_form(t)
+    x1, x2 = c.roots.xi1, c.roots.xi2
+    value = -8.0 * c.beta ** 2 / (cmath.sqrt(c.omega) * (1.0 + x1) * (1.0 + x2))
+    long = lambda_long_form(t, c)
     if abs(value - long) > 1e-9 * max(1.0, abs(value)):
         raise InvariantViolation(
             f"Lambda forms disagree by {abs(value - long):.2e} at t={t}")

@@ -50,10 +50,6 @@ class TruncatedOperatorSingular(DimerdetError):
     """LU of a truncated semi-infinite operator hit the pivot threshold."""
 
 
-class DegenerateRoots(DimerdetError):
-    """Spectral roots coincide; downstream constants are ill-conditioned."""
-
-
 class InvariantViolation(DimerdetError):
     """A self-check identity failed beyond its tolerance."""
 

@@ -163,20 +163,15 @@ def common_order_tables(sample: Evaluator, block_size: int,
     """Tables of the symbols one evaluator samples together, at one order.
 
     ``sample(x)`` has shape (len(x), m, N, N): m symbols of block size N.
-    The grid is ``grid_for_order`` of the order, and the order doubles from
-    ``max(order, MIN_ORDER)`` until every table has passed the tail check,
-    up to ``max(order, MAX_ORDER)``.  Each doubling reuses the samples of
-    the grid before as its even points (see :func:`_nested`).
+    The one table loop: FFT the samples on ``grid_for_order`` of the order,
+    and stop once every table has passed the tail check (the two outermost
+    coefficient pairs below ``TAIL_TOL``) on this rung or an earlier one;
+    else the order doubles from ``max(order, MIN_ORDER)`` up to
+    ``max(order, MAX_ORDER)``, past which TailNotResolved is raised.  Each
+    doubling reuses the samples of the grid before as its even points (see
+    :func:`_nested`).
     """
-    return _tables(sample, block_size, max(order or 0, MIN_ORDER))
-
-
-def _tables(sample: Evaluator, block_size: int, order: int) -> tuple[FourierTable, ...]:
-    """The one table loop: FFT the samples on ``grid_for_order`` of the
-    order, and stop once every table has passed the tail check (the two
-    outermost coefficient pairs below ``TAIL_TOL``) on this rung or an
-    earlier one; else the order doubles up to ``max(order, MAX_ORDER)``,
-    past which TailNotResolved is raised."""
+    order = max(order or 0, MIN_ORDER)
     cap = max(order, MAX_ORDER)
     on_grid = _nested(sample)
     passed = False

@@ -191,8 +191,6 @@ def test_criterion_10_root_invariant_suite():
     worst = 0.0
     while checked < 50:
         t = complex(rng.uniform(0.05, 1.5), rng.uniform(-0.5, 0.5))
-        if abs(t - 0.5) < 1e-3:
-            continue
         r = spectral_roots(t)  # validates |xi|<1, sum identities, quartic residual
         assert abs(r.xi1) < 1 and abs(r.xi2) < 1
         assert abs(r.xi1 + 1 / r.xi1 - (4 + 2 * r.mu)) < 1e-12

@@ -247,7 +247,7 @@ def test_sweep_rows_and_degenerate_marking(capsys):
     assert len(rows) == 4
     values = {row["t_re"]: row for row in rows}
     assert abs(float(values["0.5"]["value_re"]) - 1.0 / 6.0) < 1e-9
-    assert values["0.5"]["note"] == "skipped: degenerate"
+    assert values["0.5"]["note"] == "roots: ok"
     assert values["1"]["note"] == "roots: ok"
     assert abs(float(values["1"]["value_re"]) - 0.149429245361) < 1e-9
 
@@ -548,15 +548,17 @@ def test_each_identity_alone_matches_its_row_in_all_at_given_n(capsys):
         assert alone[name]["n"] == 5
 
 
-@pytest.mark.parametrize("t", ["0.0229", "0.5"])
+@pytest.mark.parametrize("t", ["0.0229", "1.5"])
 def test_each_identity_alone_matches_its_row_in_all_when_some_raise(t, capsys):
-    # three-way-e raises at its operator cap at 0.0229; lambda, prefactor and
-    # widom refuse the degenerate point 0.5: each becomes an error row, and
-    # every other identity still reports its residual
+    # three-way-e raises at its operator cap at 0.0229; off the real interval,
+    # at 1.5, only continuation and scalar-widom are stated: each identity
+    # that raises becomes an error row, and every other one still reports
+    # its residual
     together = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
     assert sorted(together) == sorted(IDENTITIES)
     errors = {name for name, row in together.items() if row["status"] == "error"}
-    assert errors == ({"three-way-e"} if t == "0.0229" else {"lambda", "prefactor", "widom"})
+    assert errors == ({"three-way-e"} if t == "0.0229"
+                      else set(IDENTITIES) - {"continuation", "scalar-widom"})
     assert all(row["status"] == "pass" for name, row in together.items() if name not in errors)
     for name in IDENTITIES:
         alone = _identity_rows(["--identity", name, "--t", t], capsys,
@@ -573,6 +575,60 @@ def test_verify_error_row_names_the_identity_on_stderr(capsys):
     assert raised.startswith("error: identity 'three-way-e' raised TailNotResolved: ")
     assert raised.endswith("at the cap MAX_OP_ORDER = 384")
     assert failed == "error: identity 'three-way-e' failed"
+
+
+def test_verify_passes_every_identity_at_the_degenerate_point(capsys):
+    # lambda, prefactor and widom refused t = 1/2, where the roots collide
+    code, out = run_cli(["verify", "--identity", "all", "--t", "0.5"], capsys)
+    assert code == 0
+    assert [row["status"] for row in parse_csv(out)] == ["pass"] * len(IDENTITIES)
+
+
+@pytest.mark.parametrize("route", ["flags", "config"])
+@pytest.mark.parametrize("flag", ["--tol", "--t-start", "--t-stop", "--t-imag"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected(text, flag, route, tmp_path, capsys):
+    # sweep --t-stop inf printed rows of nan and exited 0; verify --tol nan
+    # failed bocg and three-way-e against a nan tolerance
+    given =({"--t": "0.3", "--identity": "lambda"} if flag == "--tol"
+             else {"--t-start": "0.1", "--t-stop": "0.4", "--t-count": "3"})
+    command = "verify" if flag == "--tol" else "sweep"
+    if route == "flags":
+        given[flag] = text
+    else:
+        given.pop(flag, None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{OPTIONS[flag].name} = {text}\n")
+        given["--config"] = str(cfg)
+    code = main([command, *(f"{key}={value}" for key, value in given.items())])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{OPTIONS[flag].name}: expected a finite number, got {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 298. GiB for an array with shape (100000, 200000)", ""])
+def test_a_failed_allocation_exits_3_with_one_error_line(message, fmt, monkeypatch, capsys):
+    # correlation --t 0.3 --n 100000 asks numpy for a 298 GiB slab and ended
+    # in a MemoryError traceback with exit 1; the runner is replaced here, so
+    # the test allocates nothing
+    from dimerdet import cli
+
+    def refuse(cfg):
+        raise MemoryError(message)
+    monkeypatch.setitem(cli.RUNNERS, "correlation", refuse)
+    code = main(["correlation", "--t", "0.3", "--n", "100000", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3
+    message = message or "MemoryError"
+    assert captured.err == f"error: {message}\n"
+    if fmt == "json":
+        assert json.loads(captured.out) == {
+            "error": {"type": "MemoryError", "message": message, "code": 3}}
+    else:
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("route", ["flags", "config"])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dimerdet import (
-    DegenerateRoots,
     DimerParams,
     InvariantViolation,
     ParameterOutOfRange,
@@ -47,8 +46,11 @@ def test_roots_at_0p3():
 
 
 def test_roots_degenerate_point():
-    with pytest.raises(DegenerateRoots):
-        spectral_roots(0.5)
+    # the roots collide at t = 1/2: mu = 0 and xi + 1/xi = 4 for both
+    r = spectral_roots(0.5)
+    assert r.mu == 0
+    assert abs(r.xi1 - (2 - np.sqrt(3))) < 1e-15
+    assert abs(r.xi2 - (2 - np.sqrt(3))) < 1e-15
 
 
 def test_roots_reject_left_half_plane():
@@ -67,13 +69,7 @@ def test_root_invariants_over_rectangle():
     count = 0
     while count < 50:
         t = complex(rng.uniform(0.05, 1.5), rng.uniform(-0.5, 0.5))
-        if abs(t - 0.5) < 1e-3:
-            continue
-        try:
-            r = spectral_roots(t)
-        except DegenerateRoots:
-            # complex t can also pinch the roots; the refusal is the contract
-            continue
+        r = spectral_roots(t)
         assert abs(r.xi1) < 1.0 and abs(r.xi2) < 1.0
         prod = ((r.xi1 - 1) * (1 / r.xi1 - 1) * (r.xi2 - 1) * (1 / r.xi2 - 1))
         assert abs(prod - 16 * t * t) < 1e-10 * max(1.0, abs(16 * t * t))
@@ -129,7 +125,7 @@ def test_coefficient_bundle_vs_quadrature(t):
     assert abs(bundle.a2 - scalar_coeff(tab_a, 2)) < 1e-9
     assert abs(bundle.am2 - scalar_coeff(tab_a, -2)) < 1e-9
     assert abs(bundle.b1 - scalar_coeff(tab_b, 1)) < 1e-9
-    assert bundle.b2 == 0
+    assert scalar_coeff(tab_b, 2) == pytest.approx(0, abs=1e-12)
 
 
 def test_bundle_a0_real_in_conjugate_regime():
@@ -149,11 +145,44 @@ def test_lambda_squared_is_det_t3(t):
     assert abs(lam ** 2 - det) <= 1e-8 * abs(det)
 
 
-def test_lambda_refuses_degenerate_disk():
-    with pytest.raises(DegenerateRoots):
-        lambda_value(0.5)
-    with pytest.raises(DegenerateRoots):
-        lambda_value(0.4995)
+def test_lambda_is_regular_at_the_degenerate_point():
+    # the two forms agree (asserted inside lambda_value) where the roots collide
+    assert abs(lambda_value(0.5) - (-0.51055480693)) < 1e-10
+    for t in (0.5, 0.4995):
+        det = det_t3_psi_inverse(t)
+        assert abs(lambda_value(t) ** 2 - det) <= 1e-8 * abs(det)
+
+
+@pytest.mark.parametrize("offset", [1, 1j])
+def test_lambda_forms_agree_around_the_degenerate_point(offset):
+    # both forms divided by xi1 - xi2; they disagreed by 8e-13 at t = 0.4999999
+    for d in (*np.linspace(-1e-2, 1e-2, 41), 1e-5, -1e-7, 1e-11):
+        t = 0.5 + d * offset
+        reduced = lambda_value(t)
+        assert abs(lambda_long_form(t) - reduced) <= 1e-12 * abs(reduced)
+
+
+#: lambda_value and prefactor from the formulas in xi1 - xi2 with the
+#: principal root or its reciprocal, before the divided differences
+PINNED = {
+    0.2: (-1.1843090317654525, 0.4050284432767646),
+    0.3: (-0.8795169816891485, 0.5223624582015006),
+    0.4: (-0.6653986957177943, 0.598822434731558),
+    0.6: (-0.396134818566671, 0.6738800094040526),
+    0.7: (-0.3101871809049483, 0.6890277983977852),
+    0.8: (-0.24479557912923294, 0.6966568737916855),
+    0.3 + 0.2j: (-0.7158083307054911 + 0.45663264266996045j,
+                 0.6027647981896509 + 0.17199660994507743j),
+    1: (-0.15556077775407012, 0.7020983217992781),
+    2: (-0.022138842998814464, 0.78958407744502),
+}
+
+
+@pytest.mark.parametrize("t", PINNED)
+def test_lambda_and_prefactor_keep_their_values(t):
+    lam, pre = PINNED[t]
+    assert abs(lambda_value(t) - lam) <= 1e-13 * abs(lam)
+    assert abs(prefactor(t) - pre) <= 1e-13 * abs(pre)
 
 
 def test_lambda_swap_symmetry():

@@ -14,6 +14,7 @@ from dimerdet import (
     symbol_phi,
     symbol_psi,
 )
+from dimerdet.closed_form import spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_symbol, theta_section
 from dimerdet.dimer import _sigma, symbol_d
 from dimerdet.spectral import (
@@ -40,6 +41,24 @@ SEPARATIONS = st.sampled_from([1, 2, 4, 8, 16, 32])
 
 def box(re_min, re_max, im_max):
     return st.builds(complex, st.floats(re_min, re_max), st.floats(-im_max, im_max))
+
+
+#: |t| log-uniform in [1e-2, 1e6] and arg t within 1e-9 of the imaginary axis;
+#: nearer the axis (Re t below about 1e-12 |t|) a root can round onto the
+#: unit circle
+HALF_PLANE = st.builds(lambda m, a: 10.0 ** m * cmath.exp(1j * a), st.floats(-2.0, 6.0),
+                       st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9))
+
+
+@SETTINGS
+@given(HALF_PLANE)
+def test_spectral_roots_hold_their_invariants_over_the_half_plane(t):
+    # the small root was 2 + mu - 2 sqrt(1 - t^2 + mu), which cancels as |t|
+    # grows: real t from 5.75 up raised InvariantViolation
+    r = spectral_roots(t)  # raises unless both relative checks pass
+    assert abs(r.xi1) < 1.0 and abs(r.xi2) < 1.0
+    for xi, two_h in ((r.xi1, 4 + 2 * r.mu), (r.xi2, 4 - 2 * r.mu)):
+        assert abs(xi + 1 / xi - two_h) <= 1e-12 * abs(two_h)
 
 
 @SETTINGS

@@ -25,9 +25,9 @@ ERRORS = sorted(name for name, obj in vars(errors).items()
 
 
 def test_exports_are_the_documented_functions_the_parameters_and_the_errors():
-    assert len(ERRORS) == 16
+    assert len(ERRORS) == 15
     assert sorted(dimerdet.__all__) == sorted(FUNCTIONS + ["DimerParams"] + ERRORS)
-    assert len(dimerdet.__all__) == 37
+    assert len(dimerdet.__all__) == 36
 
 
 def test_every_public_attribute_is_exported():
