@@ -26,7 +26,7 @@ from .closed_form import correlation_limit, e_phi, lambda_value, prefactor, spec
 from .continuation import (
     correlation_finite,
     correlation_scan,
-    e_plus_symbol,
+    e_plus_d,
     limit_scan,
     theta_decomposition,
 )
@@ -34,7 +34,6 @@ from .dimer import (
     DimerParams,
     dimer_matrix,
     kernel_symbols,
-    symbol_d,
     symbol_phi,
     symbol_psi,
     symbol_psi_inverse,
@@ -64,7 +63,11 @@ VERIFY_COLUMNS = ["identity", "t_re", "t_im", "n", "residual", "tolerance", "sta
 
 
 class ConfigError(Exception):
-    """Rejected configuration; maps to exit code 2."""
+    """Rejected configuration; maps to exit code 2.  ``cfg``, where set, holds
+    every option that did parse, so the error goes to the format and output
+    they name."""
+
+    cfg = None
 
 
 def parse_complex(text: str) -> complex:
@@ -151,33 +154,34 @@ def _parse_option(f, text: str):
         raise ConfigError(f"{f.name}: {exc}") from exc
 
 
-def load_config_file(path: str, command: str) -> dict:
-    """The options of a ``key = value`` file; a key that is no flag of
-    ``command`` is rejected, naming the file and line."""
+def load_config_file(path: str, command: str) -> tuple[dict, list[ConfigError]]:
+    """The options of a ``key = value`` file that parse, and an error naming
+    the file and line for each line that does not: no ``=``, a key that is no
+    flag of ``command``, or a value its option rejects."""
     keys = {f.name: f for f in OPTIONS.values()}
-    values = {}
+    values, errors = {}, []
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        return values, [ConfigError(f"cannot read config file {path}: {exc}")]
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
+        key, eq, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in keys:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if command not in keys[key].metadata["commands"]:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} is not an option of {command}")
         try:
+            if not eq:
+                raise ConfigError("expected key = value")
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r}")
+            if command not in keys[key].metadata["commands"]:
+                raise ConfigError(f"key {key!r} is not an option of {command}")
             values[key] = _parse_option(keys[key], val)
         except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return values
+            errors.append(ConfigError(f"{path}:{lineno}: {exc}"))
+    return values, errors
 
 
 def validate(cfg: RunConfig) -> None:
@@ -377,10 +381,8 @@ def _verify_continuation(q: Quantities):
 def _verify_kernel_closed_forms(q: Quantities):
     # the closed forms are e+/2 and d/2, the entries P(n) is computed from
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
-    st, v = kernel_symbols(q.params, x)
-    err = max(float(np.max(np.abs(st - e_plus_symbol(q.params.t)(x) / 2))),
-              float(np.max(np.abs(v - symbol_d(q.params.t)(x) / 2))))
-    return err, 1e-9, None
+    err = np.abs(kernel_symbols(q.params, x) - e_plus_d(q.params.t)(x).T / 2)
+    return float(np.max(err)), 1e-9, None
 
 
 def _verify_three_way_e(q: Quantities):
@@ -415,7 +417,7 @@ def _verify_scalar_widom(q: Quantities):
         logs[:256, 0, 0] = (-sum(d ** ks for d in deltas) / ks)[::-1]
         log_tab = FourierTable(1, 256, logs)
         e_w = widom_banded_E(tab, n_up)
-        e_s = correction_factor(log_tab, 1, 256)
+        e_s = correction_factor(log_tab, 1)
         worst = max(worst, abs(e_w - e_s))
     return worst, 1e-9, None
 
@@ -542,13 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """The run configuration: the config file, then the flags given over it."""
-    values = load_config_file(args.config, args.command) if args.config else {}
+    """The run configuration: the config file, then the flags given over it.
+    Every line and flag is read before the first that does not parse is
+    raised, its ``cfg`` the configuration of all that did."""
+    values, errors = load_config_file(args.config, args.command) if args.config else ({}, [])
     for f in OPTIONS.values():
         text = getattr(args, f.name, None)
         if text is not None:
-            values[f.name] = _parse_option(f, text)
-    return RunConfig(command=args.command, **values)
+            try:
+                values[f.name] = _parse_option(f, text)
+            except ConfigError as exc:
+                errors.append(exc)
+    cfg = RunConfig(command=args.command, **values)
+    if errors:
+        errors[0].cfg = cfg
+        raise errors[0]
+    return cfg
 
 
 RUNNERS = {
@@ -566,7 +577,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         validate(cfg)
     except (ConfigError, ParameterOutOfRange) as exc:
-        return emit_error(exc, cfg, 2)
+        return emit_error(exc, getattr(exc, "cfg", None) or cfg, 2)
     try:
         report = RUNNERS[cfg.command](cfg)
     except (DimerdetError, MemoryError) as exc:

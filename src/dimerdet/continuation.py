@@ -33,7 +33,6 @@ from .errors import (
 from .spectral import (
     _EPS,
     FourierTable,
-    _extrapolated,
     _section,
     ScalarSymbol,
     common_order_tables,
@@ -42,9 +41,6 @@ from .spectral import (
     toeplitz_section,
 )
 from .dimer import DimerParams, _weight
-
-#: circle-distance below which the removable point of e+ is extrapolated
-POLE_WINDOW = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,42 +55,34 @@ class ContinuedSequence:
     identity_residual: float
 
 
-def e_plus_symbol(t: complex) -> ScalarSymbol:
-    """The regularized diagonal entry e+ = c - 1/(e^{-ix} - t), the first
-    value of :func:`_e_plus_d`."""
-    pair = _e_plus_d(t)
-    return ScalarSymbol(lambda x: pair(x)[..., 0])
+def e_plus_d(t: complex) -> ScalarSymbol:
+    """e+ = c - 1/(e^{-ix} - t) and d = sin x / weight from one evaluator,
+    values of shape x.shape + (2,): e^{ix}, sin x and the weight are
+    computed once per angle for both.
 
-
-def _e_plus_d(t: complex) -> ScalarSymbol:
-    """e+ and d from one evaluator, values of shape x.shape + (2,): sin x,
-    e^{-ix} and the weight are computed once per angle for both.
-
-    e+ is evaluated as a single fraction so the numerator cancellation at
-    e^{-ix} = t is explicit; within ``POLE_WINDOW`` of that (removable)
-    point it is filled by 4-point polynomial extrapolation from nearby
-    angles, where the direct formula is well conditioned.  d = sin x / weight
-    is :func:`dimerdet.dimer.symbol_d`, bit for bit.
+    With A = t cos x + sin^2 x and w the weight, e+ = (A - w) / ((e^{-ix} - t) w),
+    and since A^2 - w^2 = -sin^2 x (e^{-ix} - t)(e^{ix} - t) also
+    -sin^2 x (e^{ix} - t) / ((A + w) w).  Each angle takes the form whose
+    factor A -+ w is the larger in modulus, so nothing cancels and no
+    denominator vanishes: where e^{-ix} = t, A = w as Re(t) > 0, and the
+    second form is taken.  d is sin x / :func:`dimerdet.dimer._weight`.
     """
     t = complex(t)
     if not t.real > 0:
         raise ParameterOutOfRange(f"Re(t) must be positive, got {t}")
 
-    def direct(x):
-        ez, s, root = np.exp(-1j * x), np.sin(x), _weight(t, x)
-        if np.any(np.abs(root) < 1e-13):
-            raise BranchFailure("weight root vanished on evaluation points")
-        out = np.empty(x.shape + (2,), dtype=complex)
-        with np.errstate(all="ignore"):  # near e^{-ix} = t; e+ is filled there
-            out[..., 0] = ((t * np.cos(x) + s ** 2) - root) / ((ez - t) * root)
-        out[..., 1] = s / root
-        return out, np.abs(ez - t) < POLE_WINDOW
-
     def eval_(x):
-        x = np.asarray(x, dtype=float)
-        out, near = direct(x)
-        if np.any(near):
-            out[near, 0] = _extrapolated(lambda y: direct(y)[0][..., 0], x[near], 3e-4)
+        z, s, w = np.exp(1j * x), np.sin(x), _weight(t, x)
+        if np.any(np.abs(w) < 1e-13):
+            raise BranchFailure("weight root vanished on evaluation points")
+        s2 = s ** 2
+        a = t * z.real + s2
+        minus, plus = a - w, a + w
+        first = np.abs(minus) >= np.abs(plus)
+        out = np.empty(x.shape + (2,), dtype=complex)
+        out[..., 0] = (np.where(first, minus, -s2 * (z - t))
+                       / (np.where(first, z.conj() - t, plus) * w))
+        out[..., 1] = s / w
         return out
 
     return ScalarSymbol(eval_)
@@ -115,8 +103,8 @@ def k_plus_matrix(t: complex, n: int) -> np.ndarray:
 
 def _scalar_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
     """Fourier tables of e+ and d at one shared order of at least ``order``,
-    from one sampling of :func:`_e_plus_d` per grid point."""
-    pair = _e_plus_d(t)
+    from one sampling of :func:`e_plus_d` per grid point."""
+    pair = e_plus_d(t)
     return common_order_tables(lambda x: pair(x)[:, :, None, None], 1, order)
 
 

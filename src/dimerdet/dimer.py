@@ -33,7 +33,6 @@ from .spectral import (
     MatrixSymbol,
     MIN_ORDER,
     QUAD_TOL,
-    ScalarSymbol,
     grid_for_order,
 )
 
@@ -207,12 +206,6 @@ def _psi_samples(t: complex, x: np.ndarray) -> np.ndarray:
     return _stack_entries([[_p(t, x), _q(t, x)], [_q(t, -x), _p(t, -x)]], x.size)
 
 
-def symbol_d(t: complex) -> ScalarSymbol:
-    """The off-diagonal entry sin(x)/sqrt(t^2+sin^2 x+sin^4 x); Re(t) > 0."""
-    t = complex(t)
-    return ScalarSymbol(lambda x: np.sin(x) / _weight(t, x))
-
-
 def _unit_interval_t(params: DimerParams, what: str) -> complex:
     """t, if it is real in (0, 1); else ParameterOutOfRange naming ``what``."""
     if not params.is_real_unit_interval:
@@ -269,8 +262,8 @@ def kernel_symbols(params: DimerParams, x) -> np.ndarray:
 
     The y grid doubles from ``grid_for_order(MIN_ORDER)`` until the doubled
     grid moves neither kernel (see :func:`dimerdet.spectral._doubled`).
-    Their closed forms are e+/2 and d/2
-    (:func:`dimerdet.continuation.e_plus_symbol`, :func:`symbol_d`).
+    Their closed forms are e+/2 and d/2, the two values of
+    :func:`dimerdet.continuation.e_plus_d`.
     """
     t = _unit_interval_t(params, "kernel_symbols")
     return _doubled(lambda grid: _kernel_sums(t, x, grid), grid_for_order(MIN_ORDER),

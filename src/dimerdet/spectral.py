@@ -4,8 +4,8 @@ Symbols are complex functions of the angle ``x`` (radians); a matrix symbol
 is one evaluator returning (len(x), N, N) arrays.  This module samples symbols, extracts
 Fourier coefficients by FFT, assembles finite block Toeplitz/Hankel
 sections, and provides log-determinants and geometric means with explicit
-branch tracking.  Determinants are carried in log form throughout and only
-exponentiated at reporting boundaries.
+branch tracking.  A determinant is assembled in log form from its pivots,
+so their product cannot overflow on the way; its callers read its value.
 """
 
 from __future__ import annotations

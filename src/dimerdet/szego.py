@@ -22,6 +22,7 @@ import scipy.linalg
 from .dimer import DimerParams, symbol_psi, _p, _q, _sigma
 from .errors import (
     BranchFailure,
+    NonzeroWinding,
     NotBanded,
     TailNotResolved,
     TruncatedOperatorSingular,
@@ -104,18 +105,23 @@ def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> co
 
     Requires det sym nonvanishing with winding number zero (checked).  The
     tables of sym and sym^{-1} come from one sampling of sym per grid point,
-    at the one order :func:`common_order_tables` resolves; the tail is read
-    off for every truncation order up to ``MAX_OP_ORDER``, past which the
-    truncation is rejected rather than silently under-resolved.
+    at the one order :func:`common_order_tables` resolves, and so does the
+    winding number of det sym, sum_k k tr((sym^{-1})_{-k} sym_k): at least
+    1/2 in modulus raises NonzeroWinding.  The tail is read off for every
+    truncation order up to ``MAX_OP_ORDER``, past which the truncation is
+    rejected rather than silently under-resolved.
     """
     msym = as_matrix_symbol(sym)
-    geometric_mean(msym)  # the winding check: raises NonzeroWinding
 
     def with_inverse(x):
         v = msym.sample(x)
         return np.stack([v, _inverse_samples(v)], axis=1)
 
     tab, tab_inv = common_order_tables(with_inverse, msym.block_size)
+    ks = np.arange(-tab.order, tab.order + 1)
+    winding = np.einsum("k,kij,kji->", ks, tab_inv.coeffs[::-1], tab.coeffs)
+    if abs(winding) >= 0.5:
+        raise NonzeroWinding(f"det of the symbol winds {winding.real:.3f} times around 0")
     full1, tail1 = _hankel_hs_tails(tab, +1, MAX_OP_ORDER)
     full2, tail2 = _hankel_hs_tails(tab_inv, -1, MAX_OP_ORDER)
     tail = tail1 * full2 + full1 * tail2
@@ -141,12 +147,12 @@ def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
     return pivoted_lu(a)[2].value
 
 
-def hankel_trace(a: FourierTable, b: FourierTable, order: int,
-                 tol: float = 1e-10) -> complex:
-    """trace H(a) H(btilde) = sum_{m>=1} m a_m b_{-m}, summed to ``order``."""
+def hankel_trace(a: FourierTable, b: FourierTable, tol: float = 1e-10) -> complex:
+    """trace H(a) H(btilde) = sum_{m>=1} m a_m b_{-m}, summed to the lower
+    of the two table orders."""
     if a.block_size != 1 or b.block_size != 1:
         raise ValueError("hankel_trace requires scalar tables")
-    order = min(order, a.order, b.order)
+    order = min(a.order, b.order)
     terms = (np.arange(1, order + 1) * _one_side(a, 1)[:order, 0, 0]
              * _one_side(b, -1)[:order, 0, 0])
     est = _geometric_tail(np.abs(terms))
@@ -156,18 +162,10 @@ def hankel_trace(a: FourierTable, b: FourierTable, order: int,
     return complex(np.sum(terms))
 
 
-def correction_factor(a: FourierTable, block_size: int, order: int,
-                      tol: float = 1e-10) -> complex:
+def correction_factor(a: FourierTable, block_size: int, tol: float = 1e-10) -> complex:
     """exp(N trace H(a) H(atilde)): the scalar-shift factor relating
     E(e^{a I_N + Q}) to E(e^Q), and at N = 1 the scalar constant E(e^a)."""
-    return complex(np.exp(block_size * hankel_trace(a, a, order, tol)))
-
-
-def combine_tables(tables: list[FourierTable], weights: list[complex]) -> FourierTable:
-    """Pointwise linear combination of coefficient tables (same shape/order)."""
-    base = tables[0]
-    coeffs = sum(complex(w) * t.coeffs for w, t in zip(weights, tables))
-    return FourierTable(base.block_size, base.order, coeffs)
+    return complex(np.exp(block_size * hankel_trace(a, a, tol)))
 
 
 def widom_banded_E(psi_tab: FourierTable, band: int) -> complex:
@@ -359,10 +357,9 @@ def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:
     sigma^{-1} phi); the quotient equals the closed-form ``prefactor``.
     """
     tab1, tab2 = alpha_log_tables(params)
-    a1 = combine_tables([tab1], [-0.5])
-    a2 = combine_tables([tab1, tab2], [0.5, 0.5])
-    return (correction_factor(a1, 2, a1.order, tol)
-            / correction_factor(a2, 2, a2.order, tol))
+    a1 = FourierTable(1, tab1.order, -0.5 * tab1.coeffs)
+    a2 = FourierTable(1, tab1.order, 0.5 * (tab1.coeffs + tab2.coeffs))
+    return correction_factor(a1, 2, tol) / correction_factor(a2, 2, tol)
 
 
 def psi_table(params: DimerParams) -> FourierTable:

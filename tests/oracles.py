@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
-from dimerdet.continuation import _e_plus_d, _k_row, _phi_hat_table
-from dimerdet.dimer import _eta, _p, _q
+from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
+from dimerdet.dimer import _eta, _p, _q, _weight
 from dimerdet.spectral import (
     FourierTable,
     MatrixSymbol,
@@ -119,6 +119,20 @@ def flip_conjugate(mat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def e_plus_symbol(t: complex) -> ScalarSymbol:
+    """The regularized diagonal entry e+ = c - 1/(e^{-ix} - t), the first
+    value of ``continuation.e_plus_d``."""
+    pair = e_plus_d(t)
+    return ScalarSymbol(lambda x: pair(x)[..., 0])
+
+
+def symbol_d(t: complex) -> ScalarSymbol:
+    """The off-diagonal entry sin(x)/sqrt(t^2+sin^2 x+sin^4 x); Re(t) > 0:
+    the second value of ``continuation.e_plus_d``, bit for bit."""
+    t = complex(t)
+    return ScalarSymbol(lambda x: np.sin(x) / _weight(t, x))
+
+
 def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:
     """The scalar entries a = eta*p and b = eta*q of psi^{-1}.
 
@@ -142,7 +156,7 @@ def phi_hat_symbol(t: complex) -> MatrixSymbol:
     are (1 - t e^{+-ix}) e+(+-x) + e^{+-ix} with no near-pole cancellation.
     This sampled form is the reference for ``continuation._phi_hat_table``.
     """
-    pair = _e_plus_d(t)
+    pair = e_plus_d(t)
 
     def eval_(x):
         z = np.exp(1j * x)

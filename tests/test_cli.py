@@ -135,6 +135,32 @@ def test_json_error_object(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ["verify", "--t", "0.3", "--tol", "nan", "--format", "json"],
+    ["correlation", "--t", "0.3", "--n", "zebra", "--format", "json"],
+], ids=["verify-tol", "correlation-n"])
+def test_a_flag_that_does_not_parse_gives_the_json_error_object(args, tmp_path, capsys):
+    # the flag failed before the format was read, so only the stderr line came
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError" and error["code"] == 2
+    path = tmp_path / "err.json"
+    assert main(args + ["--output", str(path)]) == 2
+    assert json.loads(path.read_text())["error"] == error
+    assert capsys.readouterr().out == ""
+
+
+def test_a_config_file_naming_json_reports_its_bad_key_in_json(tmp_path, capsys):
+    # the bad key comes first: the format and output after it still hold
+    cfg, path = tmp_path / "run.cfg", tmp_path / "err.json"
+    cfg.write_text(f"zebra = 1\nformat = json\noutput = {path}\n")
+    assert main(["correlation", "--t", "0.3", "--config", str(cfg)]) == 2
+    assert json.loads(path.read_text()) == {"error": {
+        "type": "ConfigError", "message": f"{cfg}:1: unknown key 'zebra'", "code": 2}}
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'zebra'\n"
+
+
+@pytest.mark.parametrize("args", [
     ["correlation", "--t", "0.3"],
     ["correlation", "--t", "-1", "--format", "json"],
     ["correlation", "--t", "0.001", "--n", "4", "--format", "json"],

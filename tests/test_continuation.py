@@ -30,14 +30,19 @@ from dimerdet.continuation import (
     _phi_hat_table,
     _scalar_tables,
     b_hat,
-    e_plus_symbol,
     k_plus_matrix,
     theta_section,
 )
 from dimerdet.cli import main
-from dimerdet.dimer import symbol_d
 from dimerdet.spectral import ScalarSymbol, folded_log_determinant, grid_for_order
-from oracles import fft_table, phi_hat_symbol, tail_magnitude, theta_section_dense
+from oracles import (
+    e_plus_symbol,
+    fft_table,
+    phi_hat_symbol,
+    symbol_d,
+    tail_magnitude,
+    theta_section_dense,
+)
 
 
 def test_e_plus_is_c_minus_pole_part():
@@ -59,10 +64,8 @@ def test_e_plus_finite_on_circle_at_t_one():
 
 def test_e_plus_removable_point_at_t_one():
     ep = e_plus_symbol(1.0)
-    val = ep(np.array([0.0]))[0]
-    assert np.isfinite(val)
-    # the function vanishes cubically at the removable point
-    assert abs(val) < 1e-9
+    # e^{-ix} = t at x = 0: the form over A + w has the factor sin^2 x there
+    assert ep(np.array([0.0]))[0] == 0.0
 
 
 def test_e_plus_tail_resolves_at_t_one():
@@ -276,13 +279,13 @@ def test_correlation_finite_beyond_quadrature_reach():
 def _count_pair_angles(monkeypatch):
     """Record the number of angles each evaluation of the e+/d pair sees."""
     import dimerdet.continuation as continuation
-    real, angles = continuation._e_plus_d, []
+    real, angles = continuation.e_plus_d, []
 
     def counted(t):
         pair = real(t)
         return ScalarSymbol(lambda x: angles.append(np.size(x)) or pair(x))
 
-    monkeypatch.setattr(continuation, "_e_plus_d", counted)
+    monkeypatch.setattr(continuation, "e_plus_d", counted)
     return angles
 
 

@@ -21,18 +21,16 @@ from dimerdet import (
     toeplitz_section,
 )
 from dimerdet import dimer
-from dimerdet.continuation import e_plus_symbol
 from dimerdet.dimer import (
     MAX_QUAD_GRID,
     _coefficients,
     _kernel_sums,
     dimer_coefficients,
     kernel_symbols,
-    symbol_d,
 )
 from dimerdet.spectral import MIN_ORDER, QUAD_TOL, _doubled
 from dimerdet.szego import MAX_OP_ORDER
-from oracles import coeff, flip_conjugate
+from oracles import coeff, e_plus_symbol, flip_conjugate, symbol_d
 
 
 def st_closed(t):

@@ -4,7 +4,8 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimerdet import (
     DimerdetError,
@@ -15,10 +16,11 @@ from dimerdet import (
     symbol_psi,
 )
 from dimerdet.closed_form import spectral_roots
-from dimerdet.continuation import _scalar_tables, e_plus_symbol, theta_section
-from dimerdet.dimer import _sigma, symbol_d
+from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
+from dimerdet.dimer import _sigma
 from dimerdet.spectral import (
     FourierTable,
+    _grid,
     _section,
     folded_log_determinant,
     grid_for_order,
@@ -28,8 +30,10 @@ from dimerdet.spectral import (
 )
 from oracles import (
     assemble,
+    e_plus_symbol,
     fft_table,
     hankel_index,
+    symbol_d,
     theta_section_dense,
     toeplitz_index,
 )
@@ -122,6 +126,42 @@ def test_joint_tables_match_the_entries_sampled_alone(t):
     assert d_tab.order == order
     assert np.array_equal(d_tab.coeffs, alone[1].coeffs)
     assert np.max(np.abs(e_tab.coeffs - alone[0].coeffs)) <= 1e-15
+
+
+#: angles from -arg t, the removable point e^{-ix} = t where |t| = 1: 1e-9 to
+#: 1e-3 away, on either side
+NEAR_OFFSETS = st.lists(st.builds(lambda e, side: side * 10.0 ** e, st.floats(-9.0, -3.0),
+                                  st.sampled_from([-1.0, 1.0])), min_size=1, max_size=8)
+
+
+def _e_plus_reference(mp, t: complex, x: float) -> complex:
+    """c - 1/(e^{-ix} - t) to 40 digits at the angle x, and its limit 0
+    where e^{-ix} = t exactly (t = 1, x = 0)."""
+    with mp.workdps(40):
+        t, x = mp.mpc(t), mp.mpf(x)
+        ez, s = mp.exp(-1j * x), mp.sin(x)
+        if ez == t:
+            return 0j
+        w = mp.sqrt(t * t + s ** 2 + s ** 4)
+        return complex((t * mp.cos(x) + s ** 2) / ((ez - t) * w) - 1 / (ez - t))
+
+
+@SETTINGS
+@given(st.one_of(box(0.05, 3.0, 2.0).filter(lambda t: t.real > 0.05), ON_UNIT_CIRCLE),
+       NEAR_OFFSETS)
+@example(1 + 0j, [1e-9, -1e-3])
+def test_e_plus_matches_a_forty_digit_reference(t, offsets):
+    # no cancellation and no vanishing denominator, next to e^{-ix} = t too;
+    # the weight is summed in double precision, and d shares it bit for bit:
+    # near a zero of t^2 + sin^2 x + sin^4 x its rounding grows by kappa
+    # (25 at t = 0.0502 - 1.259i, where it moves e+ by 2.2e-15 of max|e+|)
+    mp = pytest.importorskip("mpmath")
+    x = np.concatenate([_grid(64), -cmath.phase(t) + np.array(offsets)])
+    ref = np.array([_e_plus_reference(mp, t, angle) for angle in x])
+    s2 = np.sin(x) ** 2
+    kappa = np.max((abs(t) ** 2 + s2 + s2 * s2) / np.abs(t * t + s2 + s2 * s2))
+    err = np.max(np.abs(e_plus_d(t)(x)[:, 0] - ref))
+    assert err <= 1e-15 * kappa * max(1.0, np.max(np.abs(ref)))
 
 
 @SETTINGS

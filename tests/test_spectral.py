@@ -17,8 +17,6 @@ from dimerdet import (
     toeplitz_section,
 )
 from dimerdet.closed_form import spectral_roots
-from dimerdet.continuation import e_plus_symbol
-from dimerdet.dimer import symbol_d
 from dimerdet.spectral import (
     FourierTable,
     MAX_ORDER,
@@ -37,10 +35,12 @@ from dimerdet.spectral import (
 from oracles import (
     coeff,
     constant_symbol,
+    e_plus_symbol,
     fft_table,
     from_entries,
     scalar_coeff,
     symbol_a_b,
+    symbol_d,
     table_from_coeff_map,
     tail_magnitude,
 )
