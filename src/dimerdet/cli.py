@@ -38,7 +38,7 @@ from .dimer import (
     symbol_psi,
     symbol_psi_inverse,
 )
-from .errors import DimerdetError, ParameterOutOfRange
+from .errors import DimerdetError, ParameterOutOfRange, half_plane_t
 from .spectral import (
     FourierTable,
     fourier_coefficients,
@@ -192,6 +192,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("precision must be between 1 and 17")
     if cfg.tolerance <= 0:
         raise ConfigError("tolerance must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.n is not None and cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if cfg.n_list and any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
@@ -201,8 +203,7 @@ def validate(cfg: RunConfig) -> None:
     if cfg.command in ("correlation", "convergence", "verify"):
         if cfg.t is None:
             raise ConfigError(f"{cfg.command} requires --t")
-        if not cfg.t.real > 0:
-            raise ConfigError(f"Re(t) must be positive, got {cfg.t}")
+        half_plane_t(cfg.t)
     if cfg.command == "sweep":
         if cfg.t_start is None or cfg.t_stop is None or cfg.t_count is None:
             raise ConfigError("sweep requires --t-start, --t-stop, --t-count")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterOutOfRange, PoleInput
+from .errors import InvariantViolation, PoleInput, half_plane_t
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ def spectral_roots(t: complex) -> SpectralRoots:
     residual on the circle) are validated, relative to their size, before
     returning.
     """
-    t = complex(t)
-    if not t.real > 0:
-        raise ParameterOutOfRange(f"Re(t) must be positive, got {t}")
+    t = half_plane_t(t)
     mu = cmath.sqrt(1.0 - 4.0 * t * t)
     log = [f"mu principal sqrt -> {mu!r}"]
     xis = []
@@ -195,9 +193,7 @@ def e_phi(t: complex) -> complex:
     Regular on the whole half-plane Re(t) > 0, including t = 1/2 and t = 1;
     sqrt is the principal branch (positive for real t).
     """
-    t = complex(t)
-    if not t.real > 0:
-        raise ParameterOutOfRange(f"Re(t) must be positive, got {t}")
+    t = half_plane_t(t)
     s = cmath.sqrt(2.0 + t * t)
     return t / (2.0 * t * (2.0 + t * t) + (1.0 + 2.0 * t * t) * s)
 

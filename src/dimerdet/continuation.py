@@ -27,8 +27,8 @@ from .errors import (
     BranchFailure,
     DecompositionMismatch,
     InvariantViolation,
-    ParameterOutOfRange,
     TruncationTooShort,
+    half_plane_t,
 )
 from .spectral import (
     _EPS,
@@ -57,25 +57,24 @@ class ContinuedSequence:
 
 def e_plus_d(t: complex) -> ScalarSymbol:
     """e+ = c - 1/(e^{-ix} - t) and d = sin x / weight from one evaluator,
-    values of shape x.shape + (2,): e^{ix}, sin x and the weight are
-    computed once per angle for both.
+    values of shape x.shape + (2,): e^{ix}, sin x, sin^2 x and the weight
+    are computed once per angle for both.
 
     With A = t cos x + sin^2 x and w the weight, e+ = (A - w) / ((e^{-ix} - t) w),
     and since A^2 - w^2 = -sin^2 x (e^{-ix} - t)(e^{ix} - t) also
     -sin^2 x (e^{ix} - t) / ((A + w) w).  Each angle takes the form whose
     factor A -+ w is the larger in modulus, so nothing cancels and no
     denominator vanishes: where e^{-ix} = t, A = w as Re(t) > 0, and the
-    second form is taken.  d is sin x / :func:`dimerdet.dimer._weight`.
+    second form is taken.  d is sin x / w, w from :func:`dimerdet.dimer._weight`.
     """
-    t = complex(t)
-    if not t.real > 0:
-        raise ParameterOutOfRange(f"Re(t) must be positive, got {t}")
+    t = half_plane_t(t)
 
     def eval_(x):
-        z, s, w = np.exp(1j * x), np.sin(x), _weight(t, x)
+        z, s = np.exp(1j * x), np.sin(x)
+        s2 = s ** 2
+        w = _weight(t, s2)
         if np.any(np.abs(w) < 1e-13):
             raise BranchFailure("weight root vanished on evaluation points")
-        s2 = s ** 2
         a = t * z.real + s2
         minus, plus = a - w, a + w
         first = np.abs(minus) >= np.abs(plus)

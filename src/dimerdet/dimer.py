@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged
+from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged, half_plane_t
 from .spectral import (
     _doubled,
     _stack_entries,
@@ -56,9 +56,7 @@ class DimerParams:
     t: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "t", complex(self.t))
-        if not self.t.real > 0:
-            raise ParameterOutOfRange(f"Re(t) must be positive, got t={self.t}")
+        object.__setattr__(self, "t", half_plane_t(self.t))
 
     @property
     def is_real_unit_interval(self) -> bool:
@@ -178,45 +176,44 @@ def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
 # the generating symbols
 # ---------------------------------------------------------------------------
 
-def _weight(t: complex, x: np.ndarray) -> np.ndarray:
-    # principal branch: positive for real positive t, analytic on Re(t) > 0
-    s2 = np.sin(x) ** 2
+def _weight(t: complex, s2: np.ndarray) -> np.ndarray:
+    """sqrt(t^2 + s2 + s2^2) at s2 = sin^2 x: the principal branch, positive
+    for real positive t and analytic on Re(t) > 0."""
     return np.sqrt(t * t + s2 + s2 * s2 + 0j)
 
 
-def _p(t: complex, x: np.ndarray) -> np.ndarray:
-    return (t * np.cos(x) + np.sin(x) ** 2) * (t - np.exp(1j * x))
+class _AngleTerms(NamedTuple):
+    """The terms every real-t symbol is written in, at angles x."""
+
+    s: np.ndarray  # sin x
+    z: np.ndarray  # e^{ix}
+    a: np.ndarray  # A = t cos x + sin^2 x
+    w: np.ndarray  # the weight sqrt(t^2 + sin^2 x + sin^4 x)
+    g: np.ndarray  # 1 - 2t cos x + t^2 = |t - e^{ix}|^2
 
 
-def _q(t: complex, x: np.ndarray) -> np.ndarray:
-    return np.sin(x) * (1.0 - 2.0 * t * np.cos(x) + t * t)
+def _angle_terms(t: float, x: np.ndarray) -> _AngleTerms:
+    """Each term computed once.  g is summed as (1 - t)^2 + 4t sin^2(x/2), of
+    two nonnegative parts, so it does not cancel near x = 0 as t nears 1
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.7)."""
+    s, z = np.sin(x), np.exp(1j * x)
+    s2 = s ** 2
+    return _AngleTerms(s, z, t * z.real + s2, _weight(t, s2),
+                       (1.0 - t) ** 2 + 4.0 * t * np.sin(0.5 * x) ** 2)
 
 
-def _sigma(t: complex, x: np.ndarray) -> np.ndarray:
-    return 1.0 / (_weight(t, x) * (1.0 - 2.0 * t * np.cos(x) + t * t))
-
-
-def _eta(t: complex, x: np.ndarray) -> np.ndarray:
-    return 1.0 / ((1.0 - 2.0 * t * np.cos(x) + t * t)
-                  * (t * t + np.sin(x) ** 2 + np.sin(x) ** 4))
-
-
-def _psi_samples(t: complex, x: np.ndarray) -> np.ndarray:
-    """[[p, q], [qtilde, ptilde]] at angles x, shape (len(x), 2, 2)."""
-    return _stack_entries([[_p(t, x), _q(t, x)], [_q(t, -x), _p(t, -x)]], x.size)
-
-
-def _unit_interval_t(params: DimerParams, what: str) -> complex:
+def _unit_interval_t(params: DimerParams, what: str) -> float:
     """t, if it is real in (0, 1); else ParameterOutOfRange naming ``what``."""
     if not params.is_real_unit_interval:
         raise ParameterOutOfRange(f"{what} requires real t in (0, 1), got {params.t}")
-    return params.t
+    return params.t.real
 
 
 def symbol_phi(params: DimerParams) -> MatrixSymbol:
     """The dimer symbol sigma psi = [[sigma p, d], [-d, sigma ptilde]], with
-    sigma p = (t cos x + sin^2 x) / ((t - e^{-ix}) weight); its sections
-    match det M_n.
+    sigma = 1/(W g), in the terms of :func:`_angle_terms`: as p = A (t - e^{ix})
+    and g = (t - e^{ix})(t - e^{-ix}), sigma p = A / ((t - e^{-ix}) W), and
+    d = sin x / W, so no entry forms g.  Its sections match det M_n.
 
     Only defined for real 0 < t < 1: the diagonal entry has a pole on the
     unit circle at |t| = 1; :mod:`dimerdet.continuation` continues the
@@ -225,31 +222,46 @@ def symbol_phi(params: DimerParams) -> MatrixSymbol:
     t = _unit_interval_t(params, "symbol_phi")
 
     def eval_(x):
-        # the weight is even in x, so the entries at -x reuse it
-        w = _weight(t, x)
-        num = t * np.cos(x) + np.sin(x) ** 2
-        d = np.sin(x) / w
-        return _stack_entries([[num / ((t - np.exp(-1j * x)) * w), d],
-                              [-d, num / ((t - np.exp(1j * x)) * w)]], x.size)
+        s, z, a, w, _ = _angle_terms(t, x)
+        d = s / w
+        return _stack_entries([[a / ((t - z.conj()) * w), d], [-d, a / ((t - z) * w)]], x.size)
 
     return MatrixSymbol(eval_, 2)
 
 
 def symbol_psi(params: DimerParams) -> MatrixSymbol:
-    """The Laurent-polynomial part psi = [[p, q], [qtilde, ptilde]].
+    """The Laurent-polynomial part psi = [[p, q], [qtilde, ptilde]], with
+    q = g sin x = -qtilde.
 
     psi equals the dimer symbol with the scalar factor sigma removed; its
     Fourier coefficients vanish beyond |k| = 3, which is what makes the
     banded-symbol determinant identity applicable.
     """
     t = _unit_interval_t(params, "symbol_psi")
-    return MatrixSymbol(lambda x: _psi_samples(t, x), 2)
+
+    def eval_(x):
+        s, z, a, _, g = _angle_terms(t, x)
+        q = s * g
+        return _stack_entries([[a * (t - z), q], [-q, a * (t - z.conj())]], x.size)
+
+    return MatrixSymbol(eval_, 2)
 
 
 def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
-    """psi^{-1} = eta [[ptilde, qtilde], [q, p]] in closed form."""
+    """psi^{-1} = eta [[ptilde, qtilde], [q, p]] in closed form, eta = 1/(g W^2).
+
+    As ptilde = A (t - e^{-ix}) and g = (t - e^{ix})(t - e^{-ix}), g cancels
+    from every entry: eta ptilde = A / ((t - e^{ix}) W^2) and eta q = sin x / W^2.
+    """
     t = _unit_interval_t(params, "symbol_psi_inverse")
-    return MatrixSymbol(lambda x: _eta(t, x)[:, None, None] * _psi_samples(t, -x), 2)
+
+    def eval_(x):
+        s, z, a, w, _ = _angle_terms(t, x)
+        w2 = w.real ** 2
+        d = s / w2
+        return _stack_entries([[a / ((t - z) * w2), -d], [d, a / ((t - z.conj()) * w2)]], x.size)
+
+    return MatrixSymbol(eval_, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Everything derives from :class:`DimerdetError` so callers can trap the
 library's numerical failures separately from programming errors
-(``ValueError``/``TypeError`` are reserved for misuse of the API).
+(``ValueError``/``TypeError`` are reserved for misuse of the API).  The
+check of the model parameter lives here too, below every module that reads it.
 """
+
+import math
 
 
 class DimerdetError(Exception):
@@ -12,6 +15,15 @@ class DimerdetError(Exception):
 
 class ParameterOutOfRange(DimerdetError):
     """A model parameter lies outside its admissible region."""
+
+
+def half_plane_t(t) -> complex:
+    """``t`` as a complex number, if both its parts are finite and Re(t) > 0;
+    else ParameterOutOfRange."""
+    t = complex(t)
+    if not (t.real > 0 and math.isfinite(t.real) and math.isfinite(t.imag)):
+        raise ParameterOutOfRange(f"t must be finite with Re(t) > 0, got {t}")
+    return t
 
 
 class SampleFailure(DimerdetError):

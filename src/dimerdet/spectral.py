@@ -248,18 +248,6 @@ def series_symbol(tab: FourierTable) -> MatrixSymbol:
     return MatrixSymbol(eval_, tab.block_size)
 
 
-def _extrapolated(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """fn at x by a 4-point polynomial extrapolation from offsets +-step, +-2*step."""
-    offs = np.array([-2.0 * step, -step, step, 2.0 * step])
-    # Lagrange weights for interpolating to offset 0
-    weights = np.array([
-        np.prod([0.0 - offs[b] for b in range(4) if b != a])
-        / np.prod([offs[a] - offs[b] for b in range(4) if b != a])
-        for a in range(4)
-    ])
-    return weights @ np.stack([fn(x + o) for o in offs], axis=0)
-
-
 def toeplitz_section(tab: FourierTable, m: int, reflected: bool = False) -> np.ndarray:
     """The mN x mN truncation of T(phi), or of T(phitilde) when ``reflected``:
     block (j, k) is coefficient ``j-k`` (or ``k-j``), zero past the table order."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dimer import DimerParams, symbol_psi, _p, _q, _sigma
+from .dimer import DimerParams, _angle_terms, symbol_psi
 from .errors import (
     BranchFailure,
     NonzeroWinding,
@@ -30,7 +30,6 @@ from .errors import (
 from .spectral import (
     FourierTable,
     _doubled,
-    _extrapolated,
     _inverse_samples,
     _stack_entries,
     MIN_ORDER,
@@ -246,87 +245,74 @@ class ExpRepresentation:
     reconstructed: MatrixSymbol
 
 
+def _sinhc(w: np.ndarray) -> np.ndarray:
+    """sinh(w)/w, 1 at w = 0: sin(iw)/(iw) by ``np.sinc``.  Below |w| = 1e-100,
+    where it is 1 in double precision, w is taken as 0: ``np.sinc`` divides by
+    its argument, which overflows at a subnormal w."""
+    return np.sinc(np.where(np.abs(w) < 1e-100, 0.0, 1j * w / np.pi))
+
+
 def exp_representation(params: DimerParams) -> ExpRepresentation:
     """Write the dimer symbol as exp(a I_2 + b Q) with trace Q = 0.
 
-    Here a = -(1/2) log(1 - 2t cos x + t^2) + i pi, Q collects the
-    trace-free part, and b is fixed by a branch-normalized logarithm of
-    alpha(x) = -(p + ptilde)/2 - Delta (real positive at x = 0 and pi).
-    The matrix exponential is evaluated through cosh/sinh of b*Delta with
-    the removable points x in {0, pi} filled by polynomial extrapolation.
-    The reconstruction equals sigma psi, :func:`dimerdet.dimer.symbol_phi`.
+    In the terms of :func:`dimerdet.dimer._angle_terms`, a = -(1/2) log g +
+    i pi and Q = [[-i A sin x, g sin x], [-g sin x, i A sin x]], the
+    trace-free part of psi, with Q^2 = Delta^2 I.  The eigenvalues of
+    e^{-a} phi are e^{+-w}, w = b Delta = log(alpha / (W sqrt g)) for the
+    branch-normalized log of alpha = -A (t - cos x) - Delta (real positive at
+    x = 0 and pi), so sinh(w) / Delta = -1/(W sqrt g) and
+    b = (sinh(w) / Delta) / sinhc(w), sinhc(w) = sinh(w)/w, in closed form:
+    sinhc has no zero at |w| < pi, so no point is removable.
+    The reconstruction e^a (cosh(b Delta) I + b sinhc(b Delta) Q) equals
+    sigma psi, :func:`dimerdet.dimer.symbol_phi`.
     """
     if not params.is_real_unit_interval:
         raise BranchFailure(
             f"exponential representation is established for real t in (0, 1), got {params.t}")
     t = params.t.real
 
-    def quad_poly(x):
-        return 1.0 - 2.0 * t * np.cos(x) + t * t
-
-    def a_fn(x):
-        return -0.5 * np.log(quad_poly(x)) + 1j * np.pi
-
-    def delta_fn(x):
-        inner = quad_poly(x) ** 2 + (t * np.cos(x) + np.sin(x) ** 2) ** 2
-        return 1j * np.sin(x) * np.sqrt(inner)
-
-    def alpha_fn(x):
-        return -(t * np.cos(x) + np.sin(x) ** 2) * (t - np.cos(x)) - delta_fn(x)
+    def delta_alpha(x):
+        """The angle terms, Delta = i sin x sqrt(g^2 + A^2) and alpha at angles x."""
+        terms = _angle_terms(t, x)
+        delta = 1j * terms.s * np.sqrt(terms.g ** 2 + terms.a ** 2)
+        return terms, delta, -terms.a * (t - terms.z.real) - delta
 
     # branch check: the principal log of alpha is the normalized continuous
     # one iff alpha never meets the closed negative real axis and is real
     # positive at the anchors x = 0, pi
-    anchors = alpha_fn(np.array([0.0, np.pi]))
+    anchors = delta_alpha(np.array([0.0, np.pi]))[2]
     if not (anchors.real > 0).all() or np.max(np.abs(anchors.imag)) > 1e-12:
         raise BranchFailure(f"alpha not real positive at anchors: {anchors}")
-    probe = alpha_fn(2.0 * np.pi * np.arange(1024) / 1024 - np.pi)
+    probe = delta_alpha(2.0 * np.pi * np.arange(1024) / 1024 - np.pi)[2]
     on_cut = (probe.real <= 0) & (np.abs(probe.imag) < 1e-13)
     if np.any(on_cut):
         raise BranchFailure("alpha(x) touches the negative real axis; "
                             "principal log is not the normalized branch")
 
-    def w_fn(x):
-        # w = b * Delta = -a + i pi + log sigma + log alpha; the i pi from a
-        # cancels against the explicit one, leaving principal logs only
-        return (0.5 * np.log(quad_poly(x)) + np.log(_sigma(t, x).real)
-                + np.log(alpha_fn(x)))
-
-    def ratio_direct(x):
-        return np.sinh(w_fn(x)) / delta_fn(x)
-
-    def b_direct(x):
-        return w_fn(x) / delta_fn(x)
-
-    def filled(direct):
-        """``direct``, with its removable points x in {0, pi} extrapolated."""
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(all="ignore"):  # 0/0 at the removable points
-                out = direct(x)
-            removable = np.abs(np.sin(x)) < 1e-6
-            if np.any(removable):
-                out[removable] = _extrapolated(direct, x[removable], 5e-4)
-            return out
-        return fn
-
-    ratio_fn, b_fn = filled(ratio_direct), filled(b_direct)
-
-    def q_fn(x):
-        q11 = (_p(t, x) - _p(t, -x)) / 2.0
-        return _stack_entries([[q11, _q(t, x)], [_q(t, -x), -q11]], x.size)
+    def pieces(x):
+        """sqrt g, b, Delta and Q at angles x."""
+        (s, _, big_a, weight, g), delta, alpha = delta_alpha(x)
+        root_g = np.sqrt(g)
+        ratio = -1.0 / (weight.real * root_g)  # sinh(w) / Delta
+        b = ratio / _sinhc(np.log(-ratio * alpha))
+        q11, q12 = -1j * big_a * s, g * s
+        q = _stack_entries([[q11, q12], [-q12, -q11]], x.size)
+        return root_g, b, delta, q
 
     def reconstructed_fn(x):
-        # exp(a I + w/Delta Q) = e^a (cosh(w) I + sinh(w)/Delta Q), as Q^2 = Delta^2 I
-        ea = np.exp(a_fn(x))[:, None, None]
-        val = ratio_fn(x)[:, None, None] * q_fn(x)
-        val += np.cosh(w_fn(x))[:, None, None] * np.eye(2)
-        return ea * val
+        # exp(a I + b Q) = e^a (cosh(b Delta) I + b sinhc(b Delta) Q), as Q^2 = Delta^2 I;
+        # e^a = -1/sqrt(g), not exp of its log, which would lose |log g| ulps
+        root_g, b, delta, q = pieces(x)
+        bd = b * delta
+        val = (b * _sinhc(bd))[:, None, None] * q + np.cosh(bd)[:, None, None] * np.eye(2)
+        return (-1.0 / root_g)[:, None, None] * val
 
-    q_part = MatrixSymbol(q_fn, 2)
-    reconstructed = MatrixSymbol(reconstructed_fn, 2)
-    return ExpRepresentation(ScalarSymbol(a_fn), ScalarSymbol(b_fn),
-                             q_part, reconstructed)
+    def a_fn(x):
+        return 1j * np.pi - 0.5 * np.log(_angle_terms(t, x).g)
+
+    return ExpRepresentation(ScalarSymbol(a_fn), ScalarSymbol(lambda x: pieces(x)[1]),
+                             MatrixSymbol(lambda x: pieces(x)[3], 2),
+                             MatrixSymbol(reconstructed_fn, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +320,9 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
 # ---------------------------------------------------------------------------
 
 def alpha_log_tables(params: DimerParams) -> tuple[FourierTable, FourierTable]:
-    """Fourier tables of alpha_1 = log(1-2t cos x+t^2) and
-    alpha_2 = log(t^2+sin^2 x+sin^4 x); real logs for real t in (0,1).
+    """Fourier tables of alpha_1 = log g = log(1-2t cos x+t^2) and
+    alpha_2 = log W^2 = log(t^2+sin^2 x+sin^4 x), from the terms of
+    :func:`dimerdet.dimer._angle_terms`; real logs for real t in (0,1).
 
     Both come from one evaluator and one run of :func:`common_order_tables`,
     so they share one order and can be combined coefficient-wise.
@@ -343,10 +330,12 @@ def alpha_log_tables(params: DimerParams) -> tuple[FourierTable, FourierTable]:
     if not params.is_real_unit_interval:
         raise BranchFailure(f"log symbols need real t in (0, 1), got {params.t}")
     t = params.t.real
-    logs = ScalarSymbol(lambda x: np.stack([np.log(1.0 - 2.0 * t * np.cos(x) + t * t),
-                                            np.log(t * t + np.sin(x) ** 2 + np.sin(x) ** 4)],
-                                           axis=-1) + 0j)
-    return common_order_tables(lambda x: logs(x)[:, :, None, None], 1)
+
+    def logs(x):
+        _, _, _, w, g = _angle_terms(t, x)
+        return np.stack([np.log(g), 2.0 * np.log(w.real)], axis=-1)[:, :, None, None] + 0j
+
+    return common_order_tables(logs, 1)
 
 
 def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:

@@ -7,7 +7,7 @@ import numpy as np
 
 from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
 from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
-from dimerdet.dimer import _eta, _p, _q, _weight
+from dimerdet.dimer import _weight
 from dimerdet.spectral import (
     FourierTable,
     MatrixSymbol,
@@ -130,7 +130,34 @@ def symbol_d(t: complex) -> ScalarSymbol:
     """The off-diagonal entry sin(x)/sqrt(t^2+sin^2 x+sin^4 x); Re(t) > 0:
     the second value of ``continuation.e_plus_d``, bit for bit."""
     t = complex(t)
-    return ScalarSymbol(lambda x: np.sin(x) / _weight(t, x))
+    return ScalarSymbol(lambda x: np.sin(x) / _weight(t, np.sin(x) ** 2))
+
+
+# the entry formulas of the dimer symbol, written out on their own: psi =
+# [[p, q], [q(-x), p(-x)]], sigma = 1/(W g) and eta = 1/(g W^2), with
+# g = 1 - 2t cos x + t^2 and W^2 = t^2 + sin^2 x + sin^4 x
+
+def _g(t: complex, x: np.ndarray) -> np.ndarray:
+    """g = |t - e^{ix}|^2 = (t - cos x)^2 + sin^2 x, a sum of two squares, so
+    for real t it does not cancel near x = 0 as t nears 1: there t - cos x
+    is exact (Sterbenz), and g is exact for the rounded cos x and sin x."""
+    return (t - np.cos(x)) ** 2 + np.sin(x) ** 2
+
+
+def _p(t: complex, x: np.ndarray) -> np.ndarray:
+    return (t * np.cos(x) + np.sin(x) ** 2) * (t - np.exp(1j * x))
+
+
+def _q(t: complex, x: np.ndarray) -> np.ndarray:
+    return np.sin(x) * _g(t, x)
+
+
+def _sigma(t: complex, x: np.ndarray) -> np.ndarray:
+    return 1.0 / (np.sqrt(t * t + np.sin(x) ** 2 + np.sin(x) ** 4 + 0j) * _g(t, x))
+
+
+def _eta(t: complex, x: np.ndarray) -> np.ndarray:
+    return 1.0 / (_g(t, x) * (t * t + np.sin(x) ** 2 + np.sin(x) ** 4))
 
 
 def symbol_a_b(params: DimerParams) -> tuple[ScalarSymbol, ScalarSymbol]:

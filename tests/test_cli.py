@@ -355,6 +355,13 @@ def test_verify_exp_rep(capsys):
     assert float(row["residual"]) <= 1e-9
 
 
+def test_verify_exp_rep_passes_near_t_one(capsys):
+    # failed with residual 1.4e-8, from 1 - 2t cos x + t^2 formed by cancellation
+    code, out = run_cli(["verify", "--identity", "exp-rep", "--t", "0.999"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["status"] == "pass"
+
+
 @pytest.mark.parametrize("t", ["2", "5", "0.3+2i", "1.5+1.5i"])
 def test_correlation_off_unit_interval_reaches_limit(t, capsys):
     # these parameters used to print 0: their continued section was flagged
@@ -631,6 +638,36 @@ def test_non_finite_numbers_are_rejected(text, flag, route, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert f"{OPTIONS[flag].name}: expected a finite number, got {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", [["correlation"], ["correlation", "--n", "8"],
+                                     ["convergence", "--n-list", "4"],
+                                     ["verify", "--identity", "exp-rep"]])
+@pytest.mark.parametrize("text", ["0.3+nani", "0.3+1e999i", "1e999", "nan", "-0.3"])
+def test_a_t_off_the_half_plane_exits_2_with_the_json_error_object(text, command, capsys):
+    # correlation --t 0.3+nani and --t 0.3+1e999i printed rows of nan and exited 0
+    code, out = run_cli([*command, "--t", text, "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterOutOfRange" and error["code"] == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_a_negative_seed_exits_2(route, tmp_path, capsys):
+    # np.random.default_rng(-1) in scalar-widom raised: a traceback and exit 1
+    args = ["verify", "--identity", "scalar-widom", "--t", "0.3"]
+    if route == "flags":
+        args.append("--seed=-1")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        args += ["--config", str(cfg)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

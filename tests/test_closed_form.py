@@ -18,6 +18,7 @@ from dimerdet import (
     symbol_psi_inverse,
     toeplitz_section,
 )
+from dimerdet.continuation import e_plus_d
 from dimerdet.closed_form import (
     coefficient_bundle,
     kl_helpers,
@@ -56,6 +57,16 @@ def test_roots_degenerate_point():
 def test_roots_reject_left_half_plane():
     with pytest.raises(ParameterOutOfRange):
         spectral_roots(-1.0)
+
+
+@pytest.mark.parametrize("t", [complex(0.3, float("nan")), complex(0.3, float("inf")),
+                               complex(float("inf"), 0.0), complex(float("nan"), 1.0),
+                               0.0, -0.3 + 1j])
+def test_every_half_plane_entry_rejects_a_t_off_it(t):
+    # a non-finite part passed: correlation_limit(0.3+nanj) returned nan+nanj
+    for entry in (DimerParams, e_plus_d, spectral_roots, e_phi, correlation_limit):
+        with pytest.raises(ParameterOutOfRange):
+            entry(t)
 
 
 def test_roots_product_identity():

@@ -30,7 +30,7 @@ from dimerdet.dimer import (
 )
 from dimerdet.spectral import MIN_ORDER, QUAD_TOL, _doubled
 from dimerdet.szego import MAX_OP_ORDER
-from oracles import coeff, e_plus_symbol, flip_conjugate, symbol_d
+from oracles import _eta, _p, _q, _sigma, coeff, e_plus_symbol, flip_conjugate, symbol_d
 
 
 def st_closed(t):
@@ -319,23 +319,19 @@ def test_symbol_phi_spot_values():
 
 @pytest.mark.parametrize("t", [0.2, 0.6, 0.93])
 def test_array_symbols_match_entry_formulas(t):
-    from dimerdet.dimer import _eta, _p, _q, _sigma
     params = DimerParams(t)
     x = np.linspace(-np.pi, np.pi, 41)[:-1] + 0.01
     p, q, pt, qt = _p(t, x), _q(t, x), _p(t, -x), _q(t, -x)
     sigma, eta = _sigma(t, x), _eta(t, x)
-    # sigma divides by 1 - 2t cos x + t^2, which cancels near x = 0 as t nears
-    # 1; symbol_phi never forms it, so the reference carries its condition
-    cond = (1.0 + t) ** 2 / (1.0 - 2.0 * t * np.cos(x) + t * t)
     cases = [
-        (symbol_phi(params), [[sigma * p, sigma * q], [sigma * qt, sigma * pt]], cond),
-        (symbol_psi(params), [[p, q], [qt, pt]], 1.0),
-        (symbol_psi_inverse(params), [[eta * pt, eta * qt], [eta * q, eta * p]], 1.0),
+        (symbol_phi(params), [[sigma * p, sigma * q], [sigma * qt, sigma * pt]]),
+        (symbol_psi(params), [[p, q], [qt, pt]]),
+        (symbol_psi_inverse(params), [[eta * pt, eta * qt], [eta * q, eta * p]]),
     ]
-    for sym, rows, scale in cases:
+    for sym, rows in cases:
         expected = np.moveaxis(np.array(rows), -1, 0)
         err = np.abs(sym.sample(x) - expected).max(axis=(1, 2))
-        assert np.all(err <= 1e-14 * scale * np.max(np.abs(expected)))
+        assert np.all(err <= 1e-14 * np.max(np.abs(expected)))
 
 
 def test_fourier_d_t07_matches_example():

@@ -12,12 +12,13 @@ from dimerdet import (
     DimerParams,
     correlation_finite,
     correlation_limit,
+    exp_representation,
     symbol_phi,
     symbol_psi,
 )
+from dimerdet.cli import RunConfig, run_verify
 from dimerdet.closed_form import spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
-from dimerdet.dimer import _sigma
 from dimerdet.spectral import (
     FourierTable,
     _grid,
@@ -28,7 +29,9 @@ from dimerdet.spectral import (
     log_determinant,
     toeplitz_section,
 )
+from dimerdet.szego import _sinhc
 from oracles import (
+    _sigma,
     assemble,
     e_plus_symbol,
     fft_table,
@@ -164,19 +167,60 @@ def test_e_plus_matches_a_forty_digit_reference(t, offsets):
     assert err <= 1e-15 * kappa * max(1.0, np.max(np.abs(ref)))
 
 
+def _b_reference(mp, t: float, x: float) -> tuple[complex, complex, complex]:
+    """b = w/Delta, sinh(w)/Delta and Delta of the exponential representation
+    to 40 digits at the angle x, straight from their definition
+    w = log(alpha / (W sqrt g)); below |x| = 1e-25, where 60 digits do not
+    resolve w, and at x = 0, where Delta = 0, at x = 1e-25, as both quotients
+    are even and smooth in x."""
+    with mp.workdps(60):
+        t, x = mp.mpf(t), mp.mpf(x if abs(x) >= 1e-25 else 1e-25)
+        s, c = mp.sin(x), mp.cos(x)
+        big_a, g = t * c + s ** 2, 1 - 2 * t * c + t * t
+        delta = 1j * s * mp.sqrt(g * g + big_a * big_a)
+        w = mp.log((-big_a * (t - c) - delta) / (mp.sqrt((t * t + s ** 2 + s ** 4) * g)))
+        return complex(w / delta), complex(mp.sinh(w) / delta), complex(delta)
+
+
+@SETTINGS
+@given(st.floats(0.05, 0.999), st.lists(st.floats(-math.pi, math.pi), max_size=8))
+@example(0.999, [1e-9])
+@example(0.5, [2.2250738585e-313])
+def test_exp_representation_b_matches_a_forty_digit_reference(t, angles):
+    # b and the sinh(w)/Delta the reconstruction reads, b sinhc(b Delta), in
+    # closed form: x = 0 and pi included, where a 4-point extrapolation used
+    # to fill both (b was off by 2.5e-2 of max|b| at t = 0.999)
+    mp = pytest.importorskip("mpmath")
+    x = np.concatenate([_grid(64), [0.0, np.pi], angles])
+    b_ref, ratio_ref, delta = np.array([_b_reference(mp, t, angle) for angle in x]).T
+    b = exp_representation(DimerParams(t)).b(x)
+    ratio = b * _sinhc(b * delta)
+    for value, ref in ((b, b_ref), (ratio, ratio_ref)):
+        assert np.max(np.abs(value - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+@SETTINGS
+@given(st.floats(0.9, 1.0 - 1e-6))
+@example(0.999)
+@example(1.0 - 1e-6)
+def test_exp_rep_passes_up_to_t_near_one(t):
+    # 1 - 2t cos x + t^2 formed by cancellation failed the row from t = 0.999
+    # on (residual 1.4e-8 there, 11.1 at 1 - 1e-6)
+    report = run_verify(RunConfig(command="verify", t=complex(t), identity="exp-rep"))
+    assert report["rows"][0]["status"] == "pass", report["rows"][0]
+
+
 @SETTINGS
 @given(st.floats(0.01, 0.99),
        st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=64))
 def test_symbol_phi_is_sigma_times_psi(t, angles):
     # the dimer symbol is sigma psi entry by entry, diagonal included, to
-    # 1e-14 relative times the condition of 1 - 2t cos x + t^2, which sigma
-    # divides by and symbol_phi never forms
+    # 1e-14 relative: both sides form 1 - 2t cos x + t^2 without cancellation
     x = np.array(angles)
     params = DimerParams(t)
     product = _sigma(t, x)[:, None, None] * symbol_psi(params).sample(x)
     err = np.abs(symbol_phi(params).sample(x) - product).max(axis=(1, 2))
-    cond = (1.0 + t) ** 2 / (1.0 - 2.0 * t * np.cos(x) + t * t)
-    assert np.all(err <= 1e-14 * cond * np.abs(product).max(axis=(1, 2)))
+    assert np.all(err <= 1e-14 * np.abs(product).max(axis=(1, 2)))
 
 
 @st.composite
