@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .closed_form import correlation_limit, e_phi, lambda_value, prefactor, spectral_roots
 from .continuation import (
+    _scalar_tables,
     correlation_finite,
     correlation_scan,
     e_plus_d,
@@ -31,6 +32,7 @@ from .continuation import (
     theta_decomposition,
 )
 from .dimer import (
+    MAX_QUAD_GRID,
     DimerParams,
     dimer_matrix,
     kernel_symbols,
@@ -38,12 +40,13 @@ from .dimer import (
     symbol_psi,
     symbol_psi_inverse,
 )
-from .errors import DimerdetError, ParameterOutOfRange, half_plane_t
+from .errors import DimerdetError, ParameterOutOfRange, TailNotResolved, half_plane_t
 from .spectral import (
     FourierTable,
     fourier_coefficients,
     geometric_mean,
     log_determinant,
+    table_grid,
     toeplitz_section,
 )
 from .szego import (
@@ -71,7 +74,12 @@ class ConfigError(Exception):
 
 
 def parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace("i", "j")
+    """RE+IMi or RE+IMj; only a trailing ``i`` is the imaginary unit, so
+    ``inf``, ``infinity`` and ``0.3+infi`` parse (and are rejected later as
+    non-finite)."""
+    cleaned = text.strip()
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError as exc:
@@ -331,8 +339,16 @@ class Quantities:
 
 def _verify_dimer_toeplitz(q: Quantities):
     n = q.cfg.n or 8
-    # the table first: where both fail (t below about 0.0056) its TailNotResolved
-    # comes in milliseconds, the torus grid's QuadratureUnconverged in a second
+    # the tables first, the torus last: below t of about 0.006 its grid would
+    # double to MAX_QUAD_GRID and fail there after half a second.  The e+/d
+    # pair carries the weight's branch points, which the torus kernels share,
+    # and not the pole of phi's factor 1/g near t = 1; where its own grid
+    # passes twice the torus cap, the torus is refused in milliseconds
+    grid = table_grid(_scalar_tables(q.params.t, 0)[0].order)
+    if grid > 2 * MAX_QUAD_GRID:
+        raise TailNotResolved(
+            f"the e+/d tables need grid {grid}, past 2 * MAX_QUAD_GRID = "
+            f"{2 * MAX_QUAD_GRID}: the torus grid cannot resolve their kernels")
     tab = fourier_coefficients(symbol_phi(q.params), order=n - 1)
     det_m = log_determinant(dimer_matrix(q.params, n)).value
     det_t = log_determinant(toeplitz_section(tab, n)).value

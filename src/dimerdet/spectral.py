@@ -78,12 +78,13 @@ def as_matrix_symbol(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
     return MatrixSymbol(lambda x: sym(x)[:, None, None], 1)
 
 
-#: the orders the doubling rule of :func:`fourier_coefficients` starts from
-#: and stops at; below order 32 (grid 256) a table costs about as much as at
-#: 32, since per-call overhead dominates the sampling, so it starts no lower
+#: the doubling rules of this module run on grids from
+#: ``grid_for_order(MIN_ORDER) = 256`` up to ``grid_for_order(MAX_ORDER) =
+#: 32768``; below grid 256 a table costs about as much as at 256, since
+#: per-call overhead dominates the sampling, so none starts lower
 MIN_ORDER = 32
 MAX_ORDER = 4096
-#: the magnitude the outermost coefficients of a table must fall below
+#: the magnitude the coefficients at a table grid's top band must fall below
 TAIL_TOL = 1e-13
 #: the tolerance of :func:`_doubled` for quadratures: the relative change one
 #: more doubling may make to the torus sums of ``dimer`` and to G
@@ -93,6 +94,17 @@ QUAD_TOL = 1e-10
 def grid_for_order(order: int) -> int:
     """The smallest power-of-two grid with ``grid >= 4*order + 4``."""
     return 1 << (4 * order + 3).bit_length()
+
+
+def table_grid(order: int) -> int:
+    """The grid :func:`common_order_tables` samples first for a table of at
+    least ``order``: the smallest power of two whose table order
+    ``grid/2 - 2`` covers it, and at least ``grid_for_order(MIN_ORDER)``.
+
+    A table that loop returns has order ``grid/2 - 2`` of the grid it was
+    sampled on, so ``table_grid(tab.order)`` is that grid.
+    """
+    return max(grid_for_order(MIN_ORDER), 1 << (2 * order + 3).bit_length())
 
 
 def _doubled(values, size: int, cap: int, tol: float, error: type, what: str,
@@ -123,7 +135,10 @@ class FourierTable:
 
     ``coeffs[k + order]`` holds the N x N coefficient at index k.  Indices
     beyond the order read as zero blocks, which is legitimate once the tail
-    invariant (last coefficients below ``TAIL_TOL``) has been certified.
+    invariant has been certified: on the grid the table was sampled on, the
+    coefficients at its top band, indices order + 1 and order + 2 on either
+    side (the grid's Nyquist index and its neighbours), are below
+    ``TAIL_TOL``.  Those bound the aliasing of every coefficient kept.
     """
 
     block_size: int
@@ -163,34 +178,40 @@ def common_order_tables(sample: Evaluator, block_size: int,
     """Tables of the symbols one evaluator samples together, at one order.
 
     ``sample(x)`` has shape (len(x), m, N, N): m symbols of block size N.
-    The one table loop: FFT the samples on ``grid_for_order`` of the order,
-    and stop once every table has passed the tail check (the two outermost
-    coefficient pairs below ``TAIL_TOL``) on this rung or an earlier one;
-    else the order doubles from ``max(order, MIN_ORDER)`` up to
-    ``max(order, MAX_ORDER)``, past which TailNotResolved is raised.  Each
-    doubling reuses the samples of the grid before as its even points (see
-    :func:`_nested`).
+    The one table loop: FFT the samples on a grid of G points and stop once
+    every table has passed the tail check on this rung or an earlier one;
+    the tables then hold every coefficient the grid certifies, at order
+    G/2 - 2.  The check reads the grid's top band, the coefficients at
+    indices G/2 - 1 and G/2 on either side (both parities), which must be
+    at most ``TAIL_TOL``: the trapezoid rule's aliasing error in a
+    coefficient c_k is c_{k -+ G}, one grid away (Trefethen & Weideman,
+    SIAM Review 56, 2014), so for |k| <= G/2 - 2 it lies past that band.
+    The grid doubles from :func:`table_grid` of ``order`` up to
+    ``max(that, grid_for_order(MAX_ORDER))``, past which TailNotResolved is
+    raised.  Each doubling reuses the samples of the grid before as its even
+    points (see :func:`_nested`).
     """
-    order = max(order or 0, MIN_ORDER)
-    cap = max(order, MAX_ORDER)
+    grid = table_grid(order or 0)
+    cap = max(grid, grid_for_order(MAX_ORDER))
     on_grid = _nested(sample)
     passed = False
     while True:
-        grid = grid_for_order(order)
         spec = np.fft.fft(on_grid(grid), axis=0)
-        edge = spec[np.array([-order, 1 - order, order - 1, order]) % grid] / grid
-        tails = np.abs(edge).max(axis=(0, 2, 3))
+        half = grid // 2
+        band = spec[[half - 1, half, half + 1]] / grid  # indices G/2 - 1, -+G/2, 1 - G/2
+        tails = np.abs(band).max(axis=(0, 2, 3))
         passed = passed | (tails <= TAIL_TOL)
         if np.all(passed):
-            ks = np.arange(-order, order + 1) % grid
+            ks = np.arange(2 - half, half - 1) % grid
             # each table owns its coefficients: advanced indexing copies
-            return tuple(FourierTable(block_size, order, spec[ks, i] / grid)
+            return tuple(FourierTable(block_size, half - 2, spec[ks, i] / grid)
                          for i in range(tails.size))
-        if order >= cap:
+        if grid >= cap:
             raise TailNotResolved(
                 f"tail magnitude {tails[np.argmin(passed)]:.3e} exceeds {TAIL_TOL:.1e} "
-                f"at order {order}, the doubling rule's cap (MAX_ORDER = {MAX_ORDER})")
-        order = min(2 * order, cap)
+                f"at order {half - 2} on grid {grid}, the doubling rule's cap "
+                f"(grid_for_order(MAX_ORDER) = {grid_for_order(MAX_ORDER)})")
+        grid *= 2
 
 
 @functools.lru_cache(maxsize=16)

@@ -9,12 +9,16 @@ from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
 from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
 from dimerdet.dimer import _weight
 from dimerdet.spectral import (
+    MAX_ORDER,
+    MIN_ORDER,
+    TAIL_TOL,
     FourierTable,
     MatrixSymbol,
     ScalarSymbol,
     _grid,
     _stack_entries,
     as_matrix_symbol,
+    grid_for_order,
     toeplitz_section,
 )
 
@@ -61,6 +65,27 @@ def fft_table(sym: ScalarSymbol | MatrixSymbol, grid: int, order: int) -> Fourie
     msym = as_matrix_symbol(sym)
     spec = np.fft.fft(msym.sample(_grid(grid)), axis=0)
     return FourierTable(msym.block_size, order, spec[np.arange(-order, order + 1) % grid] / grid)
+
+
+def edge_rule_grid(sample, order: int | None = None) -> int:
+    """The grid the edge rule, the table loop's rule before the top-band
+    check, sampled last for a family of tables (``sample`` as in
+    ``common_order_tables``): the order K doubles from max(order, MIN_ORDER)
+    on ``grid_for_order(K)`` points until the two outermost coefficient
+    pairs, at +-K and +-(K - 1), of every table have been below
+    ``TAIL_TOL`` on some rung; past K = max(order, MAX_ORDER) it gave up
+    there, on ``grid_for_order`` of that cap."""
+    order = max(order or 0, MIN_ORDER)
+    cap = max(order, MAX_ORDER)
+    passed = False
+    while True:
+        grid = grid_for_order(order)
+        spec = np.fft.fft(sample(_grid(grid)), axis=0) / grid
+        edge = spec[np.array([-order, 1 - order, order - 1, order]) % grid]
+        passed = passed | (np.abs(edge).max(axis=(0, 2, 3)) <= TAIL_TOL)
+        if np.all(passed) or order >= cap:
+            return grid
+        order = min(2 * order, cap)
 
 
 def table_from_coeff_map(coeffs: dict[int, complex], order: int) -> FourierTable:

@@ -39,6 +39,12 @@ def test_parse_complex_forms():
     assert parse_complex("1") == 1.0
     assert parse_complex("0.8+0.3i") == 0.8 + 0.3j
     assert parse_complex("0.8+0.3j") == 0.8 + 0.3j
+    # only a trailing i is the imaginary unit: the i of inf is not
+    assert parse_complex("inf") == complex("inf")
+    assert parse_complex("infinity") == complex("inf")
+    assert parse_complex("0.3+infi") == complex(0.3, math.inf)
+    assert parse_complex("-infi") == complex(0.0, -math.inf)
+    assert parse_complex(" 2i ") == 2j
     with pytest.raises(ConfigError):
         parse_complex("zebra")
 
@@ -488,13 +494,23 @@ def _identity_rows(args, capsys, code=0):
 
 
 def test_dimer_toeplitz_fails_fast_below_its_table_reach(capsys):
-    # at t = 0.00162 the phi table passes MAX_ORDER before the torus grid
-    # would pass MAX_QUAD_GRID (about 1 s); the table is built first
+    # at t = 0.00162 the phi table needs a grid past 2 * MAX_QUAD_GRID, so the
+    # torus grid, which would pass MAX_QUAD_GRID in about 0.5 s, is not tried
     start = time.perf_counter()
     rows = _identity_rows(["--identity", "dimer-toeplitz", "--t", "0.00162"], capsys, code=3)
     assert time.perf_counter() - start < 0.3
     assert rows["dimer-toeplitz"]["status"] == "error"
     assert rows["dimer-toeplitz"]["error"]["type"] == "TailNotResolved"
+
+
+@pytest.mark.parametrize("t", ["0.995", "0.998"])
+def test_verify_near_t_one_errors_only_on_three_way_e(t, capsys):
+    # phi's table needs a grid past 2 * MAX_QUAD_GRID here (the pole of 1/g
+    # nears the circle), but the torus resolves: the refusal reads the e+/d
+    # pair, whose grid stays at 256
+    rows = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
+    assert rows["dimer-toeplitz"]["status"] == "pass"
+    assert [name for name, row in rows.items() if row["status"] != "pass"] == ["three-way-e"]
 
 
 def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
@@ -542,10 +558,10 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
     patch("geometric_mean", before=count("G(psi)", lambda sym, *a, **k: made_from("psi", sym)))
     patch("correction_quotient", before=count("quotient"))
 
-    # at 0.003 E(psi), the quotient and det T_3 raise TailNotResolved: E(psi)
+    # at 0.001 E(psi), the quotient and det T_3 raise TailNotResolved: E(psi)
     # is read by widom and then by bocg, and must not be computed a second
     # time; both raise before they read G(psi)
-    for t, code, g_psi in (("0.3", 0, 1), ("0.003", 3, 0)):
+    for t, code, g_psi in (("0.3", 0, 1), ("0.001", 3, 0)):
         counts.update(dict.fromkeys(["psi table", "E(psi)", "G(psi)", "quotient", "det T_3"], 0))
         assert run_cli(["verify", "--identity", "all", "--t", t], capsys)[0] == code
         assert counts == {"psi table": 1, "E(psi)": 1, "G(psi)": g_psi, "quotient": 1,
@@ -643,7 +659,8 @@ def test_non_finite_numbers_are_rejected(text, flag, route, tmp_path, capsys):
 @pytest.mark.parametrize("command", [["correlation"], ["correlation", "--n", "8"],
                                      ["convergence", "--n-list", "4"],
                                      ["verify", "--identity", "exp-rep"]])
-@pytest.mark.parametrize("text", ["0.3+nani", "0.3+1e999i", "1e999", "nan", "-0.3"])
+@pytest.mark.parametrize("text", ["0.3+nani", "0.3+1e999i", "1e999", "nan", "-0.3",
+                                  "inf", "infinity", "0.3+infi", "0.3-infi"])
 def test_a_t_off_the_half_plane_exits_2_with_the_json_error_object(text, command, capsys):
     # correlation --t 0.3+nani and --t 0.3+1e999i printed rows of nan and exited 0
     code, out = run_cli([*command, "--t", text, "--format", "json"], capsys)

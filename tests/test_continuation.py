@@ -34,7 +34,7 @@ from dimerdet.continuation import (
     theta_section,
 )
 from dimerdet.cli import main
-from dimerdet.spectral import ScalarSymbol, folded_log_determinant, grid_for_order
+from dimerdet.spectral import ScalarSymbol, folded_log_determinant, table_grid
 from oracles import (
     e_plus_symbol,
     fft_table,
@@ -192,10 +192,10 @@ def test_convergence_locally_uniform_shadow():
 
 @pytest.mark.parametrize("t", [0.3, 0.97, 1.0, 2.0, 0.3 + 2j])
 def test_phi_hat_table_matches_sampled_symbol(t):
-    e_tab, d_tab = _scalar_tables(complex(t), 512)
+    e_tab, d_tab = _scalar_tables(complex(t), 510)
     algebraic = _phi_hat_table(complex(t), e_tab, d_tab)
-    sampled = fft_table(phi_hat_symbol(complex(t)), 4096, 512)
-    assert algebraic.order == 511
+    sampled = fft_table(phi_hat_symbol(complex(t)), 4096, 510)
+    assert algebraic.order == 509
     assert np.max(np.abs(algebraic.coeffs - sampled.coeffs[1:-1])) <= 1e-13
 
 
@@ -219,13 +219,14 @@ def test_theta_section_matches_dense_assembly(t, n):
 
 
 def test_scalar_tables_share_one_order():
-    # at this t and floor, e+ resolves at order 66 and d already at 33
-    t = 1.25 + 0.35j
+    # at this t and floor, e+ resolves at order 510 (grid 1024) and d already
+    # at 254 (grid 512)
+    t = 0.1
     assert [fourier_coefficients(sym, order=33).order
-            for sym in (e_plus_symbol(t), symbol_d(t))] == [66, 33]
+            for sym in (e_plus_symbol(t), symbol_d(t))] == [510, 254]
     e_tab, d_tab = _scalar_tables(t, 33)
-    assert e_tab.order == d_tab.order == 66
-    rebuilt = fft_table(symbol_d(t), grid_for_order(66), 66)
+    assert e_tab.order == d_tab.order == 510
+    rebuilt = fft_table(symbol_d(t), table_grid(510), 510)
     assert np.array_equal(d_tab.coeffs, rebuilt.coeffs)
 
 
@@ -255,9 +256,10 @@ def test_correlation_finite_builds_no_full_section():
 
 def test_theta_section_needs_table_order():
     e_tab, d_tab = _scalar_tables(0.6 + 0j, 64)
-    assert theta_section(0.6, 64, e_tab, d_tab).shape == (64, 128)
+    assert e_tab.order == 126  # all that the first grid, 256 points, certifies
+    assert theta_section(0.6, 126, e_tab, d_tab).shape == (126, 252)
     with pytest.raises(TruncationTooShort):
-        theta_section(0.6, 65, e_tab, d_tab)
+        theta_section(0.6, 127, e_tab, d_tab)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7])
@@ -291,17 +293,17 @@ def _count_pair_angles(monkeypatch):
 
 def test_theta_decomposition_builds_the_tables_once(monkeypatch):
     # b_hat reuses the e+ and d tables of the section: one sampling of the
-    # order-2048 grid at this t (16384 angles); building them twice takes two
+    # order-2046 grid at this t (4096 angles); building them twice takes two
     angles = _count_pair_angles(monkeypatch)
     theta_decomposition(0.02, 8)
-    assert sum(angles) == grid_for_order(2048)
+    assert sum(angles) == table_grid(2046) == 4096
 
 
 def test_correlation_finite_samples_the_pair_once_per_angle(monkeypatch):
-    # at t = 0.3 the tables climb to order 128, grids 256 -> 512 -> 1024: the
+    # at t = 0.1 the tables climb to order 510, grids 256 -> 512 -> 1024: the
     # e+/d pair sees 1024 angles in all, each doubling only its new midpoints
     angles = _count_pair_angles(monkeypatch)
-    correlation_finite(DimerParams(0.3), 32)
+    correlation_finite(DimerParams(0.1), 32)
     assert angles == [256, 256, 512]
 
 
@@ -324,13 +326,13 @@ def _cli_json(args):
 
 
 def test_correlation_n_list_samples_the_pair_once_per_angle(monkeypatch):
-    # one table pair for the whole list: at t = 0.02 it reaches order 2048,
-    # and each of its 16384 angles is sampled once, not once per n
+    # one table pair for the whole list: at t = 0.02 it reaches order 2046,
+    # and each of its 4096 angles is sampled once, not once per n
     order = _scalar_tables(0.02, 64)[0].order
     angles = _count_pair_angles(monkeypatch)
     rows = json.loads(_cli_json(["correlation", "--t", "0.02", "--n-list", "8,16,32,64"]))["rows"]
     assert [row["n"] for row in rows] == [None, 8, 16, 32, 64]
-    assert sum(angles) == grid_for_order(order) == grid_for_order(2048)
+    assert sum(angles) == table_grid(order) == table_grid(2046)
 
 
 @pytest.mark.parametrize("t", ["0.02", "0.3", "0.6", "0.8+0.3i", "2", "0.05+1i"])

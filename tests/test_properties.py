@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dimerdet import (
     DimerdetError,
     DimerParams,
+    TailNotResolved,
     correlation_finite,
     correlation_limit,
     exp_representation,
@@ -24,9 +25,9 @@ from dimerdet.spectral import (
     _grid,
     _section,
     folded_log_determinant,
-    grid_for_order,
     hankel_section,
     log_determinant,
+    table_grid,
     toeplitz_section,
 )
 from dimerdet.szego import _sinhc
@@ -110,6 +111,32 @@ def test_value_without_error_down_to_re_t_one_hundredth(t, n):
     assert np.isfinite(value) and value != 0
 
 
+#: below Re t = 0.01, the reach of the top-band check at the cap grid 32768:
+#: every real t from 0.0015 (it fails from 0.0014 down), and every
+#: |Im t| <= 2 from Re t = 0.002 (near Im t = 0.7 it fails from about 0.0019
+#: down; measured on a grid of 81 Im t)
+SMALL_RE_T = st.one_of(st.floats(0.0015, 0.01).map(complex), box(0.002, 0.01, 2.0))
+
+
+@settings(deadline=None, max_examples=25)
+@given(SMALL_RE_T, st.sampled_from([8, 16, 32, 64]))
+@example(0.00214298 + 0j, 32).via("a seed-1 plane-scan item the edge rule refused")
+def test_small_re_t_matches_tables_on_four_times_the_grid(t, n):
+    value = correlation_finite(DimerParams(t), n)
+    order = _scalar_tables(t, n)[0].order
+    tables = [fft_table(sym, 4 * table_grid(order), order) for sym in (e_plus_symbol(t), symbol_d(t))]
+    det = folded_log_determinant(theta_section(t, n, *tables)).value
+    # P(n) is half the square root of det: agreement of P to 1e-12 is
+    # agreement of 4 P^2 to 2e-12, whichever root each side took
+    assert np.isfinite(value) and abs(4 * value ** 2 - det) <= 2e-12 * abs(det)
+
+
+@pytest.mark.parametrize("n", [8, 512])
+def test_tail_not_resolved_past_the_reach(n):
+    with pytest.raises(TailNotResolved, match="grid_for_order"):
+        correlation_finite(DimerParams(1e-6), n)
+
+
 #: |t| = 1 with Re t >= 0.05 puts the removable point e^{-ix} = t of e+ on
 #: the circle: at a grid angle for x = -2 pi j / 1024 (t = 1 at x = 0), or
 #: between grid angles
@@ -124,7 +151,7 @@ def test_joint_tables_match_the_entries_sampled_alone(t):
     # the e+/d pair is sampled by one evaluator; each entry sampled alone on
     # the final grid gives d bit for bit and e+ to 1e-15
     e_tab, d_tab = _scalar_tables(t, 32)
-    grid, order = grid_for_order(e_tab.order), e_tab.order
+    grid, order = table_grid(e_tab.order), e_tab.order
     alone = [fft_table(sym, grid, order) for sym in (e_plus_symbol(t), symbol_d(t))]
     assert d_tab.order == order
     assert np.array_equal(d_tab.coeffs, alone[1].coeffs)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from dimerdet import (
+    DimerdetError,
     DimerParams,
     NonzeroWinding,
     SampleFailure,
     SingularDeterminant,
     SingularSymbol,
     TailNotResolved,
+    correlation_finite,
     fourier_coefficients,
     geometric_mean,
     log_determinant,
@@ -20,7 +22,6 @@ from dimerdet.closed_form import spectral_roots
 from dimerdet.spectral import (
     FourierTable,
     MAX_ORDER,
-    MIN_ORDER,
     MatrixSymbol,
     ScalarSymbol,
     TAIL_TOL,
@@ -31,11 +32,13 @@ from dimerdet.spectral import (
     pivoted_lu,
     pointwise_inverse,
     series_symbol,
+    table_grid,
 )
 from oracles import (
     coeff,
     constant_symbol,
     e_plus_symbol,
+    edge_rule_grid,
     fft_table,
     from_entries,
     scalar_coeff,
@@ -436,10 +439,11 @@ def counting(sym):
 
 
 def test_table_doubling_samples_only_the_new_midpoints():
-    # 0.7^k first passes the tail check at order 128: grids 256 -> 512 -> 1024,
-    # 1024 angles in all where sampling every grid afresh took 1792
-    sym, angles = counting(geometric(0.7))
-    assert fourier_coefficients(sym).order == 128
+    # 0.9^k first passes the top-band check on grid 1024 (order 510): grids
+    # 256 -> 512 -> 1024, 1024 angles in all where sampling every grid afresh
+    # took 1792
+    sym, angles = counting(geometric(0.9))
+    assert fourier_coefficients(sym).order == 510
     assert angles == [256, 256, 512]
 
 
@@ -450,44 +454,49 @@ def test_geometric_mean_doubling_samples_only_the_new_midpoints():
     assert angles == [256, 256, 512]
 
 
-@pytest.mark.parametrize("sym", [geometric(0.7), symbol_d(0.05 + 1j),
-                                 symbol_phi(DimerParams(0.6))])
+@pytest.mark.parametrize("sym", [geometric(0.9), symbol_d(0.05 + 1j),
+                                 symbol_phi(DimerParams(0.1))])
 def test_resolved_table_is_one_fresh_sampling_of_its_grid(sym):
     tab = fourier_coefficients(sym)
-    assert tab.order > MIN_ORDER  # at least one doubling reused its samples
-    fresh = fft_table(sym, grid_for_order(tab.order), tab.order)
+    assert table_grid(tab.order) > table_grid(0)  # a doubling reused its samples
+    fresh = fft_table(sym, table_grid(tab.order), tab.order)
     assert np.array_equal(tab.coeffs, fresh.coeffs)
 
 
 def test_common_order_tables_own_read_only_coefficients():
     def both(x):
-        return np.stack([geometric(0.5)(x), geometric(0.7)(x)], axis=1)[:, :, None, None]
+        return np.stack([geometric(0.5)(x), geometric(0.9)(x)], axis=1)[:, :, None, None]
 
     tabs = common_order_tables(both, 1)
-    # 0.5^k alone passes at order 64; the family stops where 0.7^k passes
-    assert [tab.order for tab in tabs] == [128, 128]
+    # 0.5^k alone passes on grid 256; the family stops where 0.9^k passes,
+    # on grid 1024
+    assert [tab.order for tab in tabs] == [510, 510]
     for tab in tabs:
         assert tab.coeffs.flags.owndata and tab.coeffs.flags.c_contiguous
         assert not tab.coeffs.flags.writeable
 
 
-@pytest.mark.parametrize("floor, order", [(None, 64), (2, 64), (40, 80), (100, 100)])
+@pytest.mark.parametrize("floor, order", [(None, 510), (2, 510), (300, 510), (600, 1022)])
 def test_doubling_rule_returns_first_certified_order(floor, order):
-    # the tail check passes once 0.5^(K-1) <= 1e-13, i.e. from K = 45 on; the
-    # rule doubles from max(floor, MIN_ORDER = 32) and stops at the first pass
-    tab = fourier_coefficients(geometric(0.5), order=floor)
+    # the top-band check passes once 0.9^(G/2 - 1) <= 1e-13, i.e. from grid
+    # G = 1024 on; the rule doubles from table_grid(floor) (at least 256) and
+    # stops at the first pass, with the order G/2 - 2 that grid certifies
+    tab = fourier_coefficients(geometric(0.9), order=floor)
     assert tab.order == order
-    assert abs(scalar_coeff(tab, 40) - 0.5 ** 40) < 1e-15
+    assert abs(scalar_coeff(tab, 40) - 0.9 ** 40) < 1e-15
 
 
 @pytest.mark.parametrize("sym", [symbol_d(0.7), symbol_d(0.05 + 1j), e_plus_symbol(0.3),
                                  e_plus_symbol(2.0)])
 def test_half_the_resolved_order_fails_the_tail_check(sym):
+    # the check reads the grid's top band, the coefficients at indices
+    # G/2 - 1 and G/2 on either side: the outermost pairs of its order-G/2 table
     tab = fourier_coefficients(sym, order=40)
-    assert tab.order >= 40 and tail_magnitude(tab) <= 1e-13
-    half = tab.order // 2
-    if half >= 40:
-        assert tail_magnitude(fft_table(sym, grid_for_order(half), half)) > TAIL_TOL
+    grid = table_grid(tab.order)
+    assert tab.order == grid // 2 - 2 >= 40
+    assert tail_magnitude(fft_table(sym, grid, grid // 2)) <= TAIL_TOL
+    if grid > table_grid(40):
+        assert tail_magnitude(fft_table(sym, grid // 2, grid // 4)) > TAIL_TOL
 
 
 @pytest.mark.parametrize("t", [0.3, 0.6, 2.0, 0.8 + 0.3j])
@@ -502,11 +511,54 @@ def test_resolved_table_equals_the_fixed_size_table(t, entry):
 
 
 def test_doubling_rule_names_its_cap():
-    # coefficients 0.999^k need an order near 30000, past the cap
-    with pytest.raises(TailNotResolved, match=f"order {MAX_ORDER}, .*MAX_ORDER = {MAX_ORDER}"):
+    # coefficients 0.999^k need an order near 30000, past the cap grid 32768
+    cap = grid_for_order(MAX_ORDER)
+    with pytest.raises(TailNotResolved, match=rf"order {cap // 2 - 2} on grid {cap}, "
+                                              rf".*grid_for_order\(MAX_ORDER\) = {cap}"):
         fourier_coefficients(geometric(0.999))
-    # a floor above the cap is still honoured, once
-    assert fourier_coefficients(harmonic(1), order=MAX_ORDER + 1).order == MAX_ORDER + 1
+    # a floor above the cap's order is still honoured, once, on the next grid
+    assert fourier_coefficients(harmonic(1), order=cap // 2 - 1).order == cap - 2
+
+
+@pytest.mark.parametrize("t", [0.003, 0.006, 0.02, 0.3, 0.6, 0.9, 0.99, 2.0, 0.8 + 0.3j,
+                               0.05 + 1j])
+def test_no_table_samples_a_finer_grid_than_the_edge_rule(t, monkeypatch):
+    # every table family the P(n) route and (for real t in (0, 1)) every
+    # verify identity resolves: the top-band check certifies on a grid no
+    # finer than the edge rule sampled last
+    import dimerdet.continuation
+    import dimerdet.spectral
+    import dimerdet.szego
+    from dimerdet.cli import RunConfig, run_verify
+
+    real, calls = common_order_tables, []
+
+    def recording(sample, block_size, order=None):
+        tabs = real(sample, block_size, order)
+        calls.append((sample, order, table_grid(tabs[0].order)))
+        return tabs
+
+    for module in (dimerdet.spectral, dimerdet.continuation, dimerdet.szego):
+        monkeypatch.setattr(module, "common_order_tables", recording)
+    try:
+        correlation_finite(DimerParams(t), 32)
+    except DimerdetError:
+        pass
+    if t.imag == 0 and t < 1:
+        run_verify(RunConfig(command="verify", t=complex(t), identity="all"))
+    assert calls
+    for sample, order, grid in calls:
+        assert grid <= edge_rule_grid(sample, order)
+
+
+def test_table_grid_is_smallest_power_of_two_whose_order_covers():
+    assert table_grid(0) == table_grid(126) == 256  # the floor
+    assert table_grid(127) == 512
+    assert table_grid(2046) == 4096
+    for order in range(1, 3000, 7):
+        grid = table_grid(order)
+        assert grid & (grid - 1) == 0
+        assert grid // 2 - 2 >= order and (grid == 256 or grid // 4 - 2 < order)
 
 
 def test_grid_for_order_is_smallest_admissible_power_of_two():

@@ -116,8 +116,8 @@ def test_operator_truncations_factor_their_sections_in_place(monkeypatch):
 
 def test_e_operator_samples_phi_once_per_grid_point():
     # one family run for phi and phi^{-1}, whose tables also give the winding
-    # number: at t = 0.6 they resolve at order 64, on 512 points
-    phi, angles = symbol_phi(DimerParams(0.6)), []
+    # number: at t = 0.8 they resolve at order 254, on 512 points
+    phi, angles = symbol_phi(DimerParams(0.8)), []
     counted = MatrixSymbol(lambda x: angles.append(x.size) or phi.sample(x), 2)
     assert abs(szego_E_operator(counted) - szego_E_operator(phi)) == 0.0
     assert angles == [256, 256]
