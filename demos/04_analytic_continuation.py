@@ -23,8 +23,12 @@ for t in (0.6, 1.0, 1.2, 0.8 + 0.3j):
 
 print("Toeplitz-plus-perturbation form (t = 1, n = 8):")
 seq = theta_decomposition(1.0, 8)
-sv_k = np.linalg.svd(seq.k_op, compute_uv=False)
-sv_l = np.linalg.svd(seq.l_op, compute_uv=False)
+# K holds its one row at row 0; L holds it at row 1, each block's pair swapped
+k_op = np.zeros((16, 16), dtype=complex)
+l_op = np.zeros((16, 16), dtype=complex)
+k_op[0], l_op[1] = seq.k_row, seq.k_row.reshape(8, 2)[:, ::-1].ravel()
+sv_k = np.linalg.svd(k_op, compute_uv=False)
+sv_l = np.linalg.svd(l_op, compute_uv=False)
 print(f"   identity residual between the two determinant forms: "
       f"{seq.identity_residual:.2e}")
 print(f"   singular values of K: {sv_k[0]:.3e}, {sv_k[1]:.1e}, {sv_k[2]:.1e}  (rank one)")

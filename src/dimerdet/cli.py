@@ -427,12 +427,12 @@ def _verify_scalar_widom(q: Quantities):
         coeffs = np.zeros((2 * order + 1, 1, 1), dtype=complex)
         coeffs[order - n_dn:order + n_up + 1, 0, 0] = reduce(
             np.convolve, [[1.0, -g] for g in gammas] + [[-d, 1.0] for d in deltas])
-        tab = FourierTable(1, order, coeffs)
+        tab = FourierTable(coeffs)
         # log of each factor (1 - g z): coefficients -g^k / k at k >= 1
         logs = np.zeros((513, 1, 1), dtype=complex)
         logs[257:, 0, 0] = -sum(g ** ks for g in gammas) / ks
         logs[:256, 0, 0] = (-sum(d ** ks for d in deltas) / ks)[::-1]
-        log_tab = FourierTable(1, 256, logs)
+        log_tab = FourierTable(logs)
         e_w = widom_banded_E(tab, n_up)
         e_s = correction_factor(log_tab, 1)
         worst = max(worst, abs(e_w - e_s))

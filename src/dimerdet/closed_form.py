@@ -20,19 +20,24 @@ from .errors import InvariantViolation, PoleInput, half_plane_t
 
 @dataclass(frozen=True)
 class SpectralRoots:
-    """The bundle (mu, xi1, xi2) with a record of branch choices."""
+    """The bundle (mu, xi1, xi2) with a record of branch choices, and the
+    differences the closed forms read, each formed without cancellation:
+    1 - xi1, 1 - xi2 and omega = (1 - t^2 xi1)(1 - t^2 xi2)."""
 
     t: complex
     mu: complex
     xi1: complex
     xi2: complex
+    one_minus_xi1: complex
+    one_minus_xi2: complex
+    omega: complex
     branch_log: str
 
 
 @dataclass(frozen=True)
 class CoefficientBundle:
     """Fourier coefficients of the inverse-symbol entries, in closed form,
-    with the roots they come from and the factors beta, omega of Lambda."""
+    with the roots they come from and the factor beta of Lambda."""
 
     roots: SpectralRoots
     a0: complex
@@ -42,7 +47,6 @@ class CoefficientBundle:
     am2: complex
     b1: complex
     beta: complex
-    omega: complex
 
 
 def spectral_roots(t: complex) -> SpectralRoots:
@@ -53,22 +57,36 @@ def spectral_roots(t: complex) -> SpectralRoots:
     r = +/- 2 sqrt(1 - t^2 +/- mu), the sign of r the one that makes
     |h + r| larger (recorded in ``branch_log``), all square roots principal;
     no difference cancels (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 1.8).
+    Algorithms, 2002, sec. 1.8).  For xi_2, as Re mu >= 0, 1 - t^2 - mu is
+    t^2 (3 - mu) / (1 + mu) and 1 - mu is 4t^2 / (1 + mu), so
+    1 - xi = (h - 1 + r) / (h + r) keeps its relative accuracy where xi_2
+    nears 1, as t -> 0.  Likewise 1 - t^2 xi = (a + r) / (h + r) with
+    a = h - t^2, and where a + r is the smaller of a -+ r it is read off
+    (a + r)(a - r) = (mu -+ t^2)^2: 1 - t^2 xi_2 nears 0 as t nears
+    +-i sqrt(2 + sqrt 5).
     The defining invariants (xi_i + 1/xi_i = 4 +/- 2 mu, the factorization
     residual on the circle) are validated, relative to their size, before
     returning.
     """
     t = half_plane_t(t)
-    mu = cmath.sqrt(1.0 - 4.0 * t * t)
+    tt = t * t
+    mu = cmath.sqrt(1.0 - 4.0 * tt)
     log = [f"mu principal sqrt -> {mu!r}"]
-    xis = []
-    for name, sign in (("xi1", 1.0), ("xi2", -1.0)):
-        h = 2.0 + sign * mu
-        r = 2.0 * cmath.sqrt(1.0 - t * t + sign * mu)
+    xis, comps, omega = [], [], 1.0
+    # each root's sign, h - 1 and r^2 / 4, none formed by a difference
+    for name, sign, h_minus_one, radicand in (
+            ("xi1", 1.0, 1.0 + mu, 1.0 - tt + mu),
+            ("xi2", -1.0, 4.0 * tt / (1.0 + mu), tt * (3.0 - mu) / (1.0 + mu))):
+        h, r = 2.0 + sign * mu, 2.0 * cmath.sqrt(radicand)
         plus = abs(h + r) >= abs(h - r)
-        xis.append(1.0 / (h + r if plus else h - r))
+        r = r if plus else -r
+        a = h - tt
+        a_plus_r = a + r if abs(a + r) >= abs(a - r) else (mu - sign * tt) ** 2 / (a - r)
+        xis.append(1.0 / (h + r))
+        comps.append((h_minus_one + r) / (h + r))
+        omega *= a_plus_r / (h + r)
         log.append(f"{name} = 1/(h {'+' if plus else '-'} r)")
-    roots = SpectralRoots(t, mu, *xis, "; ".join(log))
+    roots = SpectralRoots(t, mu, *xis, *comps, omega, "; ".join(log))
     _validate_roots(roots)
     return roots
 
@@ -90,25 +108,38 @@ def _validate_roots(r: SpectralRoots) -> None:
         raise InvariantViolation(f"relative factorization residual {res:.2e} at t={r.t}")
 
 
-def kl_helpers(t: complex, x: complex) -> tuple[complex, complex]:
-    """The rational helpers k(x) and l(x) = k(x) + 2/(1-x).
+def _kl_polynomials(tt: complex) -> tuple[tuple, tuple, tuple]:
+    """Power-basis coefficients, at t^2 = ``tt``, of the numerators of k and
+    l and of their denominator (1 - t^2 x)(1 - x^2)."""
+    return (-1.0, -4.0, 1.0), (1.0, -2.0 - 2.0 * tt, 1.0 - 2.0 * tt), (1.0, -tt, -1.0, tt)
+
+
+def _power_sum(coeffs, x: complex) -> complex:
+    return sum(c * x ** m for m, c in enumerate(coeffs))
+
+
+def kl_helpers(t: complex, x: complex, one_minus_x: complex) -> tuple[complex, complex]:
+    """The rational helpers k(x) and l(x) = k(x) + 2/(1-x), with 1 - x
+    given, so a root near 1 (xi_2 as t -> 0) keeps its relative accuracy.
 
     l is evaluated both ways (single rational form and k + 2/(1-x)) and the
-    identity asserted to 1e-12, which guards against transcription slips in
-    the coefficient algebra.
+    identity asserted to 1e-12 relative to |k| + |2/(1-x)|, the scale of the
+    rounding in the sum, which guards against transcription slips in the
+    coefficient algebra.
     """
-    t = complex(t)
-    x = complex(x)
-    for pole in (1.0, -1.0):
-        if abs(x - pole) < 1e-12:
+    t, x, one_minus_x = complex(t), complex(x), complex(one_minus_x)
+    for pole, gap in ((1.0, one_minus_x), (-1.0, 1.0 + x)):
+        if abs(gap) < 1e-12:
             raise PoleInput(f"x={x} at pole {pole}")
     if abs(1.0 - t * t * x) < 1e-12:
         raise PoleInput(f"x={x} at pole 1/t^2")
-    k = (x * x - 4.0 * x - 1.0) / ((1.0 - t * t * x) * (1.0 - x * x))
-    l_rational = (((1.0 - 2.0 * t * t) * x * x + (-2.0 - 2.0 * t * t) * x + 1.0)
-                  / ((1.0 - t * t * x) * (1.0 - x * x)))
-    l = k + 2.0 / (1.0 - x)
-    if abs(l - l_rational) > 1e-12 * max(1.0, abs(l)):
+    k_num, l_num, _ = _kl_polynomials(t * t)
+    den = (1.0 - t * t * x) * one_minus_x * (1.0 + x)
+    k = _power_sum(k_num, x) / den
+    pole_term = 2.0 / one_minus_x
+    l = k + pole_term
+    l_rational = _power_sum(l_num, x) / den
+    if abs(l - l_rational) > 1e-12 * (abs(k) + abs(pole_term)):
         raise InvariantViolation(f"l(x) forms disagree by {abs(l - l_rational):.2e}")
     return k, l
 
@@ -120,7 +151,7 @@ def _divided_difference(num, den, x1: complex, x2: complex, f2: complex) -> comp
     def dd(coeffs):
         return sum(c * sum(x1 ** i * x2 ** (m - 1 - i) for i in range(m))
                    for m, c in enumerate(coeffs))
-    return (dd(num) - f2 * dd(den)) / sum(c * x1 ** m for m, c in enumerate(den))
+    return (dd(num) - f2 * dd(den)) / _power_sum(den, x1)
 
 
 def coefficient_bundle(t: complex) -> CoefficientBundle:
@@ -134,9 +165,8 @@ def coefficient_bundle(t: complex) -> CoefficientBundle:
     x1, x2 = r.xi1, r.xi2
     tt = t * t
     beta = 4.0 * x1 * x2 / (1.0 - x1 * x2)
-    k2, l2 = kl_helpers(t, x2)
-    den = (1.0, -tt, -1.0, tt)  # (1 - t^2 x)(1 - x^2)
-    k_num, l_num = (-1.0, -4.0, 1.0), (1.0, -2.0 - 2.0 * tt, 1.0 - 2.0 * tt)
+    k2, l2 = kl_helpers(t, x2, r.one_minus_xi2)
+    k_num, l_num, den = _kl_polynomials(tt)
 
     def dd(j, num, f2):  # beta [xi1, xi2] x^j N/D, with f2 = N/D at xi2
         return beta * _divided_difference((0.0,) * j + num, den, x1, x2, x2 ** j * f2)
@@ -144,8 +174,7 @@ def coefficient_bundle(t: complex) -> CoefficientBundle:
     return CoefficientBundle(
         roots=r, a0=t * dd(1, k_num, k2), a1=dd(0, l_num, l2), am1=dd(1, l_num, l2),
         a2=t * dd(0, k_num, k2), am2=t * dd(2, k_num, k2),
-        b1=-2j * beta / ((1.0 + x1) * (1.0 + x2)), beta=beta,
-        omega=(1.0 - tt * x1) * (1.0 - tt * x2))
+        b1=-2j * beta / ((1.0 + x1) * (1.0 + x2)), beta=beta)
 
 
 def lambda_long_form(t: complex, bundle: CoefficientBundle | None = None) -> complex:
@@ -171,7 +200,7 @@ def lambda_value(t: complex) -> complex:
     t = complex(t)
     c = coefficient_bundle(t)
     x1, x2 = c.roots.xi1, c.roots.xi2
-    value = -8.0 * c.beta ** 2 / (cmath.sqrt(c.omega) * (1.0 + x1) * (1.0 + x2))
+    value = -8.0 * c.beta ** 2 / (cmath.sqrt(c.roots.omega) * (1.0 + x1) * (1.0 + x2))
     long = lambda_long_form(t, c)
     if abs(value - long) > 1e-9 * max(1.0, abs(value)):
         raise InvariantViolation(
@@ -180,11 +209,12 @@ def lambda_value(t: complex) -> complex:
 
 
 def prefactor(t: complex) -> complex:
-    """(1-xi1^2)(1-xi2^2)(1-xi1 xi2)^2 (1-t^2 xi1)(1-t^2 xi2)."""
+    """(1-xi1^2)(1-xi2^2)(1-xi1 xi2)^2 (1-t^2 xi1)(1-t^2 xi2), with each
+    1 - xi_i^2 = (1 - xi_i)(1 + xi_i) and the last two factors, omega, from
+    the differences :func:`spectral_roots` forms without cancellation."""
     r = spectral_roots(t)
-    t = r.t
-    return ((1.0 - r.xi1 ** 2) * (1.0 - r.xi2 ** 2) * (1.0 - r.xi1 * r.xi2) ** 2
-            * (1.0 - t * t * r.xi1) * (1.0 - t * t * r.xi2))
+    return (r.one_minus_xi1 * (1.0 + r.xi1) * r.one_minus_xi2 * (1.0 + r.xi2)
+            * (1.0 - r.xi1 * r.xi2) ** 2 * r.omega)
 
 
 def e_phi(t: complex) -> complex:

@@ -40,18 +40,19 @@ from .spectral import (
     log_determinant,
     toeplitz_section,
 )
-from .dimer import DimerParams, _weight
+from .dimer import DimerParams, _weight, k_plus_matrix
 
 
 @dataclass(frozen=True)
 class ContinuedSequence:
-    """The continued section b_hat and the dense corrections K and L."""
+    """The continued section b_hat and the one row the corrections K and L
+    hold: ``k_row`` is row 0 of K, and row 1 of L is it with each block's
+    pair swapped (see :func:`_k_row`)."""
 
     t: complex
     n: int
     b_hat: np.ndarray
-    k_op: np.ndarray
-    l_op: np.ndarray
+    k_row: np.ndarray
     identity_residual: float
 
 
@@ -87,24 +88,11 @@ def e_plus_d(t: complex) -> ScalarSymbol:
     return ScalarSymbol(eval_)
 
 
-def k_plus_matrix(t: complex, n: int) -> np.ndarray:
-    """Strictly lower triangular Toeplitz section with entries t^{j-k-1}.
-
-    For |t| < 1 this is the section of the symbol 1/(e^{-ix} - t); for other
-    parameters it is its entrywise analytic continuation.
-    """
-    t = complex(t)
-    j = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    expo = np.where(j > k, j - k - 1, 0)
-    return np.where(j > k, t ** expo, 0.0 + 0.0j)
-
-
 def _scalar_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
     """Fourier tables of e+ and d at one shared order of at least ``order``,
     from one sampling of :func:`e_plus_d` per grid point."""
     pair = e_plus_d(t)
-    return common_order_tables(lambda x: pair(x)[:, :, None, None], 1, order)
+    return common_order_tables(lambda x: pair(x)[:, :, None, None], order)
 
 
 def b_hat(t: complex, n: int,
@@ -135,7 +123,7 @@ def _phi_hat_table(t: complex, e_tab: FourierTable, d_tab: FourierTable) -> Four
         out[:, 0, col] = c[1:-1] - t * c[:-2]
     out[order + 1, 0, 0] += 1.0
     out[:, 1, ::-1] = out[::-1, 0, :]
-    return FourierTable(2, order, out)
+    return FourierTable(out)
 
 
 def _k_row(t: complex, n: int, e_tab: FourierTable, d_tab: FourierTable) -> np.ndarray:
@@ -175,23 +163,20 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     """Check det b_hat = det(T_n(phi_hat) + P_n K P_n + W_n L W_n) to 1e-9.
 
     K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+) are the
-    rank-one corrections from the pre-multiplication by T_n(Theta+).
+    rank-one corrections from the pre-multiplication by T_n(Theta+), each
+    one row: the result carries row 0 of K.
     """
     t = complex(t)
     e_tab, d_tab = _scalar_tables(t, n)
     lhs_mat = b_hat(t, n, (e_tab, d_tab))
     k_row = _k_row(t, n, e_tab, d_tab)
-    k_op = np.zeros((2 * n, 2 * n), dtype=complex)
-    l_op = np.zeros((2 * n, 2 * n), dtype=complex)
-    k_op[0], l_op[1] = k_row, k_row.reshape(n, 2)[:, ::-1].ravel()
-
     lhs = log_determinant(lhs_mat).value
     rhs = folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual > 1e-9:
         raise DecompositionMismatch(
             f"det b_hat = {lhs} vs decomposed {rhs} at t={t}, n={n}")
-    return ContinuedSequence(t, n, lhs_mat, k_op, l_op, residual)
+    return ContinuedSequence(t, n, lhs_mat, k_row, residual)
 
 
 def _section_dets(t: complex, n_list: list[int]) -> list[complex]:

@@ -27,14 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged, half_plane_t
-from .spectral import (
-    _doubled,
-    _stack_entries,
-    MatrixSymbol,
-    MIN_ORDER,
-    QUAD_TOL,
-    grid_for_order,
-)
+from .spectral import MIN_GRID, QUAD_TOL, MatrixSymbol, _doubled, _stack_entries
 
 
 #: the cap of the torus doubling rule (:func:`dimerdet.spectral._doubled`):
@@ -125,14 +118,15 @@ def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
 def dimer_coefficients(params: DimerParams, k_min: int, k_max: int) -> DimerCoefficients:
     """All R_k, Q_k for k in [k_min, k_max], with the Q parity invariant.
 
-    The torus grid doubles from ``grid_for_order`` of the largest |k| until
-    the doubled grid moves no coefficient (:func:`dimerdet.spectral._doubled`);
-    the integrands are smooth and periodic on the torus, so this is spectral.
+    The torus grid doubles from the smallest power of two at least 4K + 4,
+    K the largest |k|, until the doubled grid moves no coefficient
+    (:func:`dimerdet.spectral._doubled`); the integrands are smooth and
+    periodic on the torus, so this is spectral.
     """
     ks = np.arange(k_min, k_max + 1)
-    (R, Q), grid = _doubled(lambda grid: _coefficients(params.t, ks, grid),
-                            grid_for_order(max(abs(k_min), abs(k_max))), MAX_QUAD_GRID,
-                            QUAD_TOL, QuadratureUnconverged,
+    start = 1 << (4 * max(abs(k_min), abs(k_max)) + 3).bit_length()
+    (R, Q), grid = _doubled(lambda grid: _coefficients(params.t, ks, grid), start,
+                            MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged,
                             f"R_k, Q_k for k in [{k_min}, {k_max}]", "MAX_QUAD_GRID")
     nonzero_even = np.flatnonzero((ks % 2 == 0) & (np.abs(Q) > 1e-14))
     if nonzero_even.size:
@@ -146,14 +140,28 @@ def _half_floor_sign(m: np.ndarray) -> np.ndarray:
     return 1 - 2 * ((m // 2) % 2)
 
 
+def k_plus_matrix(t: complex, n: int) -> np.ndarray:
+    """Strictly lower triangular Toeplitz section with entries t^{j-k-1}.
+
+    For |t| < 1 this is the section of the symbol 1/(e^{-ix} - t); for other
+    parameters it is its entrywise analytic continuation.
+    """
+    t = complex(t)
+    j = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    expo = np.where(j > k, j - k - 1, 0)
+    return np.where(j > k, t ** expo, 0.0 + 0.0j)
+
+
 def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
     """The 2n x 2n matrix [[R, Q], [Q, R]] from the displayed entry formulas.
 
     With 1-based block indices j, k:
       R_jk = 2 (-1)^[(k-j)/2] R_{k-j+1} + theta(j-k) t^{j-k-1}
       Q_jk = 2i (-1)^[(j+k)/2] Q_{n+1-j-k}
-    where theta(m) = 1 for m > 0 and 0 otherwise.  The torus grid starts at
-    ``grid_for_order(n + 1)``, so it resolves the highest index used.
+    where theta(m) = 1 for m > 0 and 0 otherwise, the band of
+    :func:`k_plus_matrix`.  The torus grid starts at the smallest power of
+    two at least 4(n + 1) + 4, so it resolves the highest index used.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -163,8 +171,7 @@ def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
 
     m = k - j
     rmat = 2.0 * _half_floor_sign(m) * coeff.R[m + 1 - coeff.k_min]
-    expo = np.where(j > k, j - k - 1, 0)
-    rmat = rmat + np.where(j > k, params.t ** expo, 0.0)
+    rmat = rmat + k_plus_matrix(params.t, n)
 
     qi = n + 1 - j - k
     qmat = 2.0j * _half_floor_sign(j + k) * coeff.Q[qi - coeff.k_min]
@@ -226,7 +233,7 @@ def symbol_phi(params: DimerParams) -> MatrixSymbol:
         d = s / w
         return _stack_entries([[a / ((t - z.conj()) * w), d], [-d, a / ((t - z) * w)]], x.size)
 
-    return MatrixSymbol(eval_, 2)
+    return MatrixSymbol(eval_)
 
 
 def symbol_psi(params: DimerParams) -> MatrixSymbol:
@@ -244,7 +251,7 @@ def symbol_psi(params: DimerParams) -> MatrixSymbol:
         q = s * g
         return _stack_entries([[a * (t - z), q], [-q, a * (t - z.conj())]], x.size)
 
-    return MatrixSymbol(eval_, 2)
+    return MatrixSymbol(eval_)
 
 
 def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
@@ -261,7 +268,7 @@ def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
         d = s / w2
         return _stack_entries([[a / ((t - z) * w2), -d], [d, a / ((t - z.conj()) * w2)]], x.size)
 
-    return MatrixSymbol(eval_, 2)
+    return MatrixSymbol(eval_)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +279,11 @@ def kernel_symbols(params: DimerParams, x) -> np.ndarray:
     """[S+T, V] at angles x (V with its global sign dropped), shape
     (2, len(x)), by the y-quadrature of :func:`_kernel_sums`.
 
-    The y grid doubles from ``grid_for_order(MIN_ORDER)`` until the doubled
-    grid moves neither kernel (see :func:`dimerdet.spectral._doubled`).
+    The y grid doubles from ``MIN_GRID`` until the doubled grid moves
+    neither kernel (see :func:`dimerdet.spectral._doubled`).
     Their closed forms are e+/2 and d/2, the two values of
     :func:`dimerdet.continuation.e_plus_d`.
     """
     t = _unit_interval_t(params, "kernel_symbols")
-    return _doubled(lambda grid: _kernel_sums(t, x, grid), grid_for_order(MIN_ORDER),
-                    MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged, "S+T and V",
-                    "MAX_QUAD_GRID")[0]
+    return _doubled(lambda grid: _kernel_sums(t, x, grid), MIN_GRID, MAX_QUAD_GRID, QUAD_TOL,
+                    QuadratureUnconverged, "S+T and V", "MAX_QUAD_GRID")[0]

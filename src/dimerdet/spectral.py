@@ -54,7 +54,6 @@ class MatrixSymbol:
     """An N x N symbol: one evaluator from angles to an array (len(x), N, N)."""
 
     fn: Evaluator
-    block_size: int
 
     def sample(self, x) -> np.ndarray:
         """Evaluate on angles x, returning an array of shape (len(x), N, N)."""
@@ -72,18 +71,11 @@ def _stack_entries(rows: Sequence[Sequence], size: int) -> np.ndarray:
     return out
 
 
-def as_matrix_symbol(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
-    if isinstance(sym, MatrixSymbol):
-        return sym
-    return MatrixSymbol(lambda x: sym(x)[:, None, None], 1)
-
-
-#: the doubling rules of this module run on grids from
-#: ``grid_for_order(MIN_ORDER) = 256`` up to ``grid_for_order(MAX_ORDER) =
-#: 32768``; below grid 256 a table costs about as much as at 256, since
+#: the doubling rules of this module run on grids from MIN_GRID up to
+#: MAX_GRID points; below 256 a table costs about as much as at 256, since
 #: per-call overhead dominates the sampling, so none starts lower
-MIN_ORDER = 32
-MAX_ORDER = 4096
+MIN_GRID = 256
+MAX_GRID = 32768
 #: the magnitude the coefficients at a table grid's top band must fall below
 TAIL_TOL = 1e-13
 #: the tolerance of :func:`_doubled` for quadratures: the relative change one
@@ -91,20 +83,15 @@ TAIL_TOL = 1e-13
 QUAD_TOL = 1e-10
 
 
-def grid_for_order(order: int) -> int:
-    """The smallest power-of-two grid with ``grid >= 4*order + 4``."""
-    return 1 << (4 * order + 3).bit_length()
-
-
 def table_grid(order: int) -> int:
     """The grid :func:`common_order_tables` samples first for a table of at
     least ``order``: the smallest power of two whose table order
-    ``grid/2 - 2`` covers it, and at least ``grid_for_order(MIN_ORDER)``.
+    ``grid/2 - 2`` covers it, and at least ``MIN_GRID``.
 
     A table that loop returns has order ``grid/2 - 2`` of the grid it was
     sampled on, so ``table_grid(tab.order)`` is that grid.
     """
-    return max(grid_for_order(MIN_ORDER), 1 << (2 * order + 3).bit_length())
+    return max(MIN_GRID, 1 << (2 * order + 3).bit_length())
 
 
 def _doubled(values, size: int, cap: int, tol: float, error: type, what: str,
@@ -133,20 +120,30 @@ def _doubled(values, size: int, cap: int, tol: float, error: type, what: str,
 class FourierTable:
     """Two-sided table of matrix Fourier coefficients, indices -K..K.
 
-    ``coeffs[k + order]`` holds the N x N coefficient at index k.  Indices
-    beyond the order read as zero blocks, which is legitimate once the tail
-    invariant has been certified: on the grid the table was sampled on, the
-    coefficients at its top band, indices order + 1 and order + 2 on either
-    side (the grid's Nyquist index and its neighbours), are below
-    ``TAIL_TOL``.  Those bound the aliasing of every coefficient kept.
+    ``coeffs`` has shape (2K + 1, N, N), and ``coeffs[k + order]`` holds the
+    N x N coefficient at index k; the order K and block size N are read off
+    it.  Indices beyond the order read as zero blocks, which is legitimate
+    once the tail invariant has been certified: on the grid the table was
+    sampled on, the coefficients at its top band, indices order + 1 and
+    order + 2 on either side (the grid's Nyquist index and its neighbours),
+    are below ``TAIL_TOL``.  Those bound the aliasing of every coefficient kept.
     """
 
-    block_size: int
-    order: int
-    coeffs: np.ndarray  # shape (2*order+1, N, N)
+    coeffs: np.ndarray
 
-    def __post_init__(self):  # readers share a table; none may change it
-        self.coeffs.setflags(write=False)
+    def __post_init__(self):
+        shape = self.coeffs.shape
+        if len(shape) != 3 or shape[0] % 2 == 0 or shape[1] != shape[2]:
+            raise ValueError(f"a table holds (2K + 1, N, N) coefficients, got shape {shape}")
+        self.coeffs.setflags(write=False)  # readers share a table; none may change it
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[0] // 2
+
+    @property
+    def block_size(self) -> int:
+        return self.coeffs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -164,16 +161,14 @@ class LogDet:
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
-def fourier_coefficients(sym: ScalarSymbol | MatrixSymbol,
-                         order: int | None = None) -> FourierTable:
+def fourier_coefficients(sym: MatrixSymbol, order: int | None = None) -> FourierTable:
     """Fourier coefficients of a symbol by FFT, at the resolution the symbol
     needs: ``order`` is only the floor the caller reads (the doubling rule
     of :func:`common_order_tables`, for a family of one)."""
-    msym = as_matrix_symbol(sym)
-    return common_order_tables(lambda x: msym.sample(x)[:, None], msym.block_size, order)[0]
+    return common_order_tables(lambda x: sym.sample(x)[:, None], order)[0]
 
 
-def common_order_tables(sample: Evaluator, block_size: int,
+def common_order_tables(sample: Evaluator,
                         order: int | None = None) -> tuple[FourierTable, ...]:
     """Tables of the symbols one evaluator samples together, at one order.
 
@@ -187,12 +182,12 @@ def common_order_tables(sample: Evaluator, block_size: int,
     coefficient c_k is c_{k -+ G}, one grid away (Trefethen & Weideman,
     SIAM Review 56, 2014), so for |k| <= G/2 - 2 it lies past that band.
     The grid doubles from :func:`table_grid` of ``order`` up to
-    ``max(that, grid_for_order(MAX_ORDER))``, past which TailNotResolved is
-    raised.  Each doubling reuses the samples of the grid before as its even
-    points (see :func:`_nested`).
+    ``max(that, MAX_GRID)``, past which TailNotResolved is raised.  Each
+    doubling reuses the samples of the grid before as its even points (see
+    :func:`_nested`).
     """
     grid = table_grid(order or 0)
-    cap = max(grid, grid_for_order(MAX_ORDER))
+    cap = max(grid, MAX_GRID)
     on_grid = _nested(sample)
     passed = False
     while True:
@@ -204,13 +199,12 @@ def common_order_tables(sample: Evaluator, block_size: int,
         if np.all(passed):
             ks = np.arange(2 - half, half - 1) % grid
             # each table owns its coefficients: advanced indexing copies
-            return tuple(FourierTable(block_size, half - 2, spec[ks, i] / grid)
-                         for i in range(tails.size))
+            return tuple(FourierTable(spec[ks, i] / grid) for i in range(tails.size))
         if grid >= cap:
             raise TailNotResolved(
                 f"tail magnitude {tails[np.argmin(passed)]:.3e} exceeds {TAIL_TOL:.1e} "
                 f"at order {half - 2} on grid {grid}, the doubling rule's cap "
-                f"(grid_for_order(MAX_ORDER) = {grid_for_order(MAX_ORDER)})")
+                f"(MAX_GRID = {MAX_GRID})")
         grid *= 2
 
 
@@ -266,7 +260,7 @@ def series_symbol(tab: FourierTable) -> MatrixSymbol:
         acc *= np.exp(-1j * tab.order * x)[:, None, None]
         return acc
 
-    return MatrixSymbol(eval_, tab.block_size)
+    return MatrixSymbol(eval_)
 
 
 def toeplitz_section(tab: FourierTable, m: int, reflected: bool = False) -> np.ndarray:
@@ -401,17 +395,16 @@ def log_determinant(a: np.ndarray) -> LogDet:
     return pivoted_lu(np.array(a, dtype=complex, order="F"))[2]
 
 
-def pointwise_inverse(sym: ScalarSymbol | MatrixSymbol) -> MatrixSymbol:
+def pointwise_inverse(sym: MatrixSymbol) -> MatrixSymbol:
     """The symbol x -> sym(x)^{-1}, via reciprocal (N=1) or 2x2 adjugate."""
-    msym = as_matrix_symbol(sym)
-    if msym.block_size > 2:
-        raise ValueError("pointwise_inverse supports block sizes 1 and 2 only")
-    return MatrixSymbol(lambda x: _inverse_samples(msym.sample(x)), msym.block_size)
+    return MatrixSymbol(lambda x: _inverse_samples(sym.sample(x)))
 
 
 def _inverse_samples(v: np.ndarray) -> np.ndarray:
     """The inverse of each N x N sample in a (len(x), N, N) array, N <= 2:
     the reciprocal, or the adjugate over the determinant."""
+    if v.shape[1] > 2:
+        raise ValueError(f"pointwise inverses need block size 1 or 2, got {v.shape[1]}")
     d = _pointwise_det(v)
     if np.any(np.abs(d) < 1e-14):
         raise SingularSymbol("det of symbol below 1e-14 on evaluation points")
@@ -443,22 +436,20 @@ def _logdet_mean(d: np.ndarray, grid: int) -> np.ndarray:
     return np.array([mean, change])
 
 
-def geometric_mean(sym: ScalarSymbol | MatrixSymbol) -> complex:
+def geometric_mean(sym: MatrixSymbol) -> complex:
     """G(sym): exp of the circle average of log det sym.
 
-    The grid doubles from ``grid_for_order(MIN_ORDER)`` until one more
-    doubling moves neither the mean of log det nor the change of arg det
-    (see :func:`_doubled`); the trapezoid rule converges exponentially, at
-    a rate set by how far the nearest singularity of log det lies from the
-    circle; each doubling samples only the new midpoints (:func:`_nested`).
+    The grid doubles from ``MIN_GRID`` until one more doubling moves
+    neither the mean of log det nor the change of arg det (see
+    :func:`_doubled`); the trapezoid rule converges exponentially, at a rate
+    set by how far the nearest singularity of log det lies from the circle;
+    each doubling samples only the new midpoints (:func:`_nested`).
     A converged change of at least pi raises NonzeroWinding.
     """
-    msym = as_matrix_symbol(sym)
-    dets = _nested(lambda x: _pointwise_det(msym.sample(x)))
+    dets = _nested(lambda x: _pointwise_det(sym.sample(x)))
     (mean, change), _ = _doubled(
-        lambda grid: _logdet_mean(dets(grid), grid), grid_for_order(MIN_ORDER),
-        grid_for_order(MAX_ORDER), QUAD_TOL, QuadratureUnconverged,
-        "the geometric mean", "grid_for_order(MAX_ORDER)")
+        lambda grid: _logdet_mean(dets(grid), grid), MIN_GRID, MAX_GRID, QUAD_TOL,
+        QuadratureUnconverged, "the geometric mean", "MAX_GRID")
     if abs(change) >= math.pi:
         raise NonzeroWinding(f"accumulated argument change {change.real:.3f} rad")
     return complex(np.exp(mean))

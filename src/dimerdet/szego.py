@@ -32,10 +32,8 @@ from .spectral import (
     _doubled,
     _inverse_samples,
     _stack_entries,
-    MIN_ORDER,
     MatrixSymbol,
     ScalarSymbol,
-    as_matrix_symbol,
     common_order_tables,
     fourier_coefficients,
     geometric_mean,
@@ -50,6 +48,8 @@ from .spectral import (
 log = logging.getLogger(__name__)
 
 
+#: the operator truncation m (in blocks) :func:`bocg_residual` doubles from
+MIN_OP_ORDER = 32
 #: the largest operator truncation m (in blocks) that :func:`szego_E_operator`
 #: and :func:`bocg_residual` build.  Memory, not time, sets it: with 2x2
 #: blocks the product holds two (2m)^2 complex buffers, 19 MB at m = 384,
@@ -98,7 +98,7 @@ def _hankel_hs_tails(tab: FourierTable, side: int, m_max: int) -> tuple[float, n
     return full, np.sqrt(tail_sq[:m_max + 1] + (tab.order + 1) * _geometric_tail(w))
 
 
-def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> complex:
+def szego_E_operator(sym: MatrixSymbol, tol: float = 1e-10) -> complex:
     """E(sym) = det(I - H(sym) H(symtilde^{-1})) on the smallest truncation
     whose Hilbert-Schmidt tail estimate is below ``tol``.
 
@@ -110,13 +110,11 @@ def szego_E_operator(sym: ScalarSymbol | MatrixSymbol, tol: float = 1e-10) -> co
     truncation order up to ``MAX_OP_ORDER``, past which the truncation is
     rejected rather than silently under-resolved.
     """
-    msym = as_matrix_symbol(sym)
-
     def with_inverse(x):
-        v = msym.sample(x)
+        v = sym.sample(x)
         return np.stack([v, _inverse_samples(v)], axis=1)
 
-    tab, tab_inv = common_order_tables(with_inverse, msym.block_size)
+    tab, tab_inv = common_order_tables(with_inverse)
     ks = np.arange(-tab.order, tab.order + 1)
     winding = np.einsum("k,kij,kji->", ks, tab_inv.coeffs[::-1], tab.coeffs)
     if abs(winding) >= 0.5:
@@ -195,14 +193,14 @@ def bocg_residual(psi_tab: FourierTable, n: int, tol: float = 1e-10) -> complex:
         det T_n(psi^{-1}) = E(psi)/G(psi)^n *
             det(I - H(z^{-n} psi) T^{-1}(psitilde) H(psitilde z^{-n}) T^{-1}(psi)),
 
-    on truncations of size m doubled from ``MIN_ORDER`` until one more
+    on truncations of size m doubled from ``MIN_OP_ORDER`` until one more
     doubling moves it by at most ``tol`` relative to max(1, |value|), up to
     ``MAX_OP_ORDER`` (see :func:`dimerdet.spectral._doubled`).  The factor
     tends to 1 as n grows past the coefficient support.
     """
-    return complex(_doubled(lambda m: _bocg_truncated(psi_tab, n, m), MIN_ORDER, MAX_OP_ORDER,
-                            tol, TailNotResolved, "bocg_residual: the truncation",
-                            "MAX_OP_ORDER")[0])
+    return complex(_doubled(lambda m: _bocg_truncated(psi_tab, n, m), MIN_OP_ORDER,
+                            MAX_OP_ORDER, tol, TailNotResolved,
+                            "bocg_residual: the truncation", "MAX_OP_ORDER")[0])
 
 
 def _bocg_truncated(psi_tab: FourierTable, n: int, m: int) -> complex:
@@ -211,16 +209,17 @@ def _bocg_truncated(psi_tab: FourierTable, n: int, m: int) -> complex:
     Multiplying by z^{-n} is an index shift of the coefficient table.  Both
     Hankel sections vanish outside their leading r = N (order - n) rows and
     columns, so the product is block triangular and its determinant is
-    exactly the leading r x r one.
+    exactly the leading r x r one: 1, with nothing factored, once n reaches
+    the order.
     """
+    support = min(m, psi_tab.order - n)
+    if support <= 0:
+        return complex(1.0)
     t_psi = pivoted_lu(toeplitz_section(psi_tab, m))
     t_psit = pivoted_lu(toeplitz_section(psi_tab, m, reflected=True))
     if t_psi[2].is_singular or t_psit[2].is_singular:
         raise TruncatedOperatorSingular("T(psi) or T(psitilde): pivot below threshold")
-    support = min(m, max(0, psi_tab.order - n))
     r = support * psi_tab.block_size
-    if r == 0:
-        return complex(1.0)
     h1 = hankel_section(psi_tab, support, shift=n)
     rhs = np.zeros((m * psi_tab.block_size, r), dtype=complex)
     rhs[:r] = hankel_section(psi_tab, support, shift=n, reflected=True)
@@ -311,8 +310,8 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
         return 1j * np.pi - 0.5 * np.log(_angle_terms(t, x).g)
 
     return ExpRepresentation(ScalarSymbol(a_fn), ScalarSymbol(lambda x: pieces(x)[1]),
-                             MatrixSymbol(lambda x: pieces(x)[3], 2),
-                             MatrixSymbol(reconstructed_fn, 2))
+                             MatrixSymbol(lambda x: pieces(x)[3]),
+                             MatrixSymbol(reconstructed_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +334,7 @@ def alpha_log_tables(params: DimerParams) -> tuple[FourierTable, FourierTable]:
         _, _, _, w, g = _angle_terms(t, x)
         return np.stack([np.log(g), 2.0 * np.log(w.real)], axis=-1)[:, :, None, None] + 0j
 
-    return common_order_tables(logs, 1)
+    return common_order_tables(logs)
 
 
 def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:
@@ -346,18 +345,19 @@ def correction_quotient(params: DimerParams, tol: float = 1e-10) -> complex:
     sigma^{-1} phi); the quotient equals the closed-form ``prefactor``.
     """
     tab1, tab2 = alpha_log_tables(params)
-    a1 = FourierTable(1, tab1.order, -0.5 * tab1.coeffs)
-    a2 = FourierTable(1, tab1.order, 0.5 * (tab1.coeffs + tab2.coeffs))
+    a1 = FourierTable(-0.5 * tab1.coeffs)
+    a2 = FourierTable(0.5 * (tab1.coeffs + tab2.coeffs))
     return correction_factor(a1, 2, tol) / correction_factor(a2, 2, tol)
 
 
 def psi_table(params: DimerParams) -> FourierTable:
-    """The table of the band-3 symbol psi = sigma^{-1} phi, to order 8: the
-    resolved table cut to its coefficients |k| <= 8.  Past the band the cut
-    drops only rounding noise, and it keeps the Hankel supports of
-    :func:`bocg_residual` short."""
-    tab = fourier_coefficients(symbol_psi(params), order=8)
-    return FourierTable(tab.block_size, 8, tab.coeffs[tab.order - 8:tab.order + 9])
+    """The table of the band-3 symbol psi = sigma^{-1} phi, cut at its band:
+    the resolved table's coefficients |k| <= 3.  Past the band they are
+    rounding noise (at most 9.4e-17 at 63 t from 0.01 to 0.99), so the cut
+    drops nothing, and the Hankel supports of :func:`bocg_residual` are
+    empty from n = 3 on."""
+    tab = fourier_coefficients(symbol_psi(params), order=3)
+    return FourierTable(tab.coeffs[tab.order - 3:tab.order + 4])
 
 
 def e_phi_reduction(params: DimerParams, tol: float = 1e-10) -> complex:

@@ -9,18 +9,20 @@ from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
 from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
 from dimerdet.dimer import _weight
 from dimerdet.spectral import (
-    MAX_ORDER,
-    MIN_ORDER,
     TAIL_TOL,
     FourierTable,
     MatrixSymbol,
     ScalarSymbol,
     _grid,
     _stack_entries,
-    as_matrix_symbol,
-    grid_for_order,
     toeplitz_section,
 )
+
+
+def as_1x1(sym: ScalarSymbol) -> MatrixSymbol:
+    """A scalar symbol as the 1 x 1 matrix symbol the table, inverse and
+    geometric-mean routines of ``spectral`` take."""
+    return MatrixSymbol(lambda x: sym(x)[:, None, None])
 
 
 def constant_symbol(value) -> ScalarSymbol:
@@ -34,8 +36,7 @@ def from_entries(rows) -> MatrixSymbol:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("entries must be square")
-    return MatrixSymbol(
-        lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size), n)
+    return MatrixSymbol(lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size))
 
 
 def coeff(tab: FourierTable, k: int) -> np.ndarray:
@@ -57,29 +58,28 @@ def tail_magnitude(tab: FourierTable) -> float:
     return float(np.abs(tab.coeffs[[0, 1, -2, -1]]).max())
 
 
-def fft_table(sym: ScalarSymbol | MatrixSymbol, grid: int, order: int) -> FourierTable:
+def fft_table(sym: MatrixSymbol, grid: int, order: int) -> FourierTable:
     """The table of ``sym`` to ``order`` from one plain FFT of its samples
     on the ``grid`` points the package samples at, without the tail check:
     the fixed-grid reference the resolved tables of ``fourier_coefficients``
     are checked against."""
-    msym = as_matrix_symbol(sym)
-    spec = np.fft.fft(msym.sample(_grid(grid)), axis=0)
-    return FourierTable(msym.block_size, order, spec[np.arange(-order, order + 1) % grid] / grid)
+    spec = np.fft.fft(sym.sample(_grid(grid)), axis=0)
+    return FourierTable(spec[np.arange(-order, order + 1) % grid] / grid)
 
 
 def edge_rule_grid(sample, order: int | None = None) -> int:
     """The grid the edge rule, the table loop's rule before the top-band
     check, sampled last for a family of tables (``sample`` as in
-    ``common_order_tables``): the order K doubles from max(order, MIN_ORDER)
-    on ``grid_for_order(K)`` points until the two outermost coefficient
-    pairs, at +-K and +-(K - 1), of every table have been below
-    ``TAIL_TOL`` on some rung; past K = max(order, MAX_ORDER) it gave up
-    there, on ``grid_for_order`` of that cap."""
-    order = max(order or 0, MIN_ORDER)
-    cap = max(order, MAX_ORDER)
+    ``common_order_tables``): the order K doubles from max(order, 32) on
+    the smallest power-of-two grid of at least 4K + 4 points until the two
+    outermost coefficient pairs, at +-K and +-(K - 1), of every table have
+    been below ``TAIL_TOL`` on some rung; past K = max(order, 4096) it gave
+    up there, on the grid of that cap."""
+    order = max(order or 0, 32)
+    cap = max(order, 4096)
     passed = False
     while True:
-        grid = grid_for_order(order)
+        grid = 1 << (4 * order + 3).bit_length()
         spec = np.fft.fft(sample(_grid(grid)), axis=0) / grid
         edge = spec[np.array([-order, 1 - order, order - 1, order]) % grid]
         passed = passed | (np.abs(edge).max(axis=(0, 2, 3)) <= TAIL_TOL)
@@ -95,7 +95,7 @@ def table_from_coeff_map(coeffs: dict[int, complex], order: int) -> FourierTable
         if abs(k) > order:
             raise ValueError(f"coefficient index {k} beyond order {order}")
         arr[k + order, 0, 0] = v
-    return FourierTable(1, order, arr)
+    return FourierTable(arr)
 
 
 def toeplitz_index(m: int, reflected: bool = False) -> np.ndarray:
@@ -218,7 +218,7 @@ def phi_hat_symbol(t: complex) -> MatrixSymbol:
                               [-(1.0 - t * zc) * d, (1.0 - t * zc) * ep_reflected + zc]],
                               x.size)
 
-    return MatrixSymbol(eval_, 2)
+    return MatrixSymbol(eval_)
 
 
 def theta_section_dense(t: complex, n: int, e_tab: FourierTable,

@@ -40,7 +40,7 @@ from dimerdet.szego import (
     correction_factor,
     hankel_trace,
 )
-from oracles import table_from_coeff_map
+from oracles import as_1x1, table_from_coeff_map
 
 E_T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 
@@ -223,7 +223,7 @@ def test_criterion_11_scalar_widom_randomized():
                 out = out * (1.0 - d / z)
             return out
 
-        tab = fourier_coefficients(ScalarSymbol(sym_eval), order=16)
+        tab = fourier_coefficients(as_1x1(ScalarSymbol(sym_eval)), order=16)
         coeffs = {}
         for k in range(1, 257):
             coeffs[k] = -sum(g ** k for g in gammas) / k

@@ -403,6 +403,8 @@ def test_correlation_at_small_real_part_reaches_limit(t, capsys):
     ("three-way-e", "0.9327", None), ("dimer-toeplitz", "0.0361", None),
     ("dimer-toeplitz", "0.0573", None), ("kernel-closed-forms", "0.0361", None),
     ("kernel-closed-forms", "0.0573", None), ("prefactor", "0.99", None),
+    # 1 - xi_2 formed by cancellation raised InvariantViolation from t = 0.003 down
+    ("lambda", "0.003", None), ("lambda", "0.002", None), ("widom", "0.003", None),
 ])
 def test_verify_resolves_tables_near_the_ends_of_the_interval(identity, t, n, capsys):
     args = ["verify", "--identity", identity, "--t", t] + (["--n", n] if n else [])

@@ -1,6 +1,7 @@
 """Tests for the root algebra, coefficient bundle, and the limit formulas."""
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dimerdet import (
     symbol_psi_inverse,
     toeplitz_section,
 )
+from dimerdet import closed_form
 from dimerdet.continuation import e_plus_d
 from dimerdet.closed_form import (
     coefficient_bundle,
@@ -26,7 +28,7 @@ from dimerdet.closed_form import (
     prefactor,
     spectral_roots,
 )
-from oracles import scalar_coeff, symbol_a_b
+from oracles import as_1x1, scalar_coeff, symbol_a_b
 
 T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 
@@ -98,14 +100,14 @@ def test_roots_inside_the_disk_over_the_wide_box():
 
 
 def test_kl_spot_values():
-    k, l = kl_helpers(0.3, 0.0)
+    k, l = kl_helpers(0.3, 0.0, 1.0)
     assert abs(k + 1.0) < 1e-15
     assert abs(l - 1.0) < 1e-15
 
 
 def test_kl_at_xi1():
     r = spectral_roots(0.3)
-    k, _ = kl_helpers(0.3, r.xi1)
+    k, _ = kl_helpers(0.3, r.xi1, r.one_minus_xi1)
     expected = -8 * r.xi1 / ((1 - r.mu * r.xi1) * (1 - r.xi1 ** 2))
     assert abs(k - expected) < 1e-10
 
@@ -116,20 +118,38 @@ def test_kl_forms_agree_on_random_points():
         x = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.5, 0.5))
         if min(abs(x - 1), abs(x + 1)) < 0.05:
             continue
-        kl_helpers(0.35, x)  # internal 1e-12 identity assertion
+        kl_helpers(0.35, x, 1 - x)  # internal 1e-12 identity assertion
+
+
+@pytest.mark.parametrize("t", [0.3, 0.003, 1e-6])
+@pytest.mark.parametrize("which, index", [(0, 1), (1, 0), (1, 2)])
+def test_l_check_catches_a_coefficient_slip_of_1e_8(monkeypatch, t, which, index):
+    # the check is relative to |k| + |2/(1-x)|, which grows like 1/t as xi_2
+    # nears 1; a slip of 1e-8 in a numerator coefficient of k or l still raises
+    real = closed_form._kl_polynomials
+
+    def slipped(tt):
+        polys = [list(p) for p in real(tt)]
+        polys[which][index] += 1e-8
+        return tuple(map(tuple, polys))
+
+    lambda_value(t)
+    monkeypatch.setattr(closed_form, "_kl_polynomials", slipped)
+    with pytest.raises(InvariantViolation, match="l\\(x\\) forms disagree"):
+        lambda_value(t)
 
 
 def test_kl_pole_rejection():
     with pytest.raises(PoleInput):
-        kl_helpers(0.3, 1.0)
+        kl_helpers(0.3, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7])
 def test_coefficient_bundle_vs_quadrature(t):
     bundle = coefficient_bundle(t)
     a, b = symbol_a_b(DimerParams(t))
-    tab_a = fourier_coefficients(a, order=256)
-    tab_b = fourier_coefficients(b, order=256)
+    tab_a = fourier_coefficients(as_1x1(a), order=256)
+    tab_b = fourier_coefficients(as_1x1(b), order=256)
     assert abs(bundle.a0 - scalar_coeff(tab_a, 0)) < 1e-9
     assert abs(bundle.a1 - scalar_coeff(tab_a, 1)) < 1e-9
     assert abs(bundle.am1 - scalar_coeff(tab_a, -1)) < 1e-9
@@ -203,7 +223,7 @@ def test_lambda_swap_symmetry():
     x1, x2, mu = r.xi2, r.xi1, -r.mu
     alpha = 4 * x1 * x2 / ((1 - x1 * x2) * (x1 - x2))
     swapped = (8 * mu * alpha ** 3 * (x1 - x2) ** 2
-               / (cmath.sqrt(c.omega) * (1 + x1) * (1 + x2)))
+               / (cmath.sqrt(c.roots.omega) * (1 + x1) * (1 + x2)))
     assert abs(swapped - lambda_value(0.3)) < 1e-12
 
 
@@ -260,14 +280,14 @@ def test_correlation_limit_vanishes_at_origin():
 def test_bundle_omega_definition():
     r = spectral_roots(0.45)
     c = coefficient_bundle(0.45)
-    assert abs(c.omega - (1 - 0.45 ** 2 * r.xi1) * (1 - 0.45 ** 2 * r.xi2)) < 1e-14
-    assert c.omega.real > 0
+    assert abs(c.roots.omega - (1 - 0.45 ** 2 * r.xi1) * (1 - 0.45 ** 2 * r.xi2)) < 1e-14
+    assert c.roots.omega.real > 0
 
 
 def test_invariant_violation_surface():
     # sanity: the validator rejects a corrupted root bundle
-    from dimerdet.closed_form import SpectralRoots, _validate_roots
+    from dimerdet.closed_form import _validate_roots
     r = spectral_roots(0.3)
-    bad = SpectralRoots(r.t, r.mu, r.xi1 * 1.01, r.xi2, "corrupted")
+    bad = dataclasses.replace(r, xi1=r.xi1 * 1.01, branch_log="corrupted")
     with pytest.raises(InvariantViolation):
         _validate_roots(bad)

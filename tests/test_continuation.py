@@ -30,12 +30,19 @@ from dimerdet.continuation import (
     _phi_hat_table,
     _scalar_tables,
     b_hat,
-    k_plus_matrix,
     theta_section,
 )
 from dimerdet.cli import main
-from dimerdet.spectral import ScalarSymbol, folded_log_determinant, table_grid
+from dimerdet.dimer import k_plus_matrix
+from dimerdet.spectral import (
+    FourierTable,
+    ScalarSymbol,
+    folded_log_determinant,
+    hankel_section,
+    table_grid,
+)
 from oracles import (
+    as_1x1,
     e_plus_symbol,
     fft_table,
     phi_hat_symbol,
@@ -69,7 +76,7 @@ def test_e_plus_removable_point_at_t_one():
 
 
 def test_e_plus_tail_resolves_at_t_one():
-    tab = fourier_coefficients(e_plus_symbol(1.0), order=2048)
+    tab = fourier_coefficients(as_1x1(e_plus_symbol(1.0)), order=2048)
     assert tail_magnitude(tab) <= 1e-13
 
 
@@ -91,7 +98,7 @@ def test_k_plus_matches_pole_symbol_sections():
     # for |t| < 1, K+ is the section of 1/(e^{-ix} - t) (causal coefficients)
     t = 0.5
     tab = fourier_coefficients(
-        ScalarSymbol(lambda x: 1.0 / (np.exp(-1j * x) - t)), order=48)
+        as_1x1(ScalarSymbol(lambda x: 1.0 / (np.exp(-1j * x) - t))), order=48)
     direct = toeplitz_section(tab, 5)
     assert np.max(np.abs(direct - k_plus_matrix(t, 5))) < 1e-12
 
@@ -105,15 +112,19 @@ def test_b_hat_continues_the_toeplitz_section(n):
     assert abs(det_b - det_t) <= 1e-8 * abs(det_t)
 
 
-def test_det_theta_section_is_one():
-    import dimerdet.spectral as sp
+def theta_plus_table(t: complex) -> FourierTable:
+    """Theta+ = diag(1 - t e^{ix}, 1 - t e^{-ix}): coefficients k = -1, 0, 1."""
     theta = np.zeros((3, 2, 2), dtype=complex)
     theta[1] = np.eye(2)
-    theta[2] = np.diag([-0.7, 0.0])
-    theta[0] = np.diag([0.0, -0.7])
-    tab = sp.FourierTable(2, 1, theta)
+    theta[2] = np.diag([-t, 0.0])
+    theta[0] = np.diag([0.0, -t])
+    return FourierTable(theta)
+
+
+def test_det_theta_section_is_one():
+    tab = theta_plus_table(0.7)
     for n in (1, 4, 9):
-        ld = log_determinant(sp.toeplitz_section(tab, n))
+        ld = log_determinant(toeplitz_section(tab, n))
         assert abs(ld.value - 1.0) < 1e-12
 
 
@@ -132,8 +143,22 @@ def test_fdm_identity(t, n):
 
 
 def test_perturbation_ranks_at_most_two():
-    seq = theta_decomposition(1.0, 12)
-    for op in (seq.k_op, seq.l_op):
+    # K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+), built
+    # densely with phi+ = [[e+, d], [-d, e+tilde]]: each is one row, row 0 of
+    # K the row theta_decomposition carries and row 1 of L it pair-swapped
+    t, n = 1.0, 12
+    e_tab, d_tab = _scalar_tables(t, n)
+    e, d = e_tab.coeffs[:, 0, 0], d_tab.coeffs[:, 0, 0]
+    phi_plus = FourierTable(np.stack([np.stack([e, d], -1), np.stack([-d, e[::-1]], -1)], 1))
+    theta = theta_plus_table(t)
+    k_op = -hankel_section(theta, n) @ hankel_section(phi_plus, n, reflected=True)
+    l_op = -hankel_section(theta, n, reflected=True) @ hankel_section(phi_plus, n)
+    k_row = theta_decomposition(t, n).k_row
+    assert np.max(np.abs(k_op[0] - k_row)) <= 1e-15 * np.max(np.abs(k_row))
+    assert np.max(np.abs(l_op[1] - k_row.reshape(n, 2)[:, ::-1].ravel())) \
+        <= 1e-15 * np.max(np.abs(k_row))
+    for op, row in ((k_op, 0), (l_op, 1)):
+        assert not np.delete(op, row, axis=0).any()
         sv = np.linalg.svd(op, compute_uv=False)
         assert sv[2] <= 1e-12 * sv[0]
 
@@ -209,11 +234,10 @@ def test_theta_section_matches_dense_assembly(t, n):
     tables = _scalar_tables(t, 512)
     slab = theta_section(t, n, *tables)
     assert slab.flags.f_contiguous and slab.shape == (n, 2 * n)
-    seq = theta_decomposition(t, n)
-    # W_n L W_n reverses the order of L's 2 x 2 blocks in both directions
-    wlw = seq.l_op.reshape(n, 2, n, 2)[::-1, :, ::-1, :].reshape(2 * n, 2 * n)
-    dense = (toeplitz_section(fft_table(phi_hat_symbol(t), 4096, 512), n)
-             + seq.k_op + wlw)
+    dense = toeplitz_section(fft_table(phi_hat_symbol(t), 4096, 512), n)
+    # K adds its row to row 0; W_n L W_n adds it reversed to row 2n - 1,
+    # below the slab
+    dense[0] += theta_decomposition(t, n).k_row
     assert np.max(np.abs(slab - dense[:n])) <= 1e-13
     assert np.array_equal(slab, theta_section_dense(t, n, *tables)[:n])
 
@@ -222,11 +246,11 @@ def test_scalar_tables_share_one_order():
     # at this t and floor, e+ resolves at order 510 (grid 1024) and d already
     # at 254 (grid 512)
     t = 0.1
-    assert [fourier_coefficients(sym, order=33).order
+    assert [fourier_coefficients(as_1x1(sym), order=33).order
             for sym in (e_plus_symbol(t), symbol_d(t))] == [510, 254]
     e_tab, d_tab = _scalar_tables(t, 33)
     assert e_tab.order == d_tab.order == 510
-    rebuilt = fft_table(symbol_d(t), table_grid(510), 510)
+    rebuilt = fft_table(as_1x1(symbol_d(t)), table_grid(510), 510)
     assert np.array_equal(d_tab.coeffs, rebuilt.coeffs)
 
 

@@ -28,8 +28,8 @@ from dimerdet.dimer import (
     dimer_coefficients,
     kernel_symbols,
 )
-from dimerdet.spectral import MIN_ORDER, QUAD_TOL, _doubled
-from dimerdet.szego import MAX_OP_ORDER
+from dimerdet.spectral import QUAD_TOL, _doubled
+from dimerdet.szego import MAX_OP_ORDER, MIN_OP_ORDER
 from oracles import _eta, _p, _q, _sigma, coeff, e_plus_symbol, flip_conjugate, symbol_d
 
 
@@ -149,7 +149,7 @@ def test_doubled_grids_reach_twice_a_start_grid_above_the_cap():
     for start, cap, tried in [(256, MAX_QUAD_GRID, [256, 512, 1024, 2048, 4096]),
                               (2048, MAX_QUAD_GRID, [2048, 4096]),
                               (MAX_QUAD_GRID, MAX_QUAD_GRID, [MAX_QUAD_GRID, 2 * MAX_QUAD_GRID]),
-                              (MIN_ORDER, MAX_OP_ORDER, [32, 64, 128, 256, 384])]:
+                              (MIN_OP_ORDER, MAX_OP_ORDER, [32, 64, 128, 256, 384])]:
         grids = []
         with pytest.raises(QuadratureUnconverged, match=f"the cap CAP = {cap}"):
             _doubled(never_settles(grids), start, cap, QUAD_TOL, QuadratureUnconverged,

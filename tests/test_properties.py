@@ -18,7 +18,7 @@ from dimerdet import (
     symbol_psi,
 )
 from dimerdet.cli import RunConfig, run_verify
-from dimerdet.closed_form import spectral_roots
+from dimerdet.closed_form import lambda_value, prefactor, spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
 from dimerdet.spectral import (
     FourierTable,
@@ -33,6 +33,7 @@ from dimerdet.spectral import (
 from dimerdet.szego import _sinhc
 from oracles import (
     _sigma,
+    as_1x1,
     assemble,
     e_plus_symbol,
     fft_table,
@@ -124,16 +125,50 @@ SMALL_RE_T = st.one_of(st.floats(0.0015, 0.01).map(complex), box(0.002, 0.01, 2.
 def test_small_re_t_matches_tables_on_four_times_the_grid(t, n):
     value = correlation_finite(DimerParams(t), n)
     order = _scalar_tables(t, n)[0].order
-    tables = [fft_table(sym, 4 * table_grid(order), order) for sym in (e_plus_symbol(t), symbol_d(t))]
+    tables = [fft_table(as_1x1(sym), 4 * table_grid(order), order)
+              for sym in (e_plus_symbol(t), symbol_d(t))]
     det = folded_log_determinant(theta_section(t, n, *tables)).value
     # P(n) is half the square root of det: agreement of P to 1e-12 is
     # agreement of 4 P^2 to 2e-12, whichever root each side took
     assert np.isfinite(value) and abs(4 * value ** 2 - det) <= 2e-12 * abs(det)
 
 
+def _roots_reference(mp, t: complex) -> tuple[complex, complex, complex]:
+    """1 - xi_2, the prefactor and Lambda to 50 digits, from the small roots
+    of xi^2 - 2h xi + 1, h = 2 +- sqrt(1 - 4t^2)."""
+    with mp.workdps(50):
+        t = mp.mpc(t)
+        mu = mp.sqrt(1 - 4 * t * t)
+        x1, x2 = ((h - mp.sqrt(h * h - 1) if abs(h - mp.sqrt(h * h - 1)) < 1
+                   else h + mp.sqrt(h * h - 1)) for h in (2 + mu, 2 - mu))
+        omega = (1 - t * t * x1) * (1 - t * t * x2)
+        pre = (1 - x1 ** 2) * (1 - x2 ** 2) * (1 - x1 * x2) ** 2 * omega
+        beta = 4 * x1 * x2 / (1 - x1 * x2)
+        lam = -8 * beta ** 2 / (mp.sqrt(omega) * (1 + x1) * (1 + x2))
+        return complex(1 - x2), complex(pre), complex(lam)
+
+
+@SETTINGS
+@given(st.one_of(st.floats(1e-8, 0.05).map(complex), box(1e-6, 0.05, 2.0)))
+@example(0.003 + 0j)
+@example(1e-8 + 0j)
+@example(1e-6 - 2j)
+def test_closed_forms_keep_their_accuracy_as_t_nears_zero(t):
+    # 1 - xi_2 nears 2t as t -> 0: formed as a difference it lost 9.7e-12
+    # relative at t = 1e-3 and 4.4e-5 at 1e-6, and lambda_value raised
+    # InvariantViolation from t = 0.003 down.  Near t = +-i sqrt 2, where
+    # xi_2 = -1 meets the circle, 1 + xi_2 inherits the rounding of t^2
+    # scaled by |t^2 / (2 + t^2)|, which no formula in t^2 avoids
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-13 + 2.0 * np.finfo(float).eps * abs(t * t / (2.0 + t * t))
+    for value, ref in zip((spectral_roots(t).one_minus_xi2, prefactor(t), lambda_value(t)),
+                          _roots_reference(mp, t)):
+        assert abs(value - ref) <= tol * abs(ref)
+
+
 @pytest.mark.parametrize("n", [8, 512])
 def test_tail_not_resolved_past_the_reach(n):
-    with pytest.raises(TailNotResolved, match="grid_for_order"):
+    with pytest.raises(TailNotResolved, match="MAX_GRID = 32768"):
         correlation_finite(DimerParams(1e-6), n)
 
 
@@ -152,7 +187,7 @@ def test_joint_tables_match_the_entries_sampled_alone(t):
     # the final grid gives d bit for bit and e+ to 1e-15
     e_tab, d_tab = _scalar_tables(t, 32)
     grid, order = table_grid(e_tab.order), e_tab.order
-    alone = [fft_table(sym, grid, order) for sym in (e_plus_symbol(t), symbol_d(t))]
+    alone = [fft_table(as_1x1(sym), grid, order) for sym in (e_plus_symbol(t), symbol_d(t))]
     assert d_tab.order == order
     assert np.array_equal(d_tab.coeffs, alone[1].coeffs)
     assert np.max(np.abs(e_tab.coeffs - alone[0].coeffs)) <= 1e-15
@@ -256,7 +291,7 @@ def tables(draw):
     parts = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * (2 * order + 1) * n * n,
                           max_size=2 * (2 * order + 1) * n * n))
     re, im = np.reshape(parts, (2, 2 * order + 1, n, n))
-    return FourierTable(n, order, re + 1j * im)
+    return FourierTable(re + 1j * im)
 
 
 @SETTINGS

@@ -18,16 +18,16 @@ from dimerdet import (
     symbol_phi,
     toeplitz_section,
 )
+from dimerdet import dimer
 from dimerdet.closed_form import spectral_roots
 from dimerdet.spectral import (
+    MAX_GRID,
     FourierTable,
-    MAX_ORDER,
     MatrixSymbol,
     ScalarSymbol,
     TAIL_TOL,
     common_order_tables,
     folded_log_determinant,
-    grid_for_order,
     hankel_section,
     pivoted_lu,
     pointwise_inverse,
@@ -35,6 +35,7 @@ from dimerdet.spectral import (
     table_grid,
 )
 from oracles import (
+    as_1x1,
     coeff,
     constant_symbol,
     e_plus_symbol,
@@ -50,7 +51,7 @@ from oracles import (
 
 
 def harmonic(k):
-    return ScalarSymbol(lambda x: np.exp(1j * k * x))
+    return as_1x1(ScalarSymbol(lambda x: np.exp(1j * k * x)))
 
 
 def test_fourier_single_harmonic():
@@ -73,7 +74,7 @@ def test_fourier_constant_matrix():
 def test_fourier_d_is_odd_and_imaginary():
     # d is odd and real on the circle, so its coefficients are purely
     # imaginary and odd in k
-    tab = fourier_coefficients(symbol_d(0.7), order=64)
+    tab = fourier_coefficients(as_1x1(symbol_d(0.7)), order=64)
     assert abs(scalar_coeff(tab, 0)) < 1e-14
     for k in range(1, 65):
         assert abs(scalar_coeff(tab, -k) + scalar_coeff(tab, k)) < 1e-13
@@ -82,7 +83,7 @@ def test_fourier_d_is_odd_and_imaginary():
 
 def test_fourier_b_coefficient_closed_form():
     _, b = symbol_a_b(DimerParams(0.3))
-    tab = fourier_coefficients(b, order=128)
+    tab = fourier_coefficients(as_1x1(b), order=128)
     roots = spectral_roots(0.3)
     x1, x2 = roots.xi1, roots.xi2
     b1 = -8j * x1 * x2 / ((1 + x1) * (1 + x2) * (1 - x1 * x2))
@@ -94,13 +95,13 @@ def test_fourier_tail_not_resolved():
     # coefficients 0.999^k fall below TAIL_TOL only near order 30000
     slow = ScalarSymbol(lambda x: 1.0 / (1.0 - 0.999 * np.exp(1j * x)))
     with pytest.raises(TailNotResolved):
-        fourier_coefficients(slow)
+        fourier_coefficients(as_1x1(slow))
 
 
 def test_fourier_sample_failure():
     bad = ScalarSymbol(lambda x: np.where(np.abs(x) < 0.1, np.nan, 1.0) + 0j)
     with pytest.raises(SampleFailure):
-        fourier_coefficients(bad)
+        fourier_coefficients(as_1x1(bad))
 
 
 def test_dft_round_trip():
@@ -121,8 +122,19 @@ def test_table_coefficients_are_read_only():
         coeff(tab, 1)[0, 0] = 2.0
 
 
+def test_table_reads_its_order_and_block_size_off_its_coefficients():
+    tab = FourierTable(np.zeros((7, 2, 2), dtype=complex))
+    assert (tab.order, tab.block_size) == (3, 2)
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1), (4, 1, 1), (8, 2, 2), (5, 2, 1), (5, 2)])
+def test_table_rejects_an_even_length_or_non_square_blocks(shape):
+    with pytest.raises(ValueError, match=r"\(2K \+ 1, N, N\)"):
+        FourierTable(np.zeros(shape, dtype=complex))
+
+
 def test_toeplitz_constant():
-    tab = fourier_coefficients(constant_symbol(5.0), order=8)
+    tab = fourier_coefficients(as_1x1(constant_symbol(5.0)), order=8)
     assert np.max(np.abs(toeplitz_section(tab, 3) - 5.0 * np.eye(3))) < 1e-13
 
 
@@ -145,7 +157,7 @@ def padded(tab, order):
     """The same table at a higher order, padded with explicit zero blocks."""
     coeffs = np.zeros((2 * order + 1,) + tab.coeffs.shape[1:], dtype=complex)
     coeffs[order - tab.order:order + tab.order + 1] = tab.coeffs
-    return FourierTable(tab.block_size, order, coeffs)
+    return FourierTable(coeffs)
 
 
 def test_toeplitz_truncation_too_short():
@@ -157,13 +169,13 @@ def test_toeplitz_truncation_too_short():
 
 
 def test_hankel_examples():
-    const = fourier_coefficients(constant_symbol(3.0), order=8)
+    const = fourier_coefficients(as_1x1(constant_symbol(3.0)), order=8)
     assert np.max(np.abs(hankel_section(const, 3))) < 1e-13
     shift = fft_table(harmonic(1), 64, 8)
     assert np.max(np.abs(hankel_section(shift, 2)
                          - np.array([[1, 0], [0, 0]]))) < 1e-13
     cosine = fourier_coefficients(
-        ScalarSymbol(lambda x: 2.0 * np.cos(x) + 0j), order=8)
+        as_1x1(ScalarSymbol(lambda x: 2.0 * np.cos(x) + 0j)), order=8)
     assert np.max(np.abs(hankel_section(cosine, 2)
                          - np.array([[1, 0], [0, 0]]))) < 1e-13
     assert np.array_equal(hankel_section(shift, 5), hankel_section(padded(shift, 9), 5))
@@ -290,7 +302,7 @@ def test_sections_reject_non_finite_coefficients_they_read():
     coeffs = np.zeros((9, 1, 1), dtype=complex)
     coeffs[4] = 1.0
     coeffs[8] = np.nan  # coefficient 4
-    tab = FourierTable(1, 4, coeffs)
+    tab = FourierTable(coeffs)
     with pytest.raises(SampleFailure):
         toeplitz_section(tab, 5)  # reads coefficients -4..4
     with pytest.raises(SampleFailure):
@@ -309,7 +321,7 @@ def test_pointwise_inverse_identity():
 
 def test_pointwise_inverse_geometric_series():
     t = 0.5
-    sym = ScalarSymbol(lambda x: 1.0 - t * np.exp(1j * x))
+    sym = as_1x1(ScalarSymbol(lambda x: 1.0 - t * np.exp(1j * x)))
     tab = fourier_coefficients(pointwise_inverse(sym), order=48)
     for k in range(0, 49):
         assert abs(coeff(tab, k)[0, 0] - t ** k) < 1e-13
@@ -335,7 +347,7 @@ def test_pointwise_inverse_samples_its_argument_once(n):
         calls.append(x.size)
         return np.broadcast_to(base, (x.size, n, n)) * np.exp(1j * x)[:, None, None]
 
-    inv = pointwise_inverse(MatrixSymbol(eval_, n))
+    inv = pointwise_inverse(MatrixSymbol(eval_))
     x = np.linspace(-3, 3, 17)
     vals = inv.sample(x)
     assert calls == [17]
@@ -351,13 +363,13 @@ def test_series_symbol_matches_direct_sum_off_grid(n):
         * 0.7 ** np.abs(ks)[:, None, None]
     x = rng.uniform(-np.pi, np.pi, 37)
     direct = np.einsum("xk,kij->xij", np.exp(1j * np.outer(x, ks)), coeffs)
-    got = series_symbol(FourierTable(n, order, coeffs)).sample(x)
+    got = series_symbol(FourierTable(coeffs)).sample(x)
     assert got.shape == (37, n, n)
     assert np.max(np.abs(got - direct)) < 1e-13
 
 
 def test_pointwise_inverse_singular():
-    sym = ScalarSymbol(lambda x: np.sin(x) + 0j)
+    sym = as_1x1(ScalarSymbol(lambda x: np.sin(x) + 0j))
     inv = pointwise_inverse(sym)
     with pytest.raises(SingularSymbol):
         inv.sample(np.array([0.0, 1.0]))
@@ -365,7 +377,7 @@ def test_pointwise_inverse_singular():
 
 def test_geometric_mean_constant():
     g = 2.5 - 0.3j
-    assert abs(geometric_mean(constant_symbol(g)) - g) < 1e-12
+    assert abs(geometric_mean(as_1x1(constant_symbol(g))) - g) < 1e-12
 
 
 def test_geometric_mean_of_phi_is_one():
@@ -401,13 +413,13 @@ def test_geometric_mean_nonzero_winding():
 
 def test_geometric_mean_singular_symbol():
     with pytest.raises(SingularSymbol):
-        geometric_mean(ScalarSymbol(lambda x: np.sin(x) + 0j))
+        geometric_mean(as_1x1(ScalarSymbol(lambda x: np.sin(x) + 0j)))
 
 
 def test_geometric_mean_multiplicative():
-    f = ScalarSymbol(lambda x: np.exp(0.3 * np.cos(x)) + 0j)
-    g = ScalarSymbol(lambda x: 2.0 + np.cos(x) + 0j)
-    fg = ScalarSymbol(lambda x: (np.exp(0.3 * np.cos(x))) * (2.0 + np.cos(x)) + 0j)
+    f = as_1x1(ScalarSymbol(lambda x: np.exp(0.3 * np.cos(x)) + 0j))
+    g = as_1x1(ScalarSymbol(lambda x: 2.0 + np.cos(x) + 0j))
+    fg = as_1x1(ScalarSymbol(lambda x: (np.exp(0.3 * np.cos(x))) * (2.0 + np.cos(x)) + 0j))
     lhs = geometric_mean(fg)
     rhs = geometric_mean(f) * geometric_mean(g)
     assert abs(lhs - rhs) < 1e-10
@@ -433,9 +445,10 @@ def geometric(r):
 
 
 def counting(sym):
-    """sym, and the list of the number of angles each evaluation saw."""
+    """sym as a 1 x 1 matrix symbol, and the list of the number of angles
+    each evaluation saw."""
     angles = []
-    return ScalarSymbol(lambda x: angles.append(x.size) or sym(x)), angles
+    return as_1x1(ScalarSymbol(lambda x: angles.append(x.size) or sym(x))), angles
 
 
 def test_table_doubling_samples_only_the_new_midpoints():
@@ -454,7 +467,7 @@ def test_geometric_mean_doubling_samples_only_the_new_midpoints():
     assert angles == [256, 256, 512]
 
 
-@pytest.mark.parametrize("sym", [geometric(0.9), symbol_d(0.05 + 1j),
+@pytest.mark.parametrize("sym", [as_1x1(geometric(0.9)), as_1x1(symbol_d(0.05 + 1j)),
                                  symbol_phi(DimerParams(0.1))])
 def test_resolved_table_is_one_fresh_sampling_of_its_grid(sym):
     tab = fourier_coefficients(sym)
@@ -467,7 +480,7 @@ def test_common_order_tables_own_read_only_coefficients():
     def both(x):
         return np.stack([geometric(0.5)(x), geometric(0.9)(x)], axis=1)[:, :, None, None]
 
-    tabs = common_order_tables(both, 1)
+    tabs = common_order_tables(both)
     # 0.5^k alone passes on grid 256; the family stops where 0.9^k passes,
     # on grid 1024
     assert [tab.order for tab in tabs] == [510, 510]
@@ -481,7 +494,7 @@ def test_doubling_rule_returns_first_certified_order(floor, order):
     # the top-band check passes once 0.9^(G/2 - 1) <= 1e-13, i.e. from grid
     # G = 1024 on; the rule doubles from table_grid(floor) (at least 256) and
     # stops at the first pass, with the order G/2 - 2 that grid certifies
-    tab = fourier_coefficients(geometric(0.9), order=floor)
+    tab = fourier_coefficients(as_1x1(geometric(0.9)), order=floor)
     assert tab.order == order
     assert abs(scalar_coeff(tab, 40) - 0.9 ** 40) < 1e-15
 
@@ -489,6 +502,7 @@ def test_doubling_rule_returns_first_certified_order(floor, order):
 @pytest.mark.parametrize("sym", [symbol_d(0.7), symbol_d(0.05 + 1j), e_plus_symbol(0.3),
                                  e_plus_symbol(2.0)])
 def test_half_the_resolved_order_fails_the_tail_check(sym):
+    sym = as_1x1(sym)
     # the check reads the grid's top band, the coefficients at indices
     # G/2 - 1 and G/2 on either side: the outermost pairs of its order-G/2 table
     tab = fourier_coefficients(sym, order=40)
@@ -502,8 +516,8 @@ def test_half_the_resolved_order_fails_the_tail_check(sym):
 @pytest.mark.parametrize("t", [0.3, 0.6, 2.0, 0.8 + 0.3j])
 @pytest.mark.parametrize("entry", [e_plus_symbol, symbol_d])
 def test_resolved_table_equals_the_fixed_size_table(t, entry):
-    resolved = fourier_coefficients(entry(t))
-    fixed = fft_table(entry(t), 4096, 512)
+    resolved = fourier_coefficients(as_1x1(entry(t)))
+    fixed = fft_table(as_1x1(entry(t)), 4096, 512)
     assert resolved.order <= 512
     padded = np.zeros_like(fixed.coeffs)
     padded[512 - resolved.order:513 + resolved.order] = resolved.coeffs
@@ -512,10 +526,10 @@ def test_resolved_table_equals_the_fixed_size_table(t, entry):
 
 def test_doubling_rule_names_its_cap():
     # coefficients 0.999^k need an order near 30000, past the cap grid 32768
-    cap = grid_for_order(MAX_ORDER)
+    cap = MAX_GRID
     with pytest.raises(TailNotResolved, match=rf"order {cap // 2 - 2} on grid {cap}, "
-                                              rf".*grid_for_order\(MAX_ORDER\) = {cap}"):
-        fourier_coefficients(geometric(0.999))
+                                              rf".*MAX_GRID = {cap}"):
+        fourier_coefficients(as_1x1(geometric(0.999)))
     # a floor above the cap's order is still honoured, once, on the next grid
     assert fourier_coefficients(harmonic(1), order=cap // 2 - 1).order == cap - 2
 
@@ -533,8 +547,8 @@ def test_no_table_samples_a_finer_grid_than_the_edge_rule(t, monkeypatch):
 
     real, calls = common_order_tables, []
 
-    def recording(sample, block_size, order=None):
-        tabs = real(sample, block_size, order)
+    def recording(sample, order=None):
+        tabs = real(sample, order)
         calls.append((sample, order, table_grid(tabs[0].order)))
         return tabs
 
@@ -561,11 +575,26 @@ def test_table_grid_is_smallest_power_of_two_whose_order_covers():
         assert grid // 2 - 2 >= order and (grid == 256 or grid // 4 - 2 < order)
 
 
-def test_grid_for_order_is_smallest_admissible_power_of_two():
-    assert grid_for_order(512) == 4096
-    assert grid_for_order(1023) == 4096
-    assert grid_for_order(1024) == 8192
+def test_torus_start_grid_is_smallest_admissible_power_of_two(monkeypatch):
+    # dimer_coefficients for |k| <= K starts its doubling on the smallest
+    # power of two of at least 4K + 4 points
+    class Started(Exception):
+        pass
+
+    def first_rung(values, size, *rest):
+        raise Started(size)
+
+    monkeypatch.setattr(dimer, "_doubled", first_rung)
+
+    def start(k_max):
+        with pytest.raises(Started) as info:
+            dimer.dimer_coefficients(DimerParams(0.3), -k_max, k_max)
+        return info.value.args[0]
+
+    assert start(512) == 4096
+    assert start(1023) == 4096
+    assert start(1024) == 8192
     for order in range(1, 300):
-        grid = grid_for_order(order)
+        grid = start(order)
         assert grid & (grid - 1) == 0
         assert grid // 2 < 4 * order + 4 <= grid

@@ -43,7 +43,7 @@ from dimerdet.szego import (
     correction_factor,
     hankel_trace,
 )
-from oracles import constant_symbol, from_entries, scalar_coeff, table_from_coeff_map
+from oracles import as_1x1, constant_symbol, from_entries, scalar_coeff, table_from_coeff_map
 
 
 def geometric_log_table(gammas, deltas, order=256):
@@ -64,7 +64,7 @@ def laurent_symbol(gammas, deltas):
         for d in deltas:
             out = out * (1.0 - d / z)
         return out
-    return ScalarSymbol(eval_)
+    return as_1x1(ScalarSymbol(eval_))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def laurent_symbol(gammas, deltas):
 # ---------------------------------------------------------------------------
 
 def test_e_operator_identity_symbol():
-    ident = constant_symbol(1.0)
+    ident = as_1x1(constant_symbol(1.0))
     assert abs(szego_E_operator(ident) - 1.0) < 1e-12
 
 
@@ -118,7 +118,7 @@ def test_e_operator_samples_phi_once_per_grid_point():
     # one family run for phi and phi^{-1}, whose tables also give the winding
     # number: at t = 0.8 they resolve at order 254, on 512 points
     phi, angles = symbol_phi(DimerParams(0.8)), []
-    counted = MatrixSymbol(lambda x: angles.append(x.size) or phi.sample(x), 2)
+    counted = MatrixSymbol(lambda x: angles.append(x.size) or phi.sample(x))
     assert abs(szego_E_operator(counted) - szego_E_operator(phi)) == 0.0
     assert angles == [256, 256]
 
@@ -129,6 +129,13 @@ def test_e_operator_truncation_follows_the_tail(t):
     # where the fixed order 256 missed the tolerance
     e_op = szego_E_operator(symbol_phi(DimerParams(t)))
     assert abs(e_op - e_phi(t)) <= 1e-13 * abs(e_phi(t))
+
+
+def test_e_operator_refuses_a_3x3_symbol_as_pointwise_inverse_does():
+    sym = MatrixSymbol(lambda x: np.broadcast_to(np.eye(3) + 0j, (x.size, 3, 3)))
+    for route in (szego_E_operator, lambda s: fourier_coefficients(pointwise_inverse(s))):
+        with pytest.raises(ValueError, match="block size 1 or 2, got 3"):
+            route(sym)
 
 
 @pytest.mark.parametrize("k", [-2, -1, 1, 2])
@@ -199,13 +206,13 @@ def random_table(rng, order, decay=0.5):
     """A scalar table with random complex coefficients decaying like decay^|k|."""
     ks = np.abs(np.arange(-order, order + 1))
     vals = (rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)) * decay ** ks
-    return FourierTable(1, order, vals.reshape(-1, 1, 1))
+    return FourierTable(vals.reshape(-1, 1, 1))
 
 
 def cut(tab, order):
     """The table cut to its coefficients |k| <= order (whole if shorter)."""
     order = min(order, tab.order)
-    return FourierTable(1, order, tab.coeffs[tab.order - order:tab.order + order + 1])
+    return FourierTable(tab.coeffs[tab.order - order:tab.order + order + 1])
 
 
 def test_sliced_sums_equal_per_k_loop():
@@ -233,8 +240,8 @@ def test_correction_factor_trivial_cases():
 def test_correction_factors_reproduce_prefactor():
     params = DimerParams(0.3)
     tab1, tab2 = alpha_log_tables(params)
-    a1 = FourierTable(1, tab1.order, -0.5 * tab1.coeffs)
-    a2 = FourierTable(1, tab1.order, 0.5 * (tab1.coeffs + tab2.coeffs))
+    a1 = FourierTable(-0.5 * tab1.coeffs)
+    a2 = FourierTable(0.5 * (tab1.coeffs + tab2.coeffs))
     ratio = correction_factor(a1, 2) / correction_factor(a2, 2)
     expected = prefactor(0.3)
     assert abs(ratio - expected) <= 1e-8 * abs(expected)
@@ -261,7 +268,7 @@ def test_widom_matches_series_simple():
 
 def test_widom_rejects_unbanded():
     sym = ScalarSymbol(lambda x: np.exp(0.5 * np.cos(x)) + 0j)
-    tab = fourier_coefficients(sym, order=24)
+    tab = fourier_coefficients(as_1x1(sym), order=24)
     with pytest.raises(NotBanded):
         widom_banded_E(tab, 2)
 
@@ -321,6 +328,20 @@ def test_bocg_residual_tends_to_one():
     assert abs(bocg_residual(psi_tab, 12) - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("t", [0.05, 0.4, 0.9])
+def test_bocg_residual_past_the_band_is_one_with_nothing_factored(monkeypatch, t):
+    # psi's table stops at its band 3, so from n = 3 on both Hankel sections
+    # are empty and no truncation of T(psi) is factored
+    from dimerdet import szego
+    shapes = []
+    monkeypatch.setattr(szego, "pivoted_lu", lambda a: shapes.append(a.shape) or pivoted_lu(a))
+    psi_tab = psi_table(DimerParams(t))
+    assert psi_tab.order == 3
+    for n in (3, 4, 12):
+        assert bocg_residual(psi_tab, n) == 1.0
+    assert shapes == []
+
+
 def test_bocg_consistent_with_banded_formula_at_band():
     # at n equal to the band, E/G^n times the residual reduces to the
     # banded finite-determinant formula
@@ -363,7 +384,7 @@ def test_bocg_residual_matches_dense_on_a_full_table():
     coeffs = (rng.normal(size=(25, 2, 2)) + 1j * rng.normal(size=(25, 2, 2))) \
         * 0.8 ** ks[:, None, None]
     coeffs[12] += 8.0 * np.eye(2)
-    tab = FourierTable(2, 12, coeffs)
+    tab = FourierTable(coeffs)
     for n in (0, 2, 6, 11, 12):
         dense = bocg_dense(tab, n, 8)
         assert abs(_bocg_truncated(tab, n, 8) - dense) <= 1e-12 * abs(dense)
