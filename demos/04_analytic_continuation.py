@@ -11,14 +11,17 @@ corrections, which is the structural reason the convergence survives.
 
 import numpy as np
 
-from dimerdet import e_phi, limit_scan, theta_decomposition
+from dimerdet import DimerParams, correlation_limit, correlation_scan, theta_decomposition
+from dimerdet.continuation import errors_decreasing
 
+ns = [4, 8, 16, 32]
 for t in (0.6, 1.0, 1.2, 0.8 + 0.3j):
-    scan = limit_scan(t, [4, 8, 16, 32])
-    print(f"t = {t}:   target E = {e_phi(t):.10f}")
-    for row in scan.rows:
-        print(f"   n = {row.n:3d}   det = {row.value:.12f}   error = {row.abs_error:.2e}")
-    print(f"   errors decreasing: {scan.errors_decreasing}")
+    limit = correlation_limit(t)
+    values = correlation_scan(DimerParams(t), ns)
+    print(f"t = {t}:   limit P = {limit:.10f}")
+    for n, value in zip(ns, values):
+        print(f"   n = {n:3d}   P(n) = {value:.12f}   error = {abs(value - limit):.2e}")
+    print(f"   errors decreasing: {errors_decreasing(ns, values, limit)}")
     print()
 
 print("Toeplitz-plus-perturbation form (t = 1, n = 8):")

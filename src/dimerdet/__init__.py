@@ -10,7 +10,7 @@ positive real part.
 """
 
 from .closed_form import correlation_limit, e_phi, lambda_value
-from .continuation import correlation_finite, limit_scan, theta_decomposition
+from .continuation import correlation_finite, correlation_scan, theta_decomposition
 from .dimer import (
     DimerParams,
     dimer_matrix,
@@ -48,9 +48,9 @@ from .szego import (
 #: the functions the README and the demos call, the parameter type, and the
 #: error hierarchy; everything else is imported from the module defining it
 __all__ = [
-    "bocg_residual", "correlation_finite", "correlation_limit", "dimer_matrix", "e_phi",
-    "e_phi_reduction", "exp_representation", "fourier_coefficients", "geometric_mean",
-    "lambda_value", "limit_scan", "log_determinant", "psi_table", "symbol_phi", "symbol_psi",
+    "bocg_residual", "correlation_finite", "correlation_limit", "correlation_scan",
+    "dimer_matrix", "e_phi", "e_phi_reduction", "exp_representation", "fourier_coefficients",
+    "geometric_mean", "lambda_value", "log_determinant", "psi_table", "symbol_phi", "symbol_psi",
     "symbol_psi_inverse", "szego_E_operator", "theta_decomposition", "toeplitz_section",
     "widom_banded_E",
     "DimerParams",

@@ -1,5 +1,6 @@
-"""Batch command-line surface: correlation tables, sweeps, convergence scans,
-and the identity-verification suite, with CSV/JSON emission.
+"""Batch command-line surface: correlation tables (``convergence`` is
+``correlation`` with ``--n-list`` required), sweeps, and the
+identity-verification suite, with CSV/JSON emission.
 
 Exit codes: 0 success, 2 configuration rejected or output file unwritable,
 3 numerical failure, a failed memory allocation, or an identity that failed
@@ -28,7 +29,7 @@ from .continuation import (
     correlation_finite,
     correlation_scan,
     e_plus_d,
-    limit_scan,
+    errors_decreasing,
     theta_decomposition,
 )
 from .dimer import (
@@ -113,7 +114,7 @@ def parse_switch(text: str) -> bool:
 COMMANDS = {
     "correlation": "finite-n and limiting correlation at one t",
     "sweep": "correlation limit over a t grid",
-    "convergence": "determinant convergence table at one t",
+    "convergence": "correlation with --n-list required: P(n) against the limit",
     "verify": "run named identity checks",
 }
 
@@ -140,12 +141,13 @@ class RunConfig:
     n_list: list[int] = option(parse_n_list, "comma-separated increasing separations",
                                ("correlation", "convergence"), ())
     identity: str = option(str, "one of {identities}, or 'all'", ("verify",), "all")
-    tolerance: float = option(parse_finite, "tolerance of truncated series and operators",
-                              default=1e-10, flag="--tol")
+    tolerance: float = option(parse_finite, "tolerance of truncated series and operators "
+                              "(read by verify only)", default=1e-10, flag="--tol")
     output: str | None = option(str, "write to this file instead of standard output")
     format: str = option(str, "csv or json", default="csv")
     precision: int = option(int, "CSV significant digits (default 12)", default=12)
-    seed: int = option(int, "seed of the randomized checks", default=1234)
+    seed: int = option(int, "seed of the randomized checks (read by verify only)",
+                       default=1234)
     verify_roots: bool = option(parse_switch, "check the spectral roots of every row",
                                 ("sweep",), False)
 
@@ -243,24 +245,23 @@ def _row(t, n, value, target, note=None, with_note=False):
 
 
 def run_correlation(cfg: RunConfig) -> dict:
+    """``correlation`` and ``convergence``: the limit row, then P(n) against
+    the limit for the n of ``--n`` or ``--n-list``; a list's report also
+    says whether its errors fall, and warns when they do not."""
     t = cfg.t
     limit = correlation_limit(t)
     rows = [_row(t, None, limit, limit)]
+    report = {"command": cfg.command, "rows": rows, "columns": VALUE_COLUMNS}
     ns = cfg.n_list or ([cfg.n] if cfg.n is not None else [])
     if ns:
         values = correlation_scan(DimerParams(t), ns)
         rows += [_row(t, n, value, limit) for n, value in zip(ns, values)]
-    return {"command": "correlation", "rows": rows, "columns": VALUE_COLUMNS}
-
-
-def run_convergence(cfg: RunConfig) -> dict:
-    scan = limit_scan(cfg.t, cfg.n_list)
-    rows = [_row(cfg.t, r.n, r.value, scan.target) for r in scan.rows]
-    if not scan.errors_decreasing:
-        print("warning: convergence errors are not monotonically decreasing",
-              file=sys.stderr)
-    return {"command": "convergence", "rows": rows, "columns": VALUE_COLUMNS,
-            "errors_decreasing": scan.errors_decreasing}
+        if cfg.n_list:
+            report["errors_decreasing"] = errors_decreasing(ns, values, limit)
+            if not report["errors_decreasing"]:
+                print("warning: convergence errors are not monotonically decreasing",
+                      file=sys.stderr)
+    return report
 
 
 def _sweep_row(cfg: RunConfig, t: complex) -> dict:
@@ -582,7 +583,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 RUNNERS = {
     "correlation": run_correlation,
     "sweep": run_sweep,
-    "convergence": run_convergence,
+    "convergence": run_correlation,
     "verify": run_verify,
 }
 

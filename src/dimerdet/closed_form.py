@@ -22,7 +22,7 @@ from .errors import InvariantViolation, PoleInput, half_plane_t
 class SpectralRoots:
     """The bundle (mu, xi1, xi2) with a record of branch choices, and the
     differences the closed forms read, each formed without cancellation:
-    1 - xi1, 1 - xi2 and omega = (1 - t^2 xi1)(1 - t^2 xi2)."""
+    1 - xi_i, 1 + xi_i and omega = (1 - t^2 xi1)(1 - t^2 xi2)."""
 
     t: complex
     mu: complex
@@ -30,6 +30,8 @@ class SpectralRoots:
     xi2: complex
     one_minus_xi1: complex
     one_minus_xi2: complex
+    one_plus_xi1: complex
+    one_plus_xi2: complex
     omega: complex
     branch_log: str
 
@@ -49,6 +51,29 @@ class CoefficientBundle:
     beta: complex
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly, by Veltkamp's split
+    of each factor into halves of 26 bits (Dekker, Numer. Math. 18, 1971)."""
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_plus_square(t: complex) -> complex:
+    """2 + t^2 with its real part 2 + x^2 - y^2 (t = x + iy) summed from the
+    error-free squares of :func:`_two_product`, so it keeps its relative
+    accuracy where it nears 0, at t = +-i sqrt 2: there 2 - fl(y^2) is exact
+    and the rounding of y^2 is added back."""
+    x, y = t.real, t.imag
+    px, ex = _two_product(x, x)
+    py, ey = _two_product(y, y)
+    return complex(((2.0 - py) + px) + (ex - ey), 2.0 * x * y)
+
+
 def spectral_roots(t: complex) -> SpectralRoots:
     """Roots xi_i with |xi_i| < 1 from the quartic factorization.
 
@@ -60,10 +85,12 @@ def spectral_roots(t: complex) -> SpectralRoots:
     Algorithms, 2002, sec. 1.8).  For xi_2, as Re mu >= 0, 1 - t^2 - mu is
     t^2 (3 - mu) / (1 + mu) and 1 - mu is 4t^2 / (1 + mu), so
     1 - xi = (h - 1 + r) / (h + r) keeps its relative accuracy where xi_2
-    nears 1, as t -> 0.  Likewise 1 - t^2 xi = (a + r) / (h + r) with
-    a = h - t^2, and where a + r is the smaller of a -+ r it is read off
-    (a + r)(a - r) = (mu -+ t^2)^2: 1 - t^2 xi_2 nears 0 as t nears
-    +-i sqrt(2 + sqrt 5).
+    nears 1, as t -> 0; and 3 - mu is 4(2 + t^2) / (3 + mu), 2 + t^2 from
+    :func:`_two_plus_square`, so 1 + xi_2 = (3 - mu + r) / (h + r) keeps it
+    where xi_2 nears -1, as t nears +-i sqrt 2 (for xi_1, h + 1 = 3 + mu).
+    Likewise 1 - t^2 xi = (a + r) / (h + r) with a = h - t^2, and where
+    a + r is the smaller of a -+ r it is read off (a + r)(a - r) =
+    (mu -+ t^2)^2: 1 - t^2 xi_2 nears 0 as t nears +-i sqrt(2 + sqrt 5).
     The defining invariants (xi_i + 1/xi_i = 4 +/- 2 mu, the factorization
     residual on the circle) are validated, relative to their size, before
     returning.
@@ -72,39 +99,45 @@ def spectral_roots(t: complex) -> SpectralRoots:
     tt = t * t
     mu = cmath.sqrt(1.0 - 4.0 * tt)
     log = [f"mu principal sqrt -> {mu!r}"]
-    xis, comps, omega = [], [], 1.0
-    # each root's sign, h - 1 and r^2 / 4, none formed by a difference
-    for name, sign, h_minus_one, radicand in (
-            ("xi1", 1.0, 1.0 + mu, 1.0 - tt + mu),
-            ("xi2", -1.0, 4.0 * tt / (1.0 + mu), tt * (3.0 - mu) / (1.0 + mu))):
+    three_minus_mu = 4.0 * _two_plus_square(t) / (3.0 + mu)
+    xis, one_minus, one_plus, omega = [], [], [], 1.0
+    # each root's sign, h - 1, h + 1 and r^2 / 4, none formed by a difference
+    for name, sign, h_minus_one, h_plus_one, radicand in (
+            ("xi1", 1.0, 1.0 + mu, 3.0 + mu, 1.0 - tt + mu),
+            ("xi2", -1.0, 4.0 * tt / (1.0 + mu), three_minus_mu,
+             tt * (three_minus_mu / (1.0 + mu)))):
         h, r = 2.0 + sign * mu, 2.0 * cmath.sqrt(radicand)
         plus = abs(h + r) >= abs(h - r)
         r = r if plus else -r
         a = h - tt
-        a_plus_r = a + r if abs(a + r) >= abs(a - r) else (mu - sign * tt) ** 2 / (a - r)
+        # (mu -+ t^2) / (a - r) first: its square overflows from |t| of about 1e127
+        a_plus_r = (a + r if abs(a + r) >= abs(a - r)
+                    else (mu - sign * tt) / (a - r) * (mu - sign * tt))
         xis.append(1.0 / (h + r))
-        comps.append((h_minus_one + r) / (h + r))
+        one_minus.append((h_minus_one + r) / (h + r))
+        one_plus.append((h_plus_one + r) / (h + r))
         omega *= a_plus_r / (h + r)
         log.append(f"{name} = 1/(h {'+' if plus else '-'} r)")
-    roots = SpectralRoots(t, mu, *xis, *comps, omega, "; ".join(log))
+    roots = SpectralRoots(t, mu, *xis, *one_minus, *one_plus, omega, "; ".join(log))
     _validate_roots(roots)
     return roots
 
 
 def _validate_roots(r: SpectralRoots) -> None:
+    # each test is written so that a NaN fails it
     for name, xi, sign in (("xi1", r.xi1, 1.0), ("xi2", r.xi2, -1.0)):
-        if abs(xi) >= 1.0:
+        if not abs(xi) < 1.0:
             raise InvariantViolation(f"|{name}| = {abs(xi)} >= 1 at t={r.t}")
         two_h = 4.0 + 2.0 * sign * r.mu
         res = abs(xi + 1.0 / xi - two_h) / abs(two_h)
-        if res > 1e-12:
+        if not res <= 1e-12:
             raise InvariantViolation(f"{name} relative sum residual {res:.2e} at t={r.t}")
     y = np.exp(2j * np.pi * np.arange(16) / 16)
     lhs = y ** 2 - 8 * y + (14 + 16 * r.t ** 2) - 8 / y + y ** -2
     rhs = ((1 - r.xi1 * y) * (1 - r.xi2 * y) * (1 - r.xi1 / y) * (1 - r.xi2 / y)
            / (r.xi1 * r.xi2))
     res = float(np.max(np.abs(lhs - rhs))) / max(1.0, abs(16 * r.t ** 2))
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise InvariantViolation(f"relative factorization residual {res:.2e} at t={r.t}")
 
 
@@ -118,23 +151,26 @@ def _power_sum(coeffs, x: complex) -> complex:
     return sum(c * x ** m for m, c in enumerate(coeffs))
 
 
-def kl_helpers(t: complex, x: complex, one_minus_x: complex) -> tuple[complex, complex]:
-    """The rational helpers k(x) and l(x) = k(x) + 2/(1-x), with 1 - x
-    given, so a root near 1 (xi_2 as t -> 0) keeps its relative accuracy.
+def kl_helpers(t: complex, x: complex, one_minus_x: complex,
+               one_plus_x: complex) -> tuple[complex, complex]:
+    """The rational helpers k(x) and l(x) = k(x) + 2/(1-x), with 1 - x and
+    1 + x given, so a root near 1 (xi_2 as t -> 0) or near -1 (xi_2 as t
+    nears +-i sqrt 2) keeps its relative accuracy.
 
     l is evaluated both ways (single rational form and k + 2/(1-x)) and the
     identity asserted to 1e-12 relative to |k| + |2/(1-x)|, the scale of the
     rounding in the sum, which guards against transcription slips in the
     coefficient algebra.
     """
-    t, x, one_minus_x = complex(t), complex(x), complex(one_minus_x)
-    for pole, gap in ((1.0, one_minus_x), (-1.0, 1.0 + x)):
+    t, x = complex(t), complex(x)
+    one_minus_x, one_plus_x = complex(one_minus_x), complex(one_plus_x)
+    for pole, gap in ((1.0, one_minus_x), (-1.0, one_plus_x)):
         if abs(gap) < 1e-12:
             raise PoleInput(f"x={x} at pole {pole}")
     if abs(1.0 - t * t * x) < 1e-12:
         raise PoleInput(f"x={x} at pole 1/t^2")
     k_num, l_num, _ = _kl_polynomials(t * t)
-    den = (1.0 - t * t * x) * one_minus_x * (1.0 + x)
+    den = (1.0 - t * t * x) * one_minus_x * one_plus_x
     k = _power_sum(k_num, x) / den
     pole_term = 2.0 / one_minus_x
     l = k + pole_term
@@ -165,7 +201,7 @@ def coefficient_bundle(t: complex) -> CoefficientBundle:
     x1, x2 = r.xi1, r.xi2
     tt = t * t
     beta = 4.0 * x1 * x2 / (1.0 - x1 * x2)
-    k2, l2 = kl_helpers(t, x2, r.one_minus_xi2)
+    k2, l2 = kl_helpers(t, x2, r.one_minus_xi2, r.one_plus_xi2)
     k_num, l_num, den = _kl_polynomials(tt)
 
     def dd(j, num, f2):  # beta [xi1, xi2] x^j N/D, with f2 = N/D at xi2
@@ -174,7 +210,7 @@ def coefficient_bundle(t: complex) -> CoefficientBundle:
     return CoefficientBundle(
         roots=r, a0=t * dd(1, k_num, k2), a1=dd(0, l_num, l2), am1=dd(1, l_num, l2),
         a2=t * dd(0, k_num, k2), am2=t * dd(2, k_num, k2),
-        b1=-2j * beta / ((1.0 + x1) * (1.0 + x2)), beta=beta)
+        b1=-2j * beta / (r.one_plus_xi1 * r.one_plus_xi2), beta=beta)
 
 
 def lambda_long_form(t: complex, bundle: CoefficientBundle | None = None) -> complex:
@@ -199,8 +235,8 @@ def lambda_value(t: complex) -> complex:
     """
     t = complex(t)
     c = coefficient_bundle(t)
-    x1, x2 = c.roots.xi1, c.roots.xi2
-    value = -8.0 * c.beta ** 2 / (cmath.sqrt(c.roots.omega) * (1.0 + x1) * (1.0 + x2))
+    r = c.roots
+    value = -8.0 * c.beta ** 2 / (cmath.sqrt(r.omega) * r.one_plus_xi1 * r.one_plus_xi2)
     long = lambda_long_form(t, c)
     if abs(value - long) > 1e-9 * max(1.0, abs(value)):
         raise InvariantViolation(
@@ -211,23 +247,46 @@ def lambda_value(t: complex) -> complex:
 def prefactor(t: complex) -> complex:
     """(1-xi1^2)(1-xi2^2)(1-xi1 xi2)^2 (1-t^2 xi1)(1-t^2 xi2), with each
     1 - xi_i^2 = (1 - xi_i)(1 + xi_i) and the last two factors, omega, from
-    the differences :func:`spectral_roots` forms without cancellation."""
+    the sums and differences :func:`spectral_roots` forms without
+    cancellation."""
     r = spectral_roots(t)
-    return (r.one_minus_xi1 * (1.0 + r.xi1) * r.one_minus_xi2 * (1.0 + r.xi2)
+    return (r.one_minus_xi1 * r.one_plus_xi1 * r.one_minus_xi2 * r.one_plus_xi2
             * (1.0 - r.xi1 * r.xi2) ** 2 * r.omega)
+
+
+def _inverted_limit(t: complex) -> tuple[complex, complex]:
+    """(u, S) with u = 1/t and e_phi(t) = u^2 / S, for |t| > 1: the terms of
+    e_phi divided by t^4, S = 2(1 + 2u^2) + (2 + u^2) sqrt(1 + 2u^2), where
+    t^3 would overflow from |t| of about 6e102.  1 + 2u^2 is (2 + t^2) u^2,
+    2 + t^2 from :func:`_two_plus_square`, so S keeps its accuracy near
+    t = +-i sqrt 2.  For |t| > 1, u / sqrt(S) is the principal root of e_phi
+    (at some |t| < 1 it is the other one)."""
+    u = 1.0 / t
+    w = _two_plus_square(t) * u * u
+    return u, 2.0 * w + (2.0 + u * u) * cmath.sqrt(w)
 
 
 def e_phi(t: complex) -> complex:
     """The determinant limit t / (2t(2+t^2) + (1+2t^2) sqrt(2+t^2)).
 
     Regular on the whole half-plane Re(t) > 0, including t = 1/2 and t = 1;
-    sqrt is the principal branch (positive for real t).
+    sqrt is the principal branch (positive for real t).  For |t| > 1 it is
+    taken in u = 1/t (:func:`_inverted_limit`).
     """
     t = half_plane_t(t)
+    if abs(t) > 1.0:
+        u, big_s = _inverted_limit(t)
+        return u / big_s * u
     s = cmath.sqrt(2.0 + t * t)
     return t / (2.0 * t * (2.0 + t * t) + (1.0 + 2.0 * t * t) * s)
 
 
 def correlation_limit(t: complex) -> complex:
-    """The monomer-monomer correlation limit, (1/2) sqrt(e_phi(t))."""
+    """The monomer-monomer correlation limit, (1/2) sqrt(e_phi(t)); for
+    |t| > 1, (1/2) u / sqrt(S) of :func:`_inverted_limit`, which squares no
+    u."""
+    t = half_plane_t(t)
+    if abs(t) > 1.0:
+        u, big_s = _inverted_limit(t)
+        return 0.5 * u / cmath.sqrt(big_s)
     return 0.5 * cmath.sqrt(e_phi(t))

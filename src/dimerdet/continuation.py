@@ -10,8 +10,9 @@ T_n(phi_hat) + P_n K P_n + W_n L W_n.
 That section is centrosymmetric, so :func:`theta_section` builds only its
 top n rows and its determinant is two n x n LUs (the fold of
 :func:`dimerdet.spectral.folded_log_determinant`).
-:func:`correlation_scan` (with :func:`correlation_finite`, its one-n case)
-and :func:`limit_scan` use it, one e+/d table pair per scan; ``b_hat`` is
+:func:`correlation_scan` is the one scan along it, one e+/d table pair per
+list of n (:func:`correlation_finite` is its one-n case, and
+:func:`errors_decreasing` reads its rows against the limit); ``b_hat`` is
 only a reference checked against it, and so are the sampled phi_hat symbol
 and the dense 2n x 2n section of the tests.
 """
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import e_phi
 from .errors import (
     BranchFailure,
     DecompositionMismatch,
@@ -179,30 +179,25 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     return ContinuedSequence(t, n, lhs_mat, k_row, residual)
 
 
-def _section_dets(t: complex, n_list: list[int]) -> list[complex]:
-    """det :func:`theta_section` for each n of the strictly increasing
-    ``n_list``, from one e+/d table pair resolved to at least max(n_list),
-    each from two n x n LUs (:func:`dimerdet.spectral.folded_log_determinant`)."""
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    e_tab, d_tab = _scalar_tables(t, max(n_list))
-    return [folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value for n in n_list]
-
-
 def correlation_scan(params: DimerParams, n_list: list[int]) -> list[complex]:
     """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root, for each
-    n of the strictly increasing ``n_list``; the e+ and d tables are resolved
-    once, to at least order max(n_list).  For real t an imaginary residue up
-    to 1e-10 is dropped.
+    n of the strictly increasing ``n_list``, each det from two n x n LUs
+    (:func:`dimerdet.spectral.folded_log_determinant`); the e+ and d tables
+    are resolved once, to at least order max(n_list).  For real t an
+    imaginary residue up to 1e-10 |P(n)| is dropped.
     """
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     t = params.t
+    e_tab, d_tab = _scalar_tables(t, max(n_list))
     values = []
-    for det in _section_dets(t, n_list):
-        val = 0.5 * np.sqrt(det)
+    for n in n_list:
+        val = 0.5 * np.sqrt(folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value)
         if t.imag == 0.0:
-            if abs(val.imag) > 1e-10:
+            if abs(val.imag) > 1e-10 * abs(val):
                 raise InvariantViolation(
-                    f"correlation at real t has imaginary residue {val.imag:.3e}")
+                    f"correlation at real t has imaginary residue {val.imag:.3e}, "
+                    f"{abs(val.imag) / abs(val):.3e} of |P({n})|")
             val = val.real
         values.append(complex(val))
     return values
@@ -213,33 +208,11 @@ def correlation_finite(params: DimerParams, n: int) -> complex:
     return correlation_scan(params, [n])[0]
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    n: int
-    value: complex
-    abs_error: float
-
-
-@dataclass(frozen=True)
-class LimitScan:
-    t: complex
-    target: complex
-    rows: tuple[ScanRow, ...]
-
-    @property
-    def errors_decreasing(self) -> bool:
-        """Each error below the one before it, or within the rounding level
-        of its 2n x 2n LU determinant, 2n eps |target|."""
-        return all(b.abs_error < a.abs_error or b.abs_error <= 2 * b.n * _EPS * abs(self.target)
-                   for a, b in zip(self.rows, self.rows[1:]))
-
-
-def limit_scan(t: complex, n_list: list[int]) -> LimitScan:
-    """det of :func:`theta_section` along increasing n, with distances to
-    the closed-form limit; the e+ and d tables are built once for all n.
-    """
-    t = complex(t)
-    target = e_phi(t)
-    rows = tuple(ScanRow(n, det, abs(det - target))
-                 for n, det in zip(n_list, _section_dets(t, n_list)))
-    return LimitScan(t, target, rows)
+def errors_decreasing(n_list: list[int], values: list[complex], limit: complex) -> bool:
+    """Whether the errors |P(n) - limit| of a :func:`correlation_scan` fall
+    along ``n_list``: each below the one before it, or within n eps |limit|,
+    the rounding level of P(n) = (1/2) sqrt(det) for a 2n x 2n LU
+    determinant, where the order of two errors carries no information."""
+    errors = [abs(value - limit) for value in values]
+    return all(b < a or b <= n * _EPS * abs(limit)
+               for n, a, b in zip(n_list[1:], errors, errors[1:]))

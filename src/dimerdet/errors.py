@@ -6,7 +6,7 @@ library's numerical failures separately from programming errors
 check of the model parameter lives here too, below every module that reads it.
 """
 
-import math
+import cmath
 
 
 class DimerdetError(Exception):
@@ -18,11 +18,12 @@ class ParameterOutOfRange(DimerdetError):
 
 
 def half_plane_t(t) -> complex:
-    """``t`` as a complex number, if both its parts are finite and Re(t) > 0;
-    else ParameterOutOfRange."""
+    """``t`` as a complex number, if Re(t) > 0 and t^2 is finite (so is t);
+    else ParameterOutOfRange.  Every closed form reads t^2, and from
+    |t| of about 1.3e154 it overflows."""
     t = complex(t)
-    if not (t.real > 0 and math.isfinite(t.real) and math.isfinite(t.imag)):
-        raise ParameterOutOfRange(f"t must be finite with Re(t) > 0, got {t}")
+    if not (t.real > 0 and cmath.isfinite(t * t)):
+        raise ParameterOutOfRange(f"t must have Re(t) > 0 and a finite t^2, got {t}")
     return t
 
 

@@ -236,9 +236,9 @@ def _bocg_truncated(psi_tab: FourierTable, n: int, m: int) -> complex:
 
 @dataclass(frozen=True)
 class ExpRepresentation:
-    """The pieces of phi = exp(a I_2 + b Q) and the reconstructed symbol."""
+    """The pieces b and Q of phi = exp(a I_2 + b Q), and the reconstructed
+    symbol, which takes e^a in closed form."""
 
-    a: ScalarSymbol
     b: ScalarSymbol
     q_part: MatrixSymbol
     reconstructed: MatrixSymbol
@@ -306,10 +306,7 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
         val = (b * _sinhc(bd))[:, None, None] * q + np.cosh(bd)[:, None, None] * np.eye(2)
         return (-1.0 / root_g)[:, None, None] * val
 
-    def a_fn(x):
-        return 1j * np.pi - 0.5 * np.log(_angle_terms(t, x).g)
-
-    return ExpRepresentation(ScalarSymbol(a_fn), ScalarSymbol(lambda x: pieces(x)[1]),
+    return ExpRepresentation(ScalarSymbol(lambda x: pieces(x)[1]),
                              MatrixSymbol(lambda x: pieces(x)[3]),
                              MatrixSymbol(reconstructed_fn))
 

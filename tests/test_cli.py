@@ -291,6 +291,40 @@ def test_sweep_empty_grid(capsys):
     assert parse_csv(out) == []
 
 
+def _strict_json(text):
+    """The JSON payload; a NaN or an infinity in it raises."""
+    def reject(name):
+        raise ValueError(f"{name} in the JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("t", ["1e50", "1e103", "1e110", "1e150", "1e120+1e120i"])
+def test_limit_row_at_large_t_matches_mpmath(t, capsys):
+    # t^3 overflowed: the limit read exactly 0 from t of about 6e102, and nan
+    # at 1e120+1e120i
+    mp = pytest.importorskip("mpmath")
+    code, out = run_cli(["correlation", "--t", t, "--format", "json"], capsys)
+    assert code == 0
+    row = _strict_json(out)["rows"][0]
+    with mp.workdps(40):
+        tm = mp.mpc(parse_complex(t))
+        e = tm / (2 * tm * (2 + tm ** 2) + (1 + 2 * tm ** 2) * mp.sqrt(2 + tm ** 2))
+        ref = complex(mp.sqrt(e) / 2)
+    assert abs(complex(row["value_re"], row["value_im"]) - ref) <= 1e-14 * abs(ref)
+
+
+def test_sweep_past_the_reach_of_t_squared_notes_the_row(capsys):
+    # spectral_roots raised OverflowError on t^2: a traceback and exit 1
+    code = main(["sweep", "--t-start", "1e150", "--t-stop", "1e160", "--t-count", "3",
+                 "--verify-roots", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = _strict_json(captured.out)["rows"]
+    assert rows[0]["note"] == "roots: ok"
+    assert all(row["note"].startswith("error:") for row in rows[1:])
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_complex_row(capsys):
     code, out = run_cli(["sweep", "--t-start", "0.8", "--t-stop", "0.8",
                          "--t-count", "1", "--t-imag", "0.3", "--n", "8"], capsys)
@@ -306,8 +340,34 @@ def test_convergence_table(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["errors_decreasing"] is True
-    errs = [row["abs_error"] for row in payload["rows"]]
+    # the limit row first, then P(n) for each n against it
+    assert [row["n"] for row in payload["rows"]] == [None, 4, 8, 16]
+    errs = [row["abs_error"] for row in payload["rows"][1:]]
     assert errs == sorted(errs, reverse=True)
+
+
+@pytest.mark.parametrize("t, n_list", [("0.6", "4,8,16"), ("0.8+0.3i", "8,16,32"),
+                                       ("2", "4,8"), ("0.02", "16,32")])
+def test_convergence_is_correlation_n_list_under_its_own_name(t, n_list, capsys):
+    reports = []
+    for command in ("convergence", "correlation"):
+        code, out = run_cli([command, "--t", t, "--n-list", n_list, "--format", "json"], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert [report.pop("command") for report in reports] == ["convergence", "correlation"]
+    assert reports[0] == reports[1]
+    assert "errors_decreasing" in reports[1]
+
+
+def test_correlation_n_list_warns_when_errors_grow(monkeypatch, capsys):
+    # every --n-list report, under either name, checks its errors
+    import dimerdet.cli as cli
+    monkeypatch.setattr(cli, "errors_decreasing", lambda ns, values, limit: False)
+    for command in ("correlation", "convergence"):
+        assert main([command, "--t", "0.6", "--n-list", "4,8", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["errors_decreasing"] is False
+        assert "warning: convergence errors are not monotonically decreasing" in captured.err
 
 
 @pytest.mark.parametrize("t, n_list", [("0.6", "4,8,16,32,64"), ("1", "8,16,24,32")])
@@ -662,7 +722,7 @@ def test_non_finite_numbers_are_rejected(text, flag, route, tmp_path, capsys):
                                      ["convergence", "--n-list", "4"],
                                      ["verify", "--identity", "exp-rep"]])
 @pytest.mark.parametrize("text", ["0.3+nani", "0.3+1e999i", "1e999", "nan", "-0.3",
-                                  "inf", "infinity", "0.3+infi", "0.3-infi"])
+                                  "inf", "infinity", "0.3+infi", "0.3-infi", "1e160"])
 def test_a_t_off_the_half_plane_exits_2_with_the_json_error_object(text, command, capsys):
     # correlation --t 0.3+nani and --t 0.3+1e999i printed rows of nan and exited 0
     code, out = run_cli([*command, "--t", text, "--format", "json"], capsys)

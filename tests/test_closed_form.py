@@ -63,12 +63,29 @@ def test_roots_reject_left_half_plane():
 
 @pytest.mark.parametrize("t", [complex(0.3, float("nan")), complex(0.3, float("inf")),
                                complex(float("inf"), 0.0), complex(float("nan"), 1.0),
-                               0.0, -0.3 + 1j])
+                               0.0, -0.3 + 1j, 1e160, 1e160 + 1e160j])
 def test_every_half_plane_entry_rejects_a_t_off_it(t):
-    # a non-finite part passed: correlation_limit(0.3+nanj) returned nan+nanj
+    # a non-finite part passed: correlation_limit(0.3+nanj) returned nan+nanj;
+    # so did a t whose square overflows: correlation_limit(1e160) was nan
     for entry in (DimerParams, e_plus_d, spectral_roots, e_phi, correlation_limit):
         with pytest.raises(ParameterOutOfRange):
             entry(t)
+
+
+@pytest.mark.parametrize("t", [1e105, 1e130, 1e150 + 1e149j])
+def test_roots_stay_finite_at_large_t(t):
+    # t^2 (3 - mu) overflowed from |t| of about 6e102 and (mu - t^2)^2 from
+    # about 1e127: xi_2 and omega came back nan, and the checks passed them
+    r = spectral_roots(t)
+    assert all(cmath.isfinite(v) for v in (r.xi1, r.xi2, r.one_minus_xi1, r.one_minus_xi2,
+                                           r.one_plus_xi1, r.one_plus_xi2, r.omega))
+    assert cmath.isfinite(prefactor(t)) and cmath.isfinite(lambda_value(t))
+
+
+def test_root_checks_reject_nan():
+    roots = dataclasses.replace(spectral_roots(0.3), xi2=complex("nan"))
+    with pytest.raises(InvariantViolation):
+        closed_form._validate_roots(roots)
 
 
 def test_roots_product_identity():
@@ -100,14 +117,14 @@ def test_roots_inside_the_disk_over_the_wide_box():
 
 
 def test_kl_spot_values():
-    k, l = kl_helpers(0.3, 0.0, 1.0)
+    k, l = kl_helpers(0.3, 0.0, 1.0, 1.0)
     assert abs(k + 1.0) < 1e-15
     assert abs(l - 1.0) < 1e-15
 
 
 def test_kl_at_xi1():
     r = spectral_roots(0.3)
-    k, _ = kl_helpers(0.3, r.xi1, r.one_minus_xi1)
+    k, _ = kl_helpers(0.3, r.xi1, r.one_minus_xi1, r.one_plus_xi1)
     expected = -8 * r.xi1 / ((1 - r.mu * r.xi1) * (1 - r.xi1 ** 2))
     assert abs(k - expected) < 1e-10
 
@@ -118,7 +135,7 @@ def test_kl_forms_agree_on_random_points():
         x = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.5, 0.5))
         if min(abs(x - 1), abs(x + 1)) < 0.05:
             continue
-        kl_helpers(0.35, x, 1 - x)  # internal 1e-12 identity assertion
+        kl_helpers(0.35, x, 1 - x, 1 + x)  # internal 1e-12 identity assertion
 
 
 @pytest.mark.parametrize("t", [0.3, 0.003, 1e-6])
@@ -141,7 +158,9 @@ def test_l_check_catches_a_coefficient_slip_of_1e_8(monkeypatch, t, which, index
 
 def test_kl_pole_rejection():
     with pytest.raises(PoleInput):
-        kl_helpers(0.3, 1.0, 0.0)
+        kl_helpers(0.3, 1.0, 0.0, 2.0)
+    with pytest.raises(PoleInput):
+        kl_helpers(0.3, -1.0, 2.0, 0.0)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7])

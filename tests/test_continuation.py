@@ -1,6 +1,7 @@
 """Tests for the analytic continuation of the sections to Re(t) > 0."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -13,23 +14,22 @@ from dimerdet import (
     DimerParams,
     ParameterOutOfRange,
     TruncationTooShort,
+    InvariantViolation,
     correlation_finite,
     correlation_limit,
+    correlation_scan,
     dimer_matrix,
-    e_phi,
     fourier_coefficients,
-    limit_scan,
     log_determinant,
     symbol_phi,
     theta_decomposition,
     toeplitz_section,
 )
 from dimerdet.continuation import (
-    LimitScan,
-    ScanRow,
     _phi_hat_table,
     _scalar_tables,
     b_hat,
+    errors_decreasing,
     theta_section,
 )
 from dimerdet.cli import main
@@ -163,43 +163,57 @@ def test_perturbation_ranks_at_most_two():
         assert sv[2] <= 1e-12 * sv[0]
 
 
+def _scan(t, ns):
+    """P(n) along ``ns`` by :func:`correlation_scan`, the limit, and the errors."""
+    values = correlation_scan(DimerParams(t), ns)
+    limit = correlation_limit(t)
+    return values, limit, [abs(value - limit) for value in values]
+
+
+# scans of P(n) toward its limit by correlation_scan ("limit scans")
+
 def test_limit_scan_real_t():
-    scan = limit_scan(0.6, [4, 8, 16, 32])
-    assert scan.errors_decreasing
-    assert scan.rows[-1].abs_error <= 1e-6
+    ns = [4, 8, 16, 32]
+    values, limit, errors = _scan(0.6, ns)
+    assert errors_decreasing(ns, values, limit)
+    assert errors[-1] <= 1e-6
 
 
 def test_limit_scan_at_degenerate_closed_form_point():
     # t = 1/2 is harmless here: the limit formula is regular
-    scan = limit_scan(0.5, [4, 8, 16])
-    assert abs(scan.target - 1.0 / 9.0) < 1e-15
-    assert scan.errors_decreasing
-    assert scan.rows[-1].abs_error < 1e-5
+    ns = [4, 8, 16]
+    values, limit, errors = _scan(0.5, ns)
+    assert abs(limit - 1.0 / 6.0) < 1e-15
+    assert errors_decreasing(ns, values, limit)
+    assert errors[-1] < 1e-5
 
 
 def test_limit_scan_complex_t():
     t = 0.8 + 0.3j
-    scan = limit_scan(t, [4, 8, 16])
-    assert scan.errors_decreasing
-    assert abs(scan.rows[-1].value - e_phi(t)) < 0.1 * abs(e_phi(t))
+    ns = [4, 8, 16]
+    values, limit, errors = _scan(t, ns)
+    assert errors_decreasing(ns, values, limit)
+    assert errors[-1] < 0.1 * abs(limit)
 
 
 def test_limit_scan_triangular_point():
-    scan = limit_scan(1.0, [16, 32])
-    assert scan.rows[-1].abs_error <= 1e-2
+    _, _, errors = _scan(1.0, [16, 32])
+    assert errors[-1] <= 1e-2
     # converged to the noise floor already at these sizes
-    assert scan.rows[0].abs_error < 1e-10
+    assert errors[0] < 1e-10
 
 
 def test_errors_decreasing_rejects_a_growing_error():
-    # 1e-2 is far above the rounding level 2n eps |target| of n = 16
-    rows = (ScanRow(8, 0.2, 1e-3), ScanRow(16, 0.2, 1e-2))
-    assert LimitScan(0.3, e_phi(0.3), rows).errors_decreasing is False
+    # 1e-2 is far above the rounding level n eps |limit| of n = 16; 2e-17 is
+    # below it, where the order of two errors carries no information
+    limit = correlation_limit(0.3)
+    assert errors_decreasing([8, 16], [limit + 1e-3, limit + 1e-2], limit) is False
+    assert errors_decreasing([8, 16], [limit + 1e-17, limit + 2e-17], limit) is True
 
 
 def test_limit_scan_requires_increasing_n():
     with pytest.raises(ValueError):
-        limit_scan(0.6, [8, 4])
+        correlation_scan(DimerParams(0.6), [8, 4])
 
 
 def test_convergence_locally_uniform_shadow():
@@ -207,12 +221,29 @@ def test_convergence_locally_uniform_shadow():
     # agree within one doubling step
     target_eps = 1e-8
     centers = [0.8 + 0.1j, 0.85 + 0.1j, 0.75 + 0.1j, 0.8 + 0.15j, 0.8 + 0.05j]
+    ns = [4, 8, 16, 32]
     needed = []
     for t in centers:
-        scan = limit_scan(t, [4, 8, 16, 32])
-        reached = [r.n for r in scan.rows if r.abs_error < target_eps]
+        _, _, errors = _scan(t, ns)
+        reached = [n for n, error in zip(ns, errors) if error < target_eps]
         needed.append(reached[0] if reached else 64)
     assert max(needed) <= 2 * min(needed)
+
+
+def test_real_t_residue_check_is_relative_to_p(monkeypatch):
+    # at t = 20, |P(8)| is about 0.012: an imaginary part of 1e-9 |P| is
+    # 1.2e-11, below the absolute 1e-10 the check used to allow
+    import dimerdet.continuation as continuation
+    real = continuation.folded_log_determinant
+
+    def tilted(slab):  # det e^{2e-9 i}, so P(n) e^{1e-9 i}
+        det = real(slab)
+        return dataclasses.replace(det, phase=det.phase + 2e-9)
+
+    assert abs(correlation_finite(DimerParams(20.0), 8)) < 0.1
+    monkeypatch.setattr(continuation, "folded_log_determinant", tilted)
+    with pytest.raises(InvariantViolation, match="imaginary residue"):
+        correlation_finite(DimerParams(20.0), 8)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.97, 1.0, 2.0, 0.3 + 2j])

@@ -153,17 +153,19 @@ def _roots_reference(mp, t: complex) -> tuple[complex, complex, complex]:
 @example(0.003 + 0j)
 @example(1e-8 + 0j)
 @example(1e-6 - 2j)
+@example(1e-6 + 1.41421356j)
+@example(1.1e-5 + 1.41421j)
 def test_closed_forms_keep_their_accuracy_as_t_nears_zero(t):
     # 1 - xi_2 nears 2t as t -> 0: formed as a difference it lost 9.7e-12
     # relative at t = 1e-3 and 4.4e-5 at 1e-6, and lambda_value raised
     # InvariantViolation from t = 0.003 down.  Near t = +-i sqrt 2, where
-    # xi_2 = -1 meets the circle, 1 + xi_2 inherits the rounding of t^2
-    # scaled by |t^2 / (2 + t^2)|, which no formula in t^2 avoids
+    # xi_2 = -1 meets the circle, 1 + xi_2 comes from 2 + t^2 with an
+    # error-free square: with fl(t * t) it lost 7.2e-11 relative at
+    # 1e-6 + 1.41421356i and 2.6e-12 at 1.1e-5 + 1.41421i
     mp = pytest.importorskip("mpmath")
-    tol = 1e-13 + 2.0 * np.finfo(float).eps * abs(t * t / (2.0 + t * t))
     for value, ref in zip((spectral_roots(t).one_minus_xi2, prefactor(t), lambda_value(t)),
                           _roots_reference(mp, t)):
-        assert abs(value - ref) <= tol * abs(ref)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("n", [8, 512])

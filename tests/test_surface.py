@@ -14,9 +14,9 @@ PACKAGE = ROOT / "src" / "dimerdet"
 
 #: the functions the README and the demos call
 FUNCTIONS = [
-    "bocg_residual", "correlation_finite", "correlation_limit", "dimer_matrix", "e_phi",
-    "e_phi_reduction", "exp_representation", "fourier_coefficients", "geometric_mean",
-    "lambda_value", "limit_scan", "log_determinant", "psi_table", "symbol_phi", "symbol_psi",
+    "bocg_residual", "correlation_finite", "correlation_limit", "correlation_scan",
+    "dimer_matrix", "e_phi", "e_phi_reduction", "exp_representation", "fourier_coefficients",
+    "geometric_mean", "lambda_value", "log_determinant", "psi_table", "symbol_phi", "symbol_psi",
     "symbol_psi_inverse", "szego_E_operator", "theta_decomposition", "toeplitz_section",
     "widom_banded_E",
 ]
