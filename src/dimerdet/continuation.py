@@ -9,7 +9,10 @@ pre-multiplying by T_n(Theta+), of determinant 1, gives the regular
 T_n(phi_hat) + P_n K P_n + W_n L W_n.
 That section is centrosymmetric, so :func:`theta_section` builds only its
 top n rows and its determinant is two n x n LUs (the fold of
-:func:`dimerdet.spectral.folded_log_determinant`).
+:func:`dimerdet.spectral.folded_log_determinant`).  For real t the two are
+complex conjugates (:func:`_conjugate_tables` checks the symmetry of the
+tables behind that), so one LU, of the fold's plus half, gives
+P(n) = (1/2) |det(B + CE)|.
 :func:`correlation_scan` is the one scan along it, one e+/d table pair per
 list of n (:func:`correlation_finite` is its one-n case, and
 :func:`errors_decreasing` reads its rows against the limit); ``b_hat`` is
@@ -179,28 +182,55 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     return ContinuedSequence(t, n, lhs_mat, k_row, residual)
 
 
+#: the largest stray part a real-t table may hold, relative to its max|c|:
+#: an e+ coefficient's imaginary part or a d coefficient's real part
+STRAY_TOL = 1e-14
+
+
+def _conjugate_tables(e_tab: FourierTable,
+                      d_tab: FourierTable) -> tuple[FourierTable, FourierTable]:
+    """The e+ and d tables of a real t, checked and projected onto the
+    symmetry that makes the fold's two halves conjugate.
+
+    For real t, e+(-x) = conj e+(x) and d is odd and real, so e+'s
+    coefficients are real and d's imaginary.  :func:`theta_section` is then
+    real where row + column is even and imaginary where it is odd
+    (``_phi_hat_table`` and ``_k_row`` mix e+ with e+ and d with d, times
+    the real t), the ``checkerboard`` under which
+    :func:`dimerdet.spectral.folded_log_determinant` factors one half only.
+    A stray part above ``STRAY_TOL`` of its table's max|c| raises
+    InvariantViolation; the rest are zeroed, so the relation holds exactly.
+    """
+    e, d = e_tab.coeffs, d_tab.coeffs
+    for name, stray, coeffs in (("e+", e.imag, e), ("d", d.real, d)):
+        worst, scale = np.max(np.abs(stray)), np.max(np.abs(coeffs))
+        if worst > STRAY_TOL * scale:
+            raise InvariantViolation(
+                f"the {name} table of a real t has a stray part {worst:.3e}, "
+                f"above {STRAY_TOL:.0e} of its max|c| = {scale:.3e}")
+    return FourierTable(e.real.astype(complex)), FourierTable(1j * d.imag)
+
+
 def correlation_scan(params: DimerParams, n_list: list[int]) -> list[complex]:
     """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root, for each
-    n of the strictly increasing ``n_list``, each det from two n x n LUs
-    (:func:`dimerdet.spectral.folded_log_determinant`); the e+ and d tables
-    are resolved once, to at least order max(n_list).  For real t an
-    imaginary residue up to 1e-10 |P(n)| is dropped.
+    n of the strictly increasing ``n_list``; the e+ and d tables are
+    resolved once, to at least order max(n_list).
+
+    Each det is the fold of :func:`dimerdet.spectral.folded_log_determinant`:
+    two n x n LUs for complex t, and for real t one, of B + CE, as the
+    tables pass :func:`_conjugate_tables` and det = |det(B + CE)|^2, so
+    P(n) = (1/2) |det(B + CE)| is real.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     t = params.t
-    e_tab, d_tab = _scalar_tables(t, max(n_list))
-    values = []
-    for n in n_list:
-        val = 0.5 * np.sqrt(folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value)
-        if t.imag == 0.0:
-            if abs(val.imag) > 1e-10 * abs(val):
-                raise InvariantViolation(
-                    f"correlation at real t has imaginary residue {val.imag:.3e}, "
-                    f"{abs(val.imag) / abs(val):.3e} of |P({n})|")
-            val = val.real
-        values.append(complex(val))
-    return values
+    tables = _scalar_tables(t, max(n_list))
+    real = t.imag == 0.0
+    if real:
+        tables = _conjugate_tables(*tables)
+    return [complex(0.5 * np.sqrt(folded_log_determinant(
+                theta_section(t, n, *tables), checkerboard=real).value))
+            for n in n_list]
 
 
 def correlation_finite(params: DimerParams, n: int) -> complex:
@@ -211,8 +241,9 @@ def correlation_finite(params: DimerParams, n: int) -> complex:
 def errors_decreasing(n_list: list[int], values: list[complex], limit: complex) -> bool:
     """Whether the errors |P(n) - limit| of a :func:`correlation_scan` fall
     along ``n_list``: each below the one before it, or within n eps |limit|,
-    the rounding level of P(n) = (1/2) sqrt(det) for a 2n x 2n LU
-    determinant, where the order of two errors carries no information."""
+    the rounding level of P(n) = (1/2) sqrt(det) for the determinant of the
+    2n x 2n section (half its 2n eps, whether it takes two n x n LUs or, at
+    real t, one), where the order of two errors carries no information."""
     errors = [abs(value - limit) for value in values]
     return all(b < a or b <= n * _EPS * abs(limit)
                for n, a, b in zip(n_list[1:], errors, errors[1:]))

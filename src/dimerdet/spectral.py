@@ -341,11 +341,19 @@ def _log_det(log_mod: float, phase: float) -> LogDet:
     return LogDet(log_mod, phase, False)
 
 
+#: the columns :func:`_inf_norm` reads at a time, so that its |a| temporary
+#: stays a thin strip however large ``a`` is
+_NORM_BLOCK = 64
+
+
 def _inf_norm(a: np.ndarray) -> float:
-    """||a||_inf by LAPACK ``?lange``, without a temporary; a non-finite
-    entry raises SampleFailure."""
-    lange, = scipy.linalg.get_lapack_funcs(("lange",), (a,))
-    norm = float(lange("I", a))
+    """||a||_inf, the largest row sum of |a|, summed over strips of
+    ``_NORM_BLOCK`` columns, so no temporary of a's size is made; a
+    non-finite entry raises SampleFailure."""
+    sums = np.zeros(a.shape[0])
+    for j in range(0, a.shape[1], _NORM_BLOCK):
+        sums += np.abs(a[:, j:j + _NORM_BLOCK]).sum(axis=1)
+    norm = float(sums.max(initial=0.0))
     if not math.isfinite(norm):
         raise SampleFailure("matrix contains non-finite entries")
     return norm
@@ -358,7 +366,7 @@ def pivoted_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, LogDet]:
     return _factored(a, a.shape[0] * _EPS * _inf_norm(a))
 
 
-def folded_log_determinant(slab: np.ndarray) -> LogDet:
+def folded_log_determinant(slab: np.ndarray, checkerboard: bool = False) -> LogDet:
     """det of the centrosymmetric 2n x 2n matrix A (E A E = A, E the index
     reversal) whose top n rows are the Fortran-ordered n x 2n ``slab``
     [B | C], consumed: with Q = [[I, I], [E, -E]] / sqrt 2, Q^T A Q =
@@ -370,10 +378,26 @@ def folded_log_determinant(slab: np.ndarray) -> LogDet:
     (det E = (-1)^floor(n/2)).  Both halves' pivots are tested against
     A's own threshold, ``2n * eps * ||A||_inf``, and ||A||_inf is the
     slab's: the rows of A below it are its rows reversed.
+
+    ``checkerboard`` says that A is real where row + column is even and
+    imaginary where it is odd.  Column 2n-1-c of A has the parity opposite
+    to c, so CE is imaginary where B is real and real where B is imaginary.
+    With D = diag(i^{r mod 2}), a similarity that multiplies entry (r, c)
+    by i^{(r mod 2) - (c mod 2)}, D (B -+ CE) D^{-1} = B' -+ i C' with B'
+    and C' real: the halves are conjugate, det(B - CE) = conj det(B + CE)
+    and det A = |det(B + CE)|^2.  Then only B + CE is formed, in the left
+    half, and factored; the right half is left as it is.  D is unimodular
+    and conjugation keeps moduli, so the pivots (LAPACK picks them by
+    |Re| + |Im|) have the moduli of the other half's in exact arithmetic,
+    and the one half keeps A's threshold.
     """
     n = slab.shape[0]
     floor = 2 * n * _EPS * _inf_norm(slab)
     b, ce = slab[:, :n], slab[:, n:][:, ::-1]
+    if checkerboard:
+        b += ce
+        plus = _factored(b, floor)[2]
+        return plus if plus.is_singular else LogDet(2.0 * plus.log_modulus, 0.0, False)
     diff = b - ce
     b += ce
     ce[...] = diff

@@ -1,7 +1,6 @@
 """Tests for the analytic continuation of the sections to Re(t) > 0."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import tracemalloc
@@ -15,6 +14,7 @@ from dimerdet import (
     ParameterOutOfRange,
     TruncationTooShort,
     InvariantViolation,
+    SingularDeterminant,
     correlation_finite,
     correlation_limit,
     correlation_scan,
@@ -26,6 +26,7 @@ from dimerdet import (
     toeplitz_section,
 )
 from dimerdet.continuation import (
+    _conjugate_tables,
     _phi_hat_table,
     _scalar_tables,
     b_hat,
@@ -230,20 +231,51 @@ def test_convergence_locally_uniform_shadow():
     assert max(needed) <= 2 * min(needed)
 
 
-def test_real_t_residue_check_is_relative_to_p(monkeypatch):
-    # at t = 20, |P(8)| is about 0.012: an imaginary part of 1e-9 |P| is
-    # 1.2e-11, below the absolute 1e-10 the check used to allow
+def test_real_t_table_check_rejects_a_stray_part(monkeypatch):
+    # the one-LU route reads e+ as real and d as imaginary: an imaginary part
+    # of 1e-12 max|c| in one e+ coefficient is 100 times the tolerance, and
+    # the scan raises instead of dropping it
     import dimerdet.continuation as continuation
-    real = continuation.folded_log_determinant
+    real = continuation._scalar_tables
 
-    def tilted(slab):  # det e^{2e-9 i}, so P(n) e^{1e-9 i}
-        det = real(slab)
-        return dataclasses.replace(det, phase=det.phase + 2e-9)
+    def planted(t, order):
+        e_tab, d_tab = real(t, order)
+        coeffs = e_tab.coeffs.copy()
+        coeffs[e_tab.order + 3] += 1e-12j * np.max(np.abs(coeffs))
+        return FourierTable(coeffs), d_tab
 
-    assert abs(correlation_finite(DimerParams(20.0), 8)) < 0.1
-    monkeypatch.setattr(continuation, "folded_log_determinant", tilted)
-    with pytest.raises(InvariantViolation, match="imaginary residue"):
+    assert correlation_finite(DimerParams(20.0), 8).imag == 0.0
+    monkeypatch.setattr(continuation, "_scalar_tables", planted)
+    with pytest.raises(InvariantViolation, match="stray part"):
         correlation_finite(DimerParams(20.0), 8)
+
+
+def test_real_t_factors_one_n_by_n_matrix_per_n(monkeypatch):
+    # real t: one getrf of B + CE per n; complex t: the two halves of the fold
+    shapes = []
+    real = scipy.linalg.get_lapack_funcs
+
+    def counted(names, arrays=()):
+        getrf, = real(names, arrays)
+
+        def call(a, **kwargs):
+            shapes.append(a.shape)
+            return getrf(a, **kwargs)
+        return (call,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
+    correlation_scan(DimerParams(0.6), [8, 16, 33])
+    assert shapes == [(8, 8), (16, 16), (33, 33)]
+    shapes.clear()
+    correlation_scan(DimerParams(0.6 + 0.1j), [8, 16])
+    assert shapes == [(8, 8), (8, 8), (16, 16), (16, 16)]
+
+
+def test_real_t_one_lu_keeps_the_pivot_test():
+    # from |t| of about 1e15 the section's pivots fall below 2n eps ||A||_inf;
+    # the one half the real-t route factors is flagged as the fold was
+    with pytest.raises(SingularDeterminant):
+        correlation_finite(DimerParams(1e15), 8)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.97, 1.0, 2.0, 0.3 + 2j])
@@ -296,17 +328,28 @@ def test_theta_section_is_factored_in_place():
     assert np.array_equal(slab[:, 8:], scipy.linalg.lu_factor((b - ce)[:, ::-1])[0])
 
 
-def test_correlation_finite_builds_no_full_section():
-    # the slab (8 MiB at n = 512) and one half-size temporary of the fold;
-    # one 2n x 2n complex buffer alone would be 16 MiB
-    correlation_finite(DimerParams(0.6), 512)  # imports and caches out of the count
+def _traced_peak(t: complex, n: int) -> int:
+    """The traced peak of one :func:`correlation_finite`, with imports and
+    caches warmed out of the count."""
+    correlation_finite(DimerParams(t), n)
     tracemalloc.start()
     try:
-        correlation_finite(DimerParams(0.6), 512)
-        peak = tracemalloc.get_traced_memory()[1]
+        correlation_finite(DimerParams(t), n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (2 * 512) ** 2 * 16
+
+
+def test_correlation_finite_builds_no_full_section():
+    # the slab is 8 MiB at n = 512, and one 2n x 2n complex buffer alone
+    # would be 16 MiB; at real t the fold adds its right half into its left
+    # in place and makes no n x n temporary
+    assert _traced_peak(0.6, 512) < 9 * 2 ** 20
+
+
+def test_correlation_finite_at_complex_t_builds_no_full_section():
+    # the two-LU fold also makes one half-size temporary, B - CE
+    assert _traced_peak(0.6 + 0.1j, 512) < 16 * 2 ** 20
 
 
 def test_theta_section_needs_table_order():
@@ -366,10 +409,12 @@ def _single_n_p(t: complex, n: int) -> complex:
     """P(n) from a table pair of its own, resolved to at least order n: the
     single-n route written out step by step, as a reference."""
     t = complex(t)
-    val = 0.5 * np.sqrt(folded_log_determinant(theta_section(t, n, *_scalar_tables(t, n))).value)
-    if t.imag == 0.0:
-        val = val.real
-    return complex(val)
+    tables = _scalar_tables(t, n)
+    real = t.imag == 0.0
+    if real:
+        tables = _conjugate_tables(*tables)
+    det = folded_log_determinant(theta_section(t, n, *tables), checkerboard=real)
+    return complex(0.5 * np.sqrt(det.value))
 
 
 def _cli_json(args):

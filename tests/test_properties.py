@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dimerdet import (
     DimerdetError,
     DimerParams,
+    SingularDeterminant,
     TailNotResolved,
     correlation_finite,
     correlation_limit,
@@ -110,6 +111,36 @@ def test_value_without_error_down_to_re_t_one_hundredth(t, n):
     # the doubling rule resolves the e+ and d tables within its cap here
     value = correlation_finite(DimerParams(t), n)
     assert np.isfinite(value) and value != 0
+
+
+def _p_or_singular(value):
+    """``value()``, or None where it raises SingularDeterminant."""
+    try:
+        return value()
+    except SingularDeterminant:
+        return None
+
+
+@SETTINGS
+@given(st.floats(0.0015, 3.0), st.integers(1, 96))
+@example(0.0015, 512)
+@example(0.6, 512)
+@example(3.0, 512)
+@example(1e15, 8).via("a section the pivot test flags singular")
+def test_real_t_one_lu_matches_the_two_lu_fold(t, n):
+    # for real t the scan factors B + CE only, from tables projected onto
+    # real e+ and imaginary d; the two-LU fold of the unprojected tables
+    # agrees, and so does the pivot test
+    e_tab, d_tab = _scalar_tables(complex(t), n)
+    for stray, coeffs in ((e_tab.coeffs.imag, e_tab.coeffs), (d_tab.coeffs.real, d_tab.coeffs)):
+        assert np.max(np.abs(stray)) <= 1e-15 * np.max(np.abs(coeffs))
+    one = _p_or_singular(lambda: correlation_finite(DimerParams(t), n))
+    two = _p_or_singular(lambda: 0.5 * np.sqrt(
+        folded_log_determinant(theta_section(complex(t), n, e_tab, d_tab)).value))
+    assert (one is None) == (two is None)
+    if one is not None:
+        assert one.imag == 0.0
+        assert abs(one - two) <= 1e-13 * abs(two)
 
 
 #: below Re t = 0.01, the reach of the top-band check at the cap grid 32768:
@@ -217,13 +248,14 @@ def _e_plus_reference(mp, t: complex, x: float) -> complex:
 @given(st.one_of(box(0.05, 3.0, 2.0).filter(lambda t: t.real > 0.05), ON_UNIT_CIRCLE),
        NEAR_OFFSETS)
 @example(1 + 0j, [1e-9, -1e-3])
+@example(2 + 5e-324j, [-1e-3]).via("cmath.phase overflows on a subnormal Im t")
 def test_e_plus_matches_a_forty_digit_reference(t, offsets):
     # no cancellation and no vanishing denominator, next to e^{-ix} = t too;
     # the weight is summed in double precision, and d shares it bit for bit:
     # near a zero of t^2 + sin^2 x + sin^4 x its rounding grows by kappa
     # (25 at t = 0.0502 - 1.259i, where it moves e+ by 2.2e-15 of max|e+|)
     mp = pytest.importorskip("mpmath")
-    x = np.concatenate([_grid(64), -cmath.phase(t) + np.array(offsets)])
+    x = np.concatenate([_grid(64), -math.atan2(t.imag, t.real) + np.array(offsets)])
     ref = np.array([_e_plus_reference(mp, t, angle) for angle in x])
     s2 = np.sin(x) ** 2
     kappa = np.max((abs(t) ** 2 + s2 + s2 * s2) / np.abs(t * t + s2 + s2 * s2))

@@ -26,6 +26,7 @@ from dimerdet.spectral import (
     MatrixSymbol,
     ScalarSymbol,
     TAIL_TOL,
+    _inf_norm,
     common_order_tables,
     folded_log_determinant,
     hankel_section,
@@ -281,6 +282,54 @@ def test_folded_determinant_with_a_singular_half_raises(n):
     assert det.is_singular
     with pytest.raises(SingularDeterminant):
         det.value
+
+
+def _checkerboard(rng, shape) -> np.ndarray:
+    """A random complex array, real where row + column is even and
+    imaginary where it is odd."""
+    a = rng.standard_normal(shape) + 0j
+    r, c = np.indices(shape[-2:])
+    return np.where((r + c) % 2, 1j * a, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+def test_folded_determinant_of_a_checkerboard_matrix_takes_one_half(n):
+    # D (B -+ CE) D^{-1} = B' -+ i C', so det A = |det(B + CE)|^2 from one LU
+    slab = _checkerboard(np.random.default_rng(n), (n, 2 * n))
+    expected = np.linalg.det(_centrosymmetric(slab[:, :n], slab[:, n:]))
+    assert abs(expected.imag) <= 1e-12 * abs(expected)
+    one = folded_log_determinant(slab.copy(order="F"), checkerboard=True)
+    two = folded_log_determinant(slab.copy(order="F"))
+    assert one.phase == 0.0
+    assert abs(one.value - expected) <= 1e-12 * abs(expected)
+    assert abs(one.value - two.value) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_folded_checkerboard_determinant_with_a_zero_row_raises(n):
+    slab = _checkerboard(np.random.default_rng(5), (n, 2 * n))
+    slab[n // 2] = 0.0
+    det = folded_log_determinant(np.asfortranarray(slab), checkerboard=True)
+    assert det.is_singular
+    with pytest.raises(SingularDeterminant):
+        det.value
+
+
+@pytest.mark.parametrize("cols", [1, 63, 64, 65, 1024])
+def test_inf_norm_matches_numpy(cols):
+    rng = np.random.default_rng(cols)
+    real = rng.standard_normal((37, cols))
+    for a in (real, real + 1j * rng.standard_normal((37, cols)), np.asfortranarray(real)):
+        expected = np.linalg.norm(a, np.inf)
+        assert abs(_inf_norm(a) - expected) <= 1e-15 * expected
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, np.nan)])
+def test_inf_norm_rejects_non_finite_entries(bad):
+    a = np.ones((5, 130), dtype=complex)
+    a[3, 100] = bad
+    with pytest.raises(SampleFailure):
+        _inf_norm(a)
 
 
 def test_folded_determinant_rejects_non_finite_entries():
