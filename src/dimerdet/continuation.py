@@ -12,12 +12,12 @@ top n rows and its determinant is two n x n LUs (the fold of
 :func:`dimerdet.spectral.folded_log_determinant`).  For real t the two are
 complex conjugates (:func:`_conjugate_tables` checks the symmetry of the
 tables behind that), so one LU, of the fold's plus half, gives
-P(n) = (1/2) |det(B + CE)|.
+P(n) = (1/2) |det(B + CE)|; :func:`_section_dets` is that one route.
 :func:`correlation_scan` is the one scan along it, one e+/d table pair per
 list of n (:func:`correlation_finite` is its one-n case, and
-:func:`errors_decreasing` reads its rows against the limit); ``b_hat`` is
-only a reference checked against it, and so are the sampled phi_hat symbol
-and the dense 2n x 2n section of the tests.
+:func:`errors_decreasing` reads its rows against the limit);
+:func:`theta_decomposition` checks it against ``b_hat``, and so do the
+sampled phi_hat symbol and the dense 2n x 2n section of the tests.
 """
 
 from __future__ import annotations
@@ -48,13 +48,10 @@ from .dimer import DimerParams, _weight, k_plus_matrix
 
 @dataclass(frozen=True)
 class ContinuedSequence:
-    """The continued section b_hat and the one row the corrections K and L
+    """The residual of :func:`theta_decomposition` and the one row K and L
     hold: ``k_row`` is row 0 of K, and row 1 of L is it with each block's
     pair swapped (see :func:`_k_row`)."""
 
-    t: complex
-    n: int
-    b_hat: np.ndarray
     k_row: np.ndarray
     identity_residual: float
 
@@ -167,19 +164,22 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
 
     K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+) are the
     rank-one corrections from the pre-multiplication by T_n(Theta+), each
-    one row: the result carries row 0 of K.
+    one row: the result carries row 0 of K.  The right side is P(n)'s own
+    route, :func:`_section_dets`; b_hat, from the unprojected tables, is the
+    independent side.  Its band t^{j-k-1} reaches |t|^(n-2), so for |t| > 1
+    its LU fails the check from some n on (at t = 2, n = 33), and the
+    message names that growth.
     """
     t = complex(t)
     e_tab, d_tab = _scalar_tables(t, n)
-    lhs_mat = b_hat(t, n, (e_tab, d_tab))
-    k_row = _k_row(t, n, e_tab, d_tab)
-    lhs = log_determinant(lhs_mat).value
-    rhs = folded_log_determinant(theta_section(t, n, e_tab, d_tab)).value
+    lhs = log_determinant(b_hat(t, n, (e_tab, d_tab))).value
+    rhs, = _section_dets(t, [n], e_tab, d_tab)
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual > 1e-9:
-        raise DecompositionMismatch(
-            f"det b_hat = {lhs} vs decomposed {rhs} at t={t}, n={n}")
-    return ContinuedSequence(t, n, lhs_mat, k_row, residual)
+        band = f"; b_hat's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
+        raise DecompositionMismatch(f"det b_hat = {lhs} vs decomposed {rhs} at t={t}, "
+                                    f"n={n}{band if abs(t) > 1 else ''}")
+    return ContinuedSequence(_k_row(t, n, e_tab, d_tab), residual)
 
 
 #: the largest stray part a real-t table may hold, relative to its max|c|:
@@ -211,26 +211,30 @@ def _conjugate_tables(e_tab: FourierTable,
     return FourierTable(e.real.astype(complex)), FourierTable(1j * d.imag)
 
 
+def _section_dets(t: complex, n_list: list[int], e_tab: FourierTable,
+                  d_tab: FourierTable) -> list[complex]:
+    """det :func:`theta_section` for each n of ``n_list`` from the e+ and d
+    tables: the fold's two n x n LUs, or for real t, as the tables pass
+    :func:`_conjugate_tables`, one (det = |det(B + CE)|^2)."""
+    real = t.imag == 0.0
+    if real:
+        e_tab, d_tab = _conjugate_tables(e_tab, d_tab)
+    return [folded_log_determinant(theta_section(t, n, e_tab, d_tab), checkerboard=real).value
+            for n in n_list]
+
+
 def correlation_scan(params: DimerParams, n_list: list[int]) -> list[complex]:
     """P(n) = (1/2) sqrt(det :func:`theta_section`), principal root, for each
     n of the strictly increasing ``n_list``; the e+ and d tables are
     resolved once, to at least order max(n_list).
 
-    Each det is the fold of :func:`dimerdet.spectral.folded_log_determinant`:
-    two n x n LUs for complex t, and for real t one, of B + CE, as the
-    tables pass :func:`_conjugate_tables` and det = |det(B + CE)|^2, so
-    P(n) = (1/2) |det(B + CE)| is real.
+    Its determinants are :func:`_section_dets`; at real t P(n) is real.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     t = params.t
-    tables = _scalar_tables(t, max(n_list))
-    real = t.imag == 0.0
-    if real:
-        tables = _conjugate_tables(*tables)
-    return [complex(0.5 * np.sqrt(folded_log_determinant(
-                theta_section(t, n, *tables), checkerboard=real).value))
-            for n in n_list]
+    return [complex(0.5 * np.sqrt(det))
+            for det in _section_dets(t, n_list, *_scalar_tables(t, max(n_list)))]
 
 
 def correlation_finite(params: DimerParams, n: int) -> complex:

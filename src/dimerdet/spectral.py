@@ -341,8 +341,8 @@ def _log_det(log_mod: float, phase: float) -> LogDet:
     return LogDet(log_mod, phase, False)
 
 
-#: the columns :func:`_inf_norm` reads at a time, so that its |a| temporary
-#: stays a thin strip however large ``a`` is
+#: the columns :func:`_inf_norm` and the fold read at a time, so that their
+#: temporaries stay thin strips however large the matrix is
 _NORM_BLOCK = 64
 
 
@@ -373,11 +373,12 @@ def folded_log_determinant(slab: np.ndarray, checkerboard: bool = False) -> LogD
     diag(B + CE, B - CE), so det A = det(B + CE) det(B - CE) (Cantoni &
     Butler, Linear Algebra Appl. 13, 1976).
 
-    The slab is folded in place, B + CE into its left half and (B - CE) E
-    into its right half, and each half is factored by :func:`_factored`
-    (det E = (-1)^floor(n/2)).  Both halves' pivots are tested against
-    A's own threshold, ``2n * eps * ||A||_inf``, and ||A||_inf is the
-    slab's: the rows of A below it are its rows reversed.
+    The slab is folded in place, ``_NORM_BLOCK`` columns at a time (no n x n
+    temporary), B + CE into its left half and (B - CE) E into its right
+    half, and each half is factored by :func:`_factored`, with det E =
+    (-1)^floor(n/2).  Both halves' pivots are tested against A's own
+    threshold, ``2n * eps * ||A||_inf``, and ||A||_inf is the slab's: the
+    rows of A below it are its rows reversed.
 
     ``checkerboard`` says that A is real where row + column is even and
     imaginary where it is odd.  Column 2n-1-c of A has the parity opposite
@@ -398,9 +399,9 @@ def folded_log_determinant(slab: np.ndarray, checkerboard: bool = False) -> LogD
         b += ce
         plus = _factored(b, floor)[2]
         return plus if plus.is_singular else LogDet(2.0 * plus.log_modulus, 0.0, False)
-    diff = b - ce
-    b += ce
-    ce[...] = diff
+    for j in range(0, n, _NORM_BLOCK):
+        b_j, ce_j = b[:, j:j + _NORM_BLOCK], ce[:, j:j + _NORM_BLOCK]
+        b_j[...], ce_j[...] = b_j + ce_j, b_j - ce_j
     plus = _factored(slab[:, :n], floor)[2]
     minus = _factored(slab[:, n:], floor)[2]
     if plus.is_singular or minus.is_singular:

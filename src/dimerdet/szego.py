@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dimer import DimerParams, _angle_terms, symbol_psi
+from .dimer import DimerParams, _angle_terms, _unit_interval_t, symbol_psi
 from .errors import (
     BranchFailure,
     NonzeroWinding,
@@ -263,12 +263,9 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
     b = (sinh(w) / Delta) / sinhc(w), sinhc(w) = sinh(w)/w, in closed form:
     sinhc has no zero at |w| < pi, so no point is removable.
     The reconstruction e^a (cosh(b Delta) I + b sinhc(b Delta) Q) equals
-    sigma psi, :func:`dimerdet.dimer.symbol_phi`.
+    sigma psi, :func:`dimerdet.dimer.symbol_phi`, for real t in (0, 1) only.
     """
-    if not params.is_real_unit_interval:
-        raise BranchFailure(
-            f"exponential representation is established for real t in (0, 1), got {params.t}")
-    t = params.t.real
+    t = _unit_interval_t(params, "exp_representation")
 
     def delta_alpha(x):
         """The angle terms, Delta = i sin x sqrt(g^2 + A^2) and alpha at angles x."""
@@ -318,14 +315,12 @@ def exp_representation(params: DimerParams) -> ExpRepresentation:
 def alpha_log_tables(params: DimerParams) -> tuple[FourierTable, FourierTable]:
     """Fourier tables of alpha_1 = log g = log(1-2t cos x+t^2) and
     alpha_2 = log W^2 = log(t^2+sin^2 x+sin^4 x), from the terms of
-    :func:`dimerdet.dimer._angle_terms`; real logs for real t in (0,1).
+    :func:`dimerdet.dimer._angle_terms`; real logs, for real t in (0, 1) only.
 
     Both come from one evaluator and one run of :func:`common_order_tables`,
     so they share one order and can be combined coefficient-wise.
     """
-    if not params.is_real_unit_interval:
-        raise BranchFailure(f"log symbols need real t in (0, 1), got {params.t}")
-    t = params.t.real
+    t = _unit_interval_t(params, "alpha_log_tables")
 
     def logs(x):
         _, _, _, w, g = _angle_terms(t, x)

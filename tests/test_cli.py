@@ -575,6 +575,19 @@ def test_verify_near_t_one_errors_only_on_three_way_e(t, capsys):
     assert [name for name, row in rows.items() if row["status"] != "pass"] == ["three-way-e"]
 
 
+@pytest.mark.parametrize("t", ["1", "1.5", "2", "0.8+0.3i"])
+def test_verify_off_the_interval_refuses_with_one_error_type(t, capsys):
+    # every identity defined only on (0, 1) refuses with the one error type
+    # of its one domain check; continuation passes at its default n = 8,
+    # within the reach of b_hat
+    rows = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
+    passed = [name for name, row in rows.items() if row["status"] == "pass"]
+    assert passed == ["continuation", "scalar-widom"]
+    assert rows["continuation"]["n"] == 8
+    assert {row["error"]["type"] for name, row in rows.items()
+            if name not in passed} == {"ParameterOutOfRange"}
+
+
 def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
     from dimerdet import cli, szego
 

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from dimerdet import (
+    DecompositionMismatch,
     DimerParams,
     ParameterOutOfRange,
     TruncationTooShort,
@@ -26,9 +27,9 @@ from dimerdet import (
     toeplitz_section,
 )
 from dimerdet.continuation import (
-    _conjugate_tables,
     _phi_hat_table,
     _scalar_tables,
+    _section_dets,
     b_hat,
     errors_decreasing,
     theta_section,
@@ -139,7 +140,8 @@ def test_phi_hat_has_unit_determinant():
 @pytest.mark.parametrize("n", [4, 8])
 def test_fdm_identity(t, n):
     seq = theta_decomposition(t, n)  # raises DecompositionMismatch beyond 1e-9
-    det_lhs = log_determinant(seq.b_hat).value
+    assert seq.identity_residual <= 1e-9
+    det_lhs = log_determinant(b_hat(t, n)).value
     assert np.isfinite(abs(det_lhs)) and abs(det_lhs) > 0
 
 
@@ -250,8 +252,8 @@ def test_real_t_table_check_rejects_a_stray_part(monkeypatch):
         correlation_finite(DimerParams(20.0), 8)
 
 
-def test_real_t_factors_one_n_by_n_matrix_per_n(monkeypatch):
-    # real t: one getrf of B + CE per n; complex t: the two halves of the fold
+def _getrf_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape of each matrix LAPACK ``getrf`` factors from now on."""
     shapes = []
     real = scipy.linalg.get_lapack_funcs
 
@@ -264,11 +266,35 @@ def test_real_t_factors_one_n_by_n_matrix_per_n(monkeypatch):
         return (call,)
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
+    return shapes
+
+
+def test_real_t_factors_one_n_by_n_matrix_per_n(monkeypatch):
+    # real t: one getrf of B + CE per n; complex t: the two halves of the fold
+    shapes = _getrf_shapes(monkeypatch)
     correlation_scan(DimerParams(0.6), [8, 16, 33])
     assert shapes == [(8, 8), (16, 16), (33, 33)]
     shapes.clear()
     correlation_scan(DimerParams(0.6 + 0.1j), [8, 16])
     assert shapes == [(8, 8), (8, 8), (16, 16), (16, 16)]
+
+
+@pytest.mark.parametrize("t, halves", [(0.6, 1), (2.0, 1), (0.6 + 0.1j, 2)])
+def test_continuation_identity_factors_the_route_of_p(t, halves, monkeypatch):
+    # the identity's right side is the determinant P(n) is taken from: at
+    # real t one n x n LU of B + CE, at complex t the fold's two halves; its
+    # left side is the one 2n x 2n LU of b_hat
+    shapes = _getrf_shapes(monkeypatch)
+    theta_decomposition(t, 12)
+    assert shapes == [(24, 24)] + [(12, 12)] * halves
+
+
+def test_continuation_identity_past_t_one_names_the_growth_of_b_hat():
+    # at t = 2 b_hat's band reaches 2^31 at n = 33 and its LU loses the
+    # identity; the section itself is regular there
+    with pytest.raises(DecompositionMismatch, match=r"\|t\|\^\(n-2\) = 2\.1e\+09"):
+        theta_decomposition(2.0, 33)
+    assert abs(correlation_finite(DimerParams(2.0), 33) - correlation_limit(2.0)) <= 1e-14
 
 
 def test_real_t_one_lu_keeps_the_pivot_test():
@@ -348,8 +374,9 @@ def test_correlation_finite_builds_no_full_section():
 
 
 def test_correlation_finite_at_complex_t_builds_no_full_section():
-    # the two-LU fold also makes one half-size temporary, B - CE
-    assert _traced_peak(0.6 + 0.1j, 512) < 16 * 2 ** 20
+    # the two-LU fold forms B - CE one strip of columns at a time: the slab
+    # is 8 MiB, and one n x n complex temporary would add 4 MiB
+    assert _traced_peak(0.6 + 0.1j, 512) < 10 * 2 ** 20
 
 
 def test_theta_section_needs_table_order():
@@ -406,15 +433,11 @@ def test_correlation_finite_samples_the_pair_once_per_angle(monkeypatch):
 
 
 def _single_n_p(t: complex, n: int) -> complex:
-    """P(n) from a table pair of its own, resolved to at least order n: the
-    single-n route written out step by step, as a reference."""
+    """P(n) from a table pair of its own, resolved to at least order n, and
+    its determinant from the route every P(n) takes."""
     t = complex(t)
-    tables = _scalar_tables(t, n)
-    real = t.imag == 0.0
-    if real:
-        tables = _conjugate_tables(*tables)
-    det = folded_log_determinant(theta_section(t, n, *tables), checkerboard=real)
-    return complex(0.5 * np.sqrt(det.value))
+    det, = _section_dets(t, [n], *_scalar_tables(t, n))
+    return complex(0.5 * np.sqrt(det))
 
 
 def _cli_json(args):

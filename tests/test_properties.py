@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from dimerdet import (
     exp_representation,
     symbol_phi,
     symbol_psi,
+    theta_decomposition,
 )
+from dimerdet import continuation
 from dimerdet.cli import RunConfig, run_verify
 from dimerdet.closed_form import lambda_value, prefactor, spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
@@ -141,6 +144,27 @@ def test_real_t_one_lu_matches_the_two_lu_fold(t, n):
     if one is not None:
         assert one.imag == 0.0
         assert abs(one - two) <= 1e-13 * abs(two)
+
+
+@SETTINGS
+@given(st.floats(0.0015, 1.0), st.integers(1, 96))
+@example(0.0015, 96)
+@example(1.0, 96)
+def test_continuation_identity_checks_the_determinant_p_is_taken_from(t, n):
+    # verify's continuation row compares b_hat with the section determinant
+    # of the route every P(n) takes: at real t one LU of projected tables
+    dets, route = [], continuation._section_dets
+
+    def recorded(*args):
+        out = route(*args)
+        dets.extend(out)
+        return out
+
+    with mock.patch.object(continuation, "_section_dets", recorded):
+        assert theta_decomposition(t, n).identity_residual <= 1e-9
+    det, = dets
+    p = correlation_finite(DimerParams(t), n)
+    assert abs(det - (2 * p) ** 2) <= 1e-14 * abs(det)
 
 
 #: below Re t = 0.01, the reach of the top-band check at the cap grid 32768:

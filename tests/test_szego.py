@@ -440,9 +440,13 @@ def test_exp_representation_b_finite_at_removable_points():
 
 
 def test_exp_representation_needs_real_t():
-    from dimerdet import BranchFailure
-    with pytest.raises(BranchFailure):
-        exp_representation(DimerParams(0.5 + 0.1j))
+    # the same check, and error type, as symbol_phi's: BranchFailure names
+    # only a failed branch check at a real t in (0, 1)
+    from dimerdet import ParameterOutOfRange
+    for fn in (exp_representation, alpha_log_tables):
+        for t in (0.5 + 0.1j, 1.0, 2.0):
+            with pytest.raises(ParameterOutOfRange, match=f"{fn.__name__} requires real t in"):
+                fn(DimerParams(t))
 
 
 # ---------------------------------------------------------------------------
