@@ -30,11 +30,13 @@ from .errors import (
     BranchFailure,
     DecompositionMismatch,
     InvariantViolation,
+    SingularDeterminant,
     TruncationTooShort,
     half_plane_t,
 )
 from .spectral import (
     _EPS,
+    STRAY_TOL,
     FourierTable,
     _section,
     ScalarSymbol,
@@ -167,24 +169,23 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     one row: the result carries row 0 of K.  The right side is P(n)'s own
     route, :func:`_section_dets`; b_hat, from the unprojected tables, is the
     independent side.  Its band t^{j-k-1} reaches |t|^(n-2), so for |t| > 1
-    its LU fails the check from some n on (at t = 2, n = 33), and the
-    message names that growth.
+    its LU fails the check from some n on (at t = 2, n = 33), or is flagged
+    singular (at t = 2, n = 64: SingularDeterminant), and either message
+    names b_hat and that growth.
     """
     t = complex(t)
     e_tab, d_tab = _scalar_tables(t, n)
-    lhs = log_determinant(b_hat(t, n, (e_tab, d_tab))).value
+    band = f"b_hat's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
+    det_b = log_determinant(b_hat(t, n, (e_tab, d_tab)))
+    if det_b.is_singular:
+        raise SingularDeterminant(f"the LU of b_hat is flagged singular at t={t}, n={n}; {band}")
+    lhs = det_b.value
     rhs, = _section_dets(t, [n], e_tab, d_tab)
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual > 1e-9:
-        band = f"; b_hat's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
         raise DecompositionMismatch(f"det b_hat = {lhs} vs decomposed {rhs} at t={t}, "
-                                    f"n={n}{band if abs(t) > 1 else ''}")
+                                    f"n={n}{'; ' + band if abs(t) > 1 else ''}")
     return ContinuedSequence(_k_row(t, n, e_tab, d_tab), residual)
-
-
-#: the largest stray part a real-t table may hold, relative to its max|c|:
-#: an e+ coefficient's imaginary part or a d coefficient's real part
-STRAY_TOL = 1e-14
 
 
 def _conjugate_tables(e_tab: FourierTable,

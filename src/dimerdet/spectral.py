@@ -249,18 +249,24 @@ def _nested(sample: Evaluator) -> Callable[[int], np.ndarray]:
     return on_grid
 
 
-def series_symbol(tab: FourierTable) -> MatrixSymbol:
-    """The truncated Fourier series of a table: one Horner pass in z = e^{ix}."""
+def _series(coeffs: np.ndarray) -> Evaluator:
+    """The truncated Fourier series whose coefficient k is ``coeffs[k + K]``,
+    k = -K..K, of any block shape ``coeffs.shape[1:]`` (a family of tables
+    padded to one order stacks on an axis of it): one Horner pass in
+    z = e^{ix}, values of shape (len(x),) + ``coeffs.shape[1:]``."""
+    order, block = coeffs.shape[0] // 2, coeffs.shape[1:]
+    expand = (slice(None),) + (None,) * len(block)
+
     def eval_(x):
-        z = np.exp(1j * x)[:, None, None]
-        acc = np.zeros((x.size, tab.block_size, tab.block_size), dtype=complex)
-        for c in tab.coeffs[::-1]:
+        z = np.exp(1j * x)[expand]
+        acc = np.zeros((x.size,) + block, dtype=complex)
+        for c in coeffs[::-1]:
             acc *= z
             acc += c
-        acc *= np.exp(-1j * tab.order * x)[:, None, None]
+        acc *= np.exp(-1j * order * x)[expand]
         return acc
 
-    return MatrixSymbol(eval_)
+    return eval_
 
 
 def toeplitz_section(tab: FourierTable, m: int, reflected: bool = False) -> np.ndarray:
@@ -287,8 +293,8 @@ def _section(tab: FourierTable, m: int, first: int, sign: int, toeplitz: bool,
 
     The strip is a view of the table where it lies inside the order and a
     zero-padded copy where it does not; it is copied once, through a
-    zero-copy sliding window, into a Fortran-ordered buffer that
-    :func:`pivoted_lu` factors in place.
+    zero-copy sliding window, into a Fortran-ordered buffer of the table's
+    dtype that :func:`pivoted_lu` factors in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -302,20 +308,48 @@ def _section(tab: FourierTable, m: int, first: int, sign: int, toeplitz: bool,
     else:
         idx = start + sign * np.arange(length)
         inside = (0 <= idx) & (idx <= 2 * order)
-        strip = np.zeros((length, n, n), dtype=complex)
+        strip = np.zeros((length, n, n), dtype=tab.coeffs.dtype)
         strip[inside] = tab.coeffs[idx[inside]]
     if not np.isfinite(strip).all():
         raise SampleFailure("matrix section contains non-finite entries")
     window = sliding_window_view(strip, m, axis=0)  # [j, a, b, k] is strip[j + k]
     if toeplitz:
         window = window[..., ::-1]
-    out = np.empty((rows, m * n), dtype=complex, order="F")
+    out = np.empty((rows, m * n), dtype=tab.coeffs.dtype, order="F")
     # row jN + a of out is blocks[a, j], one row at a time in a cut block row
     blocks = out[:whole * n].reshape((n, whole, n, m), order="F")
     blocks[...] = window[:whole].transpose(1, 0, 2, 3)
     for a in range(cut):
         out[whole * n + a].reshape((n, m), order="F")[...] = window[whole, a]
     return out
+
+
+#: the largest stray part a table may hold where a real form of it is
+#: taken, relative to its max|c|: the imaginary part left by
+#: :func:`_checkerboard_real`, and an e+ coefficient's imaginary part or a d
+#: coefficient's real part in ``continuation._conjugate_tables``
+STRAY_TOL = 1e-14
+
+
+def _checkerboard_real(tab: FourierTable) -> FourierTable | None:
+    """The table of D sym D^{-1}, D = diag(i^r) over the block rows r, in
+    float64, when that is real.  The similarity multiplies entry (r, c) of
+    every coefficient by i^{r - c}, so it makes real a table that is real
+    where r + c is even and imaginary where it is odd (the ``checkerboard``
+    of :func:`folded_log_determinant`; for real t the dimer symbol's and its
+    inverse's, with D = diag(1, i)).  None when an imaginary part above
+    ``STRAY_TOL`` of the table's max|c| remains; below it the imaginary
+    parts are dropped.
+
+    D is block-diagonal on a section, so a product of sections of such
+    tables is similar, with the same determinant, to the product of the
+    real sections of theirs.
+    """
+    r = np.arange(tab.block_size)
+    similar = tab.coeffs * np.array([1, 1j, -1, -1j])[(r[:, None] - r) % 4]
+    if np.max(np.abs(similar.imag)) > STRAY_TOL * np.max(np.abs(similar)):
+        return None
+    return FourierTable(similar.real.copy())
 
 
 def _factored(a: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, LogDet]:
@@ -420,61 +454,68 @@ def log_determinant(a: np.ndarray) -> LogDet:
     return pivoted_lu(np.array(a, dtype=complex, order="F"))[2]
 
 
-def pointwise_inverse(sym: MatrixSymbol) -> MatrixSymbol:
-    """The symbol x -> sym(x)^{-1}, via reciprocal (N=1) or 2x2 adjugate."""
-    return MatrixSymbol(lambda x: _inverse_samples(sym.sample(x)))
-
-
 def _inverse_samples(v: np.ndarray) -> np.ndarray:
-    """The inverse of each N x N sample in a (len(x), N, N) array, N <= 2:
+    """The inverse of each N x N sample in a (..., N, N) array, N <= 2:
     the reciprocal, or the adjugate over the determinant."""
-    if v.shape[1] > 2:
-        raise ValueError(f"pointwise inverses need block size 1 or 2, got {v.shape[1]}")
+    if v.shape[-1] > 2:
+        raise ValueError(f"pointwise inverses need block size 1 or 2, got {v.shape[-1]}")
     d = _pointwise_det(v)
     if np.any(np.abs(d) < 1e-14):
         raise SingularSymbol("det of symbol below 1e-14 on evaluation points")
-    if v.shape[1] == 1:
+    if v.shape[-1] == 1:
         return 1.0 / v
     # adjugate/det: inv[i][j] = (-1)^{i+j} m[1-j][1-i] / det
-    return v[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]] / d[:, None, None]
+    return v[..., ::-1, ::-1].swapaxes(-1, -2) * [[1, -1], [-1, 1]] / d[..., None, None]
 
 
 def _pointwise_det(v: np.ndarray) -> np.ndarray:
-    """det of each N x N sample in a (len(x), N, N) array; closed form for N <= 2."""
-    if v.shape[1] == 1:
-        return v[:, 0, 0]
-    if v.shape[1] == 2:
-        return v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    """det of each N x N sample in a (..., N, N) array; closed form for N <= 2."""
+    if v.shape[-1] == 1:
+        return v[..., 0, 0]
+    if v.shape[-1] == 2:
+        return v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
     return np.linalg.det(v)
 
 
 def _logdet_mean(d: np.ndarray, grid: int) -> np.ndarray:
-    """[mean of log det, change of arg det around the circle] from the
-    values ``d`` of det on ``grid`` points.  The argument is unwrapped along
-    the grid, which measures the winding and fixes the log branch."""
+    """[mean of log det, change of arg det around the circle], each of
+    shape (m,), from the values ``d`` of m dets on ``grid`` points, shape
+    (grid, m).  Each argument is unwrapped along the grid, symbol by
+    symbol, which measures its winding and fixes its log branch."""
     if np.any(np.abs(d) < 1e-14):
         raise SingularSymbol("det of symbol below 1e-14 on the sampling grid")
-    ang = np.unwrap(np.angle(np.concatenate([d, d[:1]])))
-    change = ang[-1] - ang[0]
+    # one contiguous row per symbol: its mean is summed as for a family of one
+    d = np.ascontiguousarray(d.T)
+    ang = np.unwrap(np.angle(np.concatenate([d, d[:, :1]], axis=1)))
+    change = ang[:, -1] - ang[:, 0]
     # the periodic trapezoid rule; its closing point is the first one, moved by the change
-    mean = np.mean(np.log(np.abs(d)) + 1j * ang[:-1]) + 0.5j * change / grid
+    mean = np.mean(np.log(np.abs(d)) + 1j * ang[:, :-1], axis=1) + 0.5j * change / grid
     return np.array([mean, change])
 
 
 def geometric_mean(sym: MatrixSymbol) -> complex:
-    """G(sym): exp of the circle average of log det sym.
+    """G(sym): exp of the circle average of log det sym (the family of one
+    of :func:`geometric_means`)."""
+    return complex(geometric_means(lambda x: sym.sample(x)[:, None])[0])
 
-    The grid doubles from ``MIN_GRID`` until one more doubling moves
-    neither the mean of log det nor the change of arg det (see
+
+def geometric_means(sample: Evaluator) -> np.ndarray:
+    """G of each symbol one evaluator samples together: ``sample(x)`` has
+    shape (len(x), m, N, N), as for :func:`common_order_tables`.
+
+    The grid doubles from ``MIN_GRID`` until one more doubling moves no
+    symbol's mean of log det nor its change of arg det (see
     :func:`_doubled`); the trapezoid rule converges exponentially, at a rate
-    set by how far the nearest singularity of log det lies from the circle;
+    set by how far the nearest singularity of log det lies from the circle,
+    so the symbol whose singularity lies nearest sets the grid of all;
     each doubling samples only the new midpoints (:func:`_nested`).
     A converged change of at least pi raises NonzeroWinding.
     """
-    dets = _nested(lambda x: _pointwise_det(sym.sample(x)))
+    dets = _nested(lambda x: _pointwise_det(sample(x)))
     (mean, change), _ = _doubled(
         lambda grid: _logdet_mean(dets(grid), grid), MIN_GRID, MAX_GRID, QUAD_TOL,
         QuadratureUnconverged, "the geometric mean", "MAX_GRID")
-    if abs(change) >= math.pi:
-        raise NonzeroWinding(f"accumulated argument change {change.real:.3f} rad")
-    return complex(np.exp(mean))
+    wound = np.flatnonzero(np.abs(change) >= math.pi)
+    if wound.size:
+        raise NonzeroWinding(f"accumulated argument change {change[wound[0]].real:.3f} rad")
+    return np.exp(mean)

@@ -29,19 +29,19 @@ from .errors import (
 )
 from .spectral import (
     FourierTable,
+    _checkerboard_real,
     _doubled,
     _inverse_samples,
+    _series,
     _stack_entries,
     MatrixSymbol,
     ScalarSymbol,
     common_order_tables,
     fourier_coefficients,
-    geometric_mean,
+    geometric_means,
     hankel_section,
     log_determinant,
     pivoted_lu,
-    pointwise_inverse,
-    series_symbol,
     toeplitz_section,
 )
 
@@ -52,8 +52,9 @@ log = logging.getLogger(__name__)
 MIN_OP_ORDER = 32
 #: the largest operator truncation m (in blocks) that :func:`szego_E_operator`
 #: and :func:`bocg_residual` build.  Memory, not time, sets it: with 2x2
-#: blocks the product holds two (2m)^2 complex buffers, 19 MB at m = 384,
-#: and every further 64 adds about 7 MB
+#: blocks the product holds two (2m)^2 buffers, float64 where the tables
+#: allow it (real t, see :func:`_operator_det`), 9.4 MB at m = 384, and
+#: complex otherwise, 19 MB; every further 64 adds about 3.5 or 7 MB
 MAX_OP_ORDER = 384
 
 
@@ -134,7 +135,15 @@ def szego_E_operator(sym: MatrixSymbol, tol: float = 1e-10) -> complex:
 
 def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
     """det(I - H(sym) H(symtilde^{-1})) on the order-m truncation, from the
-    tables of sym and sym^{-1}, built and factored in one buffer."""
+    tables of sym and sym^{-1}, built and factored in one buffer.
+
+    Where both tables are real after the similarity of
+    :func:`dimerdet.spectral._checkerboard_real` (at real t the dimer
+    symbol's are), the sections, their product and its LU are float64, of
+    the same determinant; otherwise they are complex."""
+    real = _checkerboard_real(tab), _checkerboard_real(tab_inv)
+    if all(r is not None for r in real):
+        tab, tab_inv = real
     h1, a = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
     # the product overwrites H2 a column block at a time, so two buffers are live
     for lo in range(0, a.shape[1], 128):
@@ -166,25 +175,43 @@ def correction_factor(a: FourierTable, block_size: int, tol: float = 1e-10) -> c
 
 
 def widom_banded_E(psi_tab: FourierTable, band: int) -> complex:
-    """E(psi) = G(psi)^n det T_n(psi^{-1}) for one-sided banded symbols.
+    """E(psi) = G(psi)^n det T_n(psi^{-1}) for a one-sided banded symbol,
+    n = ``band``: the family of one of :func:`widom_banded_family`."""
+    return widom_banded_family([psi_tab], [band])[0]
 
-    ``psi_tab`` must have coefficients vanishing (below 1e-13) beyond
-    ``band`` on at least one side.  The convention det T_0 = 1 makes the
-    formula valid at band 0 as well.  The geometric mean and the psi^{-1}
-    table each follow their doubling rule.
+
+def widom_banded_family(psi_tabs: list[FourierTable], bands: list[int]) -> list[complex]:
+    """E(psi) = G(psi)^n det T_n(psi^{-1}) for each of a family of one-sided
+    banded symbols of one block size, n = ``bands[i]`` for ``psi_tabs[i]``.
+
+    Each table must have coefficients vanishing (below 1e-13) beyond its
+    band on at least one side.  The convention det T_0 = 1 makes the
+    formula valid at band 0 as well.  One evaluator samples the family, the
+    Fourier series of its tables padded to one order, so the geometric
+    means come from one doubling run (:func:`geometric_means`) and the
+    psi^{-1} tables from one run of :func:`common_order_tables`, each on
+    the grid its slowest symbol needs; only the band x band determinants
+    are taken one symbol at a time.
     """
-    upper = np.max(_coeff_magnitudes(psi_tab, 1)[band:], initial=0.0)
-    lower = np.max(_coeff_magnitudes(psi_tab, -1)[band:], initial=0.0)
-    if min(upper, lower) > 1e-13:
-        raise NotBanded(
-            f"coefficients beyond band {band} reach {min(upper, lower):.3e} on both sides")
-    sym = series_symbol(psi_tab)
-    gmean = geometric_mean(sym)
-    if band == 0:
-        return complex(1.0)
-    inv_tab = fourier_coefficients(pointwise_inverse(sym), order=band)
-    det = log_determinant(toeplitz_section(inv_tab, band)).value
-    return complex(gmean ** band * det)
+    for tab, band in zip(psi_tabs, bands):
+        upper = np.max(_coeff_magnitudes(tab, 1)[band:], initial=0.0)
+        lower = np.max(_coeff_magnitudes(tab, -1)[band:], initial=0.0)
+        if min(upper, lower) > 1e-13:
+            raise NotBanded(
+                f"coefficients beyond band {band} reach {min(upper, lower):.3e} on both sides")
+    order = max(tab.order for tab in psi_tabs)
+    coeffs = np.zeros((2 * order + 1, len(psi_tabs)) + psi_tabs[0].coeffs.shape[1:],
+                      dtype=complex)
+    for i, tab in enumerate(psi_tabs):
+        coeffs[order - tab.order:order + tab.order + 1, i] = tab.coeffs
+    sample = _series(coeffs)
+    gmeans = geometric_means(sample)
+    dets = [1.0] * len(bands)  # det T_0
+    if max(bands) > 0:
+        inv_tabs = common_order_tables(lambda x: _inverse_samples(sample(x)), max(bands))
+        dets = [log_determinant(toeplitz_section(inv, band)).value if band else 1.0
+                for inv, band in zip(inv_tabs, bands)]
+    return [complex(complex(g) ** band * det) for g, band, det in zip(gmeans, bands, dets)]
 
 
 def bocg_residual(psi_tab: FourierTable, n: int, tol: float = 1e-10) -> complex:

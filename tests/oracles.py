@@ -4,6 +4,7 @@ of the package because no library route uses them."""
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
 from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
@@ -14,7 +15,11 @@ from dimerdet.spectral import (
     MatrixSymbol,
     ScalarSymbol,
     _grid,
+    _inverse_samples,
+    _series,
     _stack_entries,
+    hankel_section,
+    log_determinant,
     toeplitz_section,
 )
 
@@ -37,6 +42,44 @@ def from_entries(rows) -> MatrixSymbol:
     if any(len(r) != n for r in rows):
         raise ValueError("entries must be square")
     return MatrixSymbol(lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size))
+
+
+def series_symbol(tab: FourierTable) -> MatrixSymbol:
+    """The truncated Fourier series of a table, the one Horner pass
+    ``widom_banded_family`` samples its family by."""
+    return MatrixSymbol(_series(tab.coeffs))
+
+
+def pointwise_inverse(sym: MatrixSymbol) -> MatrixSymbol:
+    """The symbol x -> sym(x)^{-1}, via reciprocal (N=1) or 2x2 adjugate,
+    as the table routes of ``szego`` invert their samples."""
+    return MatrixSymbol(lambda x: _inverse_samples(sym.sample(x)))
+
+
+def getrf_shapes(monkeypatch) -> list[tuple[tuple[int, int], np.dtype]]:
+    """Record the shape and dtype of each matrix LAPACK ``getrf`` factors
+    from now on: float64 for ``dgetrf``, complex128 for ``zgetrf``."""
+    shapes = []
+    real = scipy.linalg.get_lapack_funcs
+
+    def counted(names, arrays=()):
+        getrf, = real(names, arrays)
+
+        def call(a, **kwargs):
+            shapes.append((a.shape, a.dtype))
+            return getrf(a, **kwargs)
+        return (call,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
+    return shapes
+
+
+def complex_operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
+    """det(I - H(sym) H(symtilde^{-1})) on the order-m truncation, formed
+    densely in complex arithmetic from the complex tables: the reference of
+    ``szego._operator_det``'s float64 route."""
+    h1, h2 = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
+    return log_determinant(np.eye(h1.shape[0]) - h1 @ h2).value
 
 
 def coeff(tab: FourierTable, k: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from dimerdet import (
 )
 from dimerdet.closed_form import spectral_roots
 from dimerdet.continuation import b_hat
-from dimerdet.spectral import ScalarSymbol, pointwise_inverse
+from dimerdet.spectral import ScalarSymbol
 from dimerdet.szego import (
     _bocg_truncated,
     _operator_det,
@@ -40,7 +40,7 @@ from dimerdet.szego import (
     correction_factor,
     hankel_trace,
 )
-from oracles import as_1x1, table_from_coeff_map
+from oracles import as_1x1, pointwise_inverse, table_from_coeff_map
 
 E_T_SET = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
 

@@ -111,6 +111,23 @@ def test_repeated_runs_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+#: the scalar-widom residual at --t 0.3 for each seed, as it read when the
+#: 20 symbols' E was taken one symbol at a time
+SCALAR_WIDOM_RESIDUALS = {1: 5.593023969348752e-16, 2: 6.866350197783356e-16,
+                          3: 7.947987303456224e-16, 7: 2.318213734067276e-15,
+                          99: 7.108895957933346e-16, 1234: 7.447602459741819e-16}
+
+
+@pytest.mark.parametrize("seed", sorted(SCALAR_WIDOM_RESIDUALS))
+def test_scalar_widom_family_pass_keeps_the_residuals(seed, capsys):
+    args = ["verify", "--identity", "scalar-widom", "--t", "0.3", "--seed", str(seed),
+            "--format", "json"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    row, = json.loads(out)["rows"]
+    assert abs(row["residual"] - SCALAR_WIDOM_RESIDUALS[seed]) <= 1e-14
+
+
 def test_exit_code_2_on_bad_parameter(capsys):
     assert main(["correlation", "--t", "-1"]) == 2
     capsys.readouterr()

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,7 @@ from oracles import (
     as_1x1,
     e_plus_symbol,
     fft_table,
+    getrf_shapes,
     phi_hat_symbol,
     symbol_d,
     tail_magnitude,
@@ -252,31 +254,14 @@ def test_real_t_table_check_rejects_a_stray_part(monkeypatch):
         correlation_finite(DimerParams(20.0), 8)
 
 
-def _getrf_shapes(monkeypatch) -> list[tuple[int, int]]:
-    """Record the shape of each matrix LAPACK ``getrf`` factors from now on."""
-    shapes = []
-    real = scipy.linalg.get_lapack_funcs
-
-    def counted(names, arrays=()):
-        getrf, = real(names, arrays)
-
-        def call(a, **kwargs):
-            shapes.append(a.shape)
-            return getrf(a, **kwargs)
-        return (call,)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
-    return shapes
-
-
 def test_real_t_factors_one_n_by_n_matrix_per_n(monkeypatch):
     # real t: one getrf of B + CE per n; complex t: the two halves of the fold
-    shapes = _getrf_shapes(monkeypatch)
+    shapes = getrf_shapes(monkeypatch)
     correlation_scan(DimerParams(0.6), [8, 16, 33])
-    assert shapes == [(8, 8), (16, 16), (33, 33)]
+    assert shapes == [((8, 8), complex), ((16, 16), complex), ((33, 33), complex)]
     shapes.clear()
     correlation_scan(DimerParams(0.6 + 0.1j), [8, 16])
-    assert shapes == [(8, 8), (8, 8), (16, 16), (16, 16)]
+    assert shapes == [((8, 8), complex)] * 2 + [((16, 16), complex)] * 2
 
 
 @pytest.mark.parametrize("t, halves", [(0.6, 1), (2.0, 1), (0.6 + 0.1j, 2)])
@@ -284,9 +269,9 @@ def test_continuation_identity_factors_the_route_of_p(t, halves, monkeypatch):
     # the identity's right side is the determinant P(n) is taken from: at
     # real t one n x n LU of B + CE, at complex t the fold's two halves; its
     # left side is the one 2n x 2n LU of b_hat
-    shapes = _getrf_shapes(monkeypatch)
+    shapes = getrf_shapes(monkeypatch)
     theta_decomposition(t, 12)
-    assert shapes == [(24, 24)] + [(12, 12)] * halves
+    assert shapes == [((24, 24), complex)] + [((12, 12), complex)] * halves
 
 
 def test_continuation_identity_past_t_one_names_the_growth_of_b_hat():
@@ -295,6 +280,19 @@ def test_continuation_identity_past_t_one_names_the_growth_of_b_hat():
     with pytest.raises(DecompositionMismatch, match=r"\|t\|\^\(n-2\) = 2\.1e\+09"):
         theta_decomposition(2.0, 33)
     assert abs(correlation_finite(DimerParams(2.0), 33) - correlation_limit(2.0)) <= 1e-14
+
+
+def test_continuation_identity_names_b_hat_when_its_lu_is_singular(capsys):
+    # at t = 2, n = 64 b_hat's band reaches 2^62 and its LU is flagged
+    # singular: the error keeps its type and names b_hat and that band
+    message = r"LU of b_hat is flagged singular .*\|t\|\^\(n-2\) = 4\.6e\+18"
+    with pytest.raises(SingularDeterminant, match=message):
+        theta_decomposition(2.0, 64)
+    args = ["verify", "--identity", "continuation", "--t", "2", "--n", "64", "--format", "json"]
+    assert main(args) == 3
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"]["type"] == "SingularDeterminant"
+    assert re.search(message, row["error"]["message"])
 
 
 def test_real_t_one_lu_keeps_the_pivot_test():

@@ -26,22 +26,26 @@ from dimerdet.closed_form import lambda_value, prefactor, spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
 from dimerdet.spectral import (
     FourierTable,
+    _checkerboard_real,
     _grid,
     _section,
     folded_log_determinant,
+    fourier_coefficients,
     hankel_section,
     log_determinant,
     table_grid,
     toeplitz_section,
 )
-from dimerdet.szego import _sinhc
+from dimerdet.szego import _operator_det, _sinhc
 from oracles import (
     _sigma,
     as_1x1,
     assemble,
+    complex_operator_det,
     e_plus_symbol,
     fft_table,
     hankel_index,
+    pointwise_inverse,
     symbol_d,
     theta_section_dense,
     toeplitz_index,
@@ -389,3 +393,19 @@ def test_folded_determinant_matches_the_dense_section(t, n):
     folded = folded_log_determinant(theta_section(t, n, *tables)).value
     full = log_determinant(dense).value
     assert abs(folded - full) <= 1e-12 * abs(full)
+
+
+@SETTINGS
+@given(st.floats(0.01, 0.99), st.integers(1, 48))
+def test_operator_det_at_real_t_is_the_complex_products(t, m):
+    # phi's and phi^{-1}'s tables are real after diag(1, i) to within
+    # STRAY_TOL (at most 6.7e-15 of max|c| at t = 0.99, 1.7e-16 below 0.3), so
+    # these t take the float64 route, and it gives the complex determinant
+    # (within 7.1e-15 on a grid of 25 t and 7 m, the worst at t = 0.99); phi's
+    # stray part grows as t -> 1, 3.4e-14 at t = 0.998, where the product
+    # stays complex
+    phi = symbol_phi(DimerParams(t))
+    tab, tab_inv = fourier_coefficients(phi), fourier_coefficients(pointwise_inverse(phi))
+    assert _checkerboard_real(tab) is not None and _checkerboard_real(tab_inv) is not None
+    reference = complex_operator_det(tab, tab_inv, m)
+    assert abs(_operator_det(tab, tab_inv, m) - reference) <= 1e-13 * abs(reference)

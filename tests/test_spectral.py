@@ -31,8 +31,6 @@ from dimerdet.spectral import (
     folded_log_determinant,
     hankel_section,
     pivoted_lu,
-    pointwise_inverse,
-    series_symbol,
     table_grid,
 )
 from oracles import (
@@ -43,7 +41,9 @@ from oracles import (
     edge_rule_grid,
     fft_table,
     from_entries,
+    pointwise_inverse,
     scalar_coeff,
+    series_symbol,
     symbol_a_b,
     symbol_d,
     table_from_coeff_map,

@@ -1,5 +1,7 @@
 """Tests for operator-truncation constants and the identity toolkit."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,9 +33,9 @@ from dimerdet.spectral import (
     FourierTable,
     MatrixSymbol,
     ScalarSymbol,
+    geometric_means,
     hankel_section,
     pivoted_lu,
-    pointwise_inverse,
 )
 from dimerdet.szego import (
     MAX_OP_ORDER,
@@ -42,8 +44,19 @@ from dimerdet.szego import (
     alpha_log_tables,
     correction_factor,
     hankel_trace,
+    widom_banded_family,
 )
-from oracles import as_1x1, constant_symbol, from_entries, scalar_coeff, table_from_coeff_map
+from oracles import (
+    as_1x1,
+    complex_operator_det,
+    constant_symbol,
+    from_entries,
+    getrf_shapes,
+    pointwise_inverse,
+    scalar_coeff,
+    series_symbol,
+    table_from_coeff_map,
+)
 
 
 def geometric_log_table(gammas, deltas, order=256):
@@ -65,6 +78,10 @@ def laurent_symbol(gammas, deltas):
             out = out * (1.0 - d / z)
         return out
     return as_1x1(ScalarSymbol(eval_))
+
+
+#: (1 - (0.6+0.3i) z)(1 + 0.2i z)(1 - (0.5-0.4i)/z), with complex coefficients
+COMPLEX_SYMBOL = laurent_symbol([0.6 + 0.3j, -0.2j], [0.5 - 0.4j])
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +116,61 @@ def test_e_operator_stable_under_doubling():
 
 
 def test_operator_truncations_factor_their_sections_in_place(monkeypatch):
+    # the operator product in its float64 buffer at real t, in its complex
+    # one for a complex symbol, and the two sections of the bocg truncation
     from dimerdet import szego
     seen = []
 
     def checked(a):
         lu = pivoted_lu(a)
-        seen.append(a.flags.f_contiguous and np.shares_memory(lu[0], a))
+        seen.append((a.flags.f_contiguous and np.shares_memory(lu[0], a), a.dtype))
         return lu
 
     monkeypatch.setattr(szego, "pivoted_lu", checked)
-    sym = symbol_phi(DimerParams(0.5))
-    _operator_det(fourier_coefficients(sym), fourier_coefficients(pointwise_inverse(sym)), 64)
+    for sym in (symbol_phi(DimerParams(0.5)), COMPLEX_SYMBOL):
+        _operator_det(fourier_coefficients(sym), fourier_coefficients(pointwise_inverse(sym)), 64)
     _bocg_truncated(psi_table(DimerParams(0.3)), 2, 64)
-    assert seen == [True, True, True]
+    assert seen == [(True, np.float64)] + [(True, complex)] * 3
+
+
+@pytest.mark.parametrize("t", [0.0573, 0.3, 0.6, 0.9327])
+def test_e_operator_at_real_t_factors_one_float64_matrix(t, monkeypatch):
+    # phi's tables and phi^{-1}'s are real after diag(1, i): the product and
+    # its LU are float64, of the determinant the complex product has
+    from dimerdet import szego
+    calls = []
+    real_det = szego._operator_det
+    monkeypatch.setattr(szego, "_operator_det",
+                        lambda *args: calls.append(args) or real_det(*args))
+    shapes = getrf_shapes(monkeypatch)
+    e_op = szego_E_operator(symbol_phi(DimerParams(t)))
+    (tab, tab_inv, m), = calls
+    assert shapes == [((2 * m, 2 * m), np.float64)]
+    reference = complex_operator_det(tab, tab_inv, m)
+    assert abs(e_op - reference) <= 1e-14 * abs(reference)
+
+
+def test_operator_det_keeps_the_complex_product_for_a_stray_part(monkeypatch):
+    # an imaginary part of 1e-12 max|c| planted in one real-after-diag(1, i)
+    # entry of phi's table is above STRAY_TOL: the product stays complex
+    sym = symbol_phi(DimerParams(0.5))
+    tab, tab_inv = fourier_coefficients(sym), fourier_coefficients(pointwise_inverse(sym))
+    coeffs = tab.coeffs.copy()
+    coeffs[tab.order + 1, 0, 0] += 1e-12j * np.abs(coeffs).max()
+    tab = FourierTable(coeffs)
+    shapes = getrf_shapes(monkeypatch)
+    value = _operator_det(tab, tab_inv, 64)
+    assert shapes == [((128, 128), complex)]
+    reference = complex_operator_det(tab, tab_inv, 64)
+    assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
+def test_e_operator_of_a_complex_symbol_keeps_the_complex_route(monkeypatch):
+    # its coefficients are not real: zgetrf, and the value bit for bit as
+    # before the float64 route
+    shapes = getrf_shapes(monkeypatch)
+    assert szego_E_operator(COMPLEX_SYMBOL) == 1.5234295770373214 - 0.382954762481685j
+    assert shapes and all(dtype == complex for _, dtype in shapes)
 
 
 def test_e_operator_samples_phi_once_per_grid_point():
@@ -295,6 +354,65 @@ def test_widom_vs_series_randomized():
         e_w = widom_banded_E(tab, n_up)
         e_s = correction_factor(geometric_log_table(gammas, deltas), 1)
         assert abs(e_w - e_s) < 1e-9
+
+
+def laurent_family(seed, size=20):
+    """The exact tables and upper bands of ``size`` random symbols
+    prod (1 - g z) prod (1 - d/z), drawn as the scalar-widom identity draws
+    them."""
+    rng = np.random.default_rng(seed)
+    tabs, bands = [], []
+    for _ in range(size):
+        n_up, n_dn = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        gammas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in range(n_up)]
+        deltas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in range(n_dn)]
+        coeffs = reduce(np.convolve, [[1.0, -g] for g in gammas] + [[-d, 1.0] for d in deltas])
+        tabs.append(table_from_coeff_map(dict(zip(range(-n_dn, n_up + 1), coeffs)),
+                                         max(n_up, n_dn)))
+        bands.append(n_up)
+    return tabs, bands
+
+
+def test_geometric_means_of_a_family_are_its_single_means():
+    syms = [series_symbol(tab) for tab in laurent_family(5)[0]]
+    family = geometric_means(lambda x: np.stack([sym.sample(x) for sym in syms], axis=1))
+    assert family.shape == (20,)
+    for g, sym in zip(family, syms):
+        assert abs(g - geometric_mean(sym)) <= 1e-15
+
+
+def test_widom_family_samples_its_symbols_once_per_grid_point(monkeypatch):
+    # one evaluator for the 20 symbols: G on the grid 256 and the 256 new
+    # midpoints of 512, then the psi^{-1} tables on 256
+    from dimerdet import szego
+    tabs, bands = laurent_family(1)
+    singles = [widom_banded_E(tab, band) for tab, band in zip(tabs, bands)]
+    shapes, series = [], szego._series
+
+    def counted(coeffs):
+        sample = series(coeffs)
+
+        def eval_(x):
+            values = sample(x)
+            shapes.append(values.shape)
+            return values
+        return eval_
+
+    monkeypatch.setattr(szego, "_series", counted)
+    family = widom_banded_family(tabs, bands)
+    assert shapes == [(256, 20, 1, 1)] * 3
+    for e, single in zip(family, singles):
+        assert abs(e - single) <= 1e-14 * abs(single)
+
+
+def test_widom_family_names_a_winding_symbol():
+    # z (1 - 0.3 z) winds once: its G raises, wherever it sits in the family
+    tabs, bands = laurent_family(2, size=5)
+    wound = table_from_coeff_map({1: 1.0, 2: -0.3}, 2)
+    with pytest.raises(NonzeroWinding, match="accumulated argument change 6.283 rad"):
+        widom_banded_family(tabs[:3] + [wound] + tabs[3:], bands[:3] + [2] + bands[3:])
 
 
 # ---------------------------------------------------------------------------
