@@ -342,7 +342,7 @@ class Quantities:
 def _verify_dimer_toeplitz(q: Quantities):
     n = q.cfg.n or 8
     # the tables first, the torus last: below t of about 0.006 its grid would
-    # double to MAX_QUAD_GRID and fail there after half a second.  The e+/d
+    # double to MAX_QUAD_GRID and fail there after about 70 ms.  The e+/d
     # pair carries the weight's branch points, which the torus kernels share,
     # and not the pole of phi's factor 1/g near t = 1; where its own grid
     # passes twice the torus cap, the torus is refused in milliseconds

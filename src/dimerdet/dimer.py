@@ -17,6 +17,12 @@ Conventions fixed here (they matter for cross-checks):
   radicand has the fixed sign of Im(t^2), so the branch cut is never hit).
 * The antisymmetric integral kernel ``V`` is used with its n-dependent
   global sign dropped, which leaves every determinant unchanged.
+
+The torus double integrals are periodic trapezoid sums, and three exact
+symmetries of those sums cut their cost (:func:`_coefficients`): each
+y-integrand is pi-periodic in y, so half a y period is summed; sin(x+y) comes
+from per-axis arrays; and den(-x, -y) = den(x, y), so the rows x in [0, pi]
+give every row.
 """
 
 from __future__ import annotations
@@ -71,33 +77,47 @@ class DimerCoefficients(NamedTuple):
 # the one torus quadrature: y-sums of the kernels, then one FFT in x
 # ---------------------------------------------------------------------------
 
-def _kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
-    """[S+T, V] at angles x, shape (2, len(x)), each a periodic trapezoid
-    sum over ``grid`` values of y (V with its global sign dropped).
+def _y_means(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
+    """The five periodic trapezoid means over y the kernels are made of, at
+    angles x, shape (5, len(x)): the means of 1, cos^2 y, cos y sin y,
+    sin(x+y) cos y and sin(x+y) sin y over
+      den = sin^2 x + cos^2 y + t^2 sin^2(x+y).
 
-    With den = sin^2 x + cos^2 y + t^2 sin^2(x+y),
-      S+T(x) = -(1/4pi) e^{ix} int e^{iy} (i t sin(x+y) + cos y) / den dy,
-      V(x)   =  (1/4pi) sin x int 1 / den dy,
-    summed 128 angles at a time so the work arrays stay O(grid).  For real t
-    the denominator is real, and so is the arithmetic on it.
+    Each integrand is pi-periodic in y, so the mean over ``grid`` values of
+    y is the mean over the first half of them, y in [-pi, 0) (Trefethen &
+    Weideman, SIAM Review 2014).  sin(x+y) is sin x cos y + cos x sin y, of
+    per-axis arrays, so no point takes a sine.  Summed 128 angles at a time
+    so the work arrays stay O(grid); for real t the denominator is real,
+    and so is the arithmetic on it.
     """
     tt = t.real * t.real if t.imag == 0 else t * t
-    y = 2.0 * np.pi * np.arange(grid) / grid - np.pi
-    cy = np.cos(y)
-    # e^{iy} as two real columns, so a real denominator meets it in real products
-    ey = np.stack([cy, np.sin(y)], axis=1)
-    cey = cy[:, None] * ey
+    y = 2.0 * np.pi * np.arange(grid // 2) / grid - np.pi
+    cy, sy = np.cos(y), np.sin(y)
+    # real columns, so a real denominator meets them in real products
+    weights = np.stack([np.ones_like(cy), cy * cy, cy * sy], axis=1)
+    ey = np.stack([cy, sy], axis=1)
     x = np.asarray(x, dtype=float)
-    out = np.empty((2, x.size), dtype=complex)
+    sx, cx = np.sin(x)[:, None], np.cos(x)[:, None]
+    out = np.empty((5, x.size), dtype=np.result_type(tt, float))
     for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
-        xc = x[rows, None]
-        s = np.sin(xc + y)
-        inv = 1.0 / (np.sin(xc) ** 2 + cy ** 2 + tt * s ** 2)
-        out[1, rows] = inv.sum(axis=1)
-        out[0, rows] = (inv @ cey + 1j * t * ((inv * s) @ ey)) @ [1, 1j]
-    out[0] *= -np.exp(1j * x)
-    out[1] *= np.sin(x)
-    return out / (2.0 * grid)
+        s = sx[rows] * cy + cx[rows] * sy
+        inv = 1.0 / (sx[rows] ** 2 + cy ** 2 + tt * s ** 2)
+        out[:3, rows] = (inv @ weights).T
+        out[3:, rows] = ((inv * s) @ ey).T
+    return out / (grid // 2)
+
+
+def _kernel_sums(t: complex, x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """[S+T, V] at angles x, shape (2, len(x)), from the y-means of
+    :func:`_y_means` at x (V with its global sign dropped):
+
+      S+T(x) = -(1/4pi) e^{ix} int e^{iy} (i t sin(x+y) + cos y) / den dy,
+      V(x)   =  (1/4pi) sin x int 1 / den dy.
+    """
+    x = np.asarray(x, dtype=float)
+    one, cc, cs, sc, ss = means
+    return 0.5 * np.array([-np.exp(1j * x) * (cc + 1j * cs + 1j * t * (sc + 1j * ss)),
+                           np.sin(x) * one])
 
 
 def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
@@ -108,9 +128,18 @@ def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
     R_k = (-1)^[k/2] (S+T)^_{1-k} and Q_k = -i (-1)^[k/2] V^_k, where ^ is
     the FFT of the samples on the x grid of the torus divided by its size,
     so one FFT of each kernel gives every k.  Q_k vanishes for even k.
+
+    As den(-x, -y) = den(x, y) and the y grid, taken mod pi, is its own
+    mirror, the y-means of 1, cos^2 y and sin(x+y) sin y are even in x and
+    those of cos y sin y and sin(x+y) cos y odd: the grid/2 + 1 rows with x
+    in [0, pi] give every row (x = -pi is the angle pi).  The rows x and
+    pi - x are summed apart, so the vanishing Q_k of even k, which is
+    V(x + pi) = -V(x), stays a check on the sums.
     """
     x = 2.0 * np.pi * np.arange(grid) / grid - np.pi
-    hat = np.fft.fft(_kernel_sums(t, x, grid), axis=1) / grid
+    half = _y_means(t, 2.0 * np.pi * np.arange(grid // 2 + 1) / grid, grid)
+    means = np.concatenate([half[:, :0:-1] * [[1], [1], [-1], [-1], [1]], half[:, :-1]], axis=1)
+    hat = np.fft.fft(_kernel_sums(t, x, means), axis=1) / grid
     sign = _half_floor_sign(ks)
     return np.array([sign * hat[0, (1 - ks) % grid], -1j * sign * hat[1, ks % grid]])
 
@@ -277,7 +306,7 @@ def symbol_psi_inverse(params: DimerParams) -> MatrixSymbol:
 
 def kernel_symbols(params: DimerParams, x) -> np.ndarray:
     """[S+T, V] at angles x (V with its global sign dropped), shape
-    (2, len(x)), by the y-quadrature of :func:`_kernel_sums`.
+    (2, len(x)), by the y-quadrature of :func:`_y_means`.
 
     The y grid doubles from ``MIN_GRID`` until the doubled grid moves
     neither kernel (see :func:`dimerdet.spectral._doubled`).
@@ -285,5 +314,6 @@ def kernel_symbols(params: DimerParams, x) -> np.ndarray:
     :func:`dimerdet.continuation.e_plus_d`.
     """
     t = _unit_interval_t(params, "kernel_symbols")
-    return _doubled(lambda grid: _kernel_sums(t, x, grid), MIN_GRID, MAX_QUAD_GRID, QUAD_TOL,
-                    QuadratureUnconverged, "S+T and V", "MAX_QUAD_GRID")[0]
+    return _doubled(lambda grid: _kernel_sums(t, x, _y_means(t, x, grid)), MIN_GRID,
+                    MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged, "S+T and V",
+                    "MAX_QUAD_GRID")[0]

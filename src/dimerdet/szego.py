@@ -52,9 +52,10 @@ log = logging.getLogger(__name__)
 MIN_OP_ORDER = 32
 #: the largest operator truncation m (in blocks) that :func:`szego_E_operator`
 #: and :func:`bocg_residual` build.  Memory, not time, sets it: with 2x2
-#: blocks the product holds two (2m)^2 buffers, float64 where the tables
-#: allow it (real t, see :func:`_operator_det`), 9.4 MB at m = 384, and
-#: complex otherwise, 19 MB; every further 64 adds about 3.5 or 7 MB
+#: blocks the product holds two (2m)^2 buffers and a 2m x m half of the
+#: product, float64 where the tables allow it (real t, see
+#: :func:`_operator_det`), 11.8 MB at m = 384, and complex otherwise,
+#: 24 MB; every further 64 adds about 4.3 or 8.5 MB
 MAX_OP_ORDER = 384
 
 
@@ -145,9 +146,10 @@ def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
     if all(r is not None for r in real):
         tab, tab_inv = real
     h1, a = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
-    # the product overwrites H2 a column block at a time, so two buffers are live
-    for lo in range(0, a.shape[1], 128):
-        a[:, lo:lo + 128] = h1 @ a[:, lo:lo + 128]
+    # the product overwrites H2 one column half at a time: two gemm calls,
+    # and beside the two buffers a 2m x m temporary
+    for half in (slice(None, m), slice(m, None)):
+        a[:, half] = h1 @ a[:, half]
     a *= -1.0
     a.flat[::a.shape[0] + 1] += 1.0
     return pivoted_lu(a)[2].value

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
 from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
-from dimerdet.dimer import _weight
+from dimerdet.dimer import _half_floor_sign, _weight
 from dimerdet.spectral import (
     TAIL_TOL,
     FourierTable,
@@ -80,6 +80,40 @@ def complex_operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> co
     ``szego._operator_det``'s float64 route."""
     h1, h2 = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
     return log_determinant(np.eye(h1.shape[0]) - h1 @ h2).value
+
+
+def full_grid_kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
+    """[S+T, V] at angles x as full periodic trapezoid sums over ``grid``
+    values of y, one sine per point, 128 angles at a time: the reference of
+    ``dimer._kernel_sums`` on the y-means of ``dimer._y_means``, which sum
+    half a y period and form sin(x+y) from per-axis arrays, and of the torus
+    rows ``dimer._coefficients`` unfolds from x in [0, pi]."""
+    tt = t.real * t.real if t.imag == 0 else t * t
+    y = 2.0 * np.pi * np.arange(grid) / grid - np.pi
+    cy = np.cos(y)
+    ey = np.stack([cy, np.sin(y)], axis=1)
+    cey = cy[:, None] * ey
+    x = np.asarray(x, dtype=float)
+    out = np.empty((2, x.size), dtype=complex)
+    for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
+        xc = x[rows, None]
+        s = np.sin(xc + y)
+        inv = 1.0 / (np.sin(xc) ** 2 + cy ** 2 + tt * s ** 2)
+        out[1, rows] = inv.sum(axis=1)
+        out[0, rows] = (inv @ cey + 1j * t * ((inv * s) @ ey)) @ [1, 1j]
+    out[0] *= -np.exp(1j * x)
+    out[1] *= np.sin(x)
+    return out / (2.0 * grid)
+
+
+def full_grid_coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
+    """[R_k for k in ks] and [Q_k for k in ks] from one FFT of
+    :func:`full_grid_kernel_sums` on every angle of the torus x grid: the
+    reference of ``dimer._coefficients``."""
+    x = 2.0 * np.pi * np.arange(grid) / grid - np.pi
+    hat = np.fft.fft(full_grid_kernel_sums(t, x, grid), axis=1) / grid
+    sign = _half_floor_sign(ks)
+    return np.array([sign * hat[0, (1 - ks) % grid], -1j * sign * hat[1, ks % grid]])
 
 
 def coeff(tab: FourierTable, k: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from dimerdet.dimer import (
     MAX_QUAD_GRID,
     _coefficients,
     _kernel_sums,
+    _y_means,
     dimer_coefficients,
     kernel_symbols,
 )
@@ -78,15 +79,32 @@ def test_q_symmetry_in_k():
 
 
 def test_q_parity_check_is_live(monkeypatch):
-    # an even harmonic slipped into V must surface as a nonzero even-k Q
+    # an even harmonic slipped into V must surface as a nonzero even-k Q:
+    # the taint goes on the unfolded [S+T, V] samples _coefficients FFTs
     real = dimer._kernel_sums
 
-    def tainted(t, x, grid):
-        sums = real(t, x, grid)
+    def tainted(t, x, means):
+        sums = real(t, x, means)
         sums[1] += 1e-10 * np.cos(2 * np.asarray(x))
         return sums
 
     monkeypatch.setattr(dimer, "_kernel_sums", tainted)
+    with pytest.raises(InvariantViolation, match="should vanish for even k"):
+        dimer_coefficients(DimerParams(0.5), -3, 3)
+
+
+def test_torus_fold_sums_rows_x_and_pi_minus_x_apart(monkeypatch):
+    # a taint even in x but odd about x = pi/2 breaks the y-mean of 1/den's
+    # I(x) = I(pi - x) and no symmetry the fold uses; only a fold that took
+    # the rows past pi/2 from the x pi-shift would hide it from the Q check
+    real = dimer._y_means
+
+    def tainted(t, x, grid):
+        means = real(t, x, grid)
+        means[0] *= 1.0 + 1e-10 * np.cos(x)
+        return means
+
+    monkeypatch.setattr(dimer, "_y_means", tainted)
     with pytest.raises(InvariantViolation, match="should vanish for even k"):
         dimer_coefficients(DimerParams(0.5), -3, 3)
 
@@ -117,7 +135,7 @@ def dense_kernel_sums(t, x, grid):
 def test_kernel_sums_match_dense_sums(t):
     # 300 angles, so the sums run over three chunks of rows
     x = np.linspace(-np.pi, np.pi, 300, endpoint=False) + 0.01
-    sums = _kernel_sums(t, x, 512)
+    sums = _kernel_sums(t, x, _y_means(t, x, 512))
     for got, dense in zip(sums, dense_kernel_sums(t, x, 512)):
         assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
 
@@ -205,7 +223,7 @@ def test_kernel_quadrature_vs_closed_forms():
     st, v = st_closed(0.7), v_closed(0.7)
     x = 2 * np.pi * np.arange(32) / 32 - np.pi
     # fixed grid 256, the value the grid-128 check returned
-    st_sum, v_sum = _kernel_sums(0.7, x, 256)
+    st_sum, v_sum = _kernel_sums(0.7, x, _y_means(0.7, x, 256))
     assert np.max(np.abs(st_sum - st(x))) < 1e-9
     assert np.max(np.abs(v_sum - v(x))) < 1e-9
     st_quad, v_quad = kernel_symbols(DimerParams(0.7), x)

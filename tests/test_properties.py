@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from dimerdet import (
     DimerdetError,
     DimerParams,
+    QuadratureUnconverged,
     SingularDeterminant,
     TailNotResolved,
     correlation_finite,
@@ -20,13 +21,17 @@ from dimerdet import (
     symbol_psi,
     theta_decomposition,
 )
-from dimerdet import continuation
+from dimerdet import continuation, dimer
 from dimerdet.cli import RunConfig, run_verify
 from dimerdet.closed_form import lambda_value, prefactor, spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
+from dimerdet.dimer import MAX_QUAD_GRID, dimer_coefficients, kernel_symbols
 from dimerdet.spectral import (
+    MIN_GRID,
+    QUAD_TOL,
     FourierTable,
     _checkerboard_real,
+    _doubled,
     _grid,
     _section,
     folded_log_determinant,
@@ -44,6 +49,8 @@ from oracles import (
     complex_operator_det,
     e_plus_symbol,
     fft_table,
+    full_grid_coefficients,
+    full_grid_kernel_sums,
     hankel_index,
     pointwise_inverse,
     symbol_d,
@@ -409,3 +416,59 @@ def test_operator_det_at_real_t_is_the_complex_products(t, m):
     assert _checkerboard_real(tab) is not None and _checkerboard_real(tab_inv) is not None
     reference = complex_operator_det(tab, tab_inv, m)
     assert abs(_operator_det(tab, tab_inv, m) - reference) <= 1e-13 * abs(reference)
+
+
+def _reference_or_error(run):
+    """run()'s value, or the QuadratureUnconverged it raises."""
+    try:
+        return run()
+    except QuadratureUnconverged as exc:
+        return exc
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(st.floats(0.02, 0.98).map(complex), box(0.05, 3.0, 2.0)),
+       st.sampled_from([64, 128, 256, 512, 1024, 2048]), st.integers(1, 16),
+       st.floats(0.01, 0.19))
+def test_folded_torus_matches_the_full_grid_sums(t, grid, n, shift):
+    # the torus rows x in [0, pi] over half a y period, unfolded, against
+    # the full grid x grid sums with one sine per point
+    seen = []
+    real = dimer._kernel_sums
+    ks = np.arange(-n, n + 2)
+    with mock.patch.object(dimer, "_kernel_sums", lambda *a: seen.append(real(*a)) or seen[-1]):
+        coefficients = dimer._coefficients(t, ks, grid)
+    reference = full_grid_kernel_sums(t, 2.0 * np.pi * np.arange(grid) / grid - np.pi, grid)
+    # sin(x+y) from per-axis arrays rounds to about 2 ulp against the
+    # sine's half ulp; near the zeros of den (Re t = 0.05, |Im t| about
+    # 1.8, grids 64 and 128) that moves the kernels by up to 1.9e-14 of
+    # their largest value, where the full-grid sums are 4e-15 off long
+    # double sums and the folded ones 1.7e-14; on the real axis 1.3e-15
+    tol = 1e-14 if t.imag == 0 else 3e-14
+    scale = np.abs(reference).max(axis=1, keepdims=True)
+    assert np.all(np.abs(seen[0] - reference) <= tol * scale)
+    assert np.max(np.abs(coefficients - full_grid_coefficients(t, ks, grid))) <= 1e-15
+    # dimer_matrix's bundle: the same torus grid, the same R_k and Q_k
+    start = 1 << (4 * (n + 1) + 3).bit_length()
+    expected = _reference_or_error(lambda: _doubled(
+        lambda g: full_grid_coefficients(t, ks, g), start, MAX_QUAD_GRID, QUAD_TOL,
+        QuadratureUnconverged, "R_k, Q_k", "MAX_QUAD_GRID"))
+    got = _reference_or_error(lambda: dimer_coefficients(DimerParams(t), -n, n + 1))
+    if isinstance(expected, QuadratureUnconverged):
+        assert isinstance(got, QuadratureUnconverged)
+    else:
+        (r, q), expected_grid = expected
+        assert got.grid == expected_grid
+        assert np.max(np.abs(got.R - r)) <= 1e-15 and np.max(np.abs(got.Q - q)) <= 1e-15
+    if DimerParams(t).is_real_unit_interval:
+        # kernel_symbols at 32 angles off every torus grid
+        x = np.linspace(-np.pi, np.pi, 32, endpoint=False) + shift
+        expected = _reference_or_error(lambda: _doubled(
+            lambda g: full_grid_kernel_sums(t.real, x, g), MIN_GRID, MAX_QUAD_GRID, QUAD_TOL,
+            QuadratureUnconverged, "S+T and V", "MAX_QUAD_GRID")[0])
+        got = _reference_or_error(lambda: kernel_symbols(DimerParams(t), x))
+        if isinstance(expected, QuadratureUnconverged):
+            assert isinstance(got, QuadratureUnconverged)
+        else:
+            assert np.all(np.abs(got - expected)
+                          <= 1e-14 * np.abs(expected).max(axis=1, keepdims=True))
