@@ -108,9 +108,14 @@ def szego_E_operator(sym: MatrixSymbol, tol: float = 1e-10) -> complex:
     tables of sym and sym^{-1} come from one sampling of sym per grid point,
     at the one order :func:`common_order_tables` resolves, and so does the
     winding number of det sym, sum_k k tr((sym^{-1})_{-k} sym_k): at least
-    1/2 in modulus raises NonzeroWinding.  The tail is read off for every
-    truncation order up to ``MAX_OP_ORDER``, past which the truncation is
-    rejected rather than silently under-resolved.
+    1/2 in modulus raises NonzeroWinding.  Past ``MAX_OP_ORDER`` the
+    truncation is rejected rather than silently under-resolved.
+
+    The estimate is min(tail1 full2, full1 tail2), tail and full HS norms of
+    H1 = H(sym), H2 = H(symtilde^{-1}).  With P the first m block rows and
+    Q = I - P, a small H2 Q makes H1 H2 block lower-triangular in (P, Q) up to
+    O(full1 tail2), the section determinant's error, so slow rows below it do
+    not enter; det(I - H1 H2) = det(I - H2 H1), sections too, gives the other.
     """
     def with_inverse(x):
         v = sym.sample(x)
@@ -123,7 +128,7 @@ def szego_E_operator(sym: MatrixSymbol, tol: float = 1e-10) -> complex:
         raise NonzeroWinding(f"det of the symbol winds {winding.real:.3f} times around 0")
     full1, tail1 = _hankel_hs_tails(tab, +1, MAX_OP_ORDER)
     full2, tail2 = _hankel_hs_tails(tab_inv, -1, MAX_OP_ORDER)
-    tail = tail1 * full2 + full1 * tail2
+    tail = np.minimum(tail1 * full2, full1 * tail2)
     resolved = np.flatnonzero(tail[1:] <= tol)
     if resolved.size == 0:
         raise TailNotResolved(

@@ -44,6 +44,19 @@ def from_entries(rows) -> MatrixSymbol:
     return MatrixSymbol(lambda x: _stack_entries([[e(x) for e in r] for r in rows], x.size))
 
 
+def planted_symbol(alpha: complex, beta: complex, gamma: complex) -> tuple[MatrixSymbol, complex]:
+    """phi = (1 - gamma/z) / ((1 - beta z)(1 - alpha/z)), z = e^{ix}, and its
+    exact constant E(phi) = (1 - beta gamma) / (1 - alpha beta): log phi has
+    coefficients beta^k/k at k > 0 and (alpha^k - gamma^k)/k at -k, and
+    E = exp(sum_k k [log phi]_k [log phi]_{-k}).  Winding number zero for
+    |alpha|, |beta|, |gamma| < 1; phi is slow for |beta| or |alpha| near 1,
+    phi^{-1} for |gamma| near 1."""
+    def phi(x):
+        z = np.exp(1j * x)
+        return (1.0 - gamma / z) / ((1.0 - beta * z) * (1.0 - alpha / z))
+    return as_1x1(ScalarSymbol(phi)), (1.0 - beta * gamma) / (1.0 - alpha * beta)
+
+
 def series_symbol(tab: FourierTable) -> MatrixSymbol:
     """The truncated Fourier series of a table, the one Horner pass
     ``widom_banded_family`` samples its family by."""

@@ -16,9 +16,11 @@ from dimerdet import (
     TailNotResolved,
     correlation_finite,
     correlation_limit,
+    e_phi,
     exp_representation,
     symbol_phi,
     symbol_psi,
+    szego_E_operator,
     theta_decomposition,
 )
 from dimerdet import continuation, dimer
@@ -52,6 +54,7 @@ from oracles import (
     full_grid_coefficients,
     full_grid_kernel_sums,
     hankel_index,
+    planted_symbol,
     pointwise_inverse,
     symbol_d,
     theta_section_dense,
@@ -416,6 +419,38 @@ def test_operator_det_at_real_t_is_the_complex_products(t, m):
     assert _checkerboard_real(tab) is not None and _checkerboard_real(tab_inv) is not None
     reference = complex_operator_det(tab, tab_inv, m)
     assert abs(_operator_det(tab, tab_inv, m) - reference) <= 1e-13 * abs(reference)
+
+
+#: |c| <= 0.98 with any phase: winding number zero, tables within MAX_ORDER
+PLANTED = st.builds(cmath.rect, st.floats(0.0, 0.98), st.floats(-math.pi, math.pi))
+
+
+@settings(deadline=None, max_examples=40)
+@given(PLANTED, PLANTED, PLANTED)
+@example(0.98, 0.98, 0.3)
+@example(0.3, 0.3, 0.98)
+def test_e_operator_of_a_planted_symbol_is_within_tol(alpha, beta, gamma):
+    # wherever the one-sided tail estimate resolves, the truncated determinant
+    # is within tol of the exact constant (worst 0.11 tol over 400 draws,
+    # which resolved 399 times)
+    sym, exact = planted_symbol(alpha, beta, gamma)
+    try:
+        e_op = szego_E_operator(sym)
+    except TailNotResolved:
+        return
+    assert abs(e_op - exact) <= 1e-10
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(0.06, 0.998))
+@example(0.06)
+@example(0.998)
+def test_e_operator_of_phi_resolves_up_to_near_one(t):
+    # phi's 1/g is slow as t -> 1 but phi^{-1} stays smooth, so the order
+    # stays near 30 there (33 at t = 0.998); below about t = 0.053 both sides
+    # are slow and MAX_OP_ORDER is reached
+    e_op = szego_E_operator(symbol_phi(DimerParams(t)))
+    assert abs(e_op - e_phi(t)) <= 1e-10
 
 
 def _reference_or_error(run):

@@ -52,6 +52,7 @@ from oracles import (
     constant_symbol,
     from_entries,
     getrf_shapes,
+    planted_symbol,
     pointwise_inverse,
     scalar_coeff,
     series_symbol,
@@ -166,11 +167,19 @@ def test_operator_det_keeps_the_complex_product_for_a_stray_part(monkeypatch):
 
 
 def test_e_operator_of_a_complex_symbol_keeps_the_complex_route(monkeypatch):
-    # its coefficients are not real: zgetrf, and the value bit for bit as
-    # before the float64 route
+    # its coefficients are not real: zgetrf, and the value bit for bit the
+    # dense complex product's at the order the tail estimate picks (m = 2:
+    # H(sym) of this Laurent polynomial holds two coefficients)
+    from dimerdet import szego
+    calls = []
+    real_det = szego._operator_det
+    monkeypatch.setattr(szego, "_operator_det",
+                        lambda *args: calls.append(args) or real_det(*args))
     shapes = getrf_shapes(monkeypatch)
-    assert szego_E_operator(COMPLEX_SYMBOL) == 1.5234295770373214 - 0.382954762481685j
-    assert shapes and all(dtype == complex for _, dtype in shapes)
+    e_op = szego_E_operator(COMPLEX_SYMBOL)
+    (tab, tab_inv, m), = calls
+    assert m == 2 and shapes == [((2, 2), complex)]
+    assert e_op == complex_operator_det(tab, tab_inv, m)
 
 
 def test_e_operator_samples_phi_once_per_grid_point():
@@ -184,10 +193,21 @@ def test_e_operator_samples_phi_once_per_grid_point():
 
 @pytest.mark.parametrize("t", [0.0786, 0.15, 0.6, 0.9327])
 def test_e_operator_truncation_follows_the_tail(t):
-    # the order is read off the tail curve: 269 and 362 at the two ends,
-    # where the fixed order 256 missed the tolerance
+    # the order is read off the tail curve: 260, 136, 31 and 30 at the
+    # default tol, 346, 181, 42 and 39 at tol = 1e-13
     e_op = szego_E_operator(symbol_phi(DimerParams(t)))
+    assert abs(e_op - e_phi(t)) <= 1e-10
+    e_op = szego_E_operator(symbol_phi(DimerParams(t)), tol=1e-13)
     assert abs(e_op - e_phi(t)) <= 1e-13 * abs(e_phi(t))
+
+
+@pytest.mark.parametrize("beta, alpha, gamma", [(0.995, 0.3, 0.6), (0.6, 0.3, 0.995)])
+def test_e_operator_is_set_by_the_fast_side(beta, alpha, gamma):
+    # one Hankel slow (phi's at beta = 0.995, phi^{-1}'s at gamma = 0.995),
+    # the other fast: either one-sided term bounds the truncation error, so
+    # the fast side sets the order
+    sym, e_exact = planted_symbol(alpha, beta, gamma)
+    assert abs(szego_E_operator(sym) - e_exact) <= 1e-10
 
 
 def test_e_operator_refuses_a_3x3_symbol_as_pointwise_inverse_does():
@@ -206,8 +226,9 @@ def test_e_operator_rejects_nonzero_winding(k):
         szego_E_operator(sym)
 
 
-@pytest.mark.parametrize("t", [0.0361, 0.9885])
+@pytest.mark.parametrize("t", [0.0229, 0.0361])
 def test_e_operator_names_its_cap(t):
+    # both Hankels slow at small t: m = 898 and 569 would resolve them
     with pytest.raises(TailNotResolved, match=f"MAX_OP_ORDER = {MAX_OP_ORDER}"):
         szego_E_operator(symbol_phi(DimerParams(t)))
 
