@@ -161,7 +161,9 @@ def theta_section(t: complex, n: int, e_tab: FourierTable,
     return out
 
 
-def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
+def theta_decomposition(t: complex, n: int,
+                        tables: tuple[FourierTable, FourierTable] | None = None
+                        ) -> ContinuedSequence:
     """Check det b_hat = det(T_n(phi_hat) + P_n K P_n + W_n L W_n) to 1e-9.
 
     K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+) are the
@@ -171,10 +173,11 @@ def theta_decomposition(t: complex, n: int) -> ContinuedSequence:
     independent side.  Its band t^{j-k-1} reaches |t|^(n-2), so for |t| > 1
     its LU fails the check from some n on (at t = 2, n = 33), or is flagged
     singular (at t = 2, n = 64: SingularDeterminant), and either message
-    names b_hat and that growth.
+    names b_hat and that growth.  ``tables`` defaults to
+    :func:`_scalar_tables`.
     """
     t = complex(t)
-    e_tab, d_tab = _scalar_tables(t, n)
+    e_tab, d_tab = tables or _scalar_tables(t, n)
     band = f"b_hat's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
     det_b = log_determinant(b_hat(t, n, (e_tab, d_tab)))
     if det_b.is_singular:

@@ -112,7 +112,8 @@ def test_repeated_runs_bit_identical(tmp_path):
 
 
 #: the scalar-widom residual at --t 0.3 for each seed, as it read when the
-#: 20 symbols' E was taken one symbol at a time
+#: 20 symbols' E was taken one symbol at a time; against Szego's exact
+#: constant each reads within 4e-16 of its pin
 SCALAR_WIDOM_RESIDUALS = {1: 5.593023969348752e-16, 2: 6.866350197783356e-16,
                           3: 7.947987303456224e-16, 7: 2.318213734067276e-15,
                           99: 7.108895957933346e-16, 1234: 7.447602459741819e-16}
@@ -126,6 +127,18 @@ def test_scalar_widom_family_pass_keeps_the_residuals(seed, capsys):
     assert code == 0
     row, = json.loads(out)["rows"]
     assert abs(row["residual"] - SCALAR_WIDOM_RESIDUALS[seed]) <= 1e-14
+
+
+def test_scalar_widom_fails_when_the_banded_formula_is_off(monkeypatch, capsys):
+    # the exact constant is the reference: a family pass off by 1e-8
+    # relative must fail the row's 1e-9
+    from dimerdet import cli
+
+    original = cli.widom_banded_family
+    monkeypatch.setattr(cli, "widom_banded_family",
+                        lambda *args: [e * (1 + 1e-8) for e in original(*args)])
+    rows = _identity_rows(["--identity", "scalar-widom", "--t", "0.3"], capsys, code=3)
+    assert rows["scalar-widom"]["status"] == "fail"
 
 
 def test_exit_code_2_on_bad_parameter(capsys):
@@ -482,6 +495,8 @@ def test_correlation_at_small_real_part_reaches_limit(t, capsys):
     ("kernel-closed-forms", "0.0573", None), ("prefactor", "0.99", None),
     # 1 - xi_2 formed by cancellation raised InvariantViolation from t = 0.003 down
     ("lambda", "0.003", None), ("lambda", "0.002", None), ("widom", "0.003", None),
+    # below n = 3 the truncated operator factor is not 1, and is factored
+    ("bocg", "0.3", "1"), ("bocg", "0.9", "1"), ("bocg", "0.3", "2"),
 ])
 def test_verify_resolves_tables_near_the_ends_of_the_interval(identity, t, n, capsys):
     args = ["verify", "--identity", identity, "--t", t] + (["--n", n] if n else [])
@@ -659,6 +674,35 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
         assert run_cli(["verify", "--identity", "all", "--t", t], capsys)[0] == code
         assert counts == {"psi table": 1, "E(psi)": 1, "G(psi)": g_psi, "quotient": 1,
                           "det T_3": 1}, t
+
+
+@pytest.mark.parametrize("t, n, code, grids", [
+    ("0.3", None, 0, [256]),
+    # the tables raise TailNotResolved in continuation, and dimer-toeplitz,
+    # run next, reads the raised error
+    ("0.001", None, 3, [256]),
+    # continuation's n = 200 starts its own table loop, on grid 512
+    ("0.3", "200", 0, [256, 512]),
+])
+def test_verify_all_samples_the_e_d_pair_once_per_start_grid(t, n, code, grids,
+                                                              monkeypatch, capsys):
+    from dimerdet import cli, continuation
+    from dimerdet.spectral import table_grid
+
+    started = []
+    original = continuation._scalar_tables
+
+    def counted(t, order):
+        started.append(table_grid(order))
+        return original(t, order)
+    for module in (cli, continuation):
+        monkeypatch.setattr(module, "_scalar_tables", counted)
+    rows = _identity_rows(["--identity", "all", "--t", t] + (["--n", n] if n else []),
+                          capsys, code=code)
+    assert sorted(started) == grids
+    if code:
+        assert rows["continuation"]["error"] == rows["dimer-toeplitz"]["error"]
+        assert rows["continuation"]["error"]["type"] == "TailNotResolved"
 
 
 def test_verify_exp_rep_reads_no_psi_quantity(monkeypatch, capsys):

@@ -344,6 +344,15 @@ def test_exp_rep_passes_up_to_t_near_one(t):
     assert report["rows"][0]["status"] == "pass", report["rows"][0]
 
 
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 63 - 1))
+def test_scalar_widom_matches_the_exact_constant_at_every_seed(seed):
+    # Widom's banded formula against prod (1 - g d)^{-1}, 20 symbols a seed
+    report = run_verify(RunConfig(command="verify", t=0.3 + 0j, identity="scalar-widom",
+                                  seed=seed))
+    assert report["rows"][0]["residual"] <= 1e-14, report["rows"][0]
+
+
 @SETTINGS
 @given(st.floats(0.01, 0.99),
        st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=64))
