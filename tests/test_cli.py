@@ -112,8 +112,8 @@ def test_repeated_runs_bit_identical(tmp_path):
 
 
 #: the scalar-widom residual at --t 0.3 for each seed, as it read when the
-#: 20 symbols' E was taken one symbol at a time; against Szego's exact
-#: constant each reads within 4e-16 of its pin
+#: 20 symbols' E was taken one symbol at a time; relative to Szego's exact
+#: constant each reads within 1e-15 of its pin
 SCALAR_WIDOM_RESIDUALS = {1: 5.593023969348752e-16, 2: 6.866350197783356e-16,
                           3: 7.947987303456224e-16, 7: 2.318213734067276e-15,
                           99: 7.108895957933346e-16, 1234: 7.447602459741819e-16}

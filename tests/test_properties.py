@@ -346,8 +346,11 @@ def test_exp_rep_passes_up_to_t_near_one(t):
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2 ** 63 - 1))
+@example(143117141700)
 def test_scalar_widom_matches_the_exact_constant_at_every_seed(seed):
-    # Widom's banded formula against prod (1 - g d)^{-1}, 20 symbols a seed
+    # Widom's banded formula against prod (1 - g d)^{-1}, 20 symbols a seed,
+    # relative: absolute, it read 1.4e-14 at seed 143117141700, where
+    # |E| = 4.3 and the pass is off by 3.2e-15 of it
     report = run_verify(RunConfig(command="verify", t=0.3 + 0j, identity="scalar-widom",
                                   seed=seed))
     assert report["rows"][0]["residual"] <= 1e-14, report["rows"][0]
