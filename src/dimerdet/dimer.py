@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged, half_plane_t
-from .spectral import MIN_GRID, QUAD_TOL, MatrixSymbol, _doubled, _stack_entries
+from .spectral import MIN_GRID, QUAD_TOL, MatrixSymbol, _doubled, _gemm, _stack_entries
 
 
 #: the cap of the torus doubling rule (:func:`dimerdet.spectral._doubled`):
@@ -102,8 +102,8 @@ def _y_means(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
         s = sx[rows] * cy + cx[rows] * sy
         inv = 1.0 / (sx[rows] ** 2 + cy ** 2 + tt * s ** 2)
-        out[:3, rows] = (inv @ weights).T
-        out[3:, rows] = ((inv * s) @ ey).T
+        out[:3, rows] = _gemm(weights.T, inv.T)
+        out[3:, rows] = _gemm(ey.T, (inv * s).T)
     return out / (grid // 2)
 
 

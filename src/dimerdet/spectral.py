@@ -367,6 +367,11 @@ def _factored(a: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, LogD
                              float(np.sum(np.angle(diag))) + parity * math.pi)
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by scipy's BLAS ``?gemm``, whose OpenBLAS thread pool runs :func:`_factored`."""
+    return scipy.linalg.get_blas_funcs(("gemm",), (a, b))[0](1.0, a, b)
+
+
 def _log_det(log_mod: float, phase: float) -> LogDet:
     """A nonsingular LogDet, its phase reduced to (-pi, pi]."""
     phase = math.remainder(phase, 2.0 * math.pi)

@@ -31,6 +31,7 @@ from .spectral import (
     FourierTable,
     _checkerboard_real,
     _doubled,
+    _gemm,
     _inverse_samples,
     _series,
     _stack_entries,
@@ -151,10 +152,9 @@ def _operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
     if all(r is not None for r in real):
         tab, tab_inv = real
     h1, a = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
-    # the product overwrites H2 one column half at a time: two gemm calls,
-    # and beside the two buffers a 2m x m temporary
+    # the product overwrites H2 one column half at a time, with a 2m x m temporary
     for half in (slice(None, m), slice(m, None)):
-        a[:, half] = h1 @ a[:, half]
+        a[:, half] = _gemm(h1, a[:, half])
     a *= -1.0
     a.flat[::a.shape[0] + 1] += 1.0
     return pivoted_lu(a)[2].value
@@ -257,7 +257,7 @@ def _bocg_truncated(psi_tab: FourierTable, n: int, m: int) -> complex:
     h1 = hankel_section(psi_tab, support, shift=n)
     rhs = np.zeros((m * psi_tab.block_size, r), dtype=complex)
     rhs[:r] = hankel_section(psi_tab, support, shift=n, reflected=True)
-    inner = h1 @ scipy.linalg.lu_solve(t_psit[:2], rhs, check_finite=False)[:r]
+    inner = _gemm(h1, scipy.linalg.lu_solve(t_psit[:2], rhs, check_finite=False)[:r])
     # right-multiply by T(psi)^{-1} via a transposed solve
     rhs[:r] = inner.T
     prod = scipy.linalg.lu_solve(t_psi[:2], rhs, trans=1, check_finite=False)[:r].T

@@ -14,12 +14,14 @@ from dimerdet.spectral import (
     FourierTable,
     MatrixSymbol,
     ScalarSymbol,
+    _checkerboard_real,
     _grid,
     _inverse_samples,
     _series,
     _stack_entries,
     hankel_section,
     log_determinant,
+    pivoted_lu,
     toeplitz_section,
 )
 
@@ -93,6 +95,39 @@ def complex_operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> co
     ``szego._operator_det``'s float64 route."""
     h1, h2 = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
     return log_determinant(np.eye(h1.shape[0]) - h1 @ h2).value
+
+
+def numpy_operator_det(tab: FourierTable, tab_inv: FourierTable, m: int) -> complex:
+    """``szego._operator_det`` with its two column halves multiplied by
+    numpy's ``@`` instead of scipy's ``?gemm``: its reference."""
+    real = _checkerboard_real(tab), _checkerboard_real(tab_inv)
+    if all(r is not None for r in real):
+        tab, tab_inv = real
+    h1, a = hankel_section(tab, m), hankel_section(tab_inv, m, reflected=True)
+    for half in (slice(None, m), slice(m, None)):
+        a[:, half] = h1 @ a[:, half]
+    a *= -1.0
+    a.flat[::a.shape[0] + 1] += 1.0
+    return pivoted_lu(a)[2].value
+
+
+def numpy_y_means(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
+    """``dimer._y_means`` with its 128-row blocks multiplied by numpy's
+    ``@`` instead of scipy's ``?gemm``: its reference."""
+    tt = t.real * t.real if t.imag == 0 else t * t
+    y = 2.0 * np.pi * np.arange(grid // 2) / grid - np.pi
+    cy, sy = np.cos(y), np.sin(y)
+    weights = np.stack([np.ones_like(cy), cy * cy, cy * sy], axis=1)
+    ey = np.stack([cy, sy], axis=1)
+    x = np.asarray(x, dtype=float)
+    sx, cx = np.sin(x)[:, None], np.cos(x)[:, None]
+    out = np.empty((5, x.size), dtype=np.result_type(tt, float))
+    for rows in (slice(lo, lo + 128) for lo in range(0, x.size, 128)):
+        s = sx[rows] * cy + cx[rows] * sy
+        inv = 1.0 / (sx[rows] ** 2 + cy ** 2 + tt * s ** 2)
+        out[:3, rows] = (inv @ weights).T
+        out[3:, rows] = ((inv * s) @ ey).T
+    return out / (grid // 2)
 
 
 def full_grid_kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:

@@ -23,11 +23,11 @@ from dimerdet import (
     szego_E_operator,
     theta_decomposition,
 )
-from dimerdet import continuation, dimer
+from dimerdet import continuation, dimer, szego
 from dimerdet.cli import RunConfig, run_verify
 from dimerdet.closed_form import lambda_value, prefactor, spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
-from dimerdet.dimer import MAX_QUAD_GRID, dimer_coefficients, kernel_symbols
+from dimerdet.dimer import MAX_QUAD_GRID, _y_means, dimer_coefficients, kernel_symbols
 from dimerdet.spectral import (
     MIN_GRID,
     QUAD_TOL,
@@ -54,6 +54,8 @@ from oracles import (
     full_grid_coefficients,
     full_grid_kernel_sums,
     hankel_index,
+    numpy_operator_det,
+    numpy_y_means,
     planted_symbol,
     pointwise_inverse,
     symbol_d,
@@ -463,6 +465,47 @@ def test_e_operator_of_phi_resolves_up_to_near_one(t):
     # are slow and MAX_OP_ORDER is reached
     e_op = szego_E_operator(symbol_phi(DimerParams(t)))
     assert abs(e_op - e_phi(t)) <= 1e-10
+
+
+@SETTINGS
+@given(st.floats(0.06, 0.99), st.integers(1, 96))
+def test_operator_det_at_real_t_is_numpys_product_bit_for_bit(t, m):
+    # scipy's dgemm on the float64 route gives the bits numpy's @ gives
+    phi = symbol_phi(DimerParams(t))
+    tab, tab_inv = fourier_coefficients(phi), fourier_coefficients(pointwise_inverse(phi))
+    assert _operator_det(tab, tab_inv, m) == numpy_operator_det(tab, tab_inv, m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(PLANTED, PLANTED, PLANTED)
+def test_operator_det_of_a_planted_symbol_is_numpys_product(alpha, beta, gamma):
+    # the complex route, at the order szego_E_operator picks: zgemm against
+    # numpy's @ (bit for bit over 150 draws, m up to 304).  At fixed
+    # orders up to about 21 the two zgemms can round apart, and the LU of a
+    # slow symbol's section amplified that to 3.5e-15 relative at m = 7
+    calls = []
+    with mock.patch.object(szego, "_operator_det",
+                           lambda *args: calls.append(args) or _operator_det(*args)):
+        try:
+            e_op = szego_E_operator(planted_symbol(alpha, beta, gamma)[0])
+        except TailNotResolved:
+            return
+    reference = numpy_operator_det(*calls[0])
+    assert abs(e_op - reference) <= 1e-15 * abs(reference)
+
+
+@SETTINGS
+@given(st.one_of(st.floats(0.02, 0.98).map(complex), box(0.05, 3.0, 2.0)),
+       st.sampled_from([64, 128, 256, 512, 1024, 2048]))
+def test_y_means_are_numpys_products(t, grid):
+    # the grid/2 + 1 rows x in [0, pi] the torus sums take; from grid 256 up
+    # the last 128-row block holds one row, where numpy's @ takes its gemv
+    # path: that row's means moved by up to 2.7e-15 of the largest mean over
+    # 1500 draws (at grid 2048), every other row not at all
+    x = 2.0 * np.pi * np.arange(grid // 2 + 1) / grid
+    t = t.real if t.imag == 0 else t
+    reference = numpy_y_means(t, x, grid)
+    assert np.max(np.abs(_y_means(t, x, grid) - reference)) <= 4e-15 * np.max(np.abs(reference))
 
 
 def _reference_or_error(run):

@@ -68,3 +68,24 @@ def test_every_definition_is_used_outside_the_tests():
                     and node.name not in read_outside | others | _names_used(tree, skip=node)):
                 unused.append(f"{name}:{node.name}")
     assert unused == []
+
+
+#: numpy's dense products; its wheel's BLAS is not the one scipy's LUs run on
+NUMPY_PRODUCTS = {"matmul", "dot", "tensordot", "inner", "vdot"}
+
+
+def test_every_dense_product_goes_through_scipys_blas():
+    # numpy and scipy wheels each bundle an OpenBLAS with its own thread
+    # pool; a numpy gemm leaves its threads spinning beside the next scipy
+    # LU, so every product goes through spectral._gemm
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if (name in NUMPY_PRODUCTS or name == "einsum"
+                        and any(k.arg == "optimize" for k in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
