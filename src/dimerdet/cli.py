@@ -26,6 +26,7 @@ from . import __version__
 from .closed_form import correlation_limit, e_phi, lambda_value, prefactor, spectral_roots
 from .continuation import (
     _scalar_tables,
+    _section_dets,
     correlation_finite,
     correlation_scan,
     e_plus_d,
@@ -329,11 +330,8 @@ class Quantities:
     g_psi = _shared(lambda q: geometric_mean(symbol_psi(q.params)))
     #: E(phi) / E(psi), the trace-correction quotient
     quotient = _shared(lambda q: correction_quotient(q.params, q.cfg.tolerance))
-
-    def scalar_tables(self, order: int):
-        """The e+/d tables of at least ``order``, kept per start grid: the
-        table loop's result depends on nothing else."""
-        return self._once(("e+/d", table_grid(order)), lambda: _scalar_tables(self.params.t, order))
+    #: the e+/d tables of at least verify's n, the run's one table pair
+    scalar_tables = _shared(lambda q: _scalar_tables(q.params.t, q.cfg.n or 8))
 
     def psi_inverse_det(self, n: int) -> complex:
         """det T_n(psi^{-1}), from a table resolved to at least the order n - 1."""
@@ -344,21 +342,21 @@ class Quantities:
 
 
 def _verify_dimer_toeplitz(q: Quantities):
+    # det M_n against the determinant P(n) is taken from, on the run's e+/d
+    # pair.  The tables first, the torus last: below t of about 0.006 its grid
+    # would double to MAX_QUAD_GRID and fail there after about 70 ms; the pair
+    # carries the weight's branch points, which the torus kernels share, so
+    # where its grid passes twice the torus cap the torus is refused at once
     n = q.cfg.n or 8
-    # the tables first, the torus last: below t of about 0.006 its grid would
-    # double to MAX_QUAD_GRID and fail there after about 70 ms.  The e+/d
-    # pair carries the weight's branch points, which the torus kernels share,
-    # and not the pole of phi's factor 1/g near t = 1; where its own grid
-    # passes twice the torus cap, the torus is refused in milliseconds
-    grid = table_grid(q.scalar_tables(0)[0].order)
+    tables = q.scalar_tables
+    grid = table_grid(tables[0].order)
     if grid > 2 * MAX_QUAD_GRID:
         raise TailNotResolved(
             f"the e+/d tables need grid {grid}, past 2 * MAX_QUAD_GRID = "
             f"{2 * MAX_QUAD_GRID}: the torus grid cannot resolve their kernels")
-    tab = fourier_coefficients(symbol_phi(q.params), order=n - 1)
     det_m = log_determinant(dimer_matrix(q.params, n)).value
-    det_t = log_determinant(toeplitz_section(tab, n)).value
-    return abs(det_m - det_t) / abs(det_t), 1e-8, n
+    det_s, = _section_dets(q.params.t, [n], *tables)
+    return abs(det_m - det_s) / abs(det_s), 1e-8, n
 
 
 def _verify_widom(q: Quantities):
@@ -397,7 +395,7 @@ def _verify_bocg(q: Quantities):
 
 def _verify_continuation(q: Quantities):
     n = q.cfg.n or 8
-    seq = theta_decomposition(q.cfg.t, n, q.scalar_tables(n))
+    seq = theta_decomposition(q.cfg.t, n, q.scalar_tables)
     return seq.identity_residual, 1e-9, n
 
 

@@ -105,7 +105,7 @@ def b_hat(t: complex, n: int,
     parameter with Re(t) > 0 it is the analytic continuation of that
     determinant in t.  ``tables`` defaults to :func:`_scalar_tables`.
     """
-    t = complex(t)
+    t = half_plane_t(t)
     e_tab, d_tab = tables or _scalar_tables(t, n)
     b = toeplitz_section(e_tab, n) + k_plus_matrix(t, n)
     d = toeplitz_section(d_tab, n)
@@ -176,7 +176,7 @@ def theta_decomposition(t: complex, n: int,
     names b_hat and that growth.  ``tables`` defaults to
     :func:`_scalar_tables`.
     """
-    t = complex(t)
+    t = half_plane_t(t)
     e_tab, d_tab = tables or _scalar_tables(t, n)
     band = f"b_hat's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
     det_b = log_determinant(b_hat(t, n, (e_tab, d_tab)))
@@ -234,8 +234,8 @@ def correlation_scan(params: DimerParams, n_list: list[int]) -> list[complex]:
 
     Its determinants are :func:`_section_dets`; at real t P(n) is real.
     """
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be non-empty and strictly increasing, got {n_list}")
     t = params.t
     return [complex(0.5 * np.sqrt(det))
             for det in _section_dets(t, n_list, *_scalar_tables(t, max(n_list)))]

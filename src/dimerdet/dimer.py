@@ -3,9 +3,9 @@
 The monomer-monomer correlation at separation ``n`` is half the square root
 of ``det M_n`` where ``M_n`` is a 2n x 2n block matrix built from double
 integrals over the torus.  For real ``0 < t < 1`` that determinant equals the
-determinant of a block Toeplitz matrix ``T_n(phi)``.  This module builds both
-sides only as independent checks: P(n) itself comes from the regular section
-in :func:`dimerdet.continuation.correlation_finite`.
+determinant of a block Toeplitz matrix ``T_n(phi)``; the regular section P(n)
+is taken from (:mod:`dimerdet.continuation`) continues it to every Re(t) > 0.
+This module builds ``M_n`` and the symbols only as independent checks.
 
 Conventions fixed here (they matter for cross-checks):
 
@@ -311,9 +311,9 @@ def kernel_symbols(params: DimerParams, x) -> np.ndarray:
     The y grid doubles from ``MIN_GRID`` until the doubled grid moves
     neither kernel (see :func:`dimerdet.spectral._doubled`).
     Their closed forms are e+/2 and d/2, the two values of
-    :func:`dimerdet.continuation.e_plus_d`.
+    :func:`dimerdet.continuation.e_plus_d`, on the whole half-plane.
     """
-    t = _unit_interval_t(params, "kernel_symbols")
+    t = params.t
     return _doubled(lambda grid: _kernel_sums(t, x, _y_means(t, x, grid)), MIN_GRID,
                     MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged, "S+T and V",
                     "MAX_QUAD_GRID")[0]

@@ -588,7 +588,7 @@ def _identity_rows(args, capsys, code=0):
 
 
 def test_dimer_toeplitz_fails_fast_below_its_table_reach(capsys):
-    # at t = 0.00162 the phi table needs a grid past 2 * MAX_QUAD_GRID, so the
+    # at t = 0.00162 the e+/d tables need a grid past 2 * MAX_QUAD_GRID, so the
     # torus grid, which would pass MAX_QUAD_GRID in about 0.5 s, is not tried
     start = time.perf_counter()
     rows = _identity_rows(["--identity", "dimer-toeplitz", "--t", "0.00162"], capsys, code=3)
@@ -608,17 +608,38 @@ def test_verify_near_t_one_passes_every_row(t, capsys):
     assert [name for name, row in rows.items() if row["status"] != "pass"] == []
 
 
+#: the rows that hold on the whole half-plane: the torus rows, continuation
+#: and the t-free scalar-widom
+HALF_PLANE_ROWS = ["continuation", "dimer-toeplitz", "kernel-closed-forms", "scalar-widom"]
+
+
 @pytest.mark.parametrize("t", ["1", "1.5", "2", "0.8+0.3i"])
 def test_verify_off_the_interval_refuses_with_one_error_type(t, capsys):
     # every identity defined only on (0, 1) refuses with the one error type
-    # of its one domain check; continuation passes at its default n = 8,
-    # within the reach of b_hat
+    # of its one domain check; continuation and dimer-toeplitz pass at their
+    # default n = 8, within the reach of b_hat and of M_n's band t^(j-k-1)
     rows = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
     passed = [name for name, row in rows.items() if row["status"] == "pass"]
-    assert passed == ["continuation", "scalar-widom"]
-    assert rows["continuation"]["n"] == 8
+    assert passed == HALF_PLANE_ROWS
+    assert rows["continuation"]["n"] == rows["dimer-toeplitz"]["n"] == 8
     assert {row["error"]["type"] for name, row in rows.items()
             if name not in passed} == {"ParameterOutOfRange"}
+
+
+@pytest.mark.parametrize("t, n, status, error", [
+    ("2", "24", "pass", None),
+    ("2", "32", "fail", None),
+    ("3-2i", "32", "error", "SingularDeterminant"),
+])
+def test_dimer_toeplitz_is_limited_by_the_band_of_m_n(t, n, status, error, capsys):
+    # for |t| > 1 the band t^(j-k-1) of M_n reaches |t|^(n-2), as b_hat's
+    # does in continuation, so its LU loses the identity from some n on or
+    # is flagged singular; applying Theta to M_n would lift this (ROADMAP
+    # item 1)
+    rows = _identity_rows(["--identity", "dimer-toeplitz", "--t", t, "--n", n], capsys,
+                          code=0 if status == "pass" else 3)
+    assert rows["dimer-toeplitz"]["status"] == status
+    assert rows["dimer-toeplitz"].get("error", {}).get("type") == error
 
 
 def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
@@ -681,15 +702,18 @@ def test_verify_all_computes_each_shared_quantity_once(monkeypatch, capsys):
     # the tables raise TailNotResolved in continuation, and dimer-toeplitz,
     # run next, reads the raised error
     ("0.001", None, 3, [256]),
-    # continuation's n = 200 starts its own table loop, on grid 512
-    ("0.3", "200", 0, [256, 512]),
+    # the one pair is resolved to verify's n = 200, so it starts on grid 512,
+    # and the guard, continuation and dimer-toeplitz all read it
+    ("0.3", "200", 0, [512]),
 ])
 def test_verify_all_samples_the_e_d_pair_once_per_start_grid(t, n, code, grids,
                                                               monkeypatch, capsys):
-    from dimerdet import cli, continuation
-    from dimerdet.spectral import table_grid
+    # one e+/d table loop per run, and one loop sampling phi, three-way-e's:
+    # dimer-toeplitz builds no phi table of its own
+    from dimerdet import cli, continuation, spectral, szego
+    from dimerdet.spectral import MatrixSymbol, table_grid
 
-    started = []
+    started, phi_loops, sampled_phi = [], [], []
     original = continuation._scalar_tables
 
     def counted(t, order):
@@ -697,9 +721,26 @@ def test_verify_all_samples_the_e_d_pair_once_per_start_grid(t, n, code, grids,
         return original(t, order)
     for module in (cli, continuation):
         monkeypatch.setattr(module, "_scalar_tables", counted)
+
+    original_phi, original_loop = cli.symbol_phi, spectral.common_order_tables
+
+    def marked_phi(params):
+        sym = original_phi(params)
+        return MatrixSymbol(lambda x: sampled_phi.append(True) or sym.fn(x))
+
+    def loop(sample, order=None):
+        sampled_phi.clear()
+        try:
+            return original_loop(sample, order)
+        finally:
+            phi_loops.extend(sampled_phi[:1])
+    monkeypatch.setattr(cli, "symbol_phi", marked_phi)
+    for module in (spectral, szego, continuation):
+        monkeypatch.setattr(module, "common_order_tables", loop)
     rows = _identity_rows(["--identity", "all", "--t", t] + (["--n", n] if n else []),
                           capsys, code=code)
     assert sorted(started) == grids
+    assert len(phi_loops) == 1
     if code:
         assert rows["continuation"]["error"] == rows["dimer-toeplitz"]["error"]
         assert rows["continuation"]["error"]["type"] == "TailNotResolved"
@@ -737,14 +778,13 @@ def test_each_identity_alone_matches_its_row_in_all_at_given_n(capsys):
 @pytest.mark.parametrize("t", ["0.0229", "1.5"])
 def test_each_identity_alone_matches_its_row_in_all_when_some_raise(t, capsys):
     # three-way-e raises at its operator cap at 0.0229; off the real interval,
-    # at 1.5, only continuation and scalar-widom are stated: each identity
-    # that raises becomes an error row, and every other one still reports
-    # its residual
+    # at 1.5, only the half-plane rows are stated: each identity that raises
+    # becomes an error row, and every other one still reports its residual
     together = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
     assert sorted(together) == sorted(IDENTITIES)
     errors = {name for name, row in together.items() if row["status"] == "error"}
     assert errors == ({"three-way-e"} if t == "0.0229"
-                      else set(IDENTITIES) - {"continuation", "scalar-widom"})
+                      else set(IDENTITIES) - set(HALF_PLANE_ROWS))
     assert all(row["status"] == "pass" for name, row in together.items() if name not in errors)
     for name in IDENTITIES:
         alone = _identity_rows(["--identity", name, "--t", t], capsys,

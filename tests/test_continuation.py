@@ -221,6 +221,21 @@ def test_limit_scan_requires_increasing_n():
         correlation_scan(DimerParams(0.6), [8, 4])
 
 
+def test_limit_scan_rejects_an_empty_n_list():
+    # max() of the empty list raised a ValueError that named no argument
+    with pytest.raises(ValueError, match="n_list must be non-empty"):
+        correlation_scan(DimerParams(0.6), [])
+
+
+@pytest.mark.parametrize("t", [-0.5, 0j, float("nan"), 1e160])
+@pytest.mark.parametrize("route", [b_hat, theta_decomposition])
+def test_given_tables_do_not_skip_the_half_plane_check(route, t):
+    # with tables passed, t = -0.5 and 0j returned a residual of about 1e-15,
+    # and 1e160 raised a bare OverflowError from k_plus_matrix
+    with pytest.raises(ParameterOutOfRange):
+        route(t, 8, _scalar_tables(0.5, 8))
+
+
 def test_convergence_locally_uniform_shadow():
     # across a small parameter disk the n reaching a fixed accuracy should
     # agree within one doubling step

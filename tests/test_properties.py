@@ -346,6 +346,30 @@ def test_exp_rep_passes_up_to_t_near_one(t):
     assert report["rows"][0]["status"] == "pass", report["rows"][0]
 
 
+@SETTINGS
+@given(st.one_of(box(0.05, 3.0, 3.0), box(0.05, 1.0, 1.0).filter(lambda t: abs(t) <= 1)),
+       st.integers(1, 32))
+@example(1 + 0j, 32)
+@example(0.05 + 0.9987j, 32)
+@example(0.05 + 3j, 1).via("kernel_symbols does not converge at MAX_QUAD_GRID")
+def test_torus_rows_hold_on_the_half_plane(t, n):
+    # both torus rows once refused every t off (0, 1), though the kernels'
+    # closed forms e+/2 and d/2 and det M_n = det theta_section hold on the
+    # whole half-plane; for |t| > 1 M_n's band t^(j-k-1) limits n (see
+    # test_cli.py's test_dimer_toeplitz_is_limited_by_the_band_of_m_n)
+    def row(identity, n=None):
+        return run_verify(RunConfig(command="verify", t=t, identity=identity, n=n))["rows"][0]
+
+    closed = row("kernel-closed-forms")
+    if closed["status"] == "error":
+        assert closed["error"]["type"] == "QuadratureUnconverged", closed
+    else:
+        assert closed["residual"] <= 1e-12, closed
+    if abs(t) <= 1:
+        torus = row("dimer-toeplitz", n)
+        assert torus["status"] == "pass" and torus["residual"] <= 1e-12, torus
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2 ** 63 - 1))
 @example(143117141700)
