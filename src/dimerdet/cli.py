@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .dimer import (
 )
 from .errors import DimerdetError, ParameterOutOfRange, TailNotResolved, half_plane_t
 from .spectral import (
-    FourierTable,
     fourier_coefficients,
     geometric_mean,
     log_determinant,
@@ -414,30 +413,41 @@ def _verify_three_way_e(q: Quantities):
     return residual, 1e-6, None
 
 
+def laurent_family(seed: int, size: int = 20) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``scalar-widom`` draw from ``np.random.default_rng(seed)``: ``size``
+    symbols prod (1 - g z) prod (1 - d/z) with 1 to 3 roots g and 0 to 3 roots
+    d, of modulus in [0.1, 0.6) and uniform argument.  Returns their exact
+    coefficient stack (7, size, 1, 1), k = -3..3 (a missing root is 0, a
+    factor of exactly 1), their bands (the numbers of g) and Szego's exact
+    constants E = prod (1 - g d)^{-1}."""
+    rng = np.random.default_rng(seed)
+    counts, draws = [], []
+    for _ in range(size):
+        counts.append((int(rng.integers(1, 4)), int(rng.integers(0, 4))))
+        # modulus and argument of each root in turn, g first
+        draws.append(rng.random(2 * sum(counts[-1])))
+    u = np.concatenate(draws).reshape(-1, 2)
+    counts = np.array(counts)
+    # slots g_0..g_2, d_0..d_2 of each polynomial, filled in draw order
+    roots = np.zeros((size, 2, 3), dtype=complex)
+    roots[np.arange(3) < counts[:, :, None]] = (
+        (0.1 + (0.6 - 0.1) * u[:, 0]) * np.exp(2j * np.pi * u[:, 1]))
+    coeffs = np.zeros((size, 7), dtype=complex)
+    coeffs[:, 3] = 1.0
+    for g, d in roots.transpose(2, 1, 0):
+        coeffs[:, 1:] -= g[:, None] * coeffs[:, :-1]  # times (1 - g z)
+        coeffs[:, :-1] -= d[:, None] * coeffs[:, 1:]  # times (1 - d/z)
+    exact = 1.0 / np.prod(1.0 - roots[:, 0, :, None] * roots[:, 1, None, :], axis=(1, 2))
+    return coeffs.T[:, :, None, None], counts[:, 0], exact
+
+
 def _verify_scalar_widom(q: Quantities):
     # the 20 symbols' E by Widom's formula in one family pass, against
-    # Szego's strong limit, exact here: E = prod (1 - g d)^{-1}, 1 with no d;
-    # relative, as |E| spans 0.06 to 55 and the pass's error scales with it
-    rng = np.random.default_rng(q.cfg.seed)
-    tabs, bands, exact = [], [], []
-    for _ in range(20):
-        n_up = int(rng.integers(1, 4))
-        n_dn = int(rng.integers(0, 4))
-        gammas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
-                  for _ in range(n_up)]
-        deltas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
-                  for _ in range(n_dn)]
-        # the symbol prod (1 - g z) prod (1 - d/z), exactly: its coefficients
-        # k = -n_dn..n_up are the convolution of those of its linear factors
-        order = max(n_up, n_dn)
-        coeffs = np.zeros((2 * order + 1, 1, 1), dtype=complex)
-        coeffs[order - n_dn:order + n_up + 1, 0, 0] = reduce(
-            np.convolve, [[1.0, -g] for g in gammas] + [[-d, 1.0] for d in deltas])
-        tabs.append(FourierTable(coeffs))
-        bands.append(n_up)
-        exact.append(1 / np.prod([1 - g * d for g in gammas for d in deltas]))
-    e_w = widom_banded_family(tabs, bands)
-    return max(abs(e - x) / abs(x) for e, x in zip(e_w, exact)), 1e-9, None
+    # Szego's strong limit, exact here; relative, as |E| spans 0.06 to 55
+    # and the pass's error scales with it
+    coeffs, bands, exact = laurent_family(q.cfg.seed)
+    e_w = widom_banded_family(coeffs, bands)
+    return float(np.max(np.abs(e_w - exact) / np.abs(exact))), 1e-9, None
 
 
 IDENTITIES = {

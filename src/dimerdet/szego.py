@@ -43,6 +43,7 @@ from .spectral import (
     hankel_section,
     log_determinant,
     pivoted_lu,
+    toeplitz_determinants,
     toeplitz_section,
 )
 
@@ -184,41 +185,44 @@ def correction_factor(a: FourierTable, block_size: int, tol: float = 1e-10) -> c
 def widom_banded_E(psi_tab: FourierTable, band: int) -> complex:
     """E(psi) = G(psi)^n det T_n(psi^{-1}) for a one-sided banded symbol,
     n = ``band``: the family of one of :func:`widom_banded_family`."""
-    return widom_banded_family([psi_tab], [band])[0]
+    return complex(widom_banded_family(psi_tab.coeffs[:, None], [band])[0])
 
 
-def widom_banded_family(psi_tabs: list[FourierTable], bands: list[int]) -> list[complex]:
+def widom_banded_family(coeffs: np.ndarray, bands) -> np.ndarray:
     """E(psi) = G(psi)^n det T_n(psi^{-1}) for each of a family of one-sided
-    banded symbols of one block size, n = ``bands[i]`` for ``psi_tabs[i]``.
+    banded symbols of one block size N, n = ``bands[i]`` for the symbol
+    whose coefficient k is ``coeffs[k + K, i]``: the family's coefficient
+    stack, shape (2K + 1, len(bands), N, N), its tables padded to one order.
 
-    Each table must have coefficients vanishing (below 1e-13) beyond its
-    band on at least one side.  The convention det T_0 = 1 makes the
+    Each symbol must have coefficients vanishing (below 1e-13) beyond its
+    band on at least one side, checked on the stack in one pass; NotBanded
+    names the first that does not.  The convention det T_0 = 1 makes the
     formula valid at band 0 as well.  One evaluator samples the family, the
-    Fourier series of its tables padded to one order, so the geometric
-    means come from one doubling run (:func:`geometric_means`) and the
-    psi^{-1} tables from one run of :func:`common_order_tables`, each on
-    the grid its slowest symbol needs; only the band x band determinants
-    are taken one symbol at a time.
+    Fourier series of the stack, so the geometric means come from one
+    doubling run (:func:`geometric_means`) and the psi^{-1} tables from one
+    run of :func:`common_order_tables`, each on the grid its slowest symbol
+    needs, the tables reading the samples the means took on ``MIN_GRID``;
+    the band x band determinants come from the stacked sections of those
+    tables in one pass (:func:`dimerdet.spectral.toeplitz_determinants`).
     """
-    for tab, band in zip(psi_tabs, bands):
-        upper = np.max(_coeff_magnitudes(tab, 1)[band:], initial=0.0)
-        lower = np.max(_coeff_magnitudes(tab, -1)[band:], initial=0.0)
-        if min(upper, lower) > 1e-13:
-            raise NotBanded(
-                f"coefficients beyond band {band} reach {min(upper, lower):.3e} on both sides")
-    order = max(tab.order for tab in psi_tabs)
-    coeffs = np.zeros((2 * order + 1, len(psi_tabs)) + psi_tabs[0].coeffs.shape[1:],
-                      dtype=complex)
-    for i, tab in enumerate(psi_tabs):
-        coeffs[order - tab.order:order + tab.order + 1, i] = tab.coeffs
+    bands = np.asarray(bands)
+    order = coeffs.shape[0] // 2
+    mags = np.abs(coeffs).max(axis=(2, 3))
+    ks = np.arange(-order, order + 1)[:, None]
+    beyond = np.minimum(np.max(mags, axis=0, where=ks > bands, initial=0.0),
+                        np.max(mags, axis=0, where=ks < -bands, initial=0.0))
+    wide = np.flatnonzero(beyond > 1e-13)
+    if wide.size:
+        raise NotBanded(f"coefficients beyond band {bands[wide[0]]} reach "
+                        f"{beyond[wide[0]]:.3e} on both sides")
     sample = _series(coeffs)
     gmeans = geometric_means(sample)
-    dets = [1.0] * len(bands)  # det T_0
-    if max(bands) > 0:
-        inv_tabs = common_order_tables(lambda x: _inverse_samples(sample(x)), max(bands))
-        dets = [log_determinant(toeplitz_section(inv, band)).value if band else 1.0
-                for inv, band in zip(inv_tabs, bands)]
-    return [complex(complex(g) ** band * det) for g, band, det in zip(gmeans, bands, dets)]
+    dets = np.ones(bands.size)  # det T_0
+    if bands.max() > 0:
+        inv_tabs = common_order_tables(lambda x: _inverse_samples(sample(x)), int(bands.max()))
+        inv = np.stack([tab.coeffs for tab in inv_tabs], axis=1)
+        dets = toeplitz_determinants(inv, bands)
+    return gmeans ** bands * dets
 
 
 def bocg_residual(psi_tab: FourierTable, n: int, tol: float = 1e-10) -> complex:

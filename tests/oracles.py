@@ -60,9 +60,44 @@ def planted_symbol(alpha: complex, beta: complex, gamma: complex) -> tuple[Matri
 
 
 def series_symbol(tab: FourierTable) -> MatrixSymbol:
-    """The truncated Fourier series of a table, the one Horner pass
+    """The truncated Fourier series of a table, by the evaluator
     ``widom_banded_family`` samples its family by."""
     return MatrixSymbol(_series(tab.coeffs))
+
+
+def horner_series(coeffs: np.ndarray):
+    """``spectral._series`` by one Horner pass in z = e^{ix} over the whole
+    stack, times e^{-iKx}: its reference."""
+    order, block = coeffs.shape[0] // 2, coeffs.shape[1:]
+    expand = (slice(None),) + (None,) * len(block)
+
+    def eval_(x):
+        z = np.exp(1j * x)[expand]
+        acc = np.zeros((x.size,) + block, dtype=complex)
+        for c in coeffs[::-1]:
+            acc *= z
+            acc += c
+        return acc * np.exp(-1j * order * x)[expand]
+
+    return eval_
+
+
+def unwrap_logdet_mean(d: np.ndarray, grid: int) -> np.ndarray:
+    """``spectral._logdet_mean`` with its arguments unwrapped by
+    ``np.unwrap`` over the grid and its closing point: its reference."""
+    d = np.ascontiguousarray(d.T)
+    ang = np.unwrap(np.angle(np.concatenate([d, d[:, :1]], axis=1)))
+    change = ang[:, -1] - ang[:, 0]
+    mean = np.mean(np.log(np.abs(d)) + 1j * ang[:, :-1], axis=1) + 0.5j * change / grid
+    return np.array([mean, change])
+
+
+def section_determinants(coeffs: np.ndarray, sizes) -> list[complex]:
+    """det T_m of each member of a coefficient stack (2K + 1, len(sizes), N, N),
+    m = ``sizes[i]``, one ``log_determinant(toeplitz_section(...))`` at a
+    time, det T_0 = 1: the reference of ``spectral.toeplitz_determinants``."""
+    return [log_determinant(toeplitz_section(FourierTable(coeffs[:, i].copy()), int(m))).value
+            if m else 1.0 for i, m in enumerate(sizes)]
 
 
 def pointwise_inverse(sym: MatrixSymbol) -> MatrixSymbol:

@@ -111,12 +111,12 @@ def test_repeated_runs_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-#: the scalar-widom residual at --t 0.3 for each seed, as it read when the
-#: 20 symbols' E was taken one symbol at a time; relative to Szego's exact
-#: constant each reads within 1e-15 of its pin
-SCALAR_WIDOM_RESIDUALS = {1: 5.593023969348752e-16, 2: 6.866350197783356e-16,
-                          3: 7.947987303456224e-16, 7: 2.318213734067276e-15,
-                          99: 7.108895957933346e-16, 1234: 7.447602459741819e-16}
+#: the scalar-widom residual at --t 0.3 for each seed, relative to Szego's
+#: exact constant, as it reads with the family's 20 determinants taken from
+#: its stacked sections (the pins of the per-symbol route were within 1.3e-15)
+SCALAR_WIDOM_RESIDUALS = {1: 1.0120239743379584e-15, 2: 4.371291176027134e-16,
+                          3: 4.1950115382100626e-16, 7: 1.0228308424016765e-15,
+                          99: 6.497168565216895e-16, 1234: 8.339086740982432e-16}
 
 
 @pytest.mark.parametrize("seed", sorted(SCALAR_WIDOM_RESIDUALS))

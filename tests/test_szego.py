@@ -1,7 +1,5 @@
 """Tests for operator-truncation constants and the identity toolkit."""
 
-from functools import reduce
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +8,7 @@ from dimerdet import (
     DimerParams,
     NonzeroWinding,
     NotBanded,
+    SingularDeterminant,
     TailNotResolved,
     TruncatedOperatorSingular,
     bocg_residual,
@@ -28,6 +27,7 @@ from dimerdet import (
     toeplitz_section,
     widom_banded_E,
 )
+from dimerdet.cli import laurent_family
 from dimerdet.closed_form import prefactor, spectral_roots
 from dimerdet.spectral import (
     FourierTable,
@@ -36,6 +36,7 @@ from dimerdet.spectral import (
     geometric_means,
     hankel_section,
     pivoted_lu,
+    toeplitz_determinants,
 )
 from dimerdet.szego import (
     MAX_OP_ORDER,
@@ -377,27 +378,13 @@ def test_widom_vs_series_randomized():
         assert abs(e_w - e_s) < 1e-9
 
 
-def laurent_family(seed, size=20):
-    """The exact tables and upper bands of ``size`` random symbols
-    prod (1 - g z) prod (1 - d/z), drawn as the scalar-widom identity draws
-    them."""
-    rng = np.random.default_rng(seed)
-    tabs, bands = [], []
-    for _ in range(size):
-        n_up, n_dn = int(rng.integers(1, 4)), int(rng.integers(0, 4))
-        gammas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
-                  for _ in range(n_up)]
-        deltas = [rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
-                  for _ in range(n_dn)]
-        coeffs = reduce(np.convolve, [[1.0, -g] for g in gammas] + [[-d, 1.0] for d in deltas])
-        tabs.append(table_from_coeff_map(dict(zip(range(-n_dn, n_up + 1), coeffs)),
-                                         max(n_up, n_dn)))
-        bands.append(n_up)
-    return tabs, bands
+def family_tables(coeffs):
+    """Each member of a coefficient stack (2K + 1, m, N, N) as its own table."""
+    return [FourierTable(coeffs[:, i]) for i in range(coeffs.shape[1])]
 
 
 def test_geometric_means_of_a_family_are_its_single_means():
-    syms = [series_symbol(tab) for tab in laurent_family(5)[0]]
+    syms = [series_symbol(tab) for tab in family_tables(laurent_family(5)[0])]
     family = geometric_means(lambda x: np.stack([sym.sample(x) for sym in syms], axis=1))
     assert family.shape == (20,)
     for g, sym in zip(family, syms):
@@ -406,34 +393,58 @@ def test_geometric_means_of_a_family_are_its_single_means():
 
 def test_widom_family_samples_its_symbols_once_per_grid_point(monkeypatch):
     # one evaluator for the 20 symbols: G on the grid 256 and the 256 new
-    # midpoints of 512, then the psi^{-1} tables on 256
-    from dimerdet import szego
-    tabs, bands = laurent_family(1)
-    singles = [widom_banded_E(tab, band) for tab, band in zip(tabs, bands)]
-    shapes, series = [], szego._series
+    # midpoints of 512; the psi^{-1} tables read the samples on 256 again
+    from dimerdet import spectral
+    coeffs, bands, _ = laurent_family(1)
+    singles = [widom_banded_E(tab, band) for tab, band in zip(family_tables(coeffs), bands)]
+    shapes, gemm = [], spectral._gemm
 
-    def counted(coeffs):
-        sample = series(coeffs)
+    def counted(coeffs_t, basis_t):
+        # one product per evaluation: the 20 symbols against the 7 e^{ikx}
+        shapes.append((coeffs_t.shape, basis_t.shape))
+        return gemm(coeffs_t, basis_t)
 
-        def eval_(x):
-            values = sample(x)
-            shapes.append(values.shape)
-            return values
-        return eval_
-
-    monkeypatch.setattr(szego, "_series", counted)
-    family = widom_banded_family(tabs, bands)
-    assert shapes == [(256, 20, 1, 1)] * 3
+    monkeypatch.setattr(spectral, "_gemm", counted)
+    family = widom_banded_family(coeffs, bands)
+    assert shapes == [((20, 7), (7, 256))] * 2
     for e, single in zip(family, singles):
         assert abs(e - single) <= 1e-14 * abs(single)
 
 
 def test_widom_family_names_a_winding_symbol():
     # z (1 - 0.3 z) winds once: its G raises, wherever it sits in the family
-    tabs, bands = laurent_family(2, size=5)
-    wound = table_from_coeff_map({1: 1.0, 2: -0.3}, 2)
+    coeffs, bands, _ = laurent_family(2, size=5)
+    wound = np.zeros((7, 1, 1, 1), dtype=complex)
+    wound[4:6, 0, 0, 0] = 1.0, -0.3  # k = 1, 2
     with pytest.raises(NonzeroWinding, match="accumulated argument change 6.283 rad"):
-        widom_banded_family(tabs[:3] + [wound] + tabs[3:], bands[:3] + [2] + bands[3:])
+        widom_banded_family(np.concatenate([coeffs[:, :3], wound, coeffs[:, 3:]], axis=1),
+                            np.insert(bands, 3, 2))
+
+
+def test_widom_family_names_the_first_unbanded_symbol():
+    # members 1 and 3 reach past their bands on both sides: the one-pass
+    # check names member 1's band and the smaller of its two reaches
+    stack = np.zeros((5, 4, 1, 1), dtype=complex)
+    stack[2] = 1.0
+    stack[[1, 3], 1, 0, 0] = 0.2, 0.3  # k = -1, 1 past band 0
+    stack[[0, 4], 3, 0, 0] = 0.05, 0.4  # k = -2, 2 past band 1
+    stack[3, 2, 0, 0] = 0.5  # k = 1 past band 0 on one side only: banded
+    with pytest.raises(NotBanded, match=r"^coefficients beyond band 0 reach 2\.000e-01 on both"):
+        widom_banded_family(stack, [1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("corner", [1.0, 1.0 + 4 * np.finfo(float).eps])
+def test_a_singular_section_in_the_stack_raises(corner):
+    # member 1's T_2 is [[1, c], [1, 1]]: exactly singular at c = 1, and at
+    # c = 1 + 4 eps its second pivot, -8.9e-16, is below 2 eps ||T||_inf;
+    # either way the stack raises, naming it, and returns no 0
+    stack = np.zeros((3, 3, 1, 1), dtype=complex)
+    stack[1] = 1.0
+    stack[:, 1, 0, 0] = corner, 1.0, 1.0  # k = -1, 0, 1
+    stack[[0, 2], 2, 0, 0] = 0.5
+    assert np.allclose(toeplitz_determinants(stack[:, [0, 2]], [2, 2]), [1.0, 0.75])
+    with pytest.raises(SingularDeterminant, match="member 1 of the family"):
+        toeplitz_determinants(stack, [2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
