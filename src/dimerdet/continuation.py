@@ -3,10 +3,10 @@
 For real 0 < t < 1 the entry regularised here is c = -phi_11 of the dimer
 symbol (below, phi names [[c, d], [-d, ctilde]], of the same section
 determinants).  c = e+ + u, u the geometric-series symbol with section K+
-(bands t^{j-k-1}); e+ stays smooth on the whole half-plane.  T_n(e+) + K+
-continues the section (``b_hat``, entries growing like t^n), and
-pre-multiplying by T_n(Theta+), of determinant 1, gives the regular
-T_n(phi_hat) + P_n K P_n + W_n L W_n.
+(bands t^{j-k-1}); e+ stays smooth on the whole half-plane.  M_n on the
+sampled e+ and d tables (:func:`dimerdet.dimer._m_n`, entries growing like
+t^n) continues the section, and pre-multiplying by T_n(Theta+), of
+determinant 1, gives the regular T_n(phi_hat) + P_n K P_n + W_n L W_n.
 That section is centrosymmetric, so :func:`theta_section` builds only its
 top n rows and its determinant is two n x n LUs (the fold of
 :func:`dimerdet.spectral.folded_log_determinant`).  For real t the two are
@@ -16,8 +16,8 @@ P(n) = (1/2) |det(B + CE)|; :func:`_section_dets` is that one route.
 :func:`correlation_scan` is the one scan along it, one e+/d table pair per
 list of n (:func:`correlation_finite` is its one-n case, and
 :func:`errors_decreasing` reads its rows against the limit);
-:func:`theta_decomposition` checks it against ``b_hat``, and so do the
-sampled phi_hat symbol and the dense 2n x 2n section of the tests.
+:func:`theta_decomposition` checks it against M_n on the same tables, and
+so do the sampled phi_hat symbol and the dense 2n x 2n section of the tests.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from .spectral import (
     common_order_tables,
     folded_log_determinant,
     log_determinant,
-    toeplitz_section,
 )
-from .dimer import DimerParams, _weight, k_plus_matrix
+from .dimer import DimerParams, _m_n, _weight
 
 
 @dataclass(frozen=True)
@@ -95,21 +94,6 @@ def _scalar_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
     from one sampling of :func:`e_plus_d` per grid point."""
     pair = e_plus_d(t)
     return common_order_tables(lambda x: pair(x)[:, :, None, None], order)
-
-
-def b_hat(t: complex, n: int,
-          tables: tuple[FourierTable, FourierTable] | None = None) -> np.ndarray:
-    """The continued section [[B, T_n(d)], [T_n(d)^T, B^T]], B = T_n(e+) + K+.
-
-    For real 0 < t < 1 its determinant equals det T_n(phi); for every other
-    parameter with Re(t) > 0 it is the analytic continuation of that
-    determinant in t.  ``tables`` defaults to :func:`_scalar_tables`.
-    """
-    t = half_plane_t(t)
-    e_tab, d_tab = tables or _scalar_tables(t, n)
-    b = toeplitz_section(e_tab, n) + k_plus_matrix(t, n)
-    d = toeplitz_section(d_tab, n)
-    return np.block([[b, d], [d.T, b.T]])
 
 
 def _phi_hat_table(t: complex, e_tab: FourierTable, d_tab: FourierTable) -> FourierTable:
@@ -164,29 +148,29 @@ def theta_section(t: complex, n: int, e_tab: FourierTable,
 def theta_decomposition(t: complex, n: int,
                         tables: tuple[FourierTable, FourierTable] | None = None
                         ) -> ContinuedSequence:
-    """Check det b_hat = det(T_n(phi_hat) + P_n K P_n + W_n L W_n) to 1e-9.
+    """Check det M_n = det(T_n(phi_hat) + P_n K P_n + W_n L W_n) to 1e-9.
 
     K = -H(Theta+) H(phitilde+) and L = -H(Thetatilde+) H(phi+) are the
     rank-one corrections from the pre-multiplication by T_n(Theta+), each
     one row: the result carries row 0 of K.  The right side is P(n)'s own
-    route, :func:`_section_dets`; b_hat, from the unprojected tables, is the
-    independent side.  Its band t^{j-k-1} reaches |t|^(n-2), so for |t| > 1
-    its LU fails the check from some n on (at t = 2, n = 33), or is flagged
-    singular (at t = 2, n = 64: SingularDeterminant), and either message
-    names b_hat and that growth.  ``tables`` defaults to
-    :func:`_scalar_tables`.
+    route, :func:`_section_dets`; M_n (:func:`dimerdet.dimer._m_n`), from
+    the unprojected tables, is the independent side.  Its band t^{j-k-1}
+    reaches |t|^(n-2), so for |t| > 1 its LU fails the check from some n on
+    (at t = 2, n = 33), or is flagged singular (at t = 2, n = 64:
+    SingularDeterminant), and either message names M_n and that growth.
+    ``tables`` defaults to :func:`_scalar_tables`.
     """
     t = half_plane_t(t)
     e_tab, d_tab = tables or _scalar_tables(t, n)
-    band = f"b_hat's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
-    det_b = log_determinant(b_hat(t, n, (e_tab, d_tab)))
-    if det_b.is_singular:
-        raise SingularDeterminant(f"the LU of b_hat is flagged singular at t={t}, n={n}; {band}")
-    lhs = det_b.value
+    band = f"M_n's band reaches |t|^(n-2) = {abs(t) ** (n - 2):.1e}"
+    det_m = log_determinant(_m_n(t, n, e_tab, d_tab))
+    if det_m.is_singular:
+        raise SingularDeterminant(f"the LU of M_n is flagged singular at t={t}, n={n}; {band}")
+    lhs = det_m.value
     rhs, = _section_dets(t, [n], e_tab, d_tab)
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual > 1e-9:
-        raise DecompositionMismatch(f"det b_hat = {lhs} vs decomposed {rhs} at t={t}, "
+        raise DecompositionMismatch(f"det M_n = {lhs} vs decomposed {rhs} at t={t}, "
                                     f"n={n}{'; ' + band if abs(t) > 1 else ''}")
     return ContinuedSequence(_k_row(t, n, e_tab, d_tab), residual)
 

@@ -9,8 +9,11 @@ This module builds ``M_n`` and the symbols only as independent checks.
 
 Conventions fixed here (they matter for cross-checks):
 
-* The entry formulas for ``M_n`` use 1-based indices and floor brackets,
-  ``[x] = floor(x)`` including negatives.
+* ``M_n`` has one builder, :func:`_m_n`, which reads an e+/d table pair:
+  the torus one of :func:`torus_tables` for the dimer matrix, or the
+  sampled one P(n) is taken from.  The paper's entry formulas, in the
+  double integrals R_k, Q_k with 1-based indices and floor brackets
+  ``[x] = floor(x)`` (including negatives), are relabelled there.
 * The square root ``sqrt(t^2 + sin^2 x + sin^4 x)`` is the principal branch,
   which is positive for real positive ``t`` and stays analytic in both
   ``x`` and ``t`` on the half-plane Re(t) > 0 (the imaginary part of the
@@ -19,7 +22,7 @@ Conventions fixed here (they matter for cross-checks):
   global sign dropped, which leaves every determinant unchanged.
 
 The torus double integrals are periodic trapezoid sums, and three exact
-symmetries of those sums cut their cost (:func:`_coefficients`): each
+symmetries of those sums cut their cost (:func:`_torus_hats`): each
 y-integrand is pi-periodic in y, so half a y period is summed; sin(x+y) comes
 from per-axis arrays; and den(-x, -y) = den(x, y), so the rows x in [0, pi]
 give every row.
@@ -33,7 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange, QuadratureUnconverged, half_plane_t
-from .spectral import MIN_GRID, QUAD_TOL, MatrixSymbol, _doubled, _gemm, _stack_entries
+from .spectral import (
+    MIN_GRID,
+    QUAD_TOL,
+    FourierTable,
+    MatrixSymbol,
+    _doubled,
+    _gemm,
+    _stack_entries,
+    toeplitz_section,
+)
 
 
 #: the cap of the torus doubling rule (:func:`dimerdet.spectral._doubled`):
@@ -60,17 +72,6 @@ class DimerParams:
     @property
     def is_real_unit_interval(self) -> bool:
         return self.t.imag == 0.0 and 0.0 < self.t.real < 1.0
-
-
-class DimerCoefficients(NamedTuple):
-    """R_k and Q_k for k = k_min..k_max as arrays (``R[i]`` is R_{k_min + i}),
-    at a fixed parameter, and their torus grid."""
-
-    k_min: int
-    R: np.ndarray
-    Q: np.ndarray
-    t: complex
-    grid: int
 
 
 # ---------------------------------------------------------------------------
@@ -120,53 +121,52 @@ def _kernel_sums(t: complex, x: np.ndarray, means: np.ndarray) -> np.ndarray:
                            np.sin(x) * one])
 
 
-def _coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
-    """[R_k for k in ks] and [Q_k for k in ks] by tensor-product periodic
-    trapezoid quadrature on the given torus grid.
-
-    The x-Fourier coefficients of the double integrals are the kernels:
-    R_k = (-1)^[k/2] (S+T)^_{1-k} and Q_k = -i (-1)^[k/2] V^_k, where ^ is
-    the FFT of the samples on the x grid of the torus divided by its size,
-    so one FFT of each kernel gives every k.  Q_k vanishes for even k.
+def _torus_hats(t: complex, order: int, grid: int) -> np.ndarray:
+    """[(S+T)^_k, V^_k] for k = -order..order, shape (2, 2 order + 1), the
+    Fourier coefficients of the kernels by tensor-product periodic trapezoid
+    quadrature on the given torus grid: one FFT of each kernel gives every
+    k.  The x grid starts at -pi, so the FFT over its size carries the phase
+    (-1)^k, taken off here once.  V^_k vanishes for even k.
 
     As den(-x, -y) = den(x, y) and the y grid, taken mod pi, is its own
     mirror, the y-means of 1, cos^2 y and sin(x+y) sin y are even in x and
     those of cos y sin y and sin(x+y) cos y odd: the grid/2 + 1 rows with x
     in [0, pi] give every row (x = -pi is the angle pi).  The rows x and
-    pi - x are summed apart, so the vanishing Q_k of even k, which is
+    pi - x are summed apart, so the vanishing V^_k of even k, which is
     V(x + pi) = -V(x), stays a check on the sums.
     """
     x = 2.0 * np.pi * np.arange(grid) / grid - np.pi
     half = _y_means(t, 2.0 * np.pi * np.arange(grid // 2 + 1) / grid, grid)
     means = np.concatenate([half[:, :0:-1] * [[1], [1], [-1], [-1], [1]], half[:, :-1]], axis=1)
     hat = np.fft.fft(_kernel_sums(t, x, means), axis=1) / grid
-    sign = _half_floor_sign(ks)
-    return np.array([sign * hat[0, (1 - ks) % grid], -1j * sign * hat[1, ks % grid]])
+    ks = np.arange(-order, order + 1)
+    return (1 - 2 * (ks % 2)) * hat[:, ks % grid]
 
 
-def dimer_coefficients(params: DimerParams, k_min: int, k_max: int) -> DimerCoefficients:
-    """All R_k, Q_k for k in [k_min, k_max], with the Q parity invariant.
+def torus_tables(t: complex, order: int) -> tuple[FourierTable, FourierTable]:
+    """The e+ and d tables to ``order`` from the torus double integrals,
+    e_k = 2 (S+T)^_k and d_k = 2 V^_k (:func:`_torus_hats`): the pair
+    :func:`dimerdet.continuation._scalar_tables` samples, so :func:`_m_n`
+    reads either.
 
-    The torus grid doubles from the smallest power of two at least 4K + 4,
-    K the largest |k|, until the doubled grid moves no coefficient
+    The torus grid doubles from the smallest power of two at least
+    4 order + 4 until the doubled grid moves no kernel coefficient
     (:func:`dimerdet.spectral._doubled`); the integrands are smooth and
-    periodic on the torus, so this is spectral.
+    periodic on the torus, so this is spectral.  A d_k of even k above 2e-14
+    (V^_k above 1e-14) raises InvariantViolation.  No top band is checked,
+    as the table loop checks it, so a reader stays within ``order``.
     """
-    ks = np.arange(k_min, k_max + 1)
-    start = 1 << (4 * max(abs(k_min), abs(k_max)) + 3).bit_length()
-    (R, Q), grid = _doubled(lambda grid: _coefficients(params.t, ks, grid), start,
-                            MAX_QUAD_GRID, QUAD_TOL, QuadratureUnconverged,
-                            f"R_k, Q_k for k in [{k_min}, {k_max}]", "MAX_QUAD_GRID")
-    nonzero_even = np.flatnonzero((ks % 2 == 0) & (np.abs(Q) > 1e-14))
+    t = half_plane_t(t)
+    (st, v), _ = _doubled(lambda grid: _torus_hats(t, order, grid),
+                          1 << (4 * order + 3).bit_length(), MAX_QUAD_GRID, QUAD_TOL,
+                          QuadratureUnconverged, f"the torus tables to order {order}",
+                          "MAX_QUAD_GRID")
+    ks = np.arange(-order, order + 1)
+    nonzero_even = np.flatnonzero((ks % 2 == 0) & (np.abs(v) > 1e-14))
     if nonzero_even.size:
         i = nonzero_even[0]
-        raise InvariantViolation(f"Q_{ks[i]} = {Q[i]} should vanish for even k")
-    return DimerCoefficients(k_min, R, Q, params.t, grid)
-
-
-def _half_floor_sign(m: np.ndarray) -> np.ndarray:
-    """(-1)**floor(m/2) for integer arrays, floor division semantics."""
-    return 1 - 2 * ((m // 2) % 2)
+        raise InvariantViolation(f"d_{ks[i]} = {2 * v[i]} should vanish for even k")
+    return FourierTable(2.0 * st[:, None, None]), FourierTable(2.0 * v[:, None, None])
 
 
 def k_plus_matrix(t: complex, n: int) -> np.ndarray:
@@ -182,30 +182,35 @@ def k_plus_matrix(t: complex, n: int) -> np.ndarray:
     return np.where(j > k, t ** expo, 0.0 + 0.0j)
 
 
-def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
-    """The 2n x 2n matrix [[R, Q], [Q, R]] from the displayed entry formulas.
+def _m_n(t: complex, n: int, e_tab: FourierTable, d_tab: FourierTable) -> np.ndarray:
+    """M_n = [[B, Q], [Q, B]] from the e+ and d tables: B = T_n(e+) + K+ and
+    Q = -(-1)^[n/2] E T_n(d), E the index reversal, the one builder of M_n.
 
-    With 1-based block indices j, k:
-      R_jk = 2 (-1)^[(k-j)/2] R_{k-j+1} + theta(j-k) t^{j-k-1}
-      Q_jk = 2i (-1)^[(j+k)/2] Q_{n+1-j-k}
-    where theta(m) = 1 for m > 0 and 0 otherwise, the band of
-    :func:`k_plus_matrix`.  The torus grid starts at the smallest power of
-    two at least 4(n + 1) + 4, so it resolves the highest index used.
+    The paper's entries, with 1-based block indices j, k,
+      B_jk = 2 (-1)^[(k-j)/2] R_{k-j+1} + theta(j-k) t^{j-k-1},
+      Q_jk = 2i (-1)^[(j+k)/2] Q_{n+1-j-k},
+    [x] = floor(x) and theta(m) = 1 for m > 0, are these, as the torus
+    double integrals are 2 R_k = (-1)^[(k-1)/2] e_{1-k} and
+    2 Q_k = i (-1)^[(k-1)/2] d_k.  On :func:`torus_tables` this is the
+    dimer matrix; on the sampled tables (d odd) it is
+    S_n [[B, T_n(d)], [T_n(d)^T, B^T]] S_n^T, S_n = diag(I, (-1)^[n/2] E),
+    the continuation in t of det T_n(phi) from real 0 < t < 1 that
+    :func:`dimerdet.continuation.theta_decomposition` checks.  Its band
+    t^{j-k-1} (:func:`k_plus_matrix`) reaches |t|^(n-2).
     """
+    t = half_plane_t(t)
+    b = toeplitz_section(e_tab, n) + k_plus_matrix(t, n)
+    q = (-1) ** (n // 2 + 1) * toeplitz_section(d_tab, n)[::-1]
+    return np.block([[b, q], [q, b]])
+
+
+def dimer_matrix(params: DimerParams, n: int) -> np.ndarray:
+    """The 2n x 2n dimer matrix M_n: :func:`_m_n` on the torus tables to
+    order n + 1, so the torus grid starts at the smallest power of two at
+    least 4(n + 1) + 4."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeff = dimer_coefficients(params, -n, n + 1)
-    j = np.arange(1, n + 1)[:, None]
-    k = np.arange(1, n + 1)[None, :]
-
-    m = k - j
-    rmat = 2.0 * _half_floor_sign(m) * coeff.R[m + 1 - coeff.k_min]
-    rmat = rmat + k_plus_matrix(params.t, n)
-
-    qi = n + 1 - j - k
-    qmat = 2.0j * _half_floor_sign(j + k) * coeff.Q[qi - coeff.k_min]
-
-    return np.block([[rmat, qmat], [qmat, rmat]])
+    return _m_n(params.t, n, *torus_tables(params.t, n + 1))
 
 
 # ---------------------------------------------------------------------------

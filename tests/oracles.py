@@ -6,9 +6,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure
-from dimerdet.continuation import _k_row, _phi_hat_table, e_plus_d
-from dimerdet.dimer import _half_floor_sign, _weight
+from dimerdet import DimerParams, ParameterOutOfRange, SampleFailure, dimer
+from dimerdet.continuation import _k_row, _phi_hat_table, _scalar_tables, e_plus_d
+from dimerdet.dimer import _weight, k_plus_matrix
+from dimerdet.errors import half_plane_t
 from dimerdet.spectral import (
     TAIL_TOL,
     FourierTable,
@@ -170,7 +171,7 @@ def full_grid_kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     values of y, one sine per point, 128 angles at a time: the reference of
     ``dimer._kernel_sums`` on the y-means of ``dimer._y_means``, which sum
     half a y period and form sin(x+y) from per-axis arrays, and of the torus
-    rows ``dimer._coefficients`` unfolds from x in [0, pi]."""
+    rows ``dimer._torus_hats`` unfolds from x in [0, pi]."""
     tt = t.real * t.real if t.imag == 0 else t * t
     y = 2.0 * np.pi * np.arange(grid) / grid - np.pi
     cy = np.cos(y)
@@ -189,14 +190,84 @@ def full_grid_kernel_sums(t: complex, x: np.ndarray, grid: int) -> np.ndarray:
     return out / (2.0 * grid)
 
 
-def full_grid_coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
-    """[R_k for k in ks] and [Q_k for k in ks] from one FFT of
-    :func:`full_grid_kernel_sums` on every angle of the torus x grid: the
-    reference of ``dimer._coefficients``."""
+def _full_grid_fft(t: complex, grid: int) -> np.ndarray:
+    """The FFT of :func:`full_grid_kernel_sums` on every angle of the torus
+    x grid, from x = -pi, over its size."""
     x = 2.0 * np.pi * np.arange(grid) / grid - np.pi
-    hat = np.fft.fft(full_grid_kernel_sums(t, x, grid), axis=1) / grid
-    sign = _half_floor_sign(ks)
+    return np.fft.fft(full_grid_kernel_sums(t, x, grid), axis=1) / grid
+
+
+def full_grid_hats(t: complex, order: int, grid: int) -> np.ndarray:
+    """[(S+T)^_k, V^_k] for k = -order..order from :func:`_full_grid_fft`,
+    its phase (-1)^k taken off: the reference of ``dimer._torus_hats``."""
+    ks = np.arange(-order, order + 1)
+    return (-1.0) ** ks * _full_grid_fft(t, grid)[:, ks % grid]
+
+
+def full_grid_coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
+    """[R_k for k in ks] and [Q_k for k in ks] by the paper's relation to the
+    kernels on the grid from x = -pi, R_k = (-1)^[k/2] (S+T)^_{1-k} and
+    Q_k = -i (-1)^[k/2] V^_k with ^ the FFT of :func:`_full_grid_fft`: the
+    reference of :func:`torus_coefficients`."""
+    hat = _full_grid_fft(t, grid)
+    sign = half_floor_sign(ks)
     return np.array([sign * hat[0, (1 - ks) % grid], -1j * sign * hat[1, ks % grid]])
+
+
+def half_floor_sign(m: np.ndarray) -> np.ndarray:
+    """(-1)**floor(m/2) for integer arrays, floor division semantics: the
+    floor signs of the paper's entry formulas."""
+    return 1 - 2 * ((m // 2) % 2)
+
+
+def relabelled_r_q(e_tab: FourierTable, d_tab: FourierTable, ks: np.ndarray) -> np.ndarray:
+    """[R_k for k in ks] and [Q_k for k in ks], the paper's torus double
+    integrals, relabelled from an e+/d table pair:
+    2 R_k = (-1)^[(k-1)/2] e_{1-k} and 2 Q_k = i (-1)^[(k-1)/2] d_k."""
+    reach = int(np.max(np.abs(np.concatenate([ks, 1 - ks]))))
+    if reach > e_tab.order or reach > d_tab.order:
+        raise ValueError(f"R_k, Q_k for these k read order {reach}, past the tables'")
+    e, d = e_tab.coeffs[:, 0, 0], d_tab.coeffs[:, 0, 0]
+    sign = half_floor_sign(ks - 1)
+    return 0.5 * np.array([sign * e[e_tab.order + 1 - ks], 1j * sign * d[d_tab.order + ks]])
+
+
+def torus_coefficients(t: complex, ks: np.ndarray, grid: int) -> np.ndarray:
+    """[R_k for k in ks] and [Q_k for k in ks] on one fixed torus grid:
+    ``dimer._torus_hats`` as e+ and d tables, read by :func:`relabelled_r_q`."""
+    order = int(np.max(np.abs(np.concatenate([ks, 1 - ks]))))
+    st, v = 2.0 * dimer._torus_hats(t, order, grid)
+    return relabelled_r_q(FourierTable(st[:, None, None]), FourierTable(v[:, None, None]), ks)
+
+
+def literal_dimer_matrix(t: complex, n: int, e_tab: FourierTable,
+                         d_tab: FourierTable) -> np.ndarray:
+    """M_n = [[R, Q], [Q, R]] by the paper's entry formulas, with 1-based
+    block indices j, k:
+      R_jk = 2 (-1)^[(k-j)/2] R_{k-j+1} + theta(j-k) t^{j-k-1}
+      Q_jk = 2i (-1)^[(j+k)/2] Q_{n+1-j-k}
+    theta(m) = 1 for m > 0, and R_k, Q_k by :func:`relabelled_r_q` from the
+    table pair: the reference ``dimer._m_n`` is pinned against."""
+    ks = np.arange(1 - n, n + 1)
+    r, q = relabelled_r_q(e_tab, d_tab, ks)  # r[i] is R_{i+1-n}
+    j = np.arange(1, n + 1)[:, None]
+    k = np.arange(1, n + 1)[None, :]
+    rmat = 2.0 * half_floor_sign(k - j) * r[k - j + n] + k_plus_matrix(t, n)
+    qmat = 2.0j * half_floor_sign(j + k) * q[2 * n - j - k]
+    return np.block([[rmat, qmat], [qmat, rmat]])
+
+
+def b_hat(t: complex, n: int,
+          tables: tuple[FourierTable, FourierTable] | None = None) -> np.ndarray:
+    """The continued section [[B, T_n(d)], [T_n(d)^T, B^T]], B = T_n(e+) + K+,
+    on the sampled tables (``tables`` defaults to ``_scalar_tables``).  For
+    odd d, ``dimer._m_n`` on the same tables is S_n b_hat S_n^T with
+    S_n = diag(I, (-1)^[n/2] E), E the index reversal: its reference."""
+    t = half_plane_t(t)
+    e_tab, d_tab = tables or _scalar_tables(t, n)
+    b = toeplitz_section(e_tab, n) + k_plus_matrix(t, n)
+    d = toeplitz_section(d_tab, n)
+    return np.block([[b, d], [d.T, b.T]])
 
 
 def coeff(tab: FourierTable, k: int) -> np.ndarray:

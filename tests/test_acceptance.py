@@ -31,7 +31,8 @@ from dimerdet import (
     widom_banded_E,
 )
 from dimerdet.closed_form import spectral_roots
-from dimerdet.continuation import b_hat
+from dimerdet.continuation import _scalar_tables
+from dimerdet.dimer import _m_n
 from dimerdet.spectral import ScalarSymbol
 from dimerdet.szego import (
     _bocg_truncated,
@@ -170,7 +171,7 @@ def test_criterion_09_triangular_lattice_convergence():
     target = correlation_limit(1.0)
     errors = []
     for n in (16, 32, 64, 128, 256):
-        det = log_determinant(b_hat(1.0, n)).value
+        det = log_determinant(_m_n(1.0, n, *_scalar_tables(1.0, n))).value
         errors.append(abs(0.5 * np.sqrt(complex(det)) - target))
     assert errors[-1] <= 1e-2
     # strictly decreasing until the floating-point noise floor; at this

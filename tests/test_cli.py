@@ -617,7 +617,7 @@ HALF_PLANE_ROWS = ["continuation", "dimer-toeplitz", "kernel-closed-forms", "sca
 def test_verify_off_the_interval_refuses_with_one_error_type(t, capsys):
     # every identity defined only on (0, 1) refuses with the one error type
     # of its one domain check; continuation and dimer-toeplitz pass at their
-    # default n = 8, within the reach of b_hat and of M_n's band t^(j-k-1)
+    # default n = 8, within the reach of M_n's band t^(j-k-1)
     rows = _identity_rows(["--identity", "all", "--t", t], capsys, code=3)
     passed = [name for name, row in rows.items() if row["status"] == "pass"]
     assert passed == HALF_PLANE_ROWS
@@ -632,10 +632,11 @@ def test_verify_off_the_interval_refuses_with_one_error_type(t, capsys):
     ("3-2i", "32", "error", "SingularDeterminant"),
 ])
 def test_dimer_toeplitz_is_limited_by_the_band_of_m_n(t, n, status, error, capsys):
-    # for |t| > 1 the band t^(j-k-1) of M_n reaches |t|^(n-2), as b_hat's
-    # does in continuation, so its LU loses the identity from some n on or
-    # is flagged singular; applying Theta to M_n would lift this (ROADMAP
-    # item 1)
+    # for |t| > 1 the band t^(j-k-1) of M_n reaches |t|^(n-2), in
+    # continuation as here, so its LU loses the identity from some n on or
+    # is flagged singular; the Theta step on the torus tables has no such
+    # limit (test_theta_section_on_the_torus_tables_matches_the_sampled_pair
+    # in test_dimer.py), so taking it here would lift this (ROADMAP item 1)
     rows = _identity_rows(["--identity", "dimer-toeplitz", "--t", t, "--n", n], capsys,
                           code=0 if status == "pass" else 3)
     assert rows["dimer-toeplitz"]["status"] == status

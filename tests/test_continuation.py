@@ -31,12 +31,11 @@ from dimerdet.continuation import (
     _phi_hat_table,
     _scalar_tables,
     _section_dets,
-    b_hat,
     errors_decreasing,
     theta_section,
 )
 from dimerdet.cli import main
-from dimerdet.dimer import k_plus_matrix
+from dimerdet.dimer import _m_n, k_plus_matrix
 from dimerdet.spectral import (
     FourierTable,
     ScalarSymbol,
@@ -46,6 +45,7 @@ from dimerdet.spectral import (
 )
 from oracles import (
     as_1x1,
+    b_hat,
     e_plus_symbol,
     fft_table,
     getrf_shapes,
@@ -109,11 +109,13 @@ def test_k_plus_matches_pole_symbol_sections():
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_b_hat_continues_the_toeplitz_section(n):
+    # b_hat and M_n = S_n b_hat S_n^T, both on the same sampled tables
     t = 0.6
-    det_b = log_determinant(b_hat(t, n)).value
+    tables = _scalar_tables(t, n)
     tab = fourier_coefficients(symbol_phi(DimerParams(t)))
     det_t = log_determinant(toeplitz_section(tab, n)).value
-    assert abs(det_b - det_t) <= 1e-8 * abs(det_t)
+    for section in (b_hat(t, n, tables), _m_n(t, n, *tables)):
+        assert abs(log_determinant(section).value - det_t) <= 1e-8 * abs(det_t)
 
 
 def theta_plus_table(t: complex) -> FourierTable:
@@ -143,7 +145,7 @@ def test_phi_hat_has_unit_determinant():
 def test_fdm_identity(t, n):
     seq = theta_decomposition(t, n)  # raises DecompositionMismatch beyond 1e-9
     assert seq.identity_residual <= 1e-9
-    det_lhs = log_determinant(b_hat(t, n)).value
+    det_lhs = log_determinant(_m_n(t, n, *_scalar_tables(t, n))).value
     assert np.isfinite(abs(det_lhs)) and abs(det_lhs) > 0
 
 
@@ -228,12 +230,13 @@ def test_limit_scan_rejects_an_empty_n_list():
 
 
 @pytest.mark.parametrize("t", [-0.5, 0j, float("nan"), 1e160])
-@pytest.mark.parametrize("route", [b_hat, theta_decomposition])
+@pytest.mark.parametrize("route", [_m_n, theta_decomposition])
 def test_given_tables_do_not_skip_the_half_plane_check(route, t):
     # with tables passed, t = -0.5 and 0j returned a residual of about 1e-15,
     # and 1e160 raised a bare OverflowError from k_plus_matrix
+    tables = _scalar_tables(0.5, 8)
     with pytest.raises(ParameterOutOfRange):
-        route(t, 8, _scalar_tables(0.5, 8))
+        route(t, 8, *tables) if route is _m_n else route(t, 8, tables)
 
 
 def test_convergence_locally_uniform_shadow():
@@ -283,24 +286,25 @@ def test_real_t_factors_one_n_by_n_matrix_per_n(monkeypatch):
 def test_continuation_identity_factors_the_route_of_p(t, halves, monkeypatch):
     # the identity's right side is the determinant P(n) is taken from: at
     # real t one n x n LU of B + CE, at complex t the fold's two halves; its
-    # left side is the one 2n x 2n LU of b_hat
+    # left side is the one 2n x 2n LU of M_n
     shapes = getrf_shapes(monkeypatch)
     theta_decomposition(t, 12)
     assert shapes == [((24, 24), complex)] + [((12, 12), complex)] * halves
 
 
 def test_continuation_identity_past_t_one_names_the_growth_of_b_hat():
-    # at t = 2 b_hat's band reaches 2^31 at n = 33 and its LU loses the
-    # identity; the section itself is regular there
-    with pytest.raises(DecompositionMismatch, match=r"\|t\|\^\(n-2\) = 2\.1e\+09"):
+    # at t = 2 the band of M_n (and of b_hat, S_n^T M_n S_n) reaches 2^31 at
+    # n = 33 and its LU loses the identity; the section itself is regular there
+    message = r"det M_n = .*; M_n's band reaches \|t\|\^\(n-2\) = 2\.1e\+09"
+    with pytest.raises(DecompositionMismatch, match=message):
         theta_decomposition(2.0, 33)
     assert abs(correlation_finite(DimerParams(2.0), 33) - correlation_limit(2.0)) <= 1e-14
 
 
 def test_continuation_identity_names_b_hat_when_its_lu_is_singular(capsys):
-    # at t = 2, n = 64 b_hat's band reaches 2^62 and its LU is flagged
-    # singular: the error keeps its type and names b_hat and that band
-    message = r"LU of b_hat is flagged singular .*\|t\|\^\(n-2\) = 4\.6e\+18"
+    # at t = 2, n = 64 the band of M_n (and of b_hat) reaches 2^62 and its LU
+    # is flagged singular: the error keeps its type and names M_n and that band
+    message = r"LU of M_n is flagged singular .*\|t\|\^\(n-2\) = 4\.6e\+18"
     with pytest.raises(SingularDeterminant, match=message):
         theta_decomposition(2.0, 64)
     args = ["verify", "--identity", "continuation", "--t", "2", "--n", "64", "--format", "json"]
@@ -430,7 +434,7 @@ def _count_pair_angles(monkeypatch):
 
 
 def test_theta_decomposition_builds_the_tables_once(monkeypatch):
-    # b_hat reuses the e+ and d tables of the section: one sampling of the
+    # M_n reuses the e+ and d tables of the section: one sampling of the
     # order-2046 grid at this t (4096 angles); building them twice takes two
     angles = _count_pair_angles(monkeypatch)
     theta_decomposition(0.02, 8)

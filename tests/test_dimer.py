@@ -21,17 +21,28 @@ from dimerdet import (
     toeplitz_section,
 )
 from dimerdet import dimer
+from dimerdet.continuation import _scalar_tables, _section_dets
 from dimerdet.dimer import (
     MAX_QUAD_GRID,
-    _coefficients,
     _kernel_sums,
     _y_means,
-    dimer_coefficients,
     kernel_symbols,
+    torus_tables,
 )
 from dimerdet.spectral import QUAD_TOL, _doubled
 from dimerdet.szego import MAX_OP_ORDER, MIN_OP_ORDER
-from oracles import _eta, _p, _q, _sigma, coeff, e_plus_symbol, flip_conjugate, symbol_d
+from oracles import (
+    _eta,
+    _p,
+    _q,
+    _sigma,
+    coeff,
+    e_plus_symbol,
+    flip_conjugate,
+    relabelled_r_q,
+    symbol_d,
+    torus_coefficients,
+)
 
 
 def st_closed(t):
@@ -68,19 +79,18 @@ def test_q_vanishes_for_even_k():
     for _ in range(5):
         t = complex(rng.uniform(0.1, 1.4), rng.uniform(-0.4, 0.4))
         for k in (-4, -2, 0, 2, 6):
-            assert abs(_coefficients(t, np.array([k]), 128)[1, 0]) < 1e-14
+            assert abs(torus_coefficients(t, np.array([k]), 128)[1, 0]) < 1e-14
 
 
 def test_q_symmetry_in_k():
-    params = DimerParams(0.8)
-    q = dimer_coefficients(params, -5, 5).Q   # q[i] is Q_{i-5}
+    q = relabelled_r_q(*torus_tables(0.8, 6), np.arange(-5, 6))[1]   # q[i] is Q_{i-5}
     for k in (1, 3, 5):
         assert abs(q[k + 5] - q[-k + 5]) < 1e-12
 
 
 def test_q_parity_check_is_live(monkeypatch):
     # an even harmonic slipped into V must surface as a nonzero even-k Q:
-    # the taint goes on the unfolded [S+T, V] samples _coefficients FFTs
+    # the taint goes on the unfolded [S+T, V] samples _torus_hats FFTs
     real = dimer._kernel_sums
 
     def tainted(t, x, means):
@@ -90,7 +100,7 @@ def test_q_parity_check_is_live(monkeypatch):
 
     monkeypatch.setattr(dimer, "_kernel_sums", tainted)
     with pytest.raises(InvariantViolation, match="should vanish for even k"):
-        dimer_coefficients(DimerParams(0.5), -3, 3)
+        torus_tables(0.5, 3)
 
 
 def test_torus_fold_sums_rows_x_and_pi_minus_x_apart(monkeypatch):
@@ -106,14 +116,14 @@ def test_torus_fold_sums_rows_x_and_pi_minus_x_apart(monkeypatch):
 
     monkeypatch.setattr(dimer, "_y_means", tainted)
     with pytest.raises(InvariantViolation, match="should vanish for even k"):
-        dimer_coefficients(DimerParams(0.5), -3, 3)
+        torus_tables(0.5, 3)
 
 
 def test_quadrature_grid_convergence():
     # fixed grids 256 and 512, as the R_k, Q_k of grid 128 were checked
     # against 256
     ks = np.arange(-8, 9)
-    coarse, fine = _coefficients(0.45, ks, 256), _coefficients(0.45, ks, 512)
+    coarse, fine = torus_coefficients(0.45, ks, 256), torus_coefficients(0.45, ks, 512)
     assert np.max(np.abs(coarse[0] - fine[0])) < 1e-10  # R_k
     assert np.max(np.abs(coarse[1] - fine[1])) < 1e-10  # Q_k
 
@@ -155,7 +165,7 @@ def test_coefficients_match_dense_double_sums(t, grid):
         [np.sum(np.cos(k * x + y) * (np.cos(y) if k % 2 == 0 else t * np.cos(x + y)) * inv)
          for k in ks],
         [np.sum(np.cos(k * x) * np.cos(x) * inv) for k in ks]])
-    assert np.max(np.abs(_coefficients(t, ks, grid) - dense)) < 1e-14
+    assert np.max(np.abs(torus_coefficients(t, ks, grid) - dense)) < 1e-14
 
 
 def test_doubled_grids_reach_twice_a_start_grid_above_the_cap():
@@ -201,9 +211,8 @@ def test_torus_grid_names_its_cap():
 def test_sum_kernel_coefficients_match_r(t):
     # S_k + T_k = (-1)^[-k/2] R_{-k+1}: the sum-kernel closed form against
     # the 2-D quadrature
-    params = DimerParams(t)
     coeffs, m = fft_coeffs(st_closed(t))
-    r = dimer_coefficients(params, -3, 5).R   # r[i] is R_{i-3}
+    r = relabelled_r_q(*torus_tables(t, 5), np.arange(-3, 6))[0]   # r[i] is R_{i-3}
     for k in range(-4, 5):
         sign = 1.0 if (((-k) // 2) % 2 == 0) else -1.0
         assert abs(coeffs[k % m] - sign * r[-k + 1 + 3]) < 1e-9
@@ -211,9 +220,8 @@ def test_sum_kernel_coefficients_match_r(t):
 
 def test_antisymmetric_kernel_coefficients_match_q():
     # with the global sign dropped, V_k = i (-1)^{1+floor(k/2)} Q_k (odd k)
-    params = DimerParams(0.5)
     coeffs, m = fft_coeffs(v_closed(0.5))
-    q = dimer_coefficients(params, -3, 3).Q   # q[i] is Q_{i-3}
+    q = relabelled_r_q(*torus_tables(0.5, 4), np.arange(-3, 4))[1]   # q[i] is Q_{i-3}
     for k in (-3, -1, 1, 3):
         sign = 1.0 if ((1 + (k // 2)) % 2 == 0) else -1.0
         assert abs(coeffs[k % m] - 1j * sign * q[k + 3]) < 1e-9
@@ -241,7 +249,7 @@ def test_kernel_spot_values():
 def test_dimer_matrix_n1_structure():
     params = DimerParams(0.4)
     m1 = dimer_matrix(params, 1)
-    r1 = dimer_coefficients(params, 1, 1).R[0]
+    r1 = relabelled_r_q(*torus_tables(0.4, 2), np.array([1]))[0, 0]
     # Q index n+1-j-k = 0 at n=1, and Q_0 = 0, so M_1 is 2 R_1 times I_2
     assert np.max(np.abs(m1 - 2.0 * r1 * np.eye(2))) < 1e-13
     # and it matches the symbol side
@@ -256,6 +264,20 @@ def test_dimer_toeplitz_equivalence_small(t, n):
     det_m = log_determinant(dimer_matrix(params, n)).value
     det_t = log_determinant(toeplitz_section(fourier_coefficients(symbol_phi(params)), n)).value
     assert abs(det_m - det_t) <= 1e-8 * abs(det_t)
+
+
+@pytest.mark.parametrize("t", [2.0, 3 - 2j, 0.8 + 0.3j, 0.05 + 1j])
+def test_theta_section_on_the_torus_tables_matches_the_sampled_pair(t):
+    # the Theta step on torus coefficients: the regular section P(n) is
+    # taken from, built from the torus e+/d pair, has the determinants of
+    # the sampled pair's, where det M_n itself fails past |t| = 1 (at t = 2
+    # from n = 32 on); worst 3.8e-14 at 0.05+1i, n = 64, and at most 2e-15
+    # for |t| > 1
+    n_list = [8, 32, 64]
+    torus = _section_dets(t, n_list, *torus_tables(t, 65))
+    sampled = _section_dets(t, n_list, *_scalar_tables(t, 64))
+    for got, expected in zip(torus, sampled):
+        assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 def test_flip_conjugate_preserves_determinant():
@@ -310,13 +332,17 @@ def test_correlation_approaches_limit():
     assert abs(correlation_limit(0.3) - 0.15918115688259285) < 1e-12
 
 
-def test_dimer_coefficients_bundle():
-    params = DimerParams(0.6)
-    bundle = dimer_coefficients(params, -3, 3)
-    assert bundle.t == params.t
-    assert bundle.k_min == -3 and len(bundle.R) == len(bundle.Q) == 7
-    for k in (-2, 0, 2):
-        assert bundle.Q[k + 3] == _coefficients(params.t, np.arange(-3, 4), bundle.grid)[1, k + 3]
+def test_dimer_coefficients_bundle(monkeypatch):
+    # the torus tables are the e+/d pair to the order asked, and their R_k
+    # and Q_k are those of the last torus grid the doubling tried
+    grids, real = [], dimer._torus_hats
+    monkeypatch.setattr(dimer, "_torus_hats",
+                        lambda t, order, grid: grids.append(grid) or real(t, order, grid))
+    e_tab, d_tab = torus_tables(0.6, 4)
+    grid = grids[-1]
+    assert e_tab.order == d_tab.order == 4 and e_tab.block_size == d_tab.block_size == 1
+    ks = np.arange(-3, 4)
+    assert np.array_equal(relabelled_r_q(e_tab, d_tab, ks), torus_coefficients(0.6, ks, grid))
 
 
 def test_symbol_phi_domain():

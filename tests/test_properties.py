@@ -16,6 +16,7 @@ from dimerdet import (
     TailNotResolved,
     correlation_finite,
     correlation_limit,
+    dimer_matrix,
     e_phi,
     exp_representation,
     symbol_phi,
@@ -27,7 +28,7 @@ from dimerdet import continuation, dimer, szego
 from dimerdet.cli import RunConfig, run_verify
 from dimerdet.closed_form import lambda_value, prefactor, spectral_roots
 from dimerdet.continuation import _scalar_tables, e_plus_d, theta_section
-from dimerdet.dimer import MAX_QUAD_GRID, _y_means, dimer_coefficients, kernel_symbols
+from dimerdet.dimer import MAX_QUAD_GRID, _m_n, _y_means, kernel_symbols, torus_tables
 from dimerdet.spectral import (
     MIN_GRID,
     QUAD_TOL,
@@ -52,21 +53,27 @@ from oracles import (
     _sigma,
     as_1x1,
     assemble,
+    b_hat,
     complex_operator_det,
     e_plus_symbol,
     fft_table,
+    flip_conjugate,
     full_grid_coefficients,
+    full_grid_hats,
     full_grid_kernel_sums,
     hankel_index,
     horner_series,
+    literal_dimer_matrix,
     numpy_operator_det,
     numpy_y_means,
     planted_symbol,
     pointwise_inverse,
+    relabelled_r_q,
     section_determinants,
     symbol_d,
     theta_section_dense,
     toeplitz_index,
+    torus_coefficients,
     unwrap_logdet_mean,
 )
 
@@ -174,7 +181,7 @@ def test_real_t_one_lu_matches_the_two_lu_fold(t, n):
 @example(0.0015, 96)
 @example(1.0, 96)
 def test_continuation_identity_checks_the_determinant_p_is_taken_from(t, n):
-    # verify's continuation row compares b_hat with the section determinant
+    # verify's continuation row compares M_n with the section determinant
     # of the route every P(n) takes: at real t one LU of projected tables
     dets, route = [], continuation._section_dets
 
@@ -188,6 +195,41 @@ def test_continuation_identity_checks_the_determinant_p_is_taken_from(t, n):
     det, = dets
     p = correlation_finite(DimerParams(t), n)
     assert abs(det - (2 * p) ** 2) <= 1e-14 * abs(det)
+
+
+#: the unit disk's right half from Re t = 0.02; near 0.02 + 1i the torus
+#: grid of dimer_matrix does not settle by MAX_QUAD_GRID (1.9e-10 moved at
+#: 4096), and there it raises QuadratureUnconverged
+UNIT_HALF_DISK = box(0.02, 1.0, 1.0).filter(lambda t: abs(t) <= 1.0)
+
+
+@SETTINGS
+@given(UNIT_HALF_DISK, st.integers(1, 32))
+def test_m_n_on_the_sampled_tables_is_b_hat_conjugated_by_s_n(t, n):
+    # M_n = S_n b_hat S_n^T, S_n = diag(I, (-1)^[n/2] E), exactly where d is
+    # odd; the sampled d is odd to rounding, and M_n read 5.6e-16 of
+    # max|b_hat| off at most over 49 pairs (t, n), n <= 32
+    tables = _scalar_tables(t, n)
+    reference = flip_conjugate(b_hat(t, n, tables), n)
+    reference[:n, n:] *= (-1) ** (n // 2)
+    reference[n:, :n] *= (-1) ** (n // 2)
+    got = _m_n(t, n, *tables)
+    assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+@SETTINGS
+@given(UNIT_HALF_DISK, st.integers(1, 32))
+def test_dimer_matrix_is_the_paper_entry_formula(t, n):
+    # the one builder against R_k and Q_k placed by the paper's floor signs;
+    # they differ where the torus's even d_k, zero up to rounding, meet
+    # opposite signs
+    tables = _reference_or_error(lambda: torus_tables(t, n + 1))
+    if isinstance(tables, QuadratureUnconverged):
+        with pytest.raises(QuadratureUnconverged):
+            dimer_matrix(DimerParams(t), n)
+        return
+    got = dimer_matrix(DimerParams(t), n)
+    assert np.max(np.abs(got - literal_dimer_matrix(t, n, *tables))) <= 1e-15 * np.max(np.abs(got))
 
 
 #: below Re t = 0.01, the reach of the top-band check at the cap grid 32768:
@@ -612,7 +654,7 @@ def test_folded_torus_matches_the_full_grid_sums(t, grid, n, shift):
     real = dimer._kernel_sums
     ks = np.arange(-n, n + 2)
     with mock.patch.object(dimer, "_kernel_sums", lambda *a: seen.append(real(*a)) or seen[-1]):
-        coefficients = dimer._coefficients(t, ks, grid)
+        coefficients = torus_coefficients(t, ks, grid)
     reference = full_grid_kernel_sums(t, 2.0 * np.pi * np.arange(grid) / grid - np.pi, grid)
     # sin(x+y) from per-axis arrays rounds to about 2 ulp against the
     # sine's half ulp; near the zeros of den (Re t = 0.05, |Im t| about
@@ -628,18 +670,21 @@ def test_folded_torus_matches_the_full_grid_sums(t, grid, n, shift):
     # off the axis at most 4e-16 of it); on the real axis 1e-15 holds
     coef_tol = 1e-15 if t.imag == 0 else tol * scale
     assert np.all(np.abs(coefficients - full_grid_coefficients(t, ks, grid)) <= coef_tol)
-    # dimer_matrix's bundle: the same torus grid, the same R_k and Q_k
+    # dimer_matrix's tables: the same torus grid, the same R_k and Q_k
     start = 1 << (4 * (n + 1) + 3).bit_length()
     expected = _reference_or_error(lambda: _doubled(
-        lambda g: full_grid_coefficients(t, ks, g), start, MAX_QUAD_GRID, QUAD_TOL,
-        QuadratureUnconverged, "R_k, Q_k", "MAX_QUAD_GRID"))
-    got = _reference_or_error(lambda: dimer_coefficients(DimerParams(t), -n, n + 1))
+        lambda g: full_grid_hats(t, n + 1, g), start, MAX_QUAD_GRID, QUAD_TOL,
+        QuadratureUnconverged, "S+T and V", "MAX_QUAD_GRID"))
+    grids, hats = [], dimer._torus_hats
+    with mock.patch.object(dimer, "_torus_hats", lambda *a: grids.append(a[2]) or hats(*a)):
+        got = _reference_or_error(lambda: torus_tables(t, n + 1))
     if isinstance(expected, QuadratureUnconverged):
         assert isinstance(got, QuadratureUnconverged)
     else:
-        (r, q), expected_grid = expected
-        assert got.grid == expected_grid
-        assert np.all(np.abs(np.array([got.R, got.Q]) - [r, q]) <= coef_tol)
+        expected_grid = expected[1]
+        assert grids[-1] == expected_grid
+        assert np.all(np.abs(relabelled_r_q(*got, ks) - full_grid_coefficients(t, ks, expected_grid))
+                      <= coef_tol)
     # kernel_symbols at 32 angles off every torus grid, on the whole half-plane
     x = np.linspace(-np.pi, np.pi, 32, endpoint=False) + shift
     expected = _reference_or_error(lambda: _doubled(

@@ -625,7 +625,7 @@ def test_table_grid_is_smallest_power_of_two_whose_order_covers():
 
 
 def test_torus_start_grid_is_smallest_admissible_power_of_two(monkeypatch):
-    # dimer_coefficients for |k| <= K starts its doubling on the smallest
+    # the torus tables to order K start their doubling on the smallest
     # power of two of at least 4K + 4 points
     class Started(Exception):
         pass
@@ -637,7 +637,7 @@ def test_torus_start_grid_is_smallest_admissible_power_of_two(monkeypatch):
 
     def start(k_max):
         with pytest.raises(Started) as info:
-            dimer.dimer_coefficients(DimerParams(0.3), -k_max, k_max)
+            dimer.torus_tables(0.3, k_max)
         return info.value.args[0]
 
     assert start(512) == 4096
